@@ -27,7 +27,6 @@ from qbp.admm import (
     SolverConfig,
     SolverResult,
     data_residual,
-    project_affine,
     project_psd,
     soft_threshold,
     solve,

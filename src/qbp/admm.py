@@ -14,6 +14,7 @@ penalty weight until the residual budget is met.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "AffineProjector",
-    "project_affine",
     "project_psd",
     "soft_threshold",
     "update_z",
@@ -62,7 +62,6 @@ class SolverConfig:
     tau_decr: float = 2.0
     rho_min: float = 1e-8
     rho_max: float = 1e8
-    rescale_duals: bool = False
     check_iterates: bool = False
     betas: tuple[float, ...] | None = None
 
@@ -85,6 +84,9 @@ class SolverResult:
     norm, rho); ``objective`` tracks Tr(Z) + lam * ||Z||_1.  For denoising
     runs ``beta`` is the accepted penalty weight and ``data_residual`` the
     sum of squared measurement residuals at the returned iterate.
+
+    ``termination`` is ``"converged"``, ``"max_iters"``, ``"diverged"`` (a
+    residual went non-finite) or, for denoising, ``"constraint_unattained"``.
     """
 
     Z: np.ndarray
@@ -128,11 +130,6 @@ class AffineProjector:
         return unrealvec(v)
 
 
-def project_affine(system: QuadraticSystem) -> AffineProjector:
-    """Build the affine projector for a system, validating feasibility."""
-    return AffineProjector(system)
-
-
 class _PenalizedStep:
     """Prox of (beta/2) * sum of squared residuals with X[0,0] pinned to 1.
 
@@ -162,28 +159,51 @@ class _PenalizedStep:
 
 
 def project_psd(M) -> np.ndarray:
-    """Nearest positive-semidefinite matrix in Frobenius norm."""
-    H = hermitianize(M)
-    w, V = np.linalg.eigh(H)
-    if w[0] >= 0.0:
-        return H
-    w = np.maximum(w, 0.0)
-    return hermitianize((V * w) @ V.conj().T)
+    """Nearest positive-semidefinite matrix to a Hermitian ``M`` in Frobenius norm.
+
+    ``M`` must be Hermitian: ``eigh`` reads one triangle only.  A PSD ``M`` is
+    returned itself.  Otherwise the projection is rebuilt from whichever
+    eigen-part is smaller, ``M - V_neg diag(w_neg) V_neg^H`` or
+    ``V_pos diag(w_pos) V_pos^H``, and symmetrized once, so the result is
+    exactly Hermitian with an exactly real diagonal.
+    """
+    w, V = np.linalg.eigh(M)
+    neg = int(np.searchsorted(w, 0.0))
+    if neg == 0:
+        return M
+    if 2 * neg < w.size:
+        Vn = V[:, :neg]
+        P = M - (Vn * w[:neg]) @ Vn.conj().T
+    else:
+        Vp = V[:, neg:]
+        P = (Vp * w[neg:]) @ Vp.conj().T
+    P += P.conj().T
+    P *= 0.5
+    return P
 
 
 def soft_threshold(x, q: float):
     """Complex soft threshold: 0 where |x| <= q, else shrink |x| by q."""
     x = np.asarray(x)
-    mag = np.abs(x)
-    scale = np.where(mag > q, (mag - q) / np.where(mag > 0, mag, 1.0), 0.0)
-    out = x * scale
-    return out.item() if out.ndim == 0 else out
+    mag = np.atleast_1d(np.abs(x))
+    scale = np.maximum(mag - q, 0.0)
+    # divide only where the entry survives: |x| = 0 with q = 0 must give 0, not 0/0
+    np.divide(scale, mag, out=scale, where=mag > q)
+    if x.ndim == 0:
+        return (x * scale[0]).item()
+    return x * scale
 
 
 def update_z(X1, X2, Y1, Y2, rho: float, lam: float) -> np.ndarray:
-    """Consensus update: shrink the dual-corrected primal average."""
-    V = 0.5 * (X1 + X2) + 0.5 * (Y1 + Y2) / rho
-    return hermitianize(soft_threshold(V, 0.5 * lam / rho))
+    """Consensus update: shrink the dual-corrected primal average.
+
+    Hermitian inputs give an exactly Hermitian result, because the average
+    and the shrink scale are both entrywise and |conj(v)| = |v|.
+    """
+    V = X1 + X2
+    V += (Y1 + Y2) / rho
+    V *= 0.5
+    return soft_threshold(V, 0.5 * lam / rho)
 
 
 def update_rho(rho: float, r_norm: float, s_norm: float, config: SolverConfig) -> float:
@@ -220,11 +240,15 @@ def _check_iterates(system, X1, X2, exact_affine):
             raise ValueError(f"X1 violates the affine constraints: {viol:.3e}")
 
 
+def _sqnorm(A: np.ndarray) -> float:
+    """Squared Frobenius norm of a contiguous array, as one real dot product."""
+    f = A.reshape(-1).view(np.float64)
+    return float(f @ f)
+
+
 def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
     m = system.n + 1
     eye = np.eye(m)
-    X1 = eye.astype(complex)
-    X2 = eye.astype(complex)
     Z = eye.astype(complex)
     Y1 = np.zeros((m, m), dtype=complex)
     Y2 = np.zeros((m, m), dtype=complex)
@@ -232,8 +256,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
     dim = float(system.n)
     exact_affine = isinstance(x1_step, AffineProjector)
 
-    res_trace = []
-    obj_trace = []
+    residuals = np.empty((config.max_iters, 3))
+    objective = np.empty(config.max_iters)
     termination = "max_iters"
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
@@ -242,26 +266,30 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
         X1 = x1_step(Z - (eye + Y1) / rho, rho)
         X2 = project_psd(Z - Y2 / rho)
         Z = update_z(X1, X2, Y1, Y2, rho, lam)
-        Y1 = Y1 + rho * (X1 - Z)
-        Y2 = Y2 + rho * (X2 - Z)
+        D1 = X1 - Z
+        D2 = X2 - Z
+        Y1 += rho * D1
+        Y2 += rho * D2
 
-        d1 = np.linalg.norm(X1 - Z)
-        d2 = np.linalg.norm(X2 - Z)
-        r_norm = np.sqrt(d1 * d1 + d2 * d2)
-        s_norm = rho * np.sqrt(2.0) * np.linalg.norm(Z - Z_prev)
-        xbar_norm = 0.5 * np.linalg.norm(X1 + X2)
-        ybar_norm = 0.5 * np.linalg.norm(Y1 + Y2)
-        eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, np.linalg.norm(Z))
+        r_norm = math.sqrt(_sqnorm(D1) + _sqnorm(D2))
+        s_norm = rho * math.sqrt(2.0 * _sqnorm(Z - Z_prev))
+        xbar_norm = 0.5 * math.sqrt(_sqnorm(X1 + X2))
+        ybar_norm = 0.5 * math.sqrt(_sqnorm(Y1 + Y2))
+        eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(_sqnorm(Z)))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
-        res_trace.append((r_norm, s_norm, rho))
-        obj_trace.append(float(np.trace(Z).real + lam * np.abs(Z).sum()))
+        residuals[it - 1] = (r_norm, s_norm, rho)
+        objective[it - 1] = Z.trace().real + lam * np.abs(Z).sum()
+        if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
+            termination = "diverged"
+            iterations = it
+            break
         if config.check_iterates:
             _check_iterates(system, X1, X2, exact_affine)
         if chatty and it % 100 == 0:
             logger.debug(
                 "iter %d: r=%.3e s=%.3e rho=%.3e obj=%.6f",
-                it, r_norm, s_norm, rho, obj_trace[-1],
+                it, r_norm, s_norm, rho, objective[it - 1],
             )
 
         if r_norm <= eps_pri and s_norm <= eps_dual:
@@ -269,14 +297,11 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
             iterations = it
             break
 
-        new_rho = update_rho(rho, r_norm, s_norm, config)
-        if new_rho != rho and config.rescale_duals:
-            Y1 *= new_rho / rho
-            Y2 *= new_rho / rho
-        rho = new_rho
+        rho = update_rho(rho, r_norm, s_norm, config)
 
     logger.debug("terminated (%s) after %d iterations", termination, iterations)
-    return Z, iterations, termination, np.array(res_trace), np.array(obj_trace), rho
+    return (Z, iterations, termination, residuals[:iterations].copy(),
+            objective[:iterations].copy(), rho)
 
 
 def solve(system: QuadraticSystem, lam: float = 1.0,

@@ -310,8 +310,6 @@ def _build_parser() -> _Parser:
     slv.add_argument("--tol", type=float, default=1e-3, help="success threshold")
     slv.add_argument("--exact-phase", action="store_true",
                      help="score without global-phase alignment")
-    slv.add_argument("--seed", type=int, default=0,
-                     help="ignored; solves are deterministic")
     slv.add_argument("-o", "--output", help="report path (default stdout)")
     _solver_options(slv)
     slv.set_defaults(func=_cmd_solve)
