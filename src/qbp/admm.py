@@ -46,6 +46,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Over-relaxation weight (Boyd et al. 2011, section 3.4.3): the consensus and
+# dual steps see ALPHA * X + (1 - ALPHA) * Z_prev in place of X.
+ALPHA = 1.8
+
 
 class InfeasibleProjectionError(ValueError):
     """The affine constraint set is empty (inconsistent measurements)."""
@@ -265,13 +269,14 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
         Z_prev = Z
         X1 = x1_step(Z - (eye + Y1) / rho, rho)
         X2 = project_psd(Z - Y2 / rho)
-        Z = update_z(X1, X2, Y1, Y2, rho, lam)
-        D1 = X1 - Z
-        D2 = X2 - Z
-        Y1 += rho * D1
-        Y2 += rho * D2
+        base = (1.0 - ALPHA) * Z_prev
+        H1 = ALPHA * X1 + base
+        H2 = ALPHA * X2 + base
+        Z = update_z(H1, H2, Y1, Y2, rho, lam)
+        Y1 += rho * (H1 - Z)
+        Y2 += rho * (H2 - Z)
 
-        r_norm = math.sqrt(_sqnorm(D1) + _sqnorm(D2))
+        r_norm = math.sqrt(_sqnorm(X1 - Z) + _sqnorm(X2 - Z))
         s_norm = rho * math.sqrt(2.0 * _sqnorm(Z - Z_prev))
         xbar_norm = 0.5 * math.sqrt(_sqnorm(X1 + X2))
         ybar_norm = 0.5 * math.sqrt(_sqnorm(Y1 + Y2))
