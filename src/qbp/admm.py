@@ -260,8 +260,10 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
     dim = float(system.n)
     exact_affine = isinstance(x1_step, AffineProjector)
 
-    residuals = np.empty((config.max_iters, 3))
-    objective = np.empty(config.max_iters)
+    # traces grow by doubling, so a huge max_iters reserves no memory up front
+    size = min(config.max_iters, 1024)
+    residuals = np.empty((size, 3))
+    objective = np.empty(size)
     termination = "max_iters"
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
@@ -283,6 +285,10 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
         eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(_sqnorm(Z)))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
+        if it > size:
+            size = min(2 * size, config.max_iters)
+            residuals = np.resize(residuals, (size, 3))
+            objective = np.resize(objective, size)
         residuals[it - 1] = (r_norm, s_norm, rho)
         objective[it - 1] = Z.trace().real + lam * np.abs(Z).sum()
         if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
