@@ -271,6 +271,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
         Z_prev = Z
         X1 = x1_step(Z - (eye + Y1) / rho, rho)
         X2 = project_psd(Z - Y2 / rho)
+        # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = (1.0 - ALPHA) * Z_prev
         H1 = ALPHA * X1 + base
         H2 = ALPHA * X2 + base
