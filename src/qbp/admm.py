@@ -6,23 +6,27 @@ The equality-constrained program
 
 is split over two primal copies: X1 carries the affine constraints (plus the
 trace term), X2 carries the positive-semidefinite cone, and the consensus
-variable Z carries the l1 shrinkage.  The denoising variant replaces the
-exact affine projection with a penalized least-squares step and sweeps the
-penalty weight until the residual budget is met.
+variable Z carries the l1 shrinkage.  The denoising program
+
+    min Tr(X) + lam * ||X||_1   s.t.  sum_i |Tr(Phi_i X) - y_i|^2 <= epsilon,
+                                      X[0,0] = 1,  X >= 0
+
+runs the same loop with the X1 step replaced by the exact Frobenius
+projection onto the residual budget set, one scalar root of a secular
+equation per call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from qbp.model import (
     QuadraticSystem,
     constraint_system,
-    hermitianize,
     measure_lifted,
     real_measurement_matrix,
     realvec,
@@ -50,6 +54,20 @@ logger = logging.getLogger(__name__)
 # dual steps see ALPHA * X + (1 - ALPHA) * Z_prev in place of X.
 ALPHA = 1.8
 
+# A least-squares residual norm above this multiple of the data norm means the
+# measurements admit no feasible point, in the equality or the budget program.
+INFEASIBLE_RTOL = 1e-6
+
+# The budget projection aims at residual norm sqrt(epsilon) - BUDGET_MARGIN *
+# ||y||, so the residual recomputed from the returned matrix stays within
+# epsilon after rounding.
+BUDGET_MARGIN = 1e-10
+
+# Newton on the secular equation stops once the residual norm is within this
+# relative distance of its target, or after SECULAR_MAX_STEPS steps.
+SECULAR_RTOL = 1e-12
+SECULAR_MAX_STEPS = 50
+
 
 class InfeasibleProjectionError(ValueError):
     """The affine constraint set is empty (inconsistent measurements)."""
@@ -66,8 +84,6 @@ class SolverConfig:
     tau_decr: float = 2.0
     rho_min: float = 1e-8
     rho_max: float = 1e8
-    check_iterates: bool = False
-    betas: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.rho0 <= 0:
@@ -82,15 +98,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Final consensus iterate plus per-iteration telemetry.
+    """Final iterate plus per-iteration telemetry.
 
     ``residuals`` has one row per iteration with columns (primal norm, dual
-    norm, rho); ``objective`` tracks Tr(Z) + lam * ||Z||_1.  For denoising
-    runs ``beta`` is the accepted penalty weight and ``data_residual`` the
-    sum of squared measurement residuals at the returned iterate.
+    norm, rho); ``objective`` tracks Tr(Z) + lam * ||Z||_1.  ``Z`` is the
+    consensus iterate for :func:`solve` and, for :func:`solve_denoising`, the
+    last budget copy X1, which meets the residual budget exactly where Z
+    meets it only up to the primal residual.  ``data_residual`` is the sum
+    of squared measurement residuals at the returned ``Z``.
 
-    ``termination`` is ``"converged"``, ``"max_iters"``, ``"diverged"`` (a
-    residual went non-finite) or, for denoising, ``"constraint_unattained"``.
+    ``termination`` is ``"converged"``, ``"max_iters"`` or ``"diverged"`` (a
+    residual went non-finite).
     """
 
     Z: np.ndarray
@@ -100,7 +118,6 @@ class SolverResult:
     objective: np.ndarray
     lam: float
     rho_final: float
-    beta: float | None = None
     data_residual: float | None = None
 
     @property
@@ -123,7 +140,7 @@ class AffineProjector:
         # least-squares residual > 0 means no Hermitian matrix satisfies
         # the constraints at all
         gap = np.linalg.norm(A @ (self._pinv @ b) - b)
-        if gap > 1e-6 * np.linalg.norm(b):
+        if gap > INFEASIBLE_RTOL * np.linalg.norm(b):
             raise InfeasibleProjectionError(
                 f"constraints are inconsistent: least-squares gap {gap:.3e}"
             )
@@ -135,31 +152,75 @@ class AffineProjector:
 
 
 class _PenalizedStep:
-    """Prox of (beta/2) * sum of squared residuals with X[0,0] pinned to 1.
+    """Frobenius projection onto {X Hermitian: X[0,0] = 1, ||A(X) - y||^2 <= epsilon}.
 
-    Solved through one thin SVD of the constraint matrix (minus its corner
-    column), reused across iterations and rho changes.
+    Off the corner this is the penalized prox argmin ||X - M||^2 +
+    mu * ||A(X) - y||^2 with the weight mu solved for in each call.  In the
+    thin SVD B = U diag(s) V^T of the measurement matrix (minus its corner
+    column) the squared residual of the prox is the secular function
+
+        phi(mu) = sum_i (s_i c_i - h_i)^2 / (1 + mu s_i^2)^2 + ||g_perp||^2,
+
+    with c = V^T realvec(M), h = U^T g, g = y - B e_0 and g_perp the part of
+    g outside range(B).  phi decreases in mu and phi^(-1/2) is concave, so
+    Newton on phi^(-1/2) = radius^(-1) converges monotonically (Moré &
+    Sorensen 1983); it starts from the previous call's mu.  An input inside
+    the budget is returned with only its corner set.  A budget at or below
+    the floor ||g_perp||^2 gives the exact affine projection (mu -> inf).
     """
 
-    def __init__(self, system: QuadraticSystem, beta: float):
+    def __init__(self, system: QuadraticSystem, epsilon: float):
         B, y = real_measurement_matrix(system)
         g = y - B[:, 0]
         B1 = B[:, 1:]
-        _, s, Vt = np.linalg.svd(B1, full_matrices=False)
-        self._Vt = Vt
-        self._s2 = s * s
-        self._bg = beta * (B1.T @ g)
-        self._beta = beta
+        U, s, Vt = np.linalg.svd(B1, full_matrices=False)
+        rank = int(np.count_nonzero(
+            s > s.max(initial=0.0) * max(B1.shape) * np.finfo(float).eps))
+        self._s = s[:rank]
+        self._s2 = self._s * self._s
+        self._Vt = Vt[:rank]
+        self._h = U[:, :rank].T @ g
+        floor = _sqnorm(g - U[:, :rank] @ self._h)
+        scale = float(np.linalg.norm(y))
+        if math.sqrt(floor) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale:
+            raise InfeasibleProjectionError(
+                f"residual budget {epsilon:.3e} is below the least-squares"
+                f" floor {floor:.3e}"
+            )
+        self._floor = floor
+        radius = math.sqrt(epsilon) - BUDGET_MARGIN * scale
+        # None marks the affine limit: no smaller residual than the floor exists
+        self._radius = radius if radius > 0.0 and radius * radius > floor else None
+        self._mu = 0.0
 
-    def __call__(self, M, rho: float) -> np.ndarray:
+    def __call__(self, M, rho: float | None = None) -> np.ndarray:
         v = realvec(M)
-        rhs = self._bg + rho * v[1:]
-        coeff = 1.0 / (self._beta * self._s2 + rho) - 1.0 / rho
-        w = rhs / rho + self._Vt.T @ (coeff * (self._Vt @ rhs))
-        out = np.empty(v.size)
-        out[0] = 1.0
-        out[1:] = w
-        return unrealvec(out)
+        v[0] = 1.0
+        c = self._Vt @ v[1:]
+        t = self._s * c - self._h
+        radius = self._radius
+        if radius is None:
+            step = -t / self._s
+        else:
+            r2 = t * t
+            phi = float(r2.sum()) + self._floor
+            if phi <= radius * radius:
+                return unrealvec(v)
+            mu = self._mu
+            for _ in range(SECULAR_MAX_STEPS):
+                q = 1.0 / (1.0 + mu * self._s2)
+                terms = r2 * q * q
+                phi = float(terms.sum()) + self._floor
+                gap = math.sqrt(phi) / radius - 1.0
+                if abs(gap) <= SECULAR_RTOL:
+                    break
+                # Newton step on phi^(-1/2); a step past zero restarts from the left
+                slope = 2.0 * float((self._s2 * terms * q).sum())
+                mu = max(mu + 2.0 * phi * gap / slope, 0.0)
+            self._mu = mu
+            step = -mu * self._s * t / (1.0 + mu * self._s2)
+        v[1:] += self._Vt.T @ step
+        return unrealvec(v)
 
 
 def project_psd(M) -> np.ndarray:
@@ -229,21 +290,6 @@ def data_residual(system: QuadraticSystem, X) -> float:
     return float(np.vdot(diff, diff).real)
 
 
-def _check_iterates(system, X1, X2, exact_affine):
-    for name, M in (("X1", X1), ("X2", X2)):
-        dev = np.max(np.abs(M - M.conj().T))
-        if dev > 1e-10:
-            raise ValueError(f"{name} lost Hermitian symmetry: {dev:.3e}")
-    w = np.linalg.eigvalsh(hermitianize(X2))
-    if w[0] < -1e-8:
-        raise ValueError(f"X2 left the PSD cone: min eigenvalue {w[0]:.3e}")
-    if exact_affine:
-        viol = np.max(np.abs(measure_lifted(system, X1) - system.y))
-        scale = 1.0 + float(np.max(np.abs(system.y)))
-        if viol > 1e-6 * scale or abs(X1[0, 0] - 1.0) > 1e-6:
-            raise ValueError(f"X1 violates the affine constraints: {viol:.3e}")
-
-
 def _sqnorm(A: np.ndarray) -> float:
     """Squared Frobenius norm of a contiguous array, as one real dot product."""
     f = A.reshape(-1).view(np.float64)
@@ -258,7 +304,6 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
     Y2 = np.zeros((m, m), dtype=complex)
     rho = config.rho0
     dim = float(system.n)
-    exact_affine = isinstance(x1_step, AffineProjector)
 
     # traces grow by doubling, so a huge max_iters reserves no memory up front
     size = min(config.max_iters, 1024)
@@ -296,8 +341,6 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
             termination = "diverged"
             iterations = it
             break
-        if config.check_iterates:
-            _check_iterates(system, X1, X2, exact_affine)
         if chatty and it % 100 == 0:
             logger.debug(
                 "iter %d: r=%.3e s=%.3e rho=%.3e obj=%.6f",
@@ -313,7 +356,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
 
     logger.debug("terminated (%s) after %d iterations", termination, iterations)
     return (Z, iterations, termination, residuals[:iterations].copy(),
-            objective[:iterations].copy(), rho)
+            objective[:iterations].copy(), rho, X1)
 
 
 def solve(system: QuadraticSystem, lam: float = 1.0,
@@ -327,7 +370,7 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
         raise ValueError("lam must be nonnegative")
     config = config or SolverConfig()
     step = AffineProjector(system)
-    Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step)
+    Z, iterations, termination, res, obj, rho, _ = _admm(system, lam, config, step)
     return SolverResult(
         Z=Z,
         iterations=iterations,
@@ -342,37 +385,29 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
 
 def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
                     config: SolverConfig | None = None) -> SolverResult:
-    """Solve the residual-budget variant.
+    """Solve the residual-budget program with one ADMM run.
 
-    The measurement equalities are relaxed to a penalized least-squares term
-    with weight beta; beta is swept upward until the returned iterate keeps
-    the sum of squared residuals within ``epsilon``.  If no beta in the sweep
-    achieves the budget, the closest iterate is returned with termination
-    ``"constraint_unattained"``.
+    The X1 step is the exact projection onto {X00 = 1, sum of squared
+    residuals <= epsilon} (:class:`_PenalizedStep`).  The returned ``Z`` is
+    the last such projected copy, so ``data_residual <= epsilon``.
+
+    Raises :class:`InfeasibleProjectionError` when ``epsilon`` lies below the
+    least-squares floor of the measurements by more than rounding.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     config = config or SolverConfig()
-    betas = config.betas if config.betas is not None else tuple(np.logspace(-2, 8, 11))
-    best = None
-    for beta in betas:
-        step = _PenalizedStep(system, float(beta))
-        Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step)
-        result = SolverResult(
-            Z=Z,
-            iterations=iterations,
-            termination=termination,
-            residuals=res,
-            objective=obj,
-            lam=lam,
-            rho_final=rho,
-            beta=float(beta),
-            data_residual=data_residual(system, Z),
-        )
-        if result.data_residual <= epsilon:
-            return result
-        if best is None or result.data_residual < best.data_residual:
-            best = result
-    return replace(best, termination="constraint_unattained")
+    step = _PenalizedStep(system, epsilon)
+    _, iterations, termination, res, obj, rho, X1 = _admm(system, lam, config, step)
+    return SolverResult(
+        Z=X1,
+        iterations=iterations,
+        termination=termination,
+        residuals=res,
+        objective=obj,
+        lam=lam,
+        rho_final=rho,
+        data_residual=data_residual(system, X1),
+    )

@@ -125,9 +125,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.mode == "qbpd" and args.epsilon is None:
-        print("qbp: error: --mode qbpd requires --epsilon", file=sys.stderr)
-        return 1
     system = _read_system(args.instance)
     config = _config_from(args)
     start = time.perf_counter()
@@ -149,7 +146,6 @@ def _cmd_solve(args) -> int:
         report_to_dict(
             report,
             mode=mode,
-            beta=result.beta,
             data_residual=result.data_residual,
             wall_time_s=wall,
         ),
@@ -269,10 +265,9 @@ def _cmd_phantom(args) -> int:
             fp.write(text)
         stream = sys.stdout
     err = np.abs(truth_img - recon_img)
-    beta_note = f"beta={result.beta:g}, " if result.beta is not None else ""
     print(
         f"phantom side={side} k={args.k} N={N}: {result.termination}"
-        f" ({beta_note}{result.iterations} iterations, {wall:.1f}s),"
+        f" ({result.iterations} iterations, {wall:.1f}s),"
         f" pixel error mean {err.mean():.3e} max {err.max():.3e},"
         f" rank ratio {report.rank_ratio:.3e}",
         file=stream,
@@ -302,10 +297,8 @@ def _build_parser() -> _Parser:
     slv.add_argument("instance", nargs="?", help="instance path (default stdin)")
     slv.add_argument("--lambda", "--lam", dest="lam", type=float, default=1.0,
                      help="l1 weight")
-    slv.add_argument("--mode", choices=("qbp", "qbpd"), default="qbp",
-                     help="equality-constrained or residual-budget program")
     slv.add_argument("--epsilon", type=float, default=None,
-                     help="residual budget; implies --mode qbpd")
+                     help="residual budget; solves the qbpd program")
     slv.add_argument("--truth", help="planted-signal JSON to score against")
     slv.add_argument("--tol", type=float, default=1e-3, help="success threshold")
     slv.add_argument("--exact-phase", action="store_true",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import qbp.admm
 from qbp.admm import (
     AffineProjector,
+    _PenalizedStep,
     InfeasibleProjectionError,
     SolverConfig,
     SolverResult,
@@ -26,7 +27,7 @@ from qbp.model import (
     measure_lifted,
 )
 from qbp.recovery import extract_phase_signal
-from qbp.generators import general_quadratic, pure_phase
+from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
 
 from support import (
     consistent_system,
@@ -334,18 +335,58 @@ def test_nonfinite_iterate_stops_as_diverged(monkeypatch):
     assert result.residuals.shape == (1, 3)
 
 
-def test_iterate_invariants_hold_during_solves():
-    # check_iterates recomputes Hermitian symmetry, PSD membership of the
-    # cone copy, and exactness of the affine copy at every iteration
-    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000,
-                       check_iterates=True)
+def test_iterate_invariants_hold_during_solves(monkeypatch):
+    # every X1 and X2 the loop produces is checked as it is made: both exactly
+    # Hermitian, X2 in the PSD cone, X1 exactly affine-feasible or, for the
+    # budget program, within the residual budget with its corner pinned
+    epsilon = 1e-3
+    seen = {"psd": 0, "affine": 0, "budget": 0}
+
+    def hermitian(M):
+        assert np.array_equal(M, M.conj().T)
+
+    def checked_psd(M):
+        X2 = project_psd(M)
+        hermitian(X2)
+        assert np.linalg.eigvalsh(X2)[0] >= -1e-8
+        seen["psd"] += 1
+        return X2
+
+    def checked_affine(self, M, rho=None):
+        X1 = affine_call(self, M, rho)
+        hermitian(X1)
+        viol = np.max(np.abs(measure_lifted(system, X1) - system.y))
+        scale = 1.0 + float(np.max(np.abs(system.y)))
+        assert viol <= 1e-6 * scale and abs(X1[0, 0] - 1.0) <= 1e-6
+        seen["affine"] += 1
+        return X1
+
+    def checked_budget(self, M, rho=None):
+        X1 = budget_call(self, M, rho)
+        hermitian(X1)
+        assert X1[0, 0] == 1.0
+        assert data_residual(system, X1) <= epsilon
+        seen["budget"] += 1
+        return X1
+
+    affine_call = AffineProjector.__call__
+    budget_call = _PenalizedStep.__call__
+    monkeypatch.setattr(qbp.admm, "project_psd", checked_psd)
+    monkeypatch.setattr(AffineProjector, "__call__", checked_affine)
+    monkeypatch.setattr(_PenalizedStep, "__call__", checked_budget)
+    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
     system, _ = pure_phase(5, 20, 2, "gaussian", seed=4)
     result = solve(system, 2.0, cfg)
     assert result.converged
+    budget = solve_denoising(system, 2.0, epsilon, cfg)
+    assert budget.converged
     rng = np.random.default_rng(11)
-    system2, _ = consistent_system(3, 6, rng)
-    result2 = solve(system2, 1.0, cfg)
+    system, _ = consistent_system(3, 6, rng)
+    result2 = solve(system, 1.0, cfg)
     assert result2.iterations >= 1
+    assert seen["affine"] == result.iterations + result2.iterations
+    assert seen["budget"] == budget.iterations
+    assert seen["psd"] == seen["affine"] + seen["budget"]
 
 
 def test_objective_settles_at_convergence():
@@ -380,7 +421,6 @@ def test_denoising_huge_budget_drops_the_data():
     want = np.zeros((2, 2))
     want[0, 0] = 1.0
     assert np.allclose(result.Z, want, atol=1e-3)
-    assert result.beta is not None
 
 
 def test_denoising_small_budget_matches_equality_solver():
@@ -403,10 +443,51 @@ def test_denoising_budget_shapes_the_solution():
 
 
 def test_denoising_reports_unattained_budget():
-    cfg = SolverConfig(eps_abs=1e-6, eps_rel=1e-6, max_iters=5000,
-                       betas=(1e-6,))
-    result = solve_denoising(_single_equation(4.0), 0.5, 1e-10, cfg)
-    assert result.termination == "constraint_unattained"
-    assert not result.converged
-    assert result.data_residual > 1e-10
-    assert result.beta == 1e-6
+    # x^2 = 4 and x^2 = 5 together leave a least-squares residual of 0.5:
+    # a budget below it has no feasible point, one above it is solved
+    system = QuadraticSystem([
+        QuadraticMeasurement(0.0, [0.0], [0.0], [[1.0]], y) for y in (4.0, 5.0)
+    ])
+    with pytest.raises(InfeasibleProjectionError):
+        solve_denoising(system, 0.5, 0.1, TIGHT)
+    result = solve_denoising(system, 0.5, 0.6, TIGHT)
+    assert result.converged
+    assert result.data_residual <= 0.6
+
+
+@pytest.mark.parametrize("make, lam", [
+    (lambda: pure_phase(16, 60, 3, "binary", 0), 100.0),
+    (lambda: pure_phase(6, 24, 2, "gaussian", 1), 5.0),
+    (lambda: general_quadratic(8, 20, 2, "binary", 0), 5.0),
+    (lambda: fourier_sparse_image(4, 2, 64, 0), 1.0),
+], ids=["purephase16", "purephase6", "general8", "fourier4"])
+@pytest.mark.parametrize("epsilon", [0.02, 1.2e-3, 1e-4, 1e-6])
+def test_denoising_meets_the_budget_exactly(make, lam, epsilon):
+    system, _ = make()
+    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=30000)
+    result = solve_denoising(system, lam, epsilon, cfg)
+    assert result.converged
+    assert result.data_residual <= epsilon
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.floats(1e-10, 10.0), st.floats(0.1, 10.0))
+def test_budget_projection_property(n, N, seed, epsilon, spread):
+    rng = np.random.default_rng(seed)
+    system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
+    step = _PenalizedStep(system, epsilon)
+    X = step(spread * random_hermitian(n + 1, rng))
+    assert np.array_equal(X, X.conj().T)
+    assert X[0, 0] == 1.0
+    assert data_residual(system, X) <= epsilon
+    assert np.max(np.abs(step(X) - X)) <= 1e-10
+
+
+def test_budget_projection_at_zero_budget_is_affine():
+    rng = np.random.default_rng(13)
+    for seed in range(20):
+        system, _ = consistent_system(3, 5 + seed % 7, rng, real=seed % 2 == 0)
+        M = random_hermitian(4, rng)
+        got = _PenalizedStep(system, 0.0)(M)
+        assert np.max(np.abs(got - AffineProjector(system)(M))) <= 1e-8

@@ -78,7 +78,7 @@ def test_generate_solve_pipeline_recovers_truth(tmp_path):
     assert report["mode"] == "qbp"
     assert report["success"] is True
     assert report["error"] < 1e-2
-    assert report["beta"] is None
+    assert "beta" not in report
     assert report["termination"] == "converged"
 
 
@@ -108,9 +108,11 @@ def test_solve_reads_stdin(tmp_path, capsys, monkeypatch):
     assert report["mode"] == "qbp"
 
 
-def test_qbpd_mode_requires_epsilon(tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "whatever.json"), "--mode", "qbpd"]) == 1
-    assert "requires --epsilon" in capsys.readouterr().err
+def test_mode_flag_is_usage_error(tmp_path, capsys):
+    # --epsilon alone selects the residual-budget program
+    argv = ["solve", str(tmp_path / "whatever.json"), "--mode", "qbpd"]
+    assert main(argv + ["--epsilon", "1e-3"]) == 1
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 def test_epsilon_switches_to_denoising(tmp_path):
@@ -124,7 +126,7 @@ def test_epsilon_switches_to_denoising(tmp_path):
     ]) == 0
     report = json.loads(report_path.read_text())
     assert report["mode"] == "qbpd"
-    assert isinstance(report["beta"], float)
+    assert "beta" not in report
     assert report["data_residual"] <= 1e-4 + 1e-6
 
 
@@ -150,6 +152,9 @@ def test_contradictory_instance_is_solver_error(tmp_path, capsys):
     path = tmp_path / "contradiction.json"
     save_system(QuadraticSystem(measurements), path)
     assert main(["solve", str(path)]) == 2
+    assert "qbp: solver error:" in capsys.readouterr().err
+    # their least-squares residual is 0.5: a smaller budget is infeasible too
+    assert main(["solve", str(path), "--epsilon", "0.1"]) == 2
     assert "qbp: solver error:" in capsys.readouterr().err
 
 

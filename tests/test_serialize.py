@@ -166,11 +166,11 @@ def test_report_to_dict_merges_extras():
         success=True,
         error=1e-7,
     )
-    out = report_to_dict(report, mode="qbp", beta=None)
+    out = report_to_dict(report, mode="qbp", data_residual=None)
     assert out["x_hat"] == [[1.0, 0.0], [0.0, 0.0]]
     assert out["lambda"] == 5.0
     assert out["mode"] == "qbp"
-    assert out["beta"] is None
+    assert out["data_residual"] is None
     assert json.dumps(out)  # everything JSON-serializable
 
 
