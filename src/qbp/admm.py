@@ -14,6 +14,18 @@ variable Z carries the l1 shrinkage.  The denoising program
 runs the same loop with the X1 step replaced by the exact Frobenius
 projection onto the residual budget set, one scalar root of a secular
 equation per call.
+
+One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
+and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
+(SIAM J. Numer. Anal.), with the safeguard of Zhang, O'Donoghue & Boyd 2020
+(SIAM J. Optim.).  The next state is T(u) - dG gamma, where gamma fits the
+current residual T(u) - u by the last ANDERSON_MEMORY residual differences
+dF in regularized least squares and dG holds the matching differences of T.
+An extrapolated point whose residual exceeds ANDERSON_SAFEGUARD times the
+previous one is discarded, and the loop continues from the plain step it
+was made from with an empty memory.  A change of rho changes T, so it also
+empties the memory.  Every evaluation of T, a discarded one too, counts as
+an iteration.
 """
 
 from __future__ import annotations
@@ -68,6 +80,14 @@ BUDGET_MARGIN = 1e-10
 SECULAR_RTOL = 1e-12
 SECULAR_MAX_STEPS = 50
 
+# Anderson acceleration (see the module docstring): the number of differences
+# kept, the factor by which an extrapolated point's fixed-point residual may
+# exceed the previous one, and the ridge weight of the least-squares fit
+# relative to the trace of its Gram matrix.
+ANDERSON_MEMORY = 10
+ANDERSON_SAFEGUARD = 2.0
+ANDERSON_REG = 1e-10
+
 
 class InfeasibleProjectionError(ValueError):
     """The affine constraint set is empty (inconsistent measurements)."""
@@ -100,12 +120,16 @@ class SolverConfig:
 class SolverResult:
     """Final iterate plus per-iteration telemetry.
 
-    ``residuals`` has one row per iteration with columns (primal norm, dual
-    norm, rho); ``objective`` tracks Tr(Z) + lam * ||Z||_1.  ``Z`` is the
-    consensus iterate for :func:`solve` and, for :func:`solve_denoising`, the
-    last budget copy X1, which meets the residual budget exactly where Z
-    meets it only up to the primal residual.  ``data_residual`` is the sum
-    of squared measurement residuals at the returned ``Z``.
+    ``Z`` is the consensus iterate for :func:`solve` and, for
+    :func:`solve_denoising`, the last budget copy X1, which meets the
+    residual budget exactly where the consensus iterate meets it only up to
+    the primal residual.  ``residuals`` has one row per iteration with
+    columns (primal norm, dual norm, rho).  ``objective`` has one entry per
+    iteration, Tr(M) + lam * ||M||_1 at that iteration's candidate for the
+    returned matrix: its consensus iterate for :func:`solve`, its budget
+    copy X1 for :func:`solve_denoising`.  So ``objective[-1]`` is the
+    objective of the returned ``Z``.  ``data_residual`` is the sum of
+    squared measurement residuals at the returned ``Z``.
 
     ``termination`` is ``"converged"``, ``"max_iters"`` or ``"diverged"`` (a
     residual went non-finite).
@@ -290,20 +314,44 @@ def data_residual(system: QuadraticSystem, X) -> float:
     return float(np.vdot(diff, diff).real)
 
 
+def _flat(A: np.ndarray) -> np.ndarray:
+    """A contiguous real or complex array as one flat float64 view."""
+    return A.reshape(-1).view(np.float64)
+
+
 def _sqnorm(A: np.ndarray) -> float:
     """Squared Frobenius norm of a contiguous array, as one real dot product."""
-    f = A.reshape(-1).view(np.float64)
+    f = _flat(A)
     return float(f @ f)
 
 
-def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
+def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
+          return_x1: bool = False):
     m = system.n + 1
     eye = np.eye(m)
-    Z = eye.astype(complex)
-    Y1 = np.zeros((m, m), dtype=complex)
-    Y2 = np.zeros((m, m), dtype=complex)
+    # the state u = (Z, Y1, Y2) and its image g = T(u) under one ADMM step live
+    # in three (3, m, m) buffers, swapped rather than copied: u, the last
+    # plain image g_prev (which may be u itself) and the one being written
+    bufs = np.zeros((3, 3, m, m), dtype=complex)
+    bufs[0, 0] = eye
+    flats = [_flat(b) for b in bufs]
+    iu = ip = 0
     rho = config.rho0
     dim = float(system.n)
+
+    # Anderson memory: a ring of differences of residuals f = g - u (rows of
+    # W, followed by the rows fk and fp holding f and the previous f) and of
+    # images g, plus the Gram matrix of the f differences
+    size_d = flats[0].size
+    W = np.empty((ANDERSON_MEMORY + 2, size_d))
+    dF = W[:ANDERSON_MEMORY]
+    fk, fp = ANDERSON_MEMORY, ANDERSON_MEMORY + 1
+    dG = np.empty((ANDERSON_MEMORY, size_d))
+    gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+    cols = head = 0
+    have_prev = extrapolated = False
+    f2_prev = math.inf
+    accepted = rejected = restarts = 0
 
     # traces grow by doubling, so a huge max_iters reserves no memory up front
     size = min(config.max_iters, 1024)
@@ -313,21 +361,28 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
     for it in range(1, config.max_iters + 1):
-        Z_prev = Z
-        X1 = x1_step(Z - (eye + Y1) / rho, rho)
-        X2 = project_psd(Z - Y2 / rho)
+        Z_prev, Y1, Y2 = bufs[iu]
+        ig = 3 - iu - ip if iu != ip else (iu + 1) % 3
+        Z_out, Y1_out, Y2_out = bufs[ig]
+        X1 = x1_step(Z_prev - (eye + Y1) / rho, rho)
+        X2 = project_psd(Z_prev - Y2 / rho)
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = (1.0 - ALPHA) * Z_prev
         H1 = ALPHA * X1 + base
         H2 = ALPHA * X2 + base
         Z = update_z(H1, H2, Y1, Y2, rho, lam)
-        Y1 += rho * (H1 - Z)
-        Y2 += rho * (H2 - Z)
+        Z_out[...] = Z
+        H1 -= Z
+        H1 *= rho
+        np.add(Y1, H1, out=Y1_out)
+        H2 -= Z
+        H2 *= rho
+        np.add(Y2, H2, out=Y2_out)
 
         r_norm = math.sqrt(_sqnorm(X1 - Z) + _sqnorm(X2 - Z))
         s_norm = rho * math.sqrt(2.0 * _sqnorm(Z - Z_prev))
         xbar_norm = 0.5 * math.sqrt(_sqnorm(X1 + X2))
-        ybar_norm = 0.5 * math.sqrt(_sqnorm(Y1 + Y2))
+        ybar_norm = 0.5 * math.sqrt(_sqnorm(Y1_out + Y2_out))
         eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(_sqnorm(Z)))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
@@ -336,7 +391,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
             residuals = np.resize(residuals, (size, 3))
             objective = np.resize(objective, size)
         residuals[it - 1] = (r_norm, s_norm, rho)
-        objective[it - 1] = Z.trace().real + lam * np.abs(Z).sum()
+        answer = X1 if return_x1 else Z
+        objective[it - 1] = answer.trace().real + lam * np.abs(answer).sum()
         if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             termination = "diverged"
             iterations = it
@@ -352,11 +408,63 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step):
             iterations = it
             break
 
-        rho = update_rho(rho, r_norm, s_norm, config)
+        new_rho = update_rho(rho, r_norm, s_norm, config)
 
-    logger.debug("terminated (%s) after %d iterations", termination, iterations)
-    return (Z, iterations, termination, residuals[:iterations].copy(),
-            objective[:iterations].copy(), rho, X1)
+        u_flat, g_flat, f = flats[iu], flats[ig], W[fk]
+        np.subtract(g_flat, u_flat, out=f)
+        f2 = float(f @ f)
+        if extrapolated and f2 > ANDERSON_SAFEGUARD * f2_prev:
+            # discard the extrapolated point and its image; continue from the
+            # plain image it was extrapolated from, with an empty memory
+            rejected += 1
+            iu = ip
+            cols = head = 0
+            have_prev = extrapolated = False
+            rho = new_rho
+            continue
+        accepted += extrapolated
+        extrapolated = False
+        if new_rho != rho:
+            # a new rho is a new map: its differences do not mix with the old
+            restarts += cols > 0
+            cols = head = 0
+        elif have_prev:
+            j = head
+            np.subtract(f, W[fp], out=dF[j])
+            np.subtract(g_flat, flats[ip], out=dG[j])
+            cols = min(cols + 1, ANDERSON_MEMORY)
+            head = (head + 1) % ANDERSON_MEMORY
+            # one pass over dF against the strided pair (dF[j], f) gives the
+            # new Gram row and the right side of the fit
+            prod = dF[:cols] @ W[j:fk + 1:fk - j].T
+            gram[j, :cols] = prod[:, 0]
+            gram[:cols, j] = prod[:, 0]
+            G = gram[:cols, :cols]
+            reg = ANDERSON_REG * G.trace()
+            # an all-zero memory (reg == 0) has nothing to fit
+            if reg > 0.0:
+                # type-II step: u = g - dG gamma with gamma the regularized
+                # least-squares fit of f by dF; the old u buffer takes it
+                gamma = np.linalg.solve(G + reg * np.eye(cols), prod[:, 1])
+                np.dot(gamma, dG[:cols], out=u_flat)
+                np.subtract(g_flat, u_flat, out=u_flat)
+                extrapolated = True
+        have_prev = new_rho == rho
+        rho = new_rho
+        fk, fp = fp, fk
+        f2_prev = f2
+        if extrapolated:
+            ip = ig
+        else:
+            iu = ip = ig
+
+    logger.debug(
+        "terminated (%s) after %d iterations: %d extrapolations accepted,"
+        " %d rejected, %d memory restarts on a rho change",
+        termination, iterations, accepted, rejected, restarts,
+    )
+    return (answer, iterations, termination, residuals[:iterations].copy(),
+            objective[:iterations].copy(), rho)
 
 
 def solve(system: QuadraticSystem, lam: float = 1.0,
@@ -370,7 +478,7 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
         raise ValueError("lam must be nonnegative")
     config = config or SolverConfig()
     step = AffineProjector(system)
-    Z, iterations, termination, res, obj, rho, _ = _admm(system, lam, config, step)
+    Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step)
     return SolverResult(
         Z=Z,
         iterations=iterations,
@@ -400,7 +508,8 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
         raise ValueError("epsilon must be nonnegative")
     config = config or SolverConfig()
     step = _PenalizedStep(system, epsilon)
-    _, iterations, termination, res, obj, rho, X1 = _admm(system, lam, config, step)
+    X1, iterations, termination, res, obj, rho = _admm(
+        system, lam, config, step, return_x1=True)
     return SolverResult(
         Z=X1,
         iterations=iterations,

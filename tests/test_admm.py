@@ -1,5 +1,8 @@
 """Projection kernels, shrinkage, penalty adaptation, and the full solver."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,7 @@ from qbp.model import (
 )
 from qbp.recovery import extract_phase_signal
 from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
+from qbp.montecarlo import trial_seed
 
 from support import (
     consistent_system,
@@ -387,6 +391,82 @@ def test_iterate_invariants_hold_during_solves(monkeypatch):
     assert seen["affine"] == result.iterations + result2.iterations
     assert seen["budget"] == budget.iterations
     assert seen["psd"] == seen["affine"] + seen["budget"]
+
+
+def _anderson_counts(caplog):
+    """(accepted, rejected, restarts) from the last debug "terminated" line."""
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("terminated")]
+    found = re.search(r"(\d+) extrapolations accepted, (\d+) rejected,"
+                      r" (\d+) memory restarts on a rho change", lines[-1])
+    return tuple(int(v) for v in found.groups())
+
+
+def test_debug_log_counts_extrapolations(caplog):
+    caplog.set_level(logging.DEBUG, logger="qbp.admm")
+    system, _ = general_quadratic(20, 25, 3, "binary", trial_seed(0, 0))
+    result = solve(system, 50.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
+    assert result.converged
+    accepted, rejected, restarts = _anderson_counts(caplog)
+    assert accepted > 0 and restarts > 0
+    assert accepted + rejected < result.iterations
+
+
+def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
+    # a zero safeguard rejects every extrapolated point: each one still costs
+    # a map evaluation, and the solve proceeds by plain ADMM steps
+    system, _ = pure_phase(6, 24, 2, "gaussian", 1)
+    tight = solve(system, 5.0, TIGHT)
+    calls = {"psd": 0, "x1": 0}
+
+    def counted_psd(M):
+        calls["psd"] += 1
+        return project_psd(M)
+
+    def counted_x1(self, M, rho=None):
+        calls["x1"] += 1
+        return affine_call(self, M, rho)
+
+    affine_call = AffineProjector.__call__
+    monkeypatch.setattr(qbp.admm, "ANDERSON_SAFEGUARD", 0.0)
+    monkeypatch.setattr(qbp.admm, "project_psd", counted_psd)
+    monkeypatch.setattr(AffineProjector, "__call__", counted_x1)
+    caplog.set_level(logging.DEBUG, logger="qbp.admm")
+    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=30000)
+    result = solve(system, 5.0, cfg)
+    assert result.converged
+    accepted, rejected, _ = _anderson_counts(caplog)
+    assert accepted == 0 and rejected > 0
+    assert calls["psd"] == calls["x1"] == result.iterations
+    # entrywise within the primal stopping tolerance of the tight solve
+    tol = system.n * cfg.eps_abs + cfg.eps_rel * np.linalg.norm(result.Z)
+    assert np.max(np.abs(result.Z - tight.Z)) <= tol
+
+
+def test_acceleration_survives_the_table_blowup_instance():
+    # table trial 9 at lam = 50 is where an Anderson variant with a looser
+    # safeguard (factor 4 or 10, or none) was seen to run away: objective
+    # 1.4e9 and 16154 iterations.  Plain ADMM takes 941; the bound is twice that.
+    system, _ = general_quadratic(20, 25, 3, "binary", trial_seed(0, 9))
+    result = solve(system, 50.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5,
+                                              max_iters=30000))
+    assert result.converged
+    assert result.iterations <= 1882
+
+
+@pytest.mark.parametrize("denoise", [False, True], ids=["solve", "solve_denoising"])
+def test_objective_describes_the_returned_matrix(denoise):
+    system, _ = pure_phase(16, 60, 3, "binary", 0)
+    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=30000)
+    if denoise:
+        result = solve_denoising(system, 100.0, 1.2e-3, cfg)
+    else:
+        result = solve(system, 100.0, cfg)
+    assert result.converged
+    Z = result.Z
+    # exactly Hermitian: extrapolation combines Hermitian iterates with real weights
+    assert np.array_equal(Z, Z.conj().T)
+    want = Z.trace().real + result.lam * np.abs(Z).sum()
+    assert result.objective[-1] == pytest.approx(want, rel=1e-14)
 
 
 def test_objective_settles_at_convergence():
