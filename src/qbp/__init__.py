@@ -47,7 +47,6 @@ from qbp.recovery import (
     sample_rip,
 )
 from qbp.baselines import (
-    IHTConfig,
     InfeasibleLinearSystemError,
     LinearizedProblem,
     basis_pursuit,

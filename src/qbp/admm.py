@@ -88,32 +88,37 @@ ANDERSON_MEMORY = 10
 ANDERSON_SAFEGUARD = 2.0
 ANDERSON_REG = 1e-10
 
+# Residual balancing (Boyd et al. 2011, section 3.4.1): rho starts at RHO0 and
+# is multiplied or divided by RHO_FACTOR whenever one residual norm exceeds
+# RHO_BALANCE times the other, unless that would leave [RHO_MIN, RHO_MAX].
+RHO0 = 1.0
+RHO_BALANCE = 10.0
+RHO_FACTOR = 2.0
+RHO_MIN = 1e-8
+RHO_MAX = 1e8
+
 
 class InfeasibleProjectionError(ValueError):
     """The affine constraint set is empty (inconsistent measurements)."""
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    # a NaN fails every comparison, so test for the good range, not the bad one
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    rho0: float = 1.0
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
     max_iters: int = 10000
-    mu: float = 10.0
-    tau_incr: float = 2.0
-    tau_decr: float = 2.0
-    rho_min: float = 1e-8
-    rho_max: float = 1e8
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        _require_nonnegative("eps_abs", self.eps_abs)
+        _require_nonnegative("eps_rel", self.eps_rel)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.mu <= 0 or self.tau_incr <= 1 or self.tau_decr <= 1:
-            raise ValueError("rho adaptation needs mu > 0 and tau factors > 1")
 
 
 @dataclass(frozen=True)
@@ -295,15 +300,15 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float) -> np.ndarray:
     return soft_threshold(V, 0.5 * lam / rho)
 
 
-def update_rho(rho: float, r_norm: float, s_norm: float, config: SolverConfig) -> float:
-    """Rebalance the penalty; skipped when it would leave [rho_min, rho_max]."""
-    if r_norm > config.mu * s_norm:
-        new = rho * config.tau_incr
-    elif s_norm > config.mu * r_norm:
-        new = rho / config.tau_decr
+def update_rho(rho: float, r_norm: float, s_norm: float) -> float:
+    """Rebalance the penalty; skipped when it would leave [RHO_MIN, RHO_MAX]."""
+    if r_norm > RHO_BALANCE * s_norm:
+        new = rho * RHO_FACTOR
+    elif s_norm > RHO_BALANCE * r_norm:
+        new = rho / RHO_FACTOR
     else:
         return rho
-    if new < config.rho_min or new > config.rho_max:
+    if new < RHO_MIN or new > RHO_MAX:
         return rho
     return new
 
@@ -336,7 +341,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     bufs[0, 0] = eye
     flats = [_flat(b) for b in bufs]
     iu = ip = 0
-    rho = config.rho0
+    rho = RHO0
     dim = float(system.n)
 
     # Anderson memory: a ring of differences of residuals f = g - u (rows of
@@ -408,7 +413,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
             iterations = it
             break
 
-        new_rho = update_rho(rho, r_norm, s_norm, config)
+        new_rho = update_rho(rho, r_norm, s_norm)
 
         u_flat, g_flat, f = flats[iu], flats[ig], W[fk]
         np.subtract(g_flat, u_flat, out=f)
@@ -474,8 +479,7 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
     Raises :class:`InfeasibleProjectionError` when the measurement
     constraints admit no Hermitian matrix at all.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _require_nonnegative("lam", lam)
     config = config or SolverConfig()
     step = AffineProjector(system)
     Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step)
@@ -502,10 +506,8 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
     Raises :class:`InfeasibleProjectionError` when ``epsilon`` lies below the
     least-squares floor of the measurements by more than rounding.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    _require_nonnegative("lam", lam)
+    _require_nonnegative("epsilon", epsilon)
     config = config or SolverConfig()
     step = _PenalizedStep(system, epsilon)
     X1, iterations, termination, res, obj, rho = _admm(

@@ -21,11 +21,24 @@ __all__ = [
     "linearize",
     "basis_pursuit",
     "hard_threshold",
-    "IHTConfig",
     "iht_objective",
     "iht_gradient",
     "iterative_hard_thresholding",
 ]
+
+# Basis pursuit: the least-squares gap (relative to max(1, ||y||)) above which
+# the linearized constraints count as inconsistent, the iteration cap and the
+# initial ADMM penalty.
+BP_INFEASIBLE_RTOL = 1e-6
+BP_MAX_ITERS = 10000
+BP_RHO0 = 1.0
+
+# IHT line search: each iteration tries IHT_STEP0, then shrinks the step by
+# IHT_SHRINK until the objective strictly decreases; a relative decrease below
+# IHT_STALL_TOL ends the run.
+IHT_STEP0 = 1.0
+IHT_SHRINK = 0.5
+IHT_STALL_TOL = 1e-10
 
 
 class InfeasibleLinearSystemError(ValueError):
@@ -52,21 +65,20 @@ def linearize(system: QuadraticSystem) -> LinearizedProblem:
     return LinearizedProblem(A=A, y=system.y - a)
 
 
-def basis_pursuit(problem: LinearizedProblem, tol: float = 1e-6,
-                  max_iters: int = 10000, rho: float = 1.0,
-                  full_output: bool = False):
+def basis_pursuit(problem: LinearizedProblem):
     """Minimum-l1 solution of A x = y via ADMM on the vector splitting.
 
-    The returned vector is an exact projection onto the constraint set, so
-    its equality residual is at the level of the pseudoinverse.  Raises
-    :class:`InfeasibleLinearSystemError` when no solution exists.
+    Returns ``(x, iterations)``.  ``x`` is an exact projection onto the
+    constraint set, so its equality residual is at the level of the
+    pseudoinverse.  Raises :class:`InfeasibleLinearSystemError` when no
+    solution exists.
     """
     A = np.asarray(problem.A, dtype=complex)
     y = np.asarray(problem.y, dtype=complex)
     pinv = np.linalg.pinv(A)
     x0 = pinv @ y
     gap = np.linalg.norm(A @ x0 - y)
-    if gap > tol * max(1.0, np.linalg.norm(y)):
+    if gap > BP_INFEASIBLE_RTOL * max(1.0, np.linalg.norm(y)):
         raise InfeasibleLinearSystemError(
             f"linearized constraints are inconsistent: least-squares gap {gap:.3e}"
         )
@@ -74,8 +86,9 @@ def basis_pursuit(problem: LinearizedProblem, tol: float = 1e-6,
     x = np.zeros(nvar, dtype=complex)
     z = np.zeros(nvar, dtype=complex)
     u = np.zeros(nvar, dtype=complex)
-    iterations = max_iters
-    for it in range(1, max_iters + 1):
+    rho = BP_RHO0
+    iterations = BP_MAX_ITERS
+    for it in range(1, BP_MAX_ITERS + 1):
         x = z - u
         x = x - pinv @ (A @ x - y)
         z_prev = z
@@ -96,9 +109,7 @@ def basis_pursuit(problem: LinearizedProblem, tol: float = 1e-6,
         elif s_norm > 10.0 * r_norm:
             rho /= 2.0
             u *= 2.0
-    if full_output:
-        return x, iterations
-    return x
+    return x, iterations
 
 
 def hard_threshold(x, k: int) -> np.ndarray:
@@ -113,24 +124,6 @@ def hard_threshold(x, k: int) -> np.ndarray:
     keep = order[:k]
     out[keep] = x[keep]
     return out
-
-
-@dataclass(frozen=True)
-class IHTConfig:
-    k: int
-    step0: float = 1.0
-    shrink: float = 0.5
-    max_iters: int = 1000
-    stall_tol: float = 1e-10
-    x0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
 
 
 def iht_objective(system: QuadraticSystem, x) -> float:
@@ -157,19 +150,19 @@ def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
     return r.conj() @ lin + r @ lin_conj
 
 
-def iterative_hard_thresholding(system: QuadraticSystem, config: IHTConfig,
-                                x0=None, full_output: bool = False):
+def iterative_hard_thresholding(system: QuadraticSystem, k: int,
+                                max_iters: int = 1000, x0=None):
     """Projected gradient descent onto the k-sparse set with backtracking.
 
-    Each iteration restarts the line search from ``step0`` and halves the
-    step until the objective strictly decreases; the run stops when no step
-    down to 1e-20 helps or the relative decrease stalls.  The best iterate
-    seen is returned, so a k-sparse zero-residual starting point comes back
-    unchanged.  ``x0`` (argument, falling back to ``config.x0``) sets the
-    starting point; default is the zero vector.
+    Each iteration restarts the line search from ``IHT_STEP0`` and halves
+    the step until the objective strictly decreases; the run stops when no
+    step down to 1e-20 helps or the relative decrease stalls.  Returns
+    ``(x, iterations, objective)`` for the best iterate seen, so a k-sparse
+    zero-residual starting point ``x0`` comes back unchanged.  The default
+    start is the zero vector.
     """
-    if x0 is None:
-        x0 = config.x0
+    if k < 1:
+        raise ValueError("k must be positive")
     if x0 is None:
         x = np.zeros(system.n, dtype=complex)
     else:
@@ -181,18 +174,18 @@ def iterative_hard_thresholding(system: QuadraticSystem, config: IHTConfig,
     g = iht_objective(system, x)
     best_x, best_g = x, g
     iterations = 0
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, max_iters + 1):
         iterations = it
         grad = iht_gradient(system, x)
-        eta = config.step0
+        eta = IHT_STEP0
         cand = None
         while eta >= 1e-20:
-            trial = hard_threshold(x - eta * grad, config.k)
+            trial = hard_threshold(x - eta * grad, k)
             g_trial = iht_objective(system, trial)
             if g_trial < g:
                 cand = (trial, g_trial)
                 break
-            eta *= config.shrink
+            eta *= IHT_SHRINK
         if cand is None:
             break
         x, g_new = cand
@@ -200,8 +193,6 @@ def iterative_hard_thresholding(system: QuadraticSystem, config: IHTConfig,
         g = g_new
         if g < best_g:
             best_x, best_g = x, g
-        if rel < config.stall_tol:
+        if rel < IHT_STALL_TOL:
             break
-    if full_output:
-        return best_x, iterations, best_g
-    return best_x
+    return best_x, iterations, best_g

@@ -26,15 +26,16 @@ from qbp.admm import (
     solve_denoising,
 )
 from qbp.baselines import InfeasibleLinearSystemError
-from qbp.generators import (
-    fourier_basis,
-    fourier_sparse_image,
-    general_quadratic,
-    phantom_instance,
-    pure_phase,
-)
+from qbp.generators import fourier_basis, phantom_instance
 from qbp.model import DimensionMismatchError, NonFiniteValueError
-from qbp.montecarlo import ExperimentSpec, run_monte_carlo, summarize, write_csv
+from qbp.montecarlo import (
+    ENSEMBLES,
+    ExperimentSpec,
+    make_instance,
+    run_monte_carlo,
+    summarize,
+    write_csv,
+)
 from qbp.recovery import (
     DegenerateMatrixError,
     align_phase,
@@ -68,6 +69,11 @@ _SOLVER_ERRORS = (
 
 
 class _Parser(argparse.ArgumentParser):
+    # options are accepted under their full names only; argparse would
+    # otherwise take a prefix such as --lam for --lambda
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage problems exit with code 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -76,7 +82,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _solver_options(parser):
     group = parser.add_argument_group("solver options")
-    group.add_argument("--rho0", type=float, default=1.0, help="initial penalty")
     group.add_argument("--eps-abs", type=float, default=1e-3, help="absolute stopping tolerance")
     group.add_argument("--eps-rel", type=float, default=1e-3, help="relative stopping tolerance")
     group.add_argument("--max-iters", type=int, default=10000, help="iteration cap")
@@ -84,7 +89,6 @@ def _solver_options(parser):
 
 def _config_from(args) -> SolverConfig:
     return SolverConfig(
-        rho0=args.rho0,
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
         max_iters=args.max_iters,
@@ -107,12 +111,9 @@ def _write_json(obj, path) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.ensemble == "general":
-        system, x = general_quadratic(args.n, args.N, args.k, args.signal, args.seed)
-    elif args.ensemble == "purephase":
-        system, x = pure_phase(args.n, args.N, args.k, args.signal, args.seed)
-    else:
-        system, x = fourier_sparse_image(args.side, args.k, args.N, args.seed)
+    spec = ExperimentSpec(n=args.n, N=args.N, k=args.k, ensemble=args.ensemble,
+                          signal=args.signal, side=args.side)
+    system, x, _ = make_instance(spec, args.seed)
     if args.output in (None, "-"):
         save_system(system, sys.stdout)
     else:
@@ -176,7 +177,6 @@ def _cmd_montecarlo(args) -> int:
         side=args.side,
         iht_max_iters=args.iht_max_iters,
         solver={
-            "rho0": args.rho0,
             "eps_abs": args.eps_abs,
             "eps_rel": args.eps_rel,
             "max_iters": args.max_iters,
@@ -280,8 +280,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random instance as JSON")
-    gen.add_argument("--ensemble", choices=("general", "purephase", "fourier"),
-                     default="general")
+    gen.add_argument("--ensemble", choices=ENSEMBLES, default="general")
     gen.add_argument("-n", "--n", type=int, default=20, help="signal dimension")
     gen.add_argument("-N", "--N", type=int, default=25,
                      help="number of measurements")
@@ -295,7 +294,7 @@ def _build_parser() -> _Parser:
 
     slv = sub.add_parser("solve", help="solve one instance and report the recovery")
     slv.add_argument("instance", nargs="?", help="instance path (default stdin)")
-    slv.add_argument("--lambda", "--lam", dest="lam", type=float, default=1.0,
+    slv.add_argument("--lambda", dest="lam", type=float, default=1.0,
                      help="l1 weight")
     slv.add_argument("--epsilon", type=float, default=None,
                      help="residual budget; solves the qbpd program")
@@ -308,8 +307,7 @@ def _build_parser() -> _Parser:
     slv.set_defaults(func=_cmd_solve)
 
     mc = sub.add_parser("montecarlo", help="run repeated trials and write CSV records")
-    mc.add_argument("--ensemble", choices=("general", "purephase", "fourier"),
-                    default="general")
+    mc.add_argument("--ensemble", choices=ENSEMBLES, default="general")
     mc.add_argument("-n", "--n", type=int, default=20)
     mc.add_argument("-N", "--N", type=int, default=25)
     mc.add_argument("-k", "--k", type=int, default=3)
@@ -317,7 +315,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--side", type=int, default=0)
     mc.add_argument("--methods", default="qbp,qbp0,bp,iht",
                     help="comma list from qbp,qbp0,qbpd,bp,iht")
-    mc.add_argument("--lambda", "--lam", dest="lam", type=float, default=50.0)
+    mc.add_argument("--lambda", dest="lam", type=float, default=50.0)
     mc.add_argument("--epsilon", type=float, default=None,
                     help="residual budget for the qbpd method")
     mc.add_argument("--trials", type=int, default=100)
@@ -332,7 +330,7 @@ def _build_parser() -> _Parser:
 
     diag = sub.add_parser("diagnose", help="recoverability diagnostics for an instance")
     diag.add_argument("instance", nargs="?", help="instance path (default stdin)")
-    diag.add_argument("--lambda", "--lam", dest="lam", type=float, default=1.0)
+    diag.add_argument("--lambda", dest="lam", type=float, default=1.0)
     diag.add_argument("--rip-k", type=int, default=0,
                       help="sparsity level for isometry sampling")
     diag.add_argument("--rip-samples", type=int, default=200)
@@ -347,7 +345,7 @@ def _build_parser() -> _Parser:
                     help="kept Fourier coefficients")
     ph.add_argument("-N", "--N", type=int, default=0,
                     help="measurements (default 2 * side^2)")
-    ph.add_argument("--lambda", "--lam", dest="lam", type=float, default=1.0,
+    ph.add_argument("--lambda", dest="lam", type=float, default=1.0,
                     help="l1 weight")
     ph.add_argument("--epsilon", type=float, default=None,
                     help="residual budget; switches to the denoising solver")

@@ -22,7 +22,6 @@ from qbp.admm import (
     solve_denoising,
 )
 from qbp.baselines import (
-    IHTConfig,
     InfeasibleLinearSystemError,
     basis_pursuit,
     iterative_hard_thresholding,
@@ -33,9 +32,11 @@ from qbp.recovery import DegenerateMatrixError, build_report, judge_success
 
 __all__ = [
     "CSV_COLUMNS",
+    "ENSEMBLES",
     "ExperimentSpec",
     "TrialRecord",
     "trial_seed",
+    "make_instance",
     "run_trial",
     "run_monte_carlo",
     "summarize",
@@ -54,7 +55,7 @@ CSV_COLUMNS = (
 )
 
 _METHODS = ("qbp", "qbp0", "qbpd", "bp", "iht")
-_ENSEMBLES = ("general", "purephase", "fourier")
+ENSEMBLES = ("general", "purephase", "fourier")
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class ExperimentSpec:
     solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.ensemble not in _ENSEMBLES:
+        if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.ensemble == "fourier" and self.side < 2:
             raise ValueError("fourier ensemble needs side >= 2")
@@ -105,7 +106,8 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _make_instance(spec: ExperimentSpec, seed: int):
+def make_instance(spec: ExperimentSpec, seed: int):
+    """Draw one instance of the spec's ensemble: ``(system, x, phase_invariant)``."""
     if spec.ensemble == "general":
         system, x = general_quadratic(spec.n, spec.N, spec.k, spec.signal, seed)
         return system, x, False
@@ -141,14 +143,12 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
             iterations, rank_ratio = report.iterations, report.rank_ratio
             note = "" if result.termination == "converged" else result.termination
         elif method == "bp":
-            x_hat, iterations = basis_pursuit(linearize(system), full_output=True)
+            x_hat, iterations = basis_pursuit(linearize(system))
             success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
             rank_ratio, note = float("nan"), ""
         else:
             x_hat, iterations, _ = iterative_hard_thresholding(
-                system, IHTConfig(k=spec.k, max_iters=spec.iht_max_iters),
-                full_output=True,
-            )
+                system, spec.k, spec.iht_max_iters)
             success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
             rank_ratio, note = float("nan"), ""
     except _EXPECTED_FAILURES as exc:
@@ -176,7 +176,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
 
 def run_trial(spec: ExperimentSpec, index: int) -> list[TrialRecord]:
     """Generate instance ``index`` and run every requested method on it."""
-    system, x_true, phase_invariant = _make_instance(spec, trial_seed(spec.seed, index))
+    system, x_true, phase_invariant = make_instance(spec, trial_seed(spec.seed, index))
     return [
         _run_method(spec, method, system, x_true, phase_invariant, index)
         for method in spec.methods
@@ -188,7 +188,8 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
     """All trials of an experiment; ``jobs > 1`` runs trials in processes."""
     records: list[TrialRecord] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool launches all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) as pool:
             for index, batch in enumerate(
                 pool.map(run_trial, [spec] * spec.trials, range(spec.trials))
             ):

@@ -36,19 +36,26 @@ __all__ = [
     "build_report",
 ]
 
+# An entry counts as nonzero above ZERO_RTOL times the largest magnitude.
+ZERO_RTOL = 1e-6
+
+# The coherence certificate needs the second singular value of the solved
+# matrix within RANK_RTOL of the first.
+RANK_RTOL = 1e-3
+
 
 class DegenerateMatrixError(ValueError):
     """The solved matrix has no usable rank-one component."""
 
 
-def extract_signal(Z, rank_tol: float = 1e-3):
+def extract_signal(Z):
     """Candidate vector from the leading rank-one component of Z.
 
     Returns ``(x_hat, rank_ratio)`` where ``rank_ratio`` is the ratio of the
     second to the largest singular value.  The rank-one factor is scaled so
     its corner entry is one and the remaining entries form the candidate.
-    A ``rank_ratio`` above ``rank_tol`` means the candidate is unreliable;
-    it is still returned so callers can report it.
+    A large ``rank_ratio`` means the candidate is unreliable; it is still
+    returned so callers can report it.
     """
     Z = np.asarray(Z, dtype=complex)
     U, s, Vh = np.linalg.svd(Z)
@@ -62,7 +69,7 @@ def extract_signal(Z, rank_tol: float = 1e-3):
     return col[1:], rank_ratio
 
 
-def extract_phase_signal(Z, rank_tol: float = 1e-3):
+def extract_phase_signal(Z):
     """Candidate vector from the signal block of Z, defined up to phase.
 
     When every measurement is purely quadratic (zero linear terms), nothing
@@ -160,21 +167,24 @@ class CoherenceCertificate:
     skipped_columns: int
 
 
-def certify_coherence(system: QuadraticSystem, Z, zero_tol: float | None = None,
-                      rank_tol: float = 1e-3) -> CoherenceCertificate:
+def _support_size(v: np.ndarray) -> int:
+    """Entries above ZERO_RTOL times the largest magnitude."""
+    mag = np.abs(v)
+    peak = float(mag.max()) if mag.size else 0.0
+    return int(np.count_nonzero(mag > ZERO_RTOL * peak))
+
+
+def certify_coherence(system: QuadraticSystem, Z) -> CoherenceCertificate:
     """Coherence certificate for a solved matrix against its system."""
     Z = np.asarray(Z, dtype=complex)
     mu, skipped = mutual_coherence(vec_measurement_matrix(system))
     bound = np.inf if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
-    if zero_tol is None:
-        peak = float(np.max(np.abs(Z))) if Z.size else 0.0
-        zero_tol = 1e-6 * peak
-    cardinality = int(np.count_nonzero(np.abs(Z) > zero_tol))
+    cardinality = _support_size(Z)
     s = np.linalg.svd(Z, compute_uv=False)
     rank_ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0.0 else 0.0
     # a skipped column is an entry no measurement sees; the sparsity bound
     # says nothing about those, so they void the certificate
-    certified = skipped == 0 and rank_ratio <= rank_tol and cardinality < bound
+    certified = skipped == 0 and rank_ratio <= RANK_RTOL and cardinality < bound
     return CoherenceCertificate(
         mu=mu,
         bound=float(bound),
@@ -264,12 +274,12 @@ class RecoveryReport:
 
 
 def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3,
-                 phase_invariant: bool = True, zero_tol: float | None = None) -> RecoveryReport:
+                 phase_invariant: bool = True) -> RecoveryReport:
     """Assemble the recovery report for a solver result.
 
     ``feasibility_residual`` is the measurement residual of the lifted
     extracted candidate, relative to ||y||; ``sparsity`` counts candidate
-    entries above ``zero_tol`` (default: 1e-6 times the largest magnitude).
+    entries above ``ZERO_RTOL`` times the largest magnitude.
     Systems with zero linear terms are extracted from the signal block (the
     border is unconstrained there); all others from the corner-normalized
     rank-one factor.
@@ -281,10 +291,7 @@ def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3
     resid = np.linalg.norm(system.y - measure_lifted(system, lift(x_hat)))
     scale = np.linalg.norm(system.y)
     feas = float(resid / scale) if scale > 0.0 else float(resid)
-    if zero_tol is None:
-        peak = float(np.max(np.abs(x_hat))) if x_hat.size else 0.0
-        zero_tol = 1e-6 * peak
-    sparsity = int(np.count_nonzero(np.abs(x_hat) > zero_tol))
+    sparsity = _support_size(x_hat)
     success = None
     error = None
     if x_true is not None:

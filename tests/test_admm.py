@@ -238,32 +238,30 @@ def test_affine_projector_rejects_contradictions():
 
 
 def test_update_rho_balances_residuals():
-    cfg = SolverConfig()
-    assert update_rho(1.0, 1.0, 0.05, cfg) == 2.0
-    assert update_rho(1.0, 0.05, 1.0, cfg) == 0.5
-    assert update_rho(1.0, 1.0, 0.5, cfg) == 1.0
+    assert update_rho(1.0, 1.0, 0.05) == 2.0
+    assert update_rho(1.0, 0.05, 1.0) == 0.5
+    assert update_rho(1.0, 1.0, 0.5) == 1.0
 
 
 def test_update_rho_respects_bounds():
-    cfg = SolverConfig()
-    assert update_rho(6e7, 1.0, 1e-9, cfg) == 6e7
-    assert update_rho(1.5e-8, 1e-9, 1.0, cfg) == 1.5e-8
+    assert update_rho(6e7, 1.0, 1e-9) == 6e7
+    assert update_rho(1.5e-8, 1e-9, 1.0) == 1.5e-8
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rho0=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(eps_abs=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(eps_abs=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(eps_rel=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tau_incr=1.0)
 
 
 def test_solve_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        solve(_single_equation(4.0), -1.0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve(_single_equation(4.0), lam)
 
 
 def test_solve_single_equation_regardless_of_lambda():
@@ -487,10 +485,11 @@ def test_data_residual_zero_at_exact_lift():
 
 def test_denoising_validates_arguments():
     system = _single_equation(4.0)
-    with pytest.raises(ValueError):
-        solve_denoising(system, -1.0, 0.1)
-    with pytest.raises(ValueError):
-        solve_denoising(system, 1.0, -0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve_denoising(system, bad, 0.1)
+        with pytest.raises(ValueError):
+            solve_denoising(system, 1.0, bad)
 
 
 def test_denoising_huge_budget_drops_the_data():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qbp.baselines import (
-    IHTConfig,
     InfeasibleLinearSystemError,
     LinearizedProblem,
     basis_pursuit,
@@ -51,14 +50,14 @@ def test_linearize_folds_linear_terms():
 def test_basis_pursuit_identity():
     problem = LinearizedProblem(A=np.eye(3, dtype=complex),
                                 y=np.array([0.0, 3.0, 0.0], dtype=complex))
-    x = basis_pursuit(problem)
+    x, _ = basis_pursuit(problem)
     assert np.allclose(x, [0.0, 3.0, 0.0], atol=1e-6)
 
 
 def test_basis_pursuit_minimizes_l1_on_a_segment():
     problem = LinearizedProblem(A=np.array([[1.0, 1.0]], dtype=complex),
                                 y=np.array([1.0], dtype=complex))
-    x = basis_pursuit(problem)
+    x, _ = basis_pursuit(problem)
     assert np.isclose((problem.A @ x)[0], 1.0, atol=1e-6)
     # every feasible point has l1 norm at least one; the solver must attain it
     assert np.abs(x).sum() <= 1.0 + 1e-4
@@ -69,7 +68,7 @@ def test_basis_pursuit_recovers_sparse_real_signal():
     A = rng.standard_normal((5, 20)).astype(complex)
     x_true = np.zeros(20, dtype=complex)
     x_true[7] = 2.0
-    x = basis_pursuit(LinearizedProblem(A=A, y=A @ x_true))
+    x, _ = basis_pursuit(LinearizedProblem(A=A, y=A @ x_true))
     assert np.linalg.norm(x - x_true) < 1e-4
 
 
@@ -78,8 +77,7 @@ def test_basis_pursuit_recovers_sparse_complex_signal():
     A = cgauss(rng, (6, 12))
     x_true = np.zeros(12, dtype=complex)
     x_true[3] = 1.0 + 2.0j
-    x, iterations = basis_pursuit(LinearizedProblem(A=A, y=A @ x_true),
-                                  full_output=True)
+    x, iterations = basis_pursuit(LinearizedProblem(A=A, y=A @ x_true))
     assert np.linalg.norm(x - x_true) < 1e-4
     assert iterations >= 1
 
@@ -126,12 +124,9 @@ def test_hard_threshold_edge_cases():
 
 
 def test_iht_config_validation():
+    system, _ = general_quadratic(4, 8, 1, "binary", seed=0)
     with pytest.raises(ValueError):
-        IHTConfig(k=0)
-    with pytest.raises(ValueError):
-        IHTConfig(k=1, shrink=1.0)
-    with pytest.raises(ValueError):
-        IHTConfig(k=1, step0=0.0)
+        iterative_hard_thresholding(system, 0)
 
 
 def test_iht_objective_zero_at_plant():
@@ -165,23 +160,15 @@ def test_iht_gradient_dimension_mismatch():
 
 def test_iht_fixed_point_at_planted_signal():
     system, x = general_quadratic(8, 16, 3, "binary", seed=5)
-    out = iterative_hard_thresholding(system, IHTConfig(k=3), x0=x)
+    out, _, best = iterative_hard_thresholding(system, 3, x0=x)
     assert np.array_equal(out, x)
-    via_config = iterative_hard_thresholding(system, IHTConfig(k=3, x0=x))
-    assert np.array_equal(via_config, x)
-
-
-def test_iht_argument_overrides_config_start():
-    system, x = general_quadratic(8, 16, 3, "binary", seed=5)
-    config = IHTConfig(k=3, max_iters=1, x0=np.ones(8, dtype=complex))
-    out = iterative_hard_thresholding(system, config, x0=x)
-    assert np.array_equal(out, x)
+    assert best < 1e-20
 
 
 def test_iht_rejects_bad_start():
     system, _ = general_quadratic(4, 8, 1, "binary", seed=0)
     with pytest.raises(DimensionMismatchError):
-        iterative_hard_thresholding(system, IHTConfig(k=1), x0=np.zeros(5))
+        iterative_hard_thresholding(system, 1, x0=np.zeros(5))
 
 
 def test_iht_solves_least_squares_when_unrestricted():
@@ -193,18 +180,14 @@ def test_iht_solves_least_squares_when_unrestricted():
     y = A @ rng.standard_normal(n) + 0.1 * rng.standard_normal(N)
     system = _linear_system(A.astype(complex), y.astype(complex))
     want, *_ = np.linalg.lstsq(A, y, rcond=None)
-    got, iterations, best = iterative_hard_thresholding(
-        system, IHTConfig(k=n, max_iters=3000), full_output=True
-    )
+    got, iterations, best = iterative_hard_thresholding(system, n, max_iters=3000)
     assert np.linalg.norm(got - want) < 1e-4
     assert best <= iht_objective(system, np.zeros(n)) + 1e-12
 
 
 def test_iht_recovers_easy_sparse_instance():
     system, x = general_quadratic(10, 20, 2, "binary", seed=7)
-    got, iterations, best = iterative_hard_thresholding(
-        system, IHTConfig(k=2, max_iters=200), full_output=True
-    )
+    got, iterations, best = iterative_hard_thresholding(system, 2, max_iters=200)
     assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-3
     assert best < 1e-8
     assert 1 <= iterations <= 200
@@ -212,14 +195,12 @@ def test_iht_recovers_easy_sparse_instance():
 
 def test_iht_returns_best_iterate():
     system, x = general_quadratic(6, 12, 2, "binary", seed=9)
-    out, _, best = iterative_hard_thresholding(
-        system, IHTConfig(k=2, max_iters=50), full_output=True
-    )
+    out, _, best = iterative_hard_thresholding(system, 2, max_iters=50)
     assert np.isclose(iht_objective(system, out), best)
     assert best <= iht_objective(system, np.zeros(6))
 
 
 def test_iht_respects_sparsity_budget():
     system, _ = general_quadratic(12, 24, 3, "binary", seed=11)
-    out = iterative_hard_thresholding(system, IHTConfig(k=3, max_iters=60))
+    out, _, _ = iterative_hard_thresholding(system, 3, max_iters=60)
     assert np.count_nonzero(out) <= 3

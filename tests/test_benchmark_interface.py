@@ -1,0 +1,50 @@
+"""The benchmark harness under perfbench/ still fits the package it wraps.
+
+The harness wraps qbp functions by module, class and attribute name and
+calls the solvers with fixed signatures, so a rename or a signature change in
+qbp breaks it without failing any other test.  Both checks run in a
+subprocess: the harness's ``import_qbp`` evicts ``qbp`` from ``sys.modules``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RESOLVE = """
+from workloads import ADMM_LAYERS, EQUALITY_STEP, PENALIZED_STEP, WORKLOADS, import_qbp
+
+q = import_qbp()
+names = set(ADMM_LAYERS + EQUALITY_STEP + PENALIZED_STEP)
+for workload in WORKLOADS.values():
+    names.update(workload.layers)
+missing = []
+for module, cls, attr in sorted(names, key=str):
+    owner = getattr(q, module)
+    if cls is not None:
+        owner = getattr(owner, cls, None)
+    if not callable(getattr(owner, attr, None)):
+        missing.append(".".join(p for p in ("qbp", module, cls, attr) if p))
+print("missing:", missing)
+raise SystemExit(1 if missing else 0)
+"""
+
+
+def _run(argv):
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_every_wrapped_name_resolves():
+    proc = _run([sys.executable, "-c", RESOLVE])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_selftest_passes():
+    proc = _run([sys.executable, "perfbench/selftest.py"])
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -28,6 +28,9 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["solve", "--bogus"]) == 1
     assert "error" in capsys.readouterr().err
+    # a prefix of a declared option is not accepted in its place
+    assert main(["solve", "--lam", "2"]) == 1
+    assert "unrecognized arguments: --lam" in capsys.readouterr().err
 
 
 def test_generate_writes_loadable_instance(tmp_path):
@@ -128,6 +131,17 @@ def test_epsilon_switches_to_denoising(tmp_path):
     assert report["mode"] == "qbpd"
     assert "beta" not in report
     assert report["data_residual"] <= 1e-4 + 1e-6
+
+
+def test_non_finite_arguments_are_usage_errors(tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "6", "-N", "30",
+                 "-k", "2", "--seed", "3", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    for extra in (["--epsilon", "nan"], ["--lambda", "nan"],
+                  ["--eps-abs", "inf"], ["--eps-abs", "nan"]):
+        assert main(["solve", str(inst)] + extra) == 1, extra
+        assert "qbp: error:" in capsys.readouterr().err
 
 
 def test_missing_instance_file_is_input_error(tmp_path, capsys):

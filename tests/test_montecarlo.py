@@ -86,6 +86,31 @@ def test_parallel_jobs_match_serial():
             assert va == vb or (math.isnan(va) and math.isnan(vb)), key
 
 
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    import qbp.montecarlo
+
+    class FakePool:
+        # runs the trials in this process and records the pool size asked for
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(qbp.montecarlo, "ProcessPoolExecutor", FakePool)
+    records = run_monte_carlo(_tiny_spec(trials=2), jobs=64)
+    assert FakePool.sizes == [2]
+    assert len(records) == 2
+
+
 def test_progress_callback_fires_per_trial():
     spec = _tiny_spec(trials=3)
     seen = []
