@@ -15,24 +15,39 @@ runs the same loop with the X1 step replaced by the exact Frobenius
 projection onto the residual budget set, one scalar root of a secular
 equation per call.
 
+Both X1 steps take a Hermitian, C-contiguous matrix and work on its flat
+float64 view: one cached gather reads the diagonal and the upper triangle,
+two matrix-vector products with the realvec weights folded into their
+columns correct them, and one cached scatter writes an exactly Hermitian
+matrix back.  The equality step's back-map comes from an ``eigh`` of the
+Gram matrix of its constraints, not from a pseudoinverse.
+
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
 and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
 (SIAM J. Numer. Anal.), with the safeguard of Zhang, O'Donoghue & Boyd 2020
 (SIAM J. Optim.).  The next state is T(u) - dG gamma, where gamma fits the
-current residual T(u) - u by the last ANDERSON_MEMORY residual differences
-dF in regularized least squares and dG holds the matching differences of T.
-An extrapolated point whose residual exceeds ANDERSON_SAFEGUARD times the
-previous one is discarded, and the loop continues from the plain step it
-was made from with an empty memory.  A change of rho changes T, so it also
-empties the memory.  Every evaluation of T, a discarded one too, counts as
-an iteration.
+current residual f(u) = T(u) - u by the last ANDERSON_MEMORY residual
+differences dF in regularized least squares and dG holds the matching
+differences of T.  An extrapolated point u is kept only while
+
+    ||f(u)|| <= D * ||f(u0)|| * (accepted / ANDERSON_MEMORY + 1) ** -(1 + eps),
+
+with u0 the run's first state, ``accepted`` the extrapolations kept so far,
+D = ANDERSON_SAFEGUARD_D and eps = ANDERSON_SAFEGUARD_EPS.  A rejected point
+is discarded, and the loop continues from the plain step it was made from
+with an empty memory.  A change of rho changes T, so it also empties the
+memory.  Every evaluation of T, a discarded one too, counts as an iteration.
+The loop allocates one workspace per solve and otherwise only the matrices
+its steps return.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +56,6 @@ from qbp.model import (
     constraint_system,
     measure_lifted,
     real_measurement_matrix,
-    realvec,
-    unrealvec,
 )
 
 __all__ = [
@@ -81,11 +94,13 @@ SECULAR_RTOL = 1e-12
 SECULAR_MAX_STEPS = 50
 
 # Anderson acceleration (see the module docstring): the number of differences
-# kept, the factor by which an extrapolated point's fixed-point residual may
-# exceed the previous one, and the ridge weight of the least-squares fit
-# relative to the trace of its Gram matrix.
+# kept, the constants D and eps of the safeguard bound
+# D * ||f(u0)|| * (accepted / ANDERSON_MEMORY + 1) ** -(1 + eps) on an
+# extrapolated point's fixed-point residual norm, and the ridge weight of the
+# least-squares fit relative to the trace of its Gram matrix.
 ANDERSON_MEMORY = 10
-ANDERSON_SAFEGUARD = 2.0
+ANDERSON_SAFEGUARD_D = 1e6
+ANDERSON_SAFEGUARD_EPS = 1e-6
 ANDERSON_REG = 1e-10
 
 # Residual balancing (Boyd et al. 2011, section 3.4.1): rho starts at RHO0 and
@@ -154,39 +169,126 @@ class SolverResult:
         return self.termination == "converged"
 
 
-class AffineProjector:
+@lru_cache(maxsize=None)
+def _hermitian_maps(m: int):
+    """Read-only index maps between an m x m complex matrix and its coordinates.
+
+    The coordinates are those of :func:`~qbp.model.realvec` without its
+    sqrt(2) weights: the real diagonal, then the real and the imaginary parts
+    of the strict upper triangle, row-major.  Returns ``(gather, src, coef,
+    weights)``:
+
+    - ``gather[j]`` is the position of coordinate j in the matrix's flat
+      float64 view;
+    - a coordinate vector x padded with one zero slot (x[m*m] = 0) is written
+      back as ``flat[k] = coef[k] * x[src[k]]``: the lower triangle reads the
+      upper one with the sign of its imaginary part flipped, and the
+      imaginary diagonal reads the zero slot;
+    - ``weights`` holds the realvec weights, so realvec(X) = weights * x.
+    """
+    iu, ju = np.triu_indices(m, k=1)
+    diag = np.arange(m) * (2 * m + 2)
+    upper = 2 * (iu * m + ju)
+    lower = 2 * (ju * m + iu)
+    gather = np.concatenate([diag, upper, upper + 1])
+    src = np.full(2 * m * m, m * m)
+    src[gather] = np.arange(m * m)
+    src[lower] = src[upper]
+    src[lower + 1] = src[upper + 1]
+    coef = np.ones(2 * m * m)
+    coef[lower + 1] = -1.0
+    weights = np.full(m * m, np.sqrt(2.0))
+    weights[:m] = 1.0
+    maps = gather, src, coef, weights
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
+class _HermitianStep:
+    """X1-step plumbing: a Hermitian matrix in and out through its flat view.
+
+    A step reads the diagonal and the upper triangle of its input with one
+    gather into a coordinate buffer, pins the corner coordinate to 1,
+    corrects the rest with matrices whose columns carry the realvec weights,
+    and writes an exactly Hermitian matrix back with one scatter.  Only the
+    read triangle of the input is used, so the input must be Hermitian.
+    """
+
+    def _init_maps(self, m: int) -> np.ndarray:
+        self._m = m
+        self._gather, self._src, self._coef, weights = _hermitian_maps(m)
+        # the coordinates, then the zero slot the scatter reads
+        self._x = np.zeros(m * m + 1)
+        return weights[1:]
+
+    def _read(self, M) -> np.ndarray:
+        """The coordinates of ``M`` with the corner set to 1, in the step's buffer."""
+        x = self._x
+        x[:-1] = _flat(np.asarray(M, dtype=complex))[self._gather]
+        x[0] = 1.0
+        return x
+
+    def _write(self) -> np.ndarray:
+        """A new Hermitian matrix from the coordinate buffer."""
+        X = np.empty((self._m, self._m), dtype=complex)
+        np.multiply(self._x[self._src], self._coef, out=_flat(X))
+        return X
+
+
+class AffineProjector(_HermitianStep):
     """Frobenius projection onto {X Hermitian: Tr(Phi_i X) = y_i, X[0,0] = 1}.
 
-    The pseudoinverse of the real constraint matrix is computed once; each
-    call is two matrix-vector products in realvec coordinates.
+    The input must be Hermitian and is not modified; the output is exactly
+    Hermitian with X[0, 0] == 1.  The corner is pinned and the other realvec
+    coordinates v are projected onto {A1 v = g}, where A1 is the constraint
+    matrix of :func:`~qbp.model.constraint_system` without its corner row
+    and column and g = b - A e_0.  The back-map A1^T G^+ is formed once from
+    an ``eigh`` of the Gram matrix G = A1 A1^T; eigenvalues at or below
+    max(A1.shape) * eps times the largest count as zero, so duplicated
+    measurements (rank-deficient A1) project like the pseudoinverse does.
+    Each call is then two matrix-vector products.
     """
 
     def __init__(self, system: QuadraticSystem):
         A, b = constraint_system(system)
-        self._A = A
-        self._b = b
-        self._pinv = np.linalg.pinv(A)
+        A1 = A[:-1, 1:]
+        g = b[:-1] - A[:-1, 0]
+        w, U = np.linalg.eigh(A1 @ A1.T)
+        keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
+        w, U = w[keep], U[:, keep]
         # least-squares residual > 0 means no Hermitian matrix satisfies
         # the constraints at all
-        gap = np.linalg.norm(A @ (self._pinv @ b) - b)
+        gap = np.linalg.norm(g - U @ (U.T @ g))
         if gap > INFEASIBLE_RTOL * np.linalg.norm(b):
             raise InfeasibleProjectionError(
                 f"constraints are inconsistent: least-squares gap {gap:.3e}"
             )
+        weights = self._init_maps(system.n + 1)
+        self._g = g
+        self._fwd = A1 * weights
+        back = ((U / w) @ U.T) @ A1
+        back /= weights
+        self._back = back
 
     def __call__(self, M, rho: float | None = None) -> np.ndarray:
-        v = realvec(M)
-        v = v - self._pinv @ (self._A @ v - self._b)
-        return unrealvec(v)
+        x = self._read(M)
+        v = x[1:-1]
+        r = self._fwd @ v
+        r -= self._g
+        v -= r @ self._back
+        return self._write()
 
 
-class _PenalizedStep:
+class _PenalizedStep(_HermitianStep):
     """Frobenius projection onto {X Hermitian: X[0,0] = 1, ||A(X) - y||^2 <= epsilon}.
 
-    Off the corner this is the penalized prox argmin ||X - M||^2 +
-    mu * ||A(X) - y||^2 with the weight mu solved for in each call.  In the
-    thin SVD B = U diag(s) V^T of the measurement matrix (minus its corner
-    column) the squared residual of the prox is the secular function
+    The input must be Hermitian and is not modified; the output is exactly
+    Hermitian with X[0, 0] == 1.  Off the corner this is the penalized prox
+    argmin ||X - M||^2 + mu * ||A(X) - y||^2 with the weight mu solved for in
+    each call.  In the thin SVD B = U diag(s) V^T of the measurement matrix
+    (minus its corner column) the squared residual of the prox is the secular
+    function
 
         phi(mu) = sum_i (s_i c_i - h_i)^2 / (1 + mu s_i^2)^2 + ||g_perp||^2,
 
@@ -196,6 +298,8 @@ class _PenalizedStep:
     Sorensen 1983); it starts from the previous call's mu.  An input inside
     the budget is returned with only its corner set.  A budget at or below
     the floor ||g_perp||^2 gives the exact affine projection (mu -> inf).
+    V^T is stored twice, with the realvec weights folded into its columns for
+    c and divided out of them for the correction.
     """
 
     def __init__(self, system: QuadraticSystem, epsilon: float):
@@ -207,7 +311,9 @@ class _PenalizedStep:
             s > s.max(initial=0.0) * max(B1.shape) * np.finfo(float).eps))
         self._s = s[:rank]
         self._s2 = self._s * self._s
-        self._Vt = Vt[:rank]
+        weights = self._init_maps(system.n + 1)
+        self._fwd = Vt[:rank] * weights
+        self._back = Vt[:rank] / weights
         self._h = U[:, :rank].T @ g
         floor = _sqnorm(g - U[:, :rank] @ self._h)
         scale = float(np.linalg.norm(y))
@@ -223,9 +329,9 @@ class _PenalizedStep:
         self._mu = 0.0
 
     def __call__(self, M, rho: float | None = None) -> np.ndarray:
-        v = realvec(M)
-        v[0] = 1.0
-        c = self._Vt @ v[1:]
+        x = self._read(M)
+        v = x[1:-1]
+        c = self._fwd @ v
         t = self._s * c - self._h
         radius = self._radius
         if radius is None:
@@ -234,22 +340,25 @@ class _PenalizedStep:
             r2 = t * t
             phi = float(r2.sum()) + self._floor
             if phi <= radius * radius:
-                return unrealvec(v)
+                return self._write()
+            s2r2 = self._s2 * r2
             mu = self._mu
             for _ in range(SECULAR_MAX_STEPS):
                 q = 1.0 / (1.0 + mu * self._s2)
-                terms = r2 * q * q
-                phi = float(terms.sum()) + self._floor
+                q2 = q * q
+                phi = float(r2 @ q2) + self._floor
                 gap = math.sqrt(phi) / radius - 1.0
                 if abs(gap) <= SECULAR_RTOL:
                     break
                 # Newton step on phi^(-1/2); a step past zero restarts from the left
-                slope = 2.0 * float((self._s2 * terms * q).sum())
+                slope = 2.0 * float(s2r2 @ (q2 * q))
                 mu = max(mu + 2.0 * phi * gap / slope, 0.0)
+            else:
+                q = 1.0 / (1.0 + mu * self._s2)
             self._mu = mu
-            step = -mu * self._s * t / (1.0 + mu * self._s2)
-        v[1:] += self._Vt.T @ step
-        return unrealvec(v)
+            step = -mu * q * self._s * t
+        v += step @ self._back
+        return self._write()
 
 
 def project_psd(M) -> np.ndarray:
@@ -276,13 +385,20 @@ def project_psd(M) -> np.ndarray:
     return P
 
 
+def _shrink_scale(x: np.ndarray, q: float) -> np.ndarray:
+    """Entrywise factors max(|x| - q, 0) / |x| of the soft threshold (0 at x = 0)."""
+    mag = np.atleast_1d(np.abs(x))
+    scale = mag - q
+    np.maximum(scale, 0.0, out=scale)
+    # divide only where the entry survives: |x| = 0 with q = 0 must give 0, not 0/0
+    np.divide(scale, mag, out=scale, where=mag > q)
+    return scale
+
+
 def soft_threshold(x, q: float):
     """Complex soft threshold: 0 where |x| <= q, else shrink |x| by q."""
     x = np.asarray(x)
-    mag = np.atleast_1d(np.abs(x))
-    scale = np.maximum(mag - q, 0.0)
-    # divide only where the entry survives: |x| = 0 with q = 0 must give 0, not 0/0
-    np.divide(scale, mag, out=scale, where=mag > q)
+    scale = _shrink_scale(x, q)
     if x.ndim == 0:
         return (x * scale[0]).item()
     return x * scale
@@ -292,12 +408,16 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float) -> np.ndarray:
     """Consensus update: shrink the dual-corrected primal average.
 
     Hermitian inputs give an exactly Hermitian result, because the average
-    and the shrink scale are both entrywise and |conj(v)| = |v|.
+    and the shrink scale are both entrywise and |conj(v)| = |v|.  The average
+    is a new array, shrunk in place and returned.
     """
     V = X1 + X2
-    V += (Y1 + Y2) / rho
+    W = Y1 + Y2
+    W /= rho
+    V += W
     V *= 0.5
-    return soft_threshold(V, 0.5 * lam / rho)
+    V *= _shrink_scale(V, 0.5 * lam / rho)
+    return V
 
 
 def update_rho(rho: float, r_norm: float, s_norm: float) -> float:
@@ -331,9 +451,10 @@ def _sqnorm(A: np.ndarray) -> float:
 
 
 def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
-          return_x1: bool = False):
+          setup_s: float = 0.0, return_x1: bool = False):
+    start = time.perf_counter()
     m = system.n + 1
-    eye = np.eye(m)
+    eye = np.eye(m, dtype=complex)
     # the state u = (Z, Y1, Y2) and its image g = T(u) under one ADMM step live
     # in three (3, m, m) buffers, swapped rather than copied: u, the last
     # plain image g_prev (which may be u itself) and the one being written
@@ -343,6 +464,16 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     iu = ip = 0
     rho = RHO0
     dim = float(system.n)
+
+    # one workspace for the solve: the X1 and X2 arguments, the relaxed
+    # copies H1 and H2, and the five matrices whose squared norms the
+    # stopping test reads, reduced in one batched dot
+    work = np.empty((9, m, m), dtype=complex)
+    arg1, arg2, H1, H2 = work[:4]
+    diffs = work[4:]
+    diff_flat = diffs.reshape(5, -1).view(np.float64)
+    sq = np.empty(5)
+    mag = np.empty((m, m))
 
     # Anderson memory: a ring of differences of residuals f = g - u (rows of
     # W, followed by the rows fk and fp holding f and the previous f) and of
@@ -355,7 +486,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
     cols = head = 0
     have_prev = extrapolated = False
-    f2_prev = math.inf
+    f0 = 0.0
     accepted = rejected = restarts = 0
 
     # traces grow by doubling, so a huge max_iters reserves no memory up front
@@ -369,12 +500,21 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         Z_prev, Y1, Y2 = bufs[iu]
         ig = 3 - iu - ip if iu != ip else (iu + 1) % 3
         Z_out, Y1_out, Y2_out = bufs[ig]
-        X1 = x1_step(Z_prev - (eye + Y1) / rho, rho)
-        X2 = project_psd(Z_prev - Y2 / rho)
+        # X1 from Z_prev - (I + Y1) / rho, X2 from Z_prev - Y2 / rho
+        np.add(Y1, eye, out=arg1)
+        arg1 /= rho
+        np.subtract(Z_prev, arg1, out=arg1)
+        np.divide(Y2, rho, out=arg2)
+        np.subtract(Z_prev, arg2, out=arg2)
+        X1 = x1_step(arg1, rho)
+        X2 = project_psd(arg2)
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
-        base = (1.0 - ALPHA) * Z_prev
-        H1 = ALPHA * X1 + base
-        H2 = ALPHA * X2 + base
+        base = diffs[0]
+        np.multiply(Z_prev, 1.0 - ALPHA, out=base)
+        np.multiply(X1, ALPHA, out=H1)
+        H1 += base
+        np.multiply(X2, ALPHA, out=H2)
+        H2 += base
         Z = update_z(H1, H2, Y1, Y2, rho, lam)
         Z_out[...] = Z
         H1 -= Z
@@ -384,10 +524,16 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         H2 *= rho
         np.add(Y2, H2, out=Y2_out)
 
-        r_norm = math.sqrt(_sqnorm(X1 - Z) + _sqnorm(X2 - Z))
-        s_norm = rho * math.sqrt(2.0 * _sqnorm(Z - Z_prev))
-        xbar_norm = 0.5 * math.sqrt(_sqnorm(X1 + X2))
-        ybar_norm = 0.5 * math.sqrt(_sqnorm(Y1_out + Y2_out))
+        np.subtract(X1, Z, out=diffs[0])
+        np.subtract(X2, Z, out=diffs[1])
+        np.subtract(Z, Z_prev, out=diffs[2])
+        np.add(X1, X2, out=diffs[3])
+        np.add(Y1_out, Y2_out, out=diffs[4])
+        np.einsum("ij,ij->i", diff_flat, diff_flat, out=sq)
+        r_norm = math.sqrt(sq[0] + sq[1])
+        s_norm = rho * math.sqrt(2.0 * sq[2])
+        xbar_norm = 0.5 * math.sqrt(sq[3])
+        ybar_norm = 0.5 * math.sqrt(sq[4])
         eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(_sqnorm(Z)))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
@@ -397,7 +543,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
             objective = np.resize(objective, size)
         residuals[it - 1] = (r_norm, s_norm, rho)
         answer = X1 if return_x1 else Z
-        objective[it - 1] = answer.trace().real + lam * np.abs(answer).sum()
+        np.abs(answer, out=mag)
+        objective[it - 1] = answer.trace().real + lam * mag.sum()
         if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             termination = "diverged"
             iterations = it
@@ -417,8 +564,11 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
 
         u_flat, g_flat, f = flats[iu], flats[ig], W[fk]
         np.subtract(g_flat, u_flat, out=f)
-        f2 = float(f @ f)
-        if extrapolated and f2 > ANDERSON_SAFEGUARD * f2_prev:
+        f_norm = math.sqrt(float(f @ f))
+        if it == 1:
+            f0 = f_norm
+        if extrapolated and f_norm > ANDERSON_SAFEGUARD_D * f0 * (
+                accepted / ANDERSON_MEMORY + 1.0) ** -(1.0 + ANDERSON_SAFEGUARD_EPS):
             # discard the extrapolated point and its image; continue from the
             # plain image it was extrapolated from, with an empty memory
             rejected += 1
@@ -457,7 +607,6 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         have_prev = new_rho == rho
         rho = new_rho
         fk, fp = fp, fk
-        f2_prev = f2
         if extrapolated:
             ip = ig
         else:
@@ -465,8 +614,10 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
 
     logger.debug(
         "terminated (%s) after %d iterations: %d extrapolations accepted,"
-        " %d rejected, %d memory restarts on a rho change",
-        termination, iterations, accepted, rejected, restarts,
+        " %d rejected, %d memory restarts on a rho change; setup %.4f s,"
+        " loop %.4f s",
+        termination, iterations, accepted, rejected, restarts, setup_s,
+        time.perf_counter() - start,
     )
     return (answer, iterations, termination, residuals[:iterations].copy(),
             objective[:iterations].copy(), rho)
@@ -481,8 +632,10 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
     """
     _require_nonnegative("lam", lam)
     config = config or SolverConfig()
+    start = time.perf_counter()
     step = AffineProjector(system)
-    Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step)
+    setup_s = time.perf_counter() - start
+    Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step, setup_s)
     return SolverResult(
         Z=Z,
         iterations=iterations,
@@ -509,9 +662,11 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
     _require_nonnegative("lam", lam)
     _require_nonnegative("epsilon", epsilon)
     config = config or SolverConfig()
+    start = time.perf_counter()
     step = _PenalizedStep(system, epsilon)
+    setup_s = time.perf_counter() - start
     X1, iterations, termination, res, obj, rho = _admm(
-        system, lam, config, step, return_x1=True)
+        system, lam, config, step, setup_s, return_x1=True)
     return SolverResult(
         Z=X1,
         iterations=iterations,

@@ -131,7 +131,10 @@ class QuadraticSystem:
     @cached_property
     def phis(self) -> np.ndarray:
         """Stacked lifted coefficient matrices, shape (N, n+1, n+1)."""
-        out = np.stack([m.phi() for m in self.measurements])
+        m = self.n + 1
+        out = np.empty((self.num_measurements, m, m), dtype=complex)
+        for i, meas in enumerate(self.measurements):
+            out[i] = meas.phi()
         out.flags.writeable = False
         return out
 
@@ -240,17 +243,39 @@ def unrealvec(v) -> np.ndarray:
     return X
 
 
-def _realvec_rows(system: QuadraticSystem) -> np.ndarray:
-    """Complex rows r_i with r_i . realvec(X) = Tr(Phi_i X), shape (N, (n+1)^2)."""
-    phis = system.phis
-    m = system.n + 1
+# The realvec rows are built for blocks of measurements whose complex rows
+# hold at most this many entries, so the temporaries stay small however
+# large the system is.
+_ROW_BLOCK = 1 << 15
+
+
+def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
+    """Write the real and imaginary parts of the realvec rows of ``phis``.
+
+    The complex row r_i with r_i . realvec(X) = Tr(Phi_i X) holds the
+    diagonal of Phi_i, then (Phi[j, k] + Phi[k, j]) / sqrt(2) and
+    1j * (Phi[k, j] - Phi[j, k]) / sqrt(2) over the strict upper triangle,
+    row-major.  The rows of the measurements ``which`` (all by default) put
+    their real parts in ``re_out`` and their imaginary parts in ``im_out``,
+    either of which may be None.
+    """
+    N, m = phis.shape[:2]
+    which = np.arange(N) if which is None else np.asarray(which)
     iu, ju = _triu(m)
-    diag = phis[:, np.arange(m), np.arange(m)]
-    upper = phis[:, iu, ju]
-    lower = phis[:, ju, iu]
-    re_part = (upper + lower) / np.sqrt(2.0)
-    im_part = 1j * (lower - upper) / np.sqrt(2.0)
-    return np.concatenate([diag, re_part, im_part], axis=1)
+    diag = np.arange(m)
+    block = max(1, _ROW_BLOCK // (m * m))
+    for lo in range(0, which.size, block):
+        part = phis[which[lo:lo + block]]
+        upper, lower = part[:, iu, ju], part[:, ju, iu]
+        rows = np.concatenate([
+            part[:, diag, diag],
+            (upper + lower) / np.sqrt(2.0),
+            1j * (lower - upper) / np.sqrt(2.0),
+        ], axis=1)
+        if re_out is not None:
+            re_out[lo:lo + block] = rows.real
+        if im_out is not None:
+            im_out[lo:lo + block] = rows.imag
 
 
 def real_measurement_matrix(system: QuadraticSystem):
@@ -261,8 +286,10 @@ def real_measurement_matrix(system: QuadraticSystem):
     and the last N rows the imaginary parts, so B v = rhs exactly encodes
     Tr(Phi_i X) = y_i for X = unrealvec(v).
     """
-    rows = _realvec_rows(system)
-    B = np.concatenate([rows.real, rows.imag], axis=0)
+    phis = system.phis
+    N, m = phis.shape[:2]
+    B = np.empty((2 * N, m * m))
+    _fill_rows(phis, B[:N], B[N:])
     rhs = np.concatenate([system.y.real, system.y.imag])
     return B, rhs
 
@@ -272,15 +299,21 @@ def constraint_system(system: QuadraticSystem):
 
     Identically zero rows with zero right-hand side (the imaginary parts of
     real-valued measurements with Hermitian coefficients) are dropped, and a
-    final row pinning X[0, 0] = 1 is appended.
+    final row pinning X[0, 0] = 1 is appended.  The rows are written straight
+    into the returned matrix.
     """
-    B, rhs = real_measurement_matrix(system)
-    keep = ~((np.abs(B).max(axis=1) == 0.0) & (rhs == 0.0))
-    B, rhs = B[keep], rhs[keep]
-    corner = np.zeros((1, B.shape[1]))
-    corner[0, 0] = 1.0
-    A = np.concatenate([B, corner], axis=0)
-    b = np.concatenate([rhs, [1.0]])
+    phis, y = system.phis, system.y
+    N, m = phis.shape[:2]
+    # an imaginary row is identically zero exactly when its Phi is Hermitian
+    imag_rows = [i for i, (phi, v) in enumerate(zip(phis, y))
+                 if v.imag != 0.0 or not np.array_equal(phi, phi.conj().T)]
+    k = len(imag_rows)
+    A = np.zeros((N + k + 1, m * m))
+    _fill_rows(phis, A[:N], A[N:2 * N] if k == N else None)
+    if 0 < k < N:
+        _fill_rows(phis, im_out=A[N:N + k], which=imag_rows)
+    A[-1, 0] = 1.0
+    b = np.concatenate([y.real, y.imag[imag_rows], [1.0]])
     return A, b
 
 

@@ -1,6 +1,7 @@
 """Projection kernels, shrinkage, penalty adaptation, and the full solver."""
 
 import logging
+import math
 import re
 
 import numpy as np
@@ -25,9 +26,13 @@ from qbp.admm import (
 from qbp.model import (
     QuadraticMeasurement,
     QuadraticSystem,
+    constraint_system,
     hermitianize,
     lift,
     measure_lifted,
+    real_measurement_matrix,
+    realvec,
+    unrealvec,
 )
 from qbp.recovery import extract_phase_signal
 from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
@@ -230,11 +235,148 @@ def test_affine_projector_nonexpansive():
         assert d <= np.linalg.norm(A - B) * (1.0 + 1e-12)
 
 
-def test_affine_projector_rejects_contradictions():
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3))
+def test_affine_projector_rejects_contradictions(extra4, extra5):
+    # x^2 = 4 and x^2 = 5, each repeated: the Gram factor sees the clash
+    # however many copies of either equation there are
     base = QuadraticMeasurement(0.0, [0.0], [0.0], [[1.0]], 4.0)
     clash = QuadraticMeasurement(0.0, [0.0], [0.0], [[1.0]], 5.0)
+    system = QuadraticSystem([base] * (1 + extra4) + [clash] * (1 + extra5))
     with pytest.raises(InfeasibleProjectionError):
-        AffineProjector(QuadraticSystem([base, clash]))
+        AffineProjector(system)
+
+
+def _realvec_affine(system):
+    """The affine projection as a pseudoinverse in realvec coordinates."""
+    A, b = constraint_system(system)
+    P = np.linalg.pinv(A)
+
+    def project(M):
+        v = realvec(M)
+        return unrealvec(v - P @ (A @ v - b))
+    return project
+
+
+def _realvec_budget(system, epsilon):
+    """The budget projection in realvec coordinates, one fresh Newton solve per call."""
+    B, y = real_measurement_matrix(system)
+    g = y - B[:, 0]
+    U, s, Vt = np.linalg.svd(B[:, 1:], full_matrices=False)
+    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(B.shape) * np.finfo(float).eps))
+    U, s, Vt = U[:, :rank], s[:rank], Vt[:rank]
+    h = U.T @ g
+    floor = float(np.sum((g - U @ h) ** 2))
+    radius = math.sqrt(epsilon) - qbp.admm.BUDGET_MARGIN * np.linalg.norm(y)
+
+    def project(M):
+        v = realvec(M)
+        v[0] = 1.0
+        t = s * (Vt @ v[1:]) - h
+        if radius <= 0.0 or radius * radius <= floor:
+            step = -t / s
+        elif float(np.sum(t * t)) + floor <= radius * radius:
+            return unrealvec(v)
+        else:
+            mu = 0.0
+            for _ in range(qbp.admm.SECULAR_MAX_STEPS):
+                q = 1.0 / (1.0 + mu * s * s)
+                terms = t * t * q * q
+                phi = float(terms.sum()) + floor
+                gap = math.sqrt(phi) / radius - 1.0
+                if abs(gap) <= qbp.admm.SECULAR_RTOL:
+                    break
+                mu = max(mu + phi * gap / float((s * s * terms * q).sum()), 0.0)
+            step = -mu * s * t / (1.0 + mu * s * s)
+        v[1:] += Vt.T @ step
+        return unrealvec(v)
+    return project
+
+
+def _gram_tol(system, base):
+    """``base``, or the rounding of a Gram factor where that is larger.
+
+    The Gram matrix A A^T squares the condition number of the constraint
+    matrix over its nonzero singular values, so a projection built from it
+    agrees with the pseudoinverse to about eps * cond^2 at best.
+    """
+    A, _ = constraint_system(system)
+    s = np.linalg.svd(A[:-1, 1:], compute_uv=False)
+    s = s[s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps]
+    cond = s[0] / s[-1] if s.size else 1.0
+    return max(base, 100.0 * np.finfo(float).eps * cond * cond)
+
+
+def _assert_hermitian_step_output(X):
+    assert np.array_equal(X, X.conj().T)
+    assert X[0, 0] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.floats(1e-10, 10.0), st.floats(0.1, 10.0))
+def test_x1_steps_match_the_realvec_formulation(n, N, seed, epsilon, spread):
+    # the flat-view steps read and write the same coordinates realvec and
+    # unrealvec do, with the sqrt(2) weights folded into their matrices
+    rng = np.random.default_rng(seed)
+    system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
+    M = spread * random_hermitian(n + 1, rng)
+    scale = max(1.0, float(np.max(np.abs(M))))
+    got = AffineProjector(system)(M)
+    _assert_hermitian_step_output(got)
+    want = _realvec_affine(system)(M)
+    assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-12) * scale
+    got = _PenalizedStep(system, epsilon)(M)
+    _assert_hermitian_step_output(got)
+    want = _realvec_budget(system, epsilon)(M)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 20), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 19), min_size=1, max_size=4))
+def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
+    # repeated measurements make the constraint matrix rank-deficient; the
+    # Gram factor's rank cutoff must project like the pseudoinverse does
+    rng = np.random.default_rng(seed)
+    system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
+    meas = system.measurements
+    system = QuadraticSystem(meas + tuple(meas[i % N] for i in repeats))
+    M = random_hermitian(n + 1, rng)
+    got = AffineProjector(system)(M)
+    _assert_hermitian_step_output(got)
+    want = _realvec_affine(system)(M)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-10) * scale
+
+
+def test_hermitian_maps_are_read_only():
+    for arr in qbp.admm._hermitian_maps(4):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_repeated_solves_are_bit_identical():
+    # the cached maps and the per-solve workspace carry nothing from one
+    # solve to the next, also across a solve at another matrix size
+    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=30000)
+    system, _ = general_quadratic(6, 12, 2, "binary", 3)
+    other, _ = pure_phase(4, 16, 1, "binary", 5)
+
+    def runs():
+        return (solve(system, 2.0, cfg), solve_denoising(system, 2.0, 1e-3, cfg))
+
+    first = runs()
+    again = runs()
+    solve(other, 1.0, cfg)
+    solve_denoising(other, 1.0, 1e-3, cfg)
+    last = runs()
+    for results in (again, last):
+        for a, b in zip(first, results):
+            assert a.iterations == b.iterations
+            for field in ("Z", "residuals", "objective"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 def test_update_rho_balances_residuals():
@@ -407,11 +549,16 @@ def test_debug_log_counts_extrapolations(caplog):
     accepted, rejected, restarts = _anderson_counts(caplog)
     assert accepted > 0 and restarts > 0
     assert accepted + rejected < result.iterations
+    # the same line times the operator and factorization setup and the loop
+    last = [r.getMessage() for r in caplog.records][-1]
+    setup_s, loop_s = map(float, re.search(
+        r"; setup (\d+\.\d+) s, loop (\d+\.\d+) s$", last).groups())
+    assert setup_s > 0.0 and loop_s > setup_s
 
 
 def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
-    # a zero safeguard rejects every extrapolated point: each one still costs
-    # a map evaluation, and the solve proceeds by plain ADMM steps
+    # a safeguard bound with D = 0 rejects every extrapolated point: each one
+    # still costs a map evaluation, and the solve proceeds by plain ADMM steps
     system, _ = pure_phase(6, 24, 2, "gaussian", 1)
     tight = solve(system, 5.0, TIGHT)
     calls = {"psd": 0, "x1": 0}
@@ -425,7 +572,7 @@ def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
         return affine_call(self, M, rho)
 
     affine_call = AffineProjector.__call__
-    monkeypatch.setattr(qbp.admm, "ANDERSON_SAFEGUARD", 0.0)
+    monkeypatch.setattr(qbp.admm, "ANDERSON_SAFEGUARD_D", 0.0)
     monkeypatch.setattr(qbp.admm, "project_psd", counted_psd)
     monkeypatch.setattr(AffineProjector, "__call__", counted_x1)
     caplog.set_level(logging.DEBUG, logger="qbp.admm")

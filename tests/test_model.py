@@ -21,6 +21,8 @@ from qbp.model import (
     vec_measurement_matrix,
 )
 
+from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
+
 from support import consistent_system, random_hermitian, random_system
 
 
@@ -310,6 +312,51 @@ def test_constraint_system_feasible_at_planted_lift():
     system, x = consistent_system(3, 5, rng)
     A, b = constraint_system(system)
     assert np.allclose(A @ realvec(lift(x)), b, atol=1e-9)
+
+
+def _complex_row_operator(system):
+    """(B, rhs) and (A, b) through complex (N, m^2) rows, the whole-array formula."""
+    phis = system.phis
+    m = system.n + 1
+    iu, ju = np.triu_indices(m, k=1)
+    upper, lower = phis[:, iu, ju], phis[:, ju, iu]
+    rows = np.concatenate([
+        phis[:, np.arange(m), np.arange(m)],
+        (upper + lower) / np.sqrt(2.0),
+        1j * (lower - upper) / np.sqrt(2.0),
+    ], axis=1)
+    B = np.concatenate([rows.real, rows.imag], axis=0)
+    rhs = np.concatenate([system.y.real, system.y.imag])
+    keep = ~((np.abs(B).max(axis=1) == 0.0) & (rhs == 0.0))
+    corner = np.zeros((1, B.shape[1]))
+    corner[0, 0] = 1.0
+    A = np.concatenate([B[keep], corner], axis=0)
+    b = np.concatenate([rhs[keep], [1.0]])
+    return (B, rhs), (A, b)
+
+
+def test_operator_matrices_match_the_complex_row_formula_bit_for_bit():
+    # the real layout is written directly, row block by row block, and must
+    # reproduce every bit (signed zeros included) of the complex formula
+    rng = np.random.default_rng(15)
+    hermitian = pure_phase(3, 4, 1, "binary", 0)[0]
+    systems = [
+        random_system(3, 5, rng),
+        random_system(3, 5, rng, real=True),
+        hermitian,
+        general_quadratic(6, 8, 2, "binary", 1)[0],
+        fourier_sparse_image(3, 2, 20, 0)[0],
+        # only some measurements keep their imaginary rows
+        QuadraticSystem(random_system(3, 3, rng).measurements
+                        + hermitian.measurements),
+    ]
+    for system in systems:
+        want_B, want_A = _complex_row_operator(system)
+        for got, want in ((real_measurement_matrix(system), want_B),
+                          (constraint_system(system), want_A)):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
 
 
 def test_vec_measurement_matrix_identity():
