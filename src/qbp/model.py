@@ -309,9 +309,8 @@ def constraint_system(system: QuadraticSystem):
                  if v.imag != 0.0 or not np.array_equal(phi, phi.conj().T)]
     k = len(imag_rows)
     A = np.zeros((N + k + 1, m * m))
-    _fill_rows(phis, A[:N], A[N:2 * N] if k == N else None)
-    if 0 < k < N:
-        _fill_rows(phis, im_out=A[N:N + k], which=imag_rows)
+    _fill_rows(phis, re_out=A[:N])
+    _fill_rows(phis, im_out=A[N:N + k], which=imag_rows)
     A[-1, 0] = 1.0
     b = np.concatenate([y.real, y.imag[imag_rows], [1.0]])
     return A, b
