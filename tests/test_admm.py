@@ -380,9 +380,9 @@ def test_repeated_solves_are_bit_identical():
 
 
 def test_update_rho_balances_residuals():
-    assert update_rho(1.0, 1.0, 0.05) == 2.0
-    assert update_rho(1.0, 0.05, 1.0) == 0.5
-    assert update_rho(1.0, 1.0, 0.5) == 1.0
+    assert update_rho(1.0, 1.0, 0.02) == 2.0
+    assert update_rho(1.0, 0.02, 1.0) == 0.5
+    assert update_rho(1.0, 1.0, 0.1) == 1.0
 
 
 def test_update_rho_respects_bounds():
