@@ -60,9 +60,8 @@ def linearize(system: QuadraticSystem) -> LinearizedProblem:
     or the signal is real; a complex signal with nonzero c also has an
     anti-linear contribution that a single matrix cannot carry.
     """
-    a, b, c, _ = system._abcq
-    A = b.conj() + c
-    return LinearizedProblem(A=A, y=system.y - a)
+    A = system.bh + system.c
+    return LinearizedProblem(A=A, y=system.y - system.a)
 
 
 def basis_pursuit(problem: LinearizedProblem):
@@ -143,10 +142,10 @@ def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"x has shape {x.shape}, system dimension is {system.n}"
         )
-    _, b, c, q = system._abcq
+    q = system.Q
     r = evaluate(system, x) - system.y
-    lin = c + np.einsum("nij,j->ni", q, x)
-    lin_conj = b + np.einsum("nji,j->ni", q.conj(), x)
+    lin = system.c + np.einsum("nij,j->ni", q, x)
+    lin_conj = system.b + np.einsum("nji,j->ni", q.conj(), x)
     return r.conj() @ lin + r @ lin_conj
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbp.model import QuadraticMeasurement, QuadraticSystem, evaluate, hermitianize
+from qbp.model import QuadraticSystem, evaluate, hermitianize
 
 __all__ = [
     "general_quadratic",
@@ -30,16 +30,13 @@ def _sparse_support(n: int, k: int, rng) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _finalize(parts, x) -> QuadraticSystem:
-    # evaluate through the library path so system.y is exactly what
-    # evaluate(system, x_true) returns
-    probe = QuadraticSystem(
-        [QuadraticMeasurement(a, b, c, Q, 0.0) for a, b, c, Q in parts]
-    )
+def _measured(phis: np.ndarray, x, real: bool = False):
+    # y is evaluate(system, x_true) exactly; magnitudes are real by
+    # construction, so dropping their imaginary rounding dust keeps the
+    # induced constraints real
+    probe = QuadraticSystem.from_arrays(phis, np.zeros(phis.shape[0]))
     y = evaluate(probe, x)
-    return QuadraticSystem(
-        [QuadraticMeasurement(a, b, c, Q, yi) for (a, b, c, Q), yi in zip(parts, y)]
-    )
+    return probe.with_values(y.real if real else y), x
 
 
 def _circular_normal(rng, shape=None):
@@ -66,37 +63,24 @@ def general_quadratic(n: int, N: int, k: int, signal: str = "binary",
         x[support] = rng.standard_normal(k)
     else:
         raise ValueError(f"unknown signal kind {signal!r}")
-    parts = []
-    for _ in range(N):
-        a = _circular_normal(rng)
-        b = _circular_normal(rng, n)
-        Q = _circular_normal(rng, (n, n))
-        parts.append((a, b, np.zeros(n), Q))
-    return _finalize(parts, x), x
+    phis = np.zeros((N, n + 1, n + 1), dtype=complex)
+    for phi in phis:
+        phi[0, 0] = _circular_normal(rng)
+        phi[0, 1:] = _circular_normal(rng, n).conj()
+        phi[1:, 1:] = _circular_normal(rng, (n, n))
+    return _measured(phis, x)
 
 
-def _magnitude_parts(sensing: np.ndarray):
-    # |<a_i, x>|^2 = x^H (a_i a_i^H) x with a_i the conjugate of row i;
-    # the outer product is symmetrized because fused multiplies leave it
-    # Hermitian only up to rounding
-    n = sensing.shape[1]
-    parts = []
-    for row in sensing:
-        a_i = row.conj()
-        Q = hermitianize(np.outer(a_i, a_i.conj()))
-        parts.append((0.0, np.zeros(n), np.zeros(n), Q))
-    return parts
-
-
-def _realify(system: QuadraticSystem) -> QuadraticSystem:
-    # magnitude measurements are real by construction; drop the imaginary
-    # rounding dust so the induced constraints keep their real structure
-    return QuadraticSystem(
-        [
-            QuadraticMeasurement(m.a, m.b, m.c, m.Q, m.y.real)
-            for m in system.measurements
-        ]
-    )
+def _magnitude_system(sensing: np.ndarray, x):
+    # |<a_i, x>|^2 = x^H (a_i a_i^H) x with a_i the conjugate of row i, the
+    # outer product symmetrized in its slot because fused multiplies leave it
+    # Hermitian only up to rounding; b = 0 makes the border row conj(0) = 0 - 0j
+    N, n = sensing.shape
+    phis = np.zeros((N, n + 1, n + 1), dtype=complex)
+    phis[:, 0, 1:] = np.conj(0j)
+    for phi, row in zip(phis, sensing):
+        phi[1:, 1:] = hermitianize(np.outer(row.conj(), row))
+    return _measured(phis, x, real=True)
 
 
 def pure_phase(n: int, N: int, k: int, signal: str = "gaussian", seed: int = 0):
@@ -111,8 +95,7 @@ def pure_phase(n: int, N: int, k: int, signal: str = "gaussian", seed: int = 0):
     else:
         raise ValueError(f"unknown signal kind {signal!r}")
     sensing = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))) / np.sqrt(2.0)
-    system = _finalize(_magnitude_parts(sensing.conj()), x)
-    return _realify(system), x
+    return _magnitude_system(sensing.conj(), x)
 
 
 def fourier_basis(side: int) -> np.ndarray:
@@ -142,8 +125,7 @@ def fourier_sparse_image(side: int, k: int, N: int, seed: int = 0):
     x[support] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     R = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))) / np.sqrt(2.0)
     M = R @ fourier_basis(side)
-    system = _finalize(_magnitude_parts(M), x)
-    return _realify(system), x
+    return _magnitude_system(M, x)
 
 
 _ELLIPSES = (
@@ -217,5 +199,4 @@ def phantom_instance(side: int, k: int, N: int, seed: int = 0):
     n = side * side
     R = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))) / np.sqrt(2.0)
     M = R @ fourier_basis(side)
-    system = _finalize(_magnitude_parts(M), x)
-    return _realify(system), x
+    return _magnitude_system(M, x)

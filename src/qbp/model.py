@@ -6,9 +6,12 @@ matrix ``X = [1; x][1; x]^H``:
 
     y = Tr(Phi X),   Phi = [[a, b^H], [c, Q]]  of shape (n+1, n+1).
 
-This module holds the measurement containers, the lifting map, and the
-matrix forms of the induced linear operator on Hermitian matrices that the
-solver and the diagnostics are built on.
+A system holds its data once, as two read-only arrays: the stack ``phis`` of
+the N matrices Phi and the values ``y``.  The blocks a, b, c and Q are read
+from the stack, and a single measurement is a view of one of its rows.  The
+module also holds the lifting map and the matrix forms of the induced
+linear operator on Hermitian matrices that the solver and the diagnostics
+are built on.
 """
 
 from __future__ import annotations
@@ -53,54 +56,72 @@ def _as_complex(value, shape, where):
         )
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValueError(f"{where}: non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
+def _block(index):
+    return property(lambda self: self._lifted[index])
+
+
+class _Blocks:
+    """Views of the blocks of Phi = [[a, b^H], [c, Q]] in ``_lifted``'s last two axes."""
+
+    a = _block(np.s_[..., 0, 0])
+    bh = _block(np.s_[..., 0, 1:])  # the border row b^H
+    c = _block(np.s_[..., 1:, 0])
+    Q = _block(np.s_[..., 1:, 1:])
+
+    @property
+    def n(self) -> int:
+        return self._lifted.shape[-1] - 1
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.bh.conj()
+
+
 @dataclass(frozen=True, eq=False)
-class QuadraticMeasurement:
-    """One equation a + b^H x + x^H c + x^H Q x = y.
+class QuadraticMeasurement(_Blocks):
+    """One equation a + b^H x + x^H c + x^H Q x = y; ``a`` and ``y`` are 0-d."""
 
-    All fields are stored as immutable complex arrays; ``a`` and ``y`` are
-    complex scalars kept as 0-d arrays for uniformity.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    Q: np.ndarray
+    _lifted: np.ndarray
     y: np.ndarray
 
     def __init__(self, a, b, c, Q, y):
         b = np.atleast_1d(np.asarray(b, dtype=complex))
         n = b.shape[0]
-        object.__setattr__(self, "a", _as_complex(a, (), "a"))
-        object.__setattr__(self, "b", _as_complex(b, (n,), "b"))
-        object.__setattr__(self, "c", _as_complex(c, (n,), "c"))
-        object.__setattr__(self, "Q", _as_complex(Q, (n, n), "Q"))
-        object.__setattr__(self, "y", _as_complex(y, (), "y"))
+        phi = np.empty((n + 1, n + 1), dtype=complex)
+        phi[0, 0] = _as_complex(a, (), "a")
+        phi[0, 1:] = _as_complex(b, (n,), "b").conj()
+        phi[1:, 0] = _as_complex(c, (n,), "c")
+        phi[1:, 1:] = _as_complex(Q, (n, n), "Q")
+        y = _as_complex(y, (), "y").copy()
+        phi.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "_lifted", phi)
+        object.__setattr__(self, "y", y)
 
-    @property
-    def n(self) -> int:
-        return self.b.shape[0]
+    @classmethod
+    def _view(cls, phi: np.ndarray, y: np.ndarray) -> QuadraticMeasurement:
+        out = object.__new__(cls)
+        object.__setattr__(out, "_lifted", phi)
+        object.__setattr__(out, "y", y)
+        return out
 
     def phi(self) -> np.ndarray:
         """Lifted coefficient matrix Phi with Tr(Phi X) = measurement value."""
-        n = self.n
-        phi = np.zeros((n + 1, n + 1), dtype=complex)
-        phi[0, 0] = self.a
-        phi[0, 1:] = self.b.conj()
-        phi[1:, 0] = self.c
-        phi[1:, 1:] = self.Q
-        return phi
+        return self._lifted
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticSystem:
-    """A batch of quadratic measurements sharing one unknown x in C^n."""
+class QuadraticSystem(_Blocks):
+    """A batch of quadratic measurements sharing one unknown x in C^n.
 
-    measurements: tuple[QuadraticMeasurement, ...]
+    ``phis`` stacks the lifted matrices, shape (N, n+1, n+1), and ``y`` the
+    values, shape (N,); both are read-only and are the only data held.
+    """
+
+    phis: np.ndarray
+    y: np.ndarray
 
     def __init__(self, measurements):
         measurements = tuple(measurements)
@@ -112,39 +133,49 @@ class QuadraticSystem:
                 raise DimensionMismatchError(
                     f"measurement {i} has dimension {meas.n}, expected {n}"
                 )
-        object.__setattr__(self, "measurements", measurements)
+        self._hold(np.stack([m.phi() for m in measurements]),
+                   np.array([m.y for m in measurements]))
+
+    @classmethod
+    def from_arrays(cls, phis, y) -> QuadraticSystem:
+        """System over N >= 1 lifted matrices and their values.
+
+        Complex arrays are taken over, not copied, and made read-only.
+        """
+        phis = np.asarray(phis, dtype=complex)
+        if phis.ndim != 3 or not phis.shape[0] or phis.shape[1] != phis.shape[2]:
+            raise DimensionMismatchError(
+                f"phis: expected shape (N, n+1, n+1), got {phis.shape}"
+            )
+        out = object.__new__(cls)
+        out._hold(_as_complex(phis, phis.shape, "phis"), y)
+        return out
+
+    def with_values(self, y) -> QuadraticSystem:
+        """The same lifted matrices, shared and not copied, with values y."""
+        out = object.__new__(type(self))
+        out._hold(self.phis, y)
+        return out
+
+    def _hold(self, phis, y):
+        y = _as_complex(y, phis.shape[:1], "y")
+        phis.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "y", y)
 
     @property
-    def n(self) -> int:
-        return self.measurements[0].n
+    def _lifted(self) -> np.ndarray:
+        return self.phis
 
     @property
     def num_measurements(self) -> int:
-        return len(self.measurements)
+        return self.phis.shape[0]
 
     @cached_property
-    def y(self) -> np.ndarray:
-        out = np.array([m.y for m in self.measurements])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def phis(self) -> np.ndarray:
-        """Stacked lifted coefficient matrices, shape (N, n+1, n+1)."""
-        m = self.n + 1
-        out = np.empty((self.num_measurements, m, m), dtype=complex)
-        for i, meas in enumerate(self.measurements):
-            out[i] = meas.phi()
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def _abcq(self):
-        a = np.array([m.a for m in self.measurements])
-        b = np.stack([m.b for m in self.measurements])
-        c = np.stack([m.c for m in self.measurements])
-        q = np.stack([m.Q for m in self.measurements])
-        return a, b, c, q
+    def measurements(self) -> tuple[QuadraticMeasurement, ...]:
+        """One measurement per row, each a view of this system's arrays."""
+        return tuple(QuadraticMeasurement._view(phi, self.y[i, ...])
+                     for i, phi in enumerate(self.phis))
 
 
 def hermitianize(M) -> np.ndarray:
@@ -172,9 +203,9 @@ def evaluate(system: QuadraticSystem, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"x has shape {x.shape}, system dimension is {system.n}"
         )
-    a, b, c, q = system._abcq
     xc = x.conj()
-    return a + b.conj() @ x + c @ xc + np.einsum("i,nij,j->n", xc, q, x)
+    return (system.a + system.bh @ x + system.c @ xc
+            + np.einsum("i,nij,j->n", xc, system.Q, x))
 
 
 def lift(x) -> np.ndarray:
@@ -201,8 +232,7 @@ def is_phase_invariant(system: QuadraticSystem) -> bool:
     Such systems see only ``x x^H``, so they determine the signal at best up
     to a global phase, and the lifted border is unconstrained.
     """
-    _, b, c, _ = system._abcq
-    return not (np.any(b) or np.any(c))
+    return not (np.any(system.bh) or np.any(system.c))
 
 
 @lru_cache(maxsize=None)
@@ -305,9 +335,10 @@ def constraint_system(system: QuadraticSystem):
     phis, y = system.phis, system.y
     N, m = phis.shape[:2]
     # an imaginary row is identically zero exactly when its Phi is Hermitian
-    imag_rows = [i for i, (phi, v) in enumerate(zip(phis, y))
-                 if v.imag != 0.0 or not np.array_equal(phi, phi.conj().T)]
-    k = len(imag_rows)
+    re, im = phis.real, phis.imag
+    hermitian = ((re == re.transpose(0, 2, 1)) & (im == -im.transpose(0, 2, 1))).all(axis=(1, 2))
+    imag_rows = np.flatnonzero((y.imag != 0.0) | ~hermitian)
+    k = imag_rows.size
     A = np.zeros((N + k + 1, m * m))
     _fill_rows(phis, re_out=A[:N])
     _fill_rows(phis, im_out=A[N:N + k], which=imag_rows)

@@ -2,10 +2,12 @@
 
 import numpy as np
 
+from qbp.generators import fourier_basis, phantom_image, truncate_fourier
 from qbp.model import (
     QuadraticMeasurement,
     QuadraticSystem,
     evaluate,
+    hermitianize,
     lift,
     measure_lifted,
 )
@@ -46,12 +48,8 @@ def random_system(n, N, rng, real=False):
 def consistent_system(n, N, rng, real=False):
     """Generic system measured at a planted point, so the lifted set is nonempty."""
     x = rng.standard_normal(n) if real else cgauss(rng, n)
-    base = [random_measurement(n, rng, real) for _ in range(N)]
-    y = evaluate(QuadraticSystem(base), x)
-    meas = [
-        QuadraticMeasurement(m.a, m.b, m.c, m.Q, v) for m, v in zip(base, y)
-    ]
-    return QuadraticSystem(meas), x
+    base = QuadraticSystem([random_measurement(n, rng, real) for _ in range(N)])
+    return base.with_values(evaluate(base, x)), x
 
 
 def measurement_from_phi(phi, y=0.0):
@@ -64,10 +62,7 @@ def measurement_from_phi(phi, y=0.0):
 def system_from_phis(phis, x):
     """System with the given coefficient matrices, measured at lift(x)."""
     probe = QuadraticSystem([measurement_from_phi(p, 0.0) for p in phis])
-    y = measure_lifted(probe, lift(x))
-    return QuadraticSystem(
-        [measurement_from_phi(p, v) for p, v in zip(phis, y)]
-    )
+    return probe.with_values(measure_lifted(probe, lift(x)))
 
 
 def unitary_sensing_system(x, kind="dft", rng=None):
@@ -90,3 +85,72 @@ def unitary_sensing_system(x, kind="dft", rng=None):
         raise ValueError(f"unknown sensing kind {kind!r}")
     phis = [U[r].reshape(m, m).T for r in range(M)]
     return system_from_phis(phis, x)
+
+
+# Reference instance builders: the generators' draws, assembled one
+# QuadraticMeasurement at a time and evaluated on contiguous stacks of the
+# blocks.  The generators write the stacked Phi array directly and must
+# reproduce these bytes.
+
+def _reference_system(parts, x, real=False):
+    probe = [QuadraticMeasurement(a, b, c, Q, 0.0) for a, b, c, Q in parts]
+    a = np.array([m.a for m in probe])
+    b = np.stack([m.b for m in probe])
+    c = np.stack([m.c for m in probe])
+    q = np.stack([m.Q for m in probe])
+    xc = x.conj()
+    y = a + b.conj() @ x + c @ xc + np.einsum("i,nij,j->n", xc, q, x)
+    if real:
+        y = y.real
+    system = QuadraticSystem(
+        [QuadraticMeasurement(m.a, m.b, m.c, m.Q, v) for m, v in zip(probe, y)]
+    )
+    return system, x
+
+
+def _reference_magnitude(sensing, x):
+    n = sensing.shape[1]
+    parts = []
+    for row in sensing:
+        a_i = row.conj()
+        parts.append((0.0, np.zeros(n), np.zeros(n),
+                      hermitianize(np.outer(a_i, a_i.conj()))))
+    return _reference_system(parts, x, real=True)
+
+
+def _reference_support(n, k, rng):
+    return np.sort(rng.choice(n, size=k, replace=False))
+
+
+def reference_general_quadratic(n, N, k, signal="binary", seed=0):
+    rng = np.random.default_rng(seed)
+    support = _reference_support(n, k, rng)
+    x = np.zeros(n, dtype=complex)
+    x[support] = 1.0 if signal == "binary" else rng.standard_normal(k)
+    parts = [(cgauss(rng), cgauss(rng, n), np.zeros(n), cgauss(rng, (n, n)))
+             for _ in range(N)]
+    return _reference_system(parts, x)
+
+
+def reference_pure_phase(n, N, k, signal="gaussian", seed=0):
+    rng = np.random.default_rng(seed)
+    support = _reference_support(n, k, rng)
+    x = np.zeros(n, dtype=complex)
+    x[support] = 1.0 if signal == "binary" else cgauss(rng, k)
+    return _reference_magnitude(cgauss(rng, (N, n)).conj(), x)
+
+
+def reference_fourier_sparse_image(side, k, N, seed=0):
+    rng = np.random.default_rng(seed)
+    n = side * side
+    support = _reference_support(n, k, rng)
+    x = np.zeros(n, dtype=complex)
+    x[support] = cgauss(rng, k)
+    return _reference_magnitude(cgauss(rng, (N, n)) @ fourier_basis(side), x)
+
+
+def reference_phantom_instance(side, k, N, seed=0):
+    x = truncate_fourier(phantom_image(side), k)
+    rng = np.random.default_rng(seed)
+    sensing = cgauss(rng, (N, side * side)) @ fourier_basis(side)
+    return _reference_magnitude(sensing, x)

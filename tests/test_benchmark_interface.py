@@ -2,14 +2,19 @@
 
 The harness wraps qbp functions by module, class and attribute name and
 calls the solvers with fixed signatures, so a rename or a signature change in
-qbp breaks it without failing any other test.  Both checks run in a
-subprocess: the harness's ``import_qbp`` evicts ``qbp`` from ``sys.modules``.
+qbp breaks it without failing any other test.  Its traced run also reads the
+system's ``phis`` and the x1 step's arrays through ``vars``.  Every check runs
+in a subprocess: the harness's ``import_qbp`` evicts ``qbp`` from
+``sys.modules``.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +53,14 @@ def test_every_wrapped_name_resolves():
 def test_perfbench_selftest_passes():
     proc = _run([sys.executable, "perfbench/selftest.py"])
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["table-n20", "phantom-s8", "holes-qbpd"])
+def test_traced_run_passes_its_gates(workload):
+    # the shortest traced run: every wrapped layer is called, the hooks read
+    # the arrays they size, and the call and iteration counts agree
+    proc = _run([sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", "1", "--seconds", "1", "--trace", "1"])
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:] + proc.stderr[-2000:]

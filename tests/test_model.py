@@ -1,7 +1,12 @@
 """Measurement containers, lifting, and the matrix forms of the linear map."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbp.model import (
     DimensionMismatchError,
@@ -21,9 +26,14 @@ from qbp.model import (
     vec_measurement_matrix,
 )
 
-from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
+from qbp.admm import SolverConfig, solve
+from qbp.baselines import iht_gradient
+from qbp.generators import (
+    fourier_sparse_image, general_quadratic, phantom_instance, pure_phase,
+)
+from qbp.recovery import build_report
 
-from support import consistent_system, random_hermitian, random_system
+from support import cgauss, consistent_system, random_hermitian, random_system
 
 
 def test_measurement_stores_blocks():
@@ -67,6 +77,84 @@ def test_system_requires_shared_dimension():
     assert system.num_measurements == 2
     assert system.y.shape == (2,)
     assert system.phis.shape == (2, 3, 3)
+
+
+def test_system_from_arrays_validates_and_holds_read_only_data():
+    phis = np.zeros((2, 3, 3), dtype=complex)
+    system = QuadraticSystem.from_arrays(phis, [1.0, 2.0])
+    assert system.phis is phis and not phis.flags.writeable
+    assert system.y.dtype == complex and not system.y.flags.writeable
+    assert (system.n, system.num_measurements) == (2, 2)
+    assert set(vars(system)) == {"phis", "y"}
+    again = system.with_values([3.0, 4.0])
+    assert again.phis is phis and np.array_equal(again.y, [3.0, 4.0])
+    with pytest.raises(DimensionMismatchError):
+        QuadraticSystem.from_arrays(np.zeros((2, 3, 4)), [1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        QuadraticSystem.from_arrays(np.zeros((2, 3, 3)), [1.0])
+    with pytest.raises(ValueError):
+        QuadraticSystem.from_arrays(np.zeros((0, 3, 3)), [])
+    bad = np.zeros((1, 2, 2))
+    bad[0, 1, 1] = np.inf
+    with pytest.raises(NonFiniteValueError):
+        QuadraticSystem.from_arrays(bad, [0.0])
+    with pytest.raises(NonFiniteValueError):
+        system.with_values([np.nan, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["general", "phase", "arrays"]))
+def test_measurements_restack_to_the_same_bytes(n, N, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        system = general_quadratic(n, N, 1, "gaussian", seed)[0]
+    elif kind == "phase":
+        system = pure_phase(n, N, 1, "gaussian", seed)[0]
+    else:
+        phis = cgauss(rng, (N, n + 1, n + 1))
+        # exact and signed zeros in every block must survive the round trip
+        phis.real[rng.random(phis.shape) < 0.3] = -0.0
+        phis.imag[rng.random(phis.shape) < 0.3] = -0.0
+        system = QuadraticSystem.from_arrays(phis, cgauss(rng, N))
+    meas = system.measurements
+    assert meas is system.measurements and len(meas) == N
+    for i, m in enumerate(meas):
+        # views of the system's arrays, not copies
+        assert np.shares_memory(m.phi(), system.phis)
+        assert np.shares_memory(m.y, system.y)
+        assert m.a == system.a[i] and m.y == system.y[i]
+        assert np.array_equal(m.b, system.b[i]) and np.array_equal(m.Q, system.Q[i])
+    rebuilt = [QuadraticMeasurement(m.a, m.b, m.c, m.Q, m.y) for m in meas]
+    for other in (QuadraticSystem(meas), QuadraticSystem(rebuilt)):
+        assert other.phis.tobytes() == system.phis.tobytes()
+        assert other.y.tobytes() == system.y.tobytes()
+
+
+def test_a_system_retains_only_its_two_arrays():
+    # solve, report, evaluate and the IHT gradient leave no copy of the
+    # coefficient data on the system: deleting it frees phis and y, and
+    # nothing else of its size
+    config = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20)
+    tracemalloc.start()
+    try:
+        system, x = phantom_instance(8, 10, 128)
+        result = solve(system, 1.0, config)
+        report = build_report(system, result, x, 1e-3, True)
+        evaluate(system, x)
+        iht_gradient(system, x)
+        own = system.phis.nbytes + system.y.nbytes
+        del result, report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        alive = weakref.ref(system)
+        del system
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert alive() is None
+    assert own <= retained <= own + 64 * 1024
 
 
 def test_evaluate_identity_quadratic():
