@@ -13,14 +13,16 @@ variable Z carries the l1 shrinkage.  The denoising program
 
 runs the same loop with the X1 step replaced by the exact Frobenius
 projection onto the residual budget set, one scalar root of a secular
-equation per call.
+equation per call.  The equality program is its epsilon = 0 limit, so one
+class does both X1 steps: the equality step (:class:`AffineProjector`) is the
+budget step (:class:`_PenalizedStep`) in its affine limit, built from an
+``eigh`` of the Gram matrix of its constraints instead of an SVD.
 
-Both X1 steps take a Hermitian, C-contiguous matrix and work on its flat
+The X1 step takes a Hermitian, C-contiguous matrix and works on its flat
 float64 view: one cached gather reads the diagonal and the upper triangle,
 two matrix-vector products with the realvec weights folded into their
 columns correct them, and one cached scatter writes an exactly Hermitian
-matrix back.  The equality step's back-map comes from an ``eigh`` of the
-Gram matrix of its constraints, not from a pseudoinverse.
+matrix back.
 
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
 and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
@@ -121,7 +123,7 @@ RHO_MAX = 1e8
 
 
 class InfeasibleProjectionError(ValueError):
-    """The affine constraint set is empty (inconsistent measurements)."""
+    """No Hermitian matrix with unit corner fits the data within the budget."""
 
 
 def _require_nonnegative(name: str, value: float) -> None:
@@ -212,90 +214,20 @@ def _hermitian_maps(m: int):
     return maps
 
 
-class _HermitianStep:
-    """X1-step plumbing: a Hermitian matrix in and out through its flat view.
-
-    A step reads the diagonal and the upper triangle of its input with one
-    gather into a coordinate buffer, pins the corner coordinate to 1,
-    corrects the rest with matrices whose columns carry the realvec weights,
-    and writes an exactly Hermitian matrix back with one scatter.  Only the
-    read triangle of the input is used, so the input must be Hermitian.
-    """
-
-    def _init_maps(self, m: int) -> np.ndarray:
-        self._m = m
-        self._gather, self._src, self._coef, weights = _hermitian_maps(m)
-        # the coordinates, then the zero slot the scatter reads
-        self._x = np.zeros(m * m + 1)
-        return weights[1:]
-
-    def _read(self, M) -> np.ndarray:
-        """The coordinates of ``M`` with the corner set to 1, in the step's buffer."""
-        x = self._x
-        x[:-1] = _flat(np.asarray(M, dtype=complex))[self._gather]
-        x[0] = 1.0
-        return x
-
-    def _write(self) -> np.ndarray:
-        """A new Hermitian matrix from the coordinate buffer."""
-        X = np.empty((self._m, self._m), dtype=complex)
-        np.multiply(self._x[self._src], self._coef, out=_flat(X))
-        return X
-
-
-class AffineProjector(_HermitianStep):
-    """Frobenius projection onto {X Hermitian: Tr(Phi_i X) = y_i, X[0,0] = 1}.
-
-    The input must be Hermitian and is not modified; the output is exactly
-    Hermitian with X[0, 0] == 1.  The corner is pinned and the other realvec
-    coordinates v are projected onto {A1 v = g}, where A1 is the constraint
-    matrix of :func:`~qbp.model.constraint_system` without its corner row
-    and column and g = b - A e_0.  The back-map A1^T G^+ is formed once from
-    an ``eigh`` of the Gram matrix G = A1 A1^T; eigenvalues at or below
-    max(A1.shape) * eps times the largest count as zero, so duplicated
-    measurements (rank-deficient A1) project like the pseudoinverse does.
-    Each call is then two matrix-vector products.
-    """
-
-    def __init__(self, system: QuadraticSystem):
-        A, b = constraint_system(system)
-        A1 = A[:-1, 1:]
-        g = b[:-1] - A[:-1, 0]
-        w, U = np.linalg.eigh(A1 @ A1.T)
-        keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
-        w, U = w[keep], U[:, keep]
-        # least-squares residual > 0 means no Hermitian matrix satisfies
-        # the constraints at all
-        gap = np.linalg.norm(g - U @ (U.T @ g))
-        if gap > INFEASIBLE_RTOL * np.linalg.norm(b):
-            raise InfeasibleProjectionError(
-                f"constraints are inconsistent: least-squares gap {gap:.3e}"
-            )
-        weights = self._init_maps(system.n + 1)
-        self._g = g
-        self._fwd = A1 * weights
-        back = ((U / w) @ U.T) @ A1
-        back /= weights
-        self._back = back
-
-    def __call__(self, M, rho: float | None = None) -> np.ndarray:
-        x = self._read(M)
-        v = x[1:-1]
-        r = self._fwd @ v
-        r -= self._g
-        v -= r @ self._back
-        return self._write()
-
-
-class _PenalizedStep(_HermitianStep):
+class _PenalizedStep:
     """Frobenius projection onto {X Hermitian: X[0,0] = 1, ||A(X) - y||^2 <= epsilon}.
 
     The input must be Hermitian and is not modified; the output is exactly
-    Hermitian with X[0, 0] == 1.  Off the corner this is the penalized prox
-    argmin ||X - M||^2 + mu * ||A(X) - y||^2 with the weight mu solved for in
-    each call.  In the thin SVD B = U diag(s) V^T of the measurement matrix
-    (minus its corner column) the squared residual of the prox is the secular
-    function
+    Hermitian with X[0, 0] == 1.  A call reads the diagonal and the upper
+    triangle of its input with one gather into a coordinate buffer, pins the
+    corner coordinate to 1, corrects the rest v with matrices whose columns
+    carry the realvec weights, and writes an exactly Hermitian matrix back
+    with one scatter.
+
+    Off the corner this is the penalized prox argmin ||X - M||^2 + mu *
+    ||A(X) - y||^2 with the weight mu solved for in each call.  In the thin
+    SVD B = U diag(s) V^T of the measurement matrix (minus its corner column)
+    the squared residual of the prox is the secular function
 
         phi(mu) = sum_i (s_i c_i - h_i)^2 / (1 + mu s_i^2)^2 + ||g_perp||^2,
 
@@ -304,26 +236,38 @@ class _PenalizedStep(_HermitianStep):
     Newton on phi^(-1/2) = radius^(-1) converges monotonically (Moré &
     Sorensen 1983); it starts from the previous call's mu.  An input inside
     the budget is returned with only its corner set.  A budget at or below
-    the floor ||g_perp||^2 gives the exact affine projection (mu -> inf).
-    V^T is stored twice, with the realvec weights folded into its columns for
-    c and divided out of them for the correction.
+    the floor ||g_perp||^2 gives the affine limit mu -> inf, the exact
+    projection v - back^T (fwd v - target) onto the least-squares solutions,
+    here with target = h / s.  V^T is stored twice, with the realvec weights
+    folded into its columns (fwd) and divided out of them (back).
     """
 
     def __init__(self, system: QuadraticSystem, epsilon: float):
+        _require_nonnegative("epsilon", epsilon)
         B, y = real_measurement_matrix(system)
         g = y - B[:, 0]
         B1 = B[:, 1:]
         U, s, Vt = np.linalg.svd(B1, full_matrices=False)
         rank = int(np.count_nonzero(
             s > s.max(initial=0.0) * max(B1.shape) * np.finfo(float).eps))
-        self._s = s[:rank]
-        self._s2 = self._s * self._s
-        weights = self._init_maps(system.n + 1)
-        self._fwd = Vt[:rank] * weights
-        self._back = Vt[:rank] / weights
-        self._h = U[:, :rank].T @ g
-        floor = _sqnorm(g - U[:, :rank] @ self._h)
-        scale = float(np.linalg.norm(y))
+        U, s, Vt = U[:, :rank], s[:rank], Vt[:rank]
+        h = U.T @ g
+        weights = self._start(system, _sqnorm(g - U @ h), epsilon)
+        self._fwd = Vt * weights
+        self._back = Vt / weights
+        if self._radius is None:
+            self._target = h / s
+        else:
+            self._s, self._s2, self._h = s, s * s, h
+            self._mu = 0.0
+
+    def _start(self, system: QuadraticSystem, floor: float, epsilon: float) -> np.ndarray:
+        """Check the budget against the least-squares floor and set up the maps.
+
+        Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps
+        them.  Returns the realvec weights of the off-corner coordinates.
+        """
+        scale = max(float(np.linalg.norm(system.y)), 1.0)
         if math.sqrt(floor) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale:
             raise InfeasibleProjectionError(
                 f"residual budget {epsilon:.3e} is below the least-squares"
@@ -333,39 +277,74 @@ class _PenalizedStep(_HermitianStep):
         radius = math.sqrt(epsilon) - BUDGET_MARGIN * scale
         # None marks the affine limit: no smaller residual than the floor exists
         self._radius = radius if radius > 0.0 and radius * radius > floor else None
-        self._mu = 0.0
+        m = self._m = system.n + 1
+        self._gather, self._src, self._coef, weights = _hermitian_maps(m)
+        # the coordinates, then the zero slot the scatter reads
+        self._x = np.zeros(m * m + 1)
+        return weights[1:]
 
-    def __call__(self, M, rho: float | None = None) -> np.ndarray:
-        x = self._read(M)
+    def __call__(self, M) -> np.ndarray:
+        x = self._x
+        x[:-1] = _flat(np.asarray(M, dtype=complex))[self._gather]
+        x[0] = 1.0
         v = x[1:-1]
         c = self._fwd @ v
-        t = self._s * c - self._h
         radius = self._radius
         if radius is None:
-            step = -t / self._s
+            c -= self._target
+            v -= c @ self._back
         else:
+            t = self._s * c - self._h
             r2 = t * t
             phi = float(r2.sum()) + self._floor
-            if phi <= radius * radius:
-                return self._write()
-            s2r2 = self._s2 * r2
-            mu = self._mu
-            for _ in range(SECULAR_MAX_STEPS):
-                q = 1.0 / (1.0 + mu * self._s2)
-                q2 = q * q
-                phi = float(r2 @ q2) + self._floor
-                gap = math.sqrt(phi) / radius - 1.0
-                if abs(gap) <= SECULAR_RTOL:
-                    break
-                # Newton step on phi^(-1/2); a step past zero restarts from the left
-                slope = 2.0 * float(s2r2 @ (q2 * q))
-                mu = max(mu + 2.0 * phi * gap / slope, 0.0)
-            else:
-                q = 1.0 / (1.0 + mu * self._s2)
-            self._mu = mu
-            step = -mu * q * self._s * t
-        v += step @ self._back
-        return self._write()
+            if phi > radius * radius:
+                s2r2 = self._s2 * r2
+                mu = self._mu
+                for _ in range(SECULAR_MAX_STEPS):
+                    q = 1.0 / (1.0 + mu * self._s2)
+                    q2 = q * q
+                    phi = float(r2 @ q2) + self._floor
+                    gap = math.sqrt(phi) / radius - 1.0
+                    if abs(gap) <= SECULAR_RTOL:
+                        break
+                    # Newton step on phi^(-1/2); a step past zero restarts from the left
+                    slope = 2.0 * float(s2r2 @ (q2 * q))
+                    mu = max(mu + 2.0 * phi * gap / slope, 0.0)
+                else:
+                    q = 1.0 / (1.0 + mu * self._s2)
+                self._mu = mu
+                v += (-mu * q * self._s * t) @ self._back
+        X = np.empty((self._m, self._m), dtype=complex)
+        np.multiply(x[self._src], self._coef, out=_flat(X))
+        return X
+
+
+class AffineProjector(_PenalizedStep):
+    """Frobenius projection onto {X Hermitian: Tr(Phi_i X) = y_i, X[0,0] = 1}.
+
+    The budget step at epsilon = 0, built from the constraint matrix A1 of
+    :func:`~qbp.model.constraint_system` (without its corner row and column)
+    and g = b - A e_0: fwd = A1, back = G^+ A1 and target = g, with the
+    realvec weights folded in as in the budget step.  G^+ comes from an
+    ``eigh`` of the Gram matrix G = A1 A1^T, which is far cheaper than the
+    budget step's SVD; eigenvalues at or below max(A1.shape) * eps times the
+    largest count as zero, so duplicated measurements (rank-deficient A1)
+    project like the pseudoinverse does.
+    """
+
+    def __init__(self, system: QuadraticSystem):
+        A, b = constraint_system(system)
+        A1 = A[:-1, 1:]
+        g = b[:-1] - A[:-1, 0]
+        w, U = np.linalg.eigh(A1 @ A1.T)
+        keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
+        w, U = w[keep], U[:, keep]
+        weights = self._start(system, _sqnorm(g - U @ (U.T @ g)), 0.0)
+        self._fwd = A1 * weights
+        back = ((U / w) @ U.T) @ A1
+        back /= weights
+        self._back = back
+        self._target = g
 
 
 def project_psd(M) -> np.ndarray:
@@ -458,7 +437,7 @@ def _sqnorm(A: np.ndarray) -> float:
 
 
 def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
-          setup_s: float = 0.0, return_x1: bool = False):
+          setup_s: float, return_x1: bool):
     start = time.perf_counter()
     m = system.n + 1
     eye = np.eye(m, dtype=complex)
@@ -513,7 +492,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         np.subtract(Z_prev, arg1, out=arg1)
         np.divide(Y2, rho, out=arg2)
         np.subtract(Z_prev, arg2, out=arg2)
-        X1 = x1_step(arg1, rho)
+        X1 = x1_step(arg1)
         X2 = project_psd(arg2)
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = diffs[0]
@@ -630,6 +609,21 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
             objective[:iterations].copy(), rho)
 
 
+def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
+           make_step, return_x1: bool = False) -> SolverResult:
+    """Build the X1 step from ``system``, run the loop and assemble the result."""
+    _require_nonnegative("lam", lam)
+    config = config or SolverConfig()
+    start = time.perf_counter()
+    step = make_step(system)
+    setup_s = time.perf_counter() - start
+    Z, iterations, termination, res, obj, rho = _admm(
+        system, lam, config, step, setup_s, return_x1)
+    return SolverResult(Z=Z, iterations=iterations, termination=termination,
+                        residuals=res, objective=obj, lam=lam, rho_final=rho,
+                        data_residual=data_residual(system, Z))
+
+
 def solve(system: QuadraticSystem, lam: float = 1.0,
           config: SolverConfig | None = None) -> SolverResult:
     """Solve the equality-constrained lifted program.
@@ -637,22 +631,7 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
     Raises :class:`InfeasibleProjectionError` when the measurement
     constraints admit no Hermitian matrix at all.
     """
-    _require_nonnegative("lam", lam)
-    config = config or SolverConfig()
-    start = time.perf_counter()
-    step = AffineProjector(system)
-    setup_s = time.perf_counter() - start
-    Z, iterations, termination, res, obj, rho = _admm(system, lam, config, step, setup_s)
-    return SolverResult(
-        Z=Z,
-        iterations=iterations,
-        termination=termination,
-        residuals=res,
-        objective=obj,
-        lam=lam,
-        rho_final=rho,
-        data_residual=data_residual(system, Z),
-    )
+    return _solve(system, lam, config, AffineProjector)
 
 
 def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
@@ -666,21 +645,5 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
     Raises :class:`InfeasibleProjectionError` when ``epsilon`` lies below the
     least-squares floor of the measurements by more than rounding.
     """
-    _require_nonnegative("lam", lam)
-    _require_nonnegative("epsilon", epsilon)
-    config = config or SolverConfig()
-    start = time.perf_counter()
-    step = _PenalizedStep(system, epsilon)
-    setup_s = time.perf_counter() - start
-    X1, iterations, termination, res, obj, rho = _admm(
-        system, lam, config, step, setup_s, return_x1=True)
-    return SolverResult(
-        Z=X1,
-        iterations=iterations,
-        termination=termination,
-        residuals=res,
-        objective=obj,
-        lam=lam,
-        rho_final=rho,
-        data_residual=data_residual(system, X1),
-    )
+    return _solve(system, lam, config,
+                  lambda s: _PenalizedStep(s, epsilon), return_x1=True)

@@ -101,6 +101,17 @@ def _read_system(path):
     return load_system(path)
 
 
+def _read_truth(path, n: int) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fp:
+        doc = json.load(fp)
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("$", "expected a JSON object")
+    x = vector_from_pairs(doc.get("x"), "x")
+    if x.size != n:
+        raise InstanceFormatError("x", f"expected a list of {n} pairs")
+    return x
+
+
 def _write_json(obj, path) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path in (None, "-"):
@@ -127,6 +138,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     system = _read_system(args.instance)
+    # a bad truth file is an input error, found before the solve
+    x_true = _read_truth(args.truth, system.n) if args.truth else None
     config = _config_from(args)
     start = time.perf_counter()
     if args.epsilon is not None:
@@ -136,10 +149,6 @@ def _cmd_solve(args) -> int:
         result = solve(system, args.lam, config)
         mode = "qbp"
     wall = time.perf_counter() - start
-    x_true = None
-    if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as fp:
-            x_true = vector_from_pairs(json.load(fp).get("x"), "x")
     report = build_report(
         system, result, x_true, args.tol, phase_invariant=not args.exact_phase
     )

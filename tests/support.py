@@ -52,6 +52,14 @@ def consistent_system(n, N, rng, real=False):
     return base.with_values(evaluate(base, x)), x
 
 
+def zero_valued_system(n, N, rng, real=False):
+    """Generic system whose measurements all vanish at a planted point."""
+    system, x = consistent_system(n, N, rng, real)
+    phis = system.phis.copy()
+    phis[:, 0, 0] -= system.y
+    return QuadraticSystem.from_arrays(phis, np.zeros(N)), x
+
+
 def measurement_from_phi(phi, y=0.0):
     """Measurement whose lifted coefficient matrix is exactly ``phi``."""
     return QuadraticMeasurement(

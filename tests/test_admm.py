@@ -42,6 +42,7 @@ from support import (
     consistent_system,
     random_hermitian,
     unitary_sensing_system,
+    zero_valued_system,
 )
 
 TIGHT = SolverConfig(eps_abs=1e-6, eps_rel=1e-6, max_iters=30000)
@@ -267,7 +268,7 @@ def _realvec_budget(system, epsilon):
     U, s, Vt = U[:, :rank], s[:rank], Vt[:rank]
     h = U.T @ g
     floor = float(np.sum((g - U @ h) ** 2))
-    radius = math.sqrt(epsilon) - qbp.admm.BUDGET_MARGIN * np.linalg.norm(y)
+    radius = math.sqrt(epsilon) - qbp.admm.BUDGET_MARGIN * max(np.linalg.norm(y), 1.0)
 
     def project(M):
         v = realvec(M)
@@ -496,8 +497,8 @@ def test_iterate_invariants_hold_during_solves(monkeypatch):
         seen["psd"] += 1
         return X2
 
-    def checked_affine(self, M, rho=None):
-        X1 = affine_call(self, M, rho)
+    def checked_affine(self, M):
+        X1 = affine_call(self, M)
         hermitian(X1)
         viol = np.max(np.abs(measure_lifted(system, X1) - system.y))
         scale = 1.0 + float(np.max(np.abs(system.y)))
@@ -505,8 +506,8 @@ def test_iterate_invariants_hold_during_solves(monkeypatch):
         seen["affine"] += 1
         return X1
 
-    def checked_budget(self, M, rho=None):
-        X1 = budget_call(self, M, rho)
+    def checked_budget(self, M):
+        X1 = budget_call(self, M)
         hermitian(X1)
         assert X1[0, 0] == 1.0
         assert data_residual(system, X1) <= epsilon
@@ -567,9 +568,9 @@ def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
         calls["psd"] += 1
         return project_psd(M)
 
-    def counted_x1(self, M, rho=None):
+    def counted_x1(self, M):
         calls["x1"] += 1
-        return affine_call(self, M, rho)
+        return affine_call(self, M)
 
     affine_call = AffineProjector.__call__
     monkeypatch.setattr(qbp.admm, "ANDERSON_SAFEGUARD_D", 0.0)
@@ -717,3 +718,44 @@ def test_budget_projection_at_zero_budget_is_affine():
         M = random_hermitian(4, rng)
         got = _PenalizedStep(system, 0.0)(M)
         assert np.max(np.abs(got - AffineProjector(system)(M))) <= 1e-8
+    # ||y|| = 0 must not zero the infeasibility tolerance: a consistent
+    # all-zero system has a least-squares floor of rounding size only
+    rng = np.random.default_rng(14)
+    for seed in range(20):
+        system, _ = zero_valued_system(4, 6, rng, real=seed % 2 == 0)
+        M = 10.0 * random_hermitian(5, rng)
+        got = _PenalizedStep(system, 0.0)(M)
+        assert np.max(np.abs(got - AffineProjector(system)(M))) <= 1e-8
+
+
+def test_affine_projector_is_the_budget_step_at_zero_budget():
+    # the equality step only builds its matrices from a Gram factor; the
+    # call and the infeasibility rule are the budget step's
+    assert issubclass(AffineProjector, _PenalizedStep)
+    assert "__call__" not in vars(AffineProjector)
+    rng = np.random.default_rng(15)
+    system, _ = consistent_system(3, 6, rng)
+    assert AffineProjector(system)._radius is None
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-12])
+def test_zero_valued_systems_keep_the_budget_margin(epsilon):
+    # ||y|| = 0 must not zero the budget margin either: the returned copy
+    # stays within a tiny budget
+    rng = np.random.default_rng(16)
+    for seed in range(20):
+        system, _ = zero_valued_system(4, 6, rng, real=seed % 2 == 0)
+        step = _PenalizedStep(system, epsilon)
+        for _ in range(3):
+            X = step(10.0 * random_hermitian(5, rng))
+            assert data_residual(system, X) <= epsilon
+
+
+def test_denoising_at_zero_budget_solves_zero_valued_systems():
+    rng = np.random.default_rng(17)
+    system, _ = zero_valued_system(4, 6, rng)
+    exact = solve(system, 1.0, TIGHT)
+    noisy = solve_denoising(system, 1.0, 0.0, TIGHT)
+    assert exact.converged and noisy.converged
+    assert noisy.data_residual <= 1e-20
+    assert np.max(np.abs(exact.Z - noisy.Z)) <= 1e-4

@@ -12,7 +12,7 @@ from qbp.cli import main
 from qbp.model import QuadraticMeasurement, QuadraticSystem
 from qbp.serialize import load_system, save_system
 
-from support import unitary_sensing_system
+from support import unitary_sensing_system, zero_valued_system
 
 
 def test_help_exits_zero(capsys):
@@ -170,6 +170,33 @@ def test_contradictory_instance_is_solver_error(tmp_path, capsys):
     # their least-squares residual is 0.5: a smaller budget is infeasible too
     assert main(["solve", str(path), "--epsilon", "0.1"]) == 2
     assert "qbp: solver error:" in capsys.readouterr().err
+
+
+def test_zero_budget_solves_a_zero_valued_instance(tmp_path, capsys):
+    # all-zero data still leaves the feasibility test its rounding slack
+    system, _ = zero_valued_system(4, 6, np.random.default_rng(17))
+    path = tmp_path / "zeros.json"
+    save_system(system, path)
+    assert main(["solve", str(path), "--epsilon", "0", "--eps-abs", "1e-5",
+                 "--eps-rel", "1e-5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "qbpd"
+    assert report["termination"] == "converged"
+    assert report["data_residual"] <= 1e-20
+
+
+def test_truth_file_must_be_an_object_of_the_right_length(tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    truth = tmp_path / "truth.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "4", "-N", "16",
+                 "-k", "1", "--seed", "0", "-o", str(inst)]) == 0
+    truth.write_text("[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]")
+    assert main(["solve", str(inst), "--truth", str(truth)]) == 1
+    assert "qbp: error: $: expected a JSON object" in capsys.readouterr().err
+    # the signal's length is checked before the solve too
+    truth.write_text('{"x": [[1.0, 0.0], [0.0, 0.0]]}')
+    assert main(["solve", str(inst), "--truth", str(truth)]) == 1
+    assert "qbp: error: x: expected a list of 4 pairs" in capsys.readouterr().err
 
 
 def test_montecarlo_writes_csv_and_summary(tmp_path, capsys):
