@@ -19,10 +19,10 @@ budget step (:class:`_PenalizedStep`) in its affine limit, built from an
 ``eigh`` of the Gram matrix of its constraints instead of an SVD.
 
 The X1 step takes a Hermitian, C-contiguous matrix and works on its flat
-float64 view: one cached gather reads the diagonal and the upper triangle,
-two matrix-vector products with the realvec weights folded into their
-columns correct them, and one cached scatter writes an exactly Hermitian
-matrix back.
+float64 view through the maps of :func:`~qbp.model.hermitian_coordinates`:
+one gather reads the diagonal and the upper triangle, two matrix-vector
+products with the realvec weights folded into their columns correct them,
+and one scatter writes an exactly Hermitian matrix back.
 
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
 and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
@@ -49,13 +49,15 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from qbp.model import (
     QuadraticSystem,
+    _flat,
+    _require_nonnegative,
     constraint_system,
+    hermitian_coordinates,
     measure_lifted,
     real_measurement_matrix,
 )
@@ -126,12 +128,6 @@ class InfeasibleProjectionError(ValueError):
     """No Hermitian matrix with unit corner fits the data within the budget."""
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    # a NaN fails every comparison, so test for the good range, not the bad one
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     eps_abs: float = 1e-3
@@ -176,42 +172,6 @@ class SolverResult:
     @property
     def converged(self) -> bool:
         return self.termination == "converged"
-
-
-@lru_cache(maxsize=None)
-def _hermitian_maps(m: int):
-    """Read-only index maps between an m x m complex matrix and its coordinates.
-
-    The coordinates are those of :func:`~qbp.model.realvec` without its
-    sqrt(2) weights: the real diagonal, then the real and the imaginary parts
-    of the strict upper triangle, row-major.  Returns ``(gather, src, coef,
-    weights)``:
-
-    - ``gather[j]`` is the position of coordinate j in the matrix's flat
-      float64 view;
-    - a coordinate vector x padded with one zero slot (x[m*m] = 0) is written
-      back as ``flat[k] = coef[k] * x[src[k]]``: the lower triangle reads the
-      upper one with the sign of its imaginary part flipped, and the
-      imaginary diagonal reads the zero slot;
-    - ``weights`` holds the realvec weights, so realvec(X) = weights * x.
-    """
-    iu, ju = np.triu_indices(m, k=1)
-    diag = np.arange(m) * (2 * m + 2)
-    upper = 2 * (iu * m + ju)
-    lower = 2 * (ju * m + iu)
-    gather = np.concatenate([diag, upper, upper + 1])
-    src = np.full(2 * m * m, m * m)
-    src[gather] = np.arange(m * m)
-    src[lower] = src[upper]
-    src[lower + 1] = src[upper + 1]
-    coef = np.ones(2 * m * m)
-    coef[lower + 1] = -1.0
-    weights = np.full(m * m, np.sqrt(2.0))
-    weights[:m] = 1.0
-    maps = gather, src, coef, weights
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
 
 
 class _PenalizedStep:
@@ -278,7 +238,7 @@ class _PenalizedStep:
         # None marks the affine limit: no smaller residual than the floor exists
         self._radius = radius if radius > 0.0 and radius * radius > floor else None
         m = self._m = system.n + 1
-        self._gather, self._src, self._coef, weights = _hermitian_maps(m)
+        self._gather, self._src, self._coef, weights = hermitian_coordinates(m)
         # the coordinates, then the zero slot the scatter reads
         self._x = np.zeros(m * m + 1)
         return weights[1:]
@@ -423,11 +383,6 @@ def data_residual(system: QuadraticSystem, X) -> float:
     """Sum of squared measurement residuals |y_i - Tr(Phi_i X)|^2."""
     diff = system.y - measure_lifted(system, X)
     return float(np.vdot(diff, diff).real)
-
-
-def _flat(A: np.ndarray) -> np.ndarray:
-    """A contiguous real or complex array as one flat float64 view."""
-    return A.reshape(-1).view(np.float64)
 
 
 def _sqnorm(A: np.ndarray) -> float:

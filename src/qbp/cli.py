@@ -12,23 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from qbp.admm import (
-    InfeasibleProjectionError,
-    SolverConfig,
-    solve,
-    solve_denoising,
-)
-from qbp.baselines import InfeasibleLinearSystemError
+from qbp.admm import SolverConfig, solve, solve_denoising
 from qbp.generators import fourier_basis, phantom_instance
-from qbp.model import DimensionMismatchError, NonFiniteValueError
+from qbp.model import DimensionMismatchError, NonFiniteValueError, _require_nonnegative
 from qbp.montecarlo import (
+    _SOLVER_ERRORS,
     ENSEMBLES,
     ExperimentSpec,
     make_instance,
@@ -37,7 +31,6 @@ from qbp.montecarlo import (
     write_csv,
 )
 from qbp.recovery import (
-    DegenerateMatrixError,
     align_phase,
     build_report,
     certify_coherence,
@@ -50,6 +43,7 @@ from qbp.serialize import (
     save_system,
     vector_from_pairs,
     vector_to_pairs,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -59,12 +53,6 @@ _INPUT_ERRORS = (
     DimensionMismatchError,
     NonFiniteValueError,
     OSError,
-)
-_SOLVER_ERRORS = (
-    InfeasibleProjectionError,
-    InfeasibleLinearSystemError,
-    DegenerateMatrixError,
-    np.linalg.LinAlgError,
 )
 
 
@@ -113,18 +101,13 @@ def _read_truth(path, n: int) -> np.ndarray:
 
 
 def _write_json(obj, path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
+    write_json(obj, sys.stdout if path in (None, "-") else path)
 
 
 def _cmd_generate(args) -> int:
     spec = ExperimentSpec(n=args.n, N=args.N, k=args.k, ensemble=args.ensemble,
                           signal=args.signal, side=args.side)
-    system, x, _ = make_instance(spec, args.seed)
+    system, x = make_instance(spec, args.seed)
     if args.output in (None, "-"):
         save_system(system, sys.stdout)
     else:
@@ -137,8 +120,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # a bad threshold or truth file is an input error, found before the solve
+    _require_nonnegative("tol", args.tol)
     system = _read_system(args.instance)
-    # a bad truth file is an input error, found before the solve
     x_true = _read_truth(args.truth, system.n) if args.truth else None
     config = _config_from(args)
     start = time.perf_counter()
@@ -220,7 +204,7 @@ def _cmd_diagnose(args) -> int:
         {
             "coherence": {
                 "mu": cert.mu,
-                "bound": cert.bound if math.isfinite(cert.bound) else None,
+                "bound": cert.bound,
                 "cardinality": cert.cardinality,
                 "rank_ratio": cert.rank_ratio,
                 "certified": cert.certified,
@@ -244,6 +228,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
+    _require_nonnegative("tol", args.tol)
     side = args.side
     n = side * side
     N = args.N if args.N else 2 * n

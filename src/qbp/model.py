@@ -9,13 +9,15 @@ matrix ``X = [1; x][1; x]^H``:
 A system holds its data once, as two read-only arrays: the stack ``phis`` of
 the N matrices Phi and the values ``y``.  The blocks a, b, c and Q are read
 from the stack, and a single measurement is a view of one of its rows.  The
-module also holds the lifting map and the matrix forms of the induced
+module also holds the lifting map, the real coordinates of a Hermitian
+matrix (:func:`hermitian_coordinates`) and the matrix forms of the induced
 linear operator on Hermitian matrices that the solver and the diagnostics
 are built on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -32,6 +34,7 @@ __all__ = [
     "lift",
     "measure_lifted",
     "is_phase_invariant",
+    "hermitian_coordinates",
     "realvec",
     "unrealvec",
     "real_measurement_matrix",
@@ -57,6 +60,12 @@ def _as_complex(value, shape, where):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValueError(f"{where}: non-finite entries")
     return arr
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    # a NaN fails every comparison, so test for the good range, not the bad one
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _block(index):
@@ -236,8 +245,43 @@ def is_phase_invariant(system: QuadraticSystem) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _triu(m: int):
-    return np.triu_indices(m, k=1)
+def hermitian_coordinates(m: int):
+    """Read-only index maps between an m x m complex matrix and its coordinates.
+
+    The coordinates are those of :func:`realvec` without its sqrt(2) weights:
+    the real diagonal, then the real and the imaginary parts of the strict
+    upper triangle, row-major.  Returns ``(gather, src, coef, weights)``:
+
+    - ``gather[j]`` is the position of coordinate j in the matrix's flat
+      float64 view;
+    - a coordinate vector x padded with one zero slot (x[m*m] = 0) is written
+      back as ``flat[k] = coef[k] * x[src[k]]``: the lower triangle reads the
+      upper one with the sign of its imaginary part flipped, and the
+      imaginary diagonal reads the zero slot;
+    - ``weights`` holds the realvec weights, so realvec(X) = weights * x.
+    """
+    iu, ju = np.triu_indices(m, k=1)
+    diag = np.arange(m) * (2 * m + 2)
+    upper = 2 * (iu * m + ju)
+    lower = 2 * (ju * m + iu)
+    gather = np.concatenate([diag, upper, upper + 1])
+    src = np.full(2 * m * m, m * m)
+    src[gather] = np.arange(m * m)
+    src[lower] = src[upper]
+    src[lower + 1] = src[upper + 1]
+    coef = np.ones(2 * m * m)
+    coef[lower + 1] = -1.0
+    weights = np.full(m * m, np.sqrt(2.0))
+    weights[:m] = 1.0
+    maps = gather, src, coef, weights
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
+def _flat(A: np.ndarray) -> np.ndarray:
+    """A contiguous real or complex array as one flat float64 view."""
+    return A.reshape(-1).view(np.float64)
 
 
 def realvec(X) -> np.ndarray:
@@ -248,13 +292,9 @@ def realvec(X) -> np.ndarray:
     preserves inner products, so least squares on these coordinates agrees
     with Frobenius geometry on matrices.
     """
-    X = np.asarray(X)
-    m = X.shape[0]
-    iu, ju = _triu(m)
-    upper = X[iu, ju]
-    return np.concatenate(
-        [X.diagonal().real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
-    )
+    X = np.ascontiguousarray(X, dtype=complex)
+    gather, _, _, weights = hermitian_coordinates(X.shape[0])
+    return _flat(X)[gather] * weights
 
 
 def unrealvec(v) -> np.ndarray:
@@ -263,13 +303,11 @@ def unrealvec(v) -> np.ndarray:
     m = int(round(np.sqrt(v.size)))
     if m * m != v.size:
         raise DimensionMismatchError(f"coordinate vector of size {v.size} is not square")
-    iu, ju = _triu(m)
-    p = iu.size
-    X = np.zeros((m, m), dtype=complex)
-    np.fill_diagonal(X, v[:m])
-    upper = (v[m : m + p] + 1j * v[m + p :]) / np.sqrt(2.0)
-    X[iu, ju] = upper
-    X[ju, iu] = upper.conj()
+    _, src, coef, weights = hermitian_coordinates(m)
+    x = np.zeros(m * m + 1)
+    np.divide(v, weights, out=x[:-1])
+    X = np.empty((m, m), dtype=complex)
+    np.multiply(x[src], coef, out=_flat(X))
     return X
 
 
@@ -291,7 +329,7 @@ def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
     """
     N, m = phis.shape[:2]
     which = np.arange(N) if which is None else np.asarray(which)
-    iu, ju = _triu(m)
+    iu, ju = np.triu_indices(m, k=1)
     diag = np.arange(m)
     block = max(1, _ROW_BLOCK // (m * m))
     for lo in range(0, which.size, block):

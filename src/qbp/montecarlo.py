@@ -28,6 +28,7 @@ from qbp.baselines import (
     linearize,
 )
 from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
+from qbp.model import _require_nonnegative, is_phase_invariant
 from qbp.recovery import DegenerateMatrixError, build_report, judge_success
 
 __all__ = [
@@ -87,6 +88,7 @@ class ExperimentSpec:
             raise ValueError(f"methods must be a non-empty subset of {_METHODS}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        _require_nonnegative("tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,17 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 def make_instance(spec: ExperimentSpec, seed: int):
-    """Draw one instance of the spec's ensemble: ``(system, x, phase_invariant)``."""
+    """Draw one instance of the spec's ensemble: ``(system, x)``."""
     if spec.ensemble == "general":
-        system, x = general_quadratic(spec.n, spec.N, spec.k, spec.signal, seed)
-        return system, x, False
+        return general_quadratic(spec.n, spec.N, spec.k, spec.signal, seed)
     if spec.ensemble == "purephase":
-        system, x = pure_phase(spec.n, spec.N, spec.k, spec.signal, seed)
-        return system, x, True
-    system, x = fourier_sparse_image(spec.side, spec.k, spec.N, seed)
-    return system, x, True
+        return pure_phase(spec.n, spec.N, spec.k, spec.signal, seed)
+    return fourier_sparse_image(spec.side, spec.k, spec.N, seed)
 
 
-_EXPECTED_FAILURES = (
+# The failures a method may meet on a valid instance: a trial records them,
+# and the command line reports them as solver errors.
+_SOLVER_ERRORS = (
     InfeasibleProjectionError,
     InfeasibleLinearSystemError,
     DegenerateMatrixError,
@@ -127,8 +128,10 @@ _EXPECTED_FAILURES = (
 
 
 def _run_method(spec: ExperimentSpec, method: str, system, x_true,
-                phase_invariant: bool, index: int) -> TrialRecord:
+                index: int) -> TrialRecord:
     config = SolverConfig(**spec.solver)
+    # a system without linear terms fixes its signal only up to a global phase
+    phase_invariant = is_phase_invariant(system)
     start = time.perf_counter()
     try:
         if method in ("qbp", "qbp0", "qbpd"):
@@ -151,7 +154,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
                 system, spec.k, spec.iht_max_iters)
             success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
             rank_ratio, note = float("nan"), ""
-    except _EXPECTED_FAILURES as exc:
+    except _SOLVER_ERRORS as exc:
         return TrialRecord(
             trial=index,
             method=method,
@@ -176,11 +179,8 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
 
 def run_trial(spec: ExperimentSpec, index: int) -> list[TrialRecord]:
     """Generate instance ``index`` and run every requested method on it."""
-    system, x_true, phase_invariant = make_instance(spec, trial_seed(spec.seed, index))
-    return [
-        _run_method(spec, method, system, x_true, phase_invariant, index)
-        for method in spec.methods
-    ]
+    system, x_true = make_instance(spec, trial_seed(spec.seed, index))
+    return [_run_method(spec, method, system, x_true, index) for method in spec.methods]
 
 
 def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,

@@ -15,6 +15,7 @@ import numpy as np
 from qbp.model import (
     DimensionMismatchError,
     QuadraticSystem,
+    _require_nonnegative,
     is_phase_invariant,
     lift,
     measure_lifted,
@@ -97,8 +98,9 @@ def judge_success(x_hat, x_true, tol: float = 1e-3, phase_invariant: bool = True
     Returns ``(success, error)`` with ``error = min_theta ||exp(i theta) *
     x_hat - x_true|| / ||x_true||`` when phase-invariant (the minimum has the
     closed form ||a||^2 + ||b||^2 - 2 |<x_hat, x_true>|), else the plain
-    relative error.
+    relative error.  ``tol`` must be finite and nonnegative.
     """
+    _require_nonnegative("tol", tol)
     x_hat = np.asarray(x_hat, dtype=complex)
     x_true = np.asarray(x_true, dtype=complex)
     if x_hat.shape != x_true.shape:

@@ -9,6 +9,7 @@ field.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "system_from_dict",
     "load_system",
     "save_system",
+    "write_json",
     "vector_to_pairs",
     "vector_from_pairs",
     "report_to_dict",
@@ -137,14 +139,33 @@ def load_system(source) -> QuadraticSystem:
     return system_from_dict(obj)
 
 
-def save_system(system: QuadraticSystem, target) -> None:
-    """Write an instance to a path or an open text stream."""
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def write_json(obj, target) -> None:
+    """Write ``obj`` as indented JSON to a path or an open text stream.
+
+    Non-finite numbers are written as null, so the output is strict JSON.
+    """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fp:
-            save_system(system, fp)
+            write_json(obj, fp)
             return
-    json.dump(system_to_dict(system), target, indent=2, sort_keys=True)
-    target.write("\n")
+    target.write(json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
+
+
+def save_system(system: QuadraticSystem, target) -> None:
+    """Write an instance to a path or an open text stream."""
+    write_json(system_to_dict(system), target)
 
 
 def report_to_dict(report, **extra) -> dict:

@@ -27,6 +27,7 @@ from qbp.model import (
     QuadraticMeasurement,
     QuadraticSystem,
     constraint_system,
+    hermitian_coordinates,
     hermitianize,
     lift,
     measure_lifted,
@@ -352,7 +353,7 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
 
 
 def test_hermitian_maps_are_read_only():
-    for arr in qbp.admm._hermitian_maps(4):
+    for arr in hermitian_coordinates(4):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]

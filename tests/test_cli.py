@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import qbp.cli
+import qbp.montecarlo
 from qbp.cli import main
 from qbp.model import QuadraticMeasurement, QuadraticSystem
 from qbp.serialize import load_system, save_system
@@ -142,6 +144,44 @@ def test_non_finite_arguments_are_usage_errors(tmp_path, capsys):
                   ["--eps-abs", "inf"], ["--eps-abs", "nan"]):
         assert main(["solve", str(inst)] + extra) == 1, extra
         assert "qbp: error:" in capsys.readouterr().err
+
+
+def test_bad_success_threshold_is_usage_error(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "6", "-N", "30",
+                 "-k", "2", "--seed", "3", "-o", str(inst)]) == 0
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(qbp.cli, "solve", no_solve)
+    monkeypatch.setattr(qbp.montecarlo, "solve", no_solve)
+    for tol in ("nan", "-1", "inf"):
+        for argv in (["solve", str(inst)],
+                     ["montecarlo", "--ensemble", "purephase", "-n", "6", "-N", "30",
+                      "-k", "2", "--methods", "qbp", "--trials", "2"],
+                     ["phantom", "--side", "2", "-k", "1"]):
+            assert main(argv + ["--tol", tol]) == 1, (argv[0], tol)
+            err = capsys.readouterr().err
+            assert "qbp: error: tol must be finite and nonnegative" in err
+
+
+def test_solve_report_is_strict_json_for_an_all_zero_truth(tmp_path, capsys):
+    # the relative error against a zero signal is infinite and is written as null
+    inst = tmp_path / "instance.json"
+    truth = tmp_path / "truth.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "4", "-N", "16",
+                 "-k", "1", "--seed", "0", "-o", str(inst)]) == 0
+    truth.write_text(json.dumps({"x": [[0.0, 0.0]] * 4}))
+    assert main(["solve", str(inst), "--truth", str(truth)]) == 0
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["success"] is False
+    assert report["error"] is None
 
 
 def test_missing_instance_file_is_input_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The package imports nothing beyond the standard library and numpy."""
+"""The package imports nothing beyond the standard library and numpy, and
+its root binds nothing but its submodules."""
 
 import ast
 import sys
@@ -23,3 +24,27 @@ def test_package_imports_only_stdlib_and_numpy():
     found = {(path.name, name) for path in sources for name in _imported_modules(path)}
     assert {name for _, name in found} >= {"numpy", "qbp"}
     assert sorted(pair for pair in found if pair[1] not in allowed) == []
+
+
+def _bound_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_package_root_binds_only_submodules():
+    # every public name has one import path, from the submodule that defines it
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = set(_bound_names(tree))
+    assert bound
+    assert sorted(bound - modules) == []

@@ -7,15 +7,20 @@ import math
 import numpy as np
 import pytest
 
+from qbp.admm import SolverConfig, solve
+from qbp.baselines import iterative_hard_thresholding
+from qbp.model import is_phase_invariant
 from qbp.montecarlo import (
     CSV_COLUMNS,
     ExperimentSpec,
+    make_instance,
     run_monte_carlo,
     run_trial,
     summarize,
     trial_seed,
     write_csv,
 )
+from qbp.recovery import build_report, judge_success
 
 
 def _tiny_spec(**overrides):
@@ -58,6 +63,26 @@ def test_run_trial_covers_all_methods():
         assert isinstance(record.error, float)
         assert record.iterations >= 0
         assert record.wall_time_s >= 0.0
+
+
+@pytest.mark.parametrize("ensemble", ["general", "purephase"])
+def test_trials_are_scored_under_the_systems_phase_rule(ensemble):
+    # a general instance has linear terms and is scored as it stands; a
+    # pure-phase one sees only x x^H and is scored up to a global phase
+    spec = _tiny_spec(ensemble=ensemble, methods=("qbp", "iht"), iht_max_iters=5,
+                      trials=1)
+    records = run_trial(spec, 0)
+    system, x = make_instance(spec, trial_seed(spec.seed, 0))
+    rule = is_phase_invariant(system)
+    assert rule == (ensemble == "purephase")
+    result = solve(system, spec.lam, SolverConfig(**spec.solver))
+    candidates = [build_report(system, result).x_hat,
+                  iterative_hard_thresholding(system, spec.k, spec.iht_max_iters)[0]]
+    for record, x_hat in zip(records, candidates):
+        assert record.error == judge_success(x_hat, x, spec.tol, rule)[1]
+    # the other rule would score at least one of the two differently
+    assert any(record.error != judge_success(x_hat, x, spec.tol, not rule)[1]
+               for record, x_hat in zip(records, candidates))
 
 
 def test_run_monte_carlo_is_reproducible():
@@ -180,3 +205,6 @@ def test_spec_validation():
         _tiny_spec(trials=0)
     with pytest.raises(ValueError):
         _tiny_spec(ensemble="fourier", side=1)
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            _tiny_spec(tol=tol)

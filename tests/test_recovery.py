@@ -125,6 +125,13 @@ def test_judge_success_phase_symmetry():
         assert np.isclose(rotated, base, rtol=1e-10)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_judge_success_rejects_a_bad_threshold(tol):
+    x = np.ones(3)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        judge_success(x, x, tol)
+
+
 def test_judge_success_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         judge_success(np.zeros(3), np.zeros(4))

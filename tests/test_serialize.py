@@ -16,6 +16,7 @@ from qbp.serialize import (
     system_to_dict,
     vector_from_pairs,
     vector_to_pairs,
+    write_json,
 )
 
 from support import random_system
@@ -187,3 +188,15 @@ def test_report_to_dict_allows_missing_truth():
     out = report_to_dict(report)
     assert out["success"] is None
     assert out["error"] is None
+
+
+def test_write_json_writes_non_finite_numbers_as_null():
+    buf = io.StringIO()
+    write_json({"a": [1.5, float("inf"), (float("-inf"), {"b": float("nan")})],
+                "c": np.float64("nan"), "d": 2}, buf)
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    doc = json.loads(buf.getvalue(), parse_constant=reject)
+    assert doc == {"a": [1.5, None, [None, {"b": None}]], "c": None, "d": 2}
