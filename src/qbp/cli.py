@@ -10,6 +10,7 @@ solver progress on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,7 +21,12 @@ import numpy as np
 
 from qbp.admm import SolverConfig, solve, solve_denoising
 from qbp.generators import fourier_basis, phantom_instance
-from qbp.model import DimensionMismatchError, NonFiniteValueError, _require_nonnegative
+from qbp.model import (
+    DimensionMismatchError,
+    NonFiniteValueError,
+    _require_nonnegative,
+    is_phase_invariant,
+)
 from qbp.montecarlo import (
     _SOLVER_ERRORS,
     ENSEMBLES,
@@ -69,10 +75,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_options(parser):
+    defaults = SolverConfig()
     group = parser.add_argument_group("solver options")
-    group.add_argument("--eps-abs", type=float, default=1e-3, help="absolute stopping tolerance")
-    group.add_argument("--eps-rel", type=float, default=1e-3, help="relative stopping tolerance")
-    group.add_argument("--max-iters", type=int, default=10000, help="iteration cap")
+    group.add_argument("--eps-abs", type=float, default=defaults.eps_abs,
+                       help="absolute stopping tolerance")
+    group.add_argument("--eps-rel", type=float, default=defaults.eps_rel,
+                       help="relative stopping tolerance")
+    group.add_argument("--max-iters", type=int, default=defaults.max_iters,
+                       help="iteration cap")
 
 
 def _config_from(args) -> SolverConfig:
@@ -83,10 +93,18 @@ def _config_from(args) -> SolverConfig:
     )
 
 
+def _path_or(path, stream):
+    """``stream`` for an omitted path or "-", else the path itself."""
+    return stream if path in (None, "-") else path
+
+
+def _status_stream(target):
+    # status lines stay out of data written to stdout
+    return sys.stderr if target is sys.stdout else sys.stdout
+
+
 def _read_system(path):
-    if path in (None, "-"):
-        return load_system(sys.stdin)
-    return load_system(path)
+    return load_system(_path_or(path, sys.stdin))
 
 
 def _read_truth(path, n: int) -> np.ndarray:
@@ -101,17 +119,32 @@ def _read_truth(path, n: int) -> np.ndarray:
 
 
 def _write_json(obj, path) -> None:
-    write_json(obj, sys.stdout if path in (None, "-") else path)
+    write_json(obj, _path_or(path, sys.stdout))
+
+
+def _timed_solve(args, system, x_true):
+    """Solve under the command's options: ``(result, report, wall seconds)``.
+
+    ``--epsilon`` selects the residual-budget program; the report scores
+    against ``x_true`` under the system's own phase rule.
+    """
+    _require_nonnegative("tol", args.tol)
+    config = _config_from(args)
+    start = time.perf_counter()
+    if args.epsilon is not None:
+        result = solve_denoising(system, args.lam, args.epsilon, config)
+    else:
+        result = solve(system, args.lam, config)
+    wall = time.perf_counter() - start
+    report = build_report(system, result, x_true, args.tol, is_phase_invariant(system))
+    return result, report, wall
 
 
 def _cmd_generate(args) -> int:
     spec = ExperimentSpec(n=args.n, N=args.N, k=args.k, ensemble=args.ensemble,
                           signal=args.signal, side=args.side)
     system, x = make_instance(spec, args.seed)
-    if args.output in (None, "-"):
-        save_system(system, sys.stdout)
-    else:
-        save_system(system, args.output)
+    save_system(system, _path_or(args.output, sys.stdout))
     if args.truth:
         _write_json({"n": system.n, "x": vector_to_pairs(x)}, args.truth)
     logger.info("generated %s instance: n=%d N=%d k=%d seed=%d",
@@ -120,26 +153,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    # a bad threshold or truth file is an input error, found before the solve
-    _require_nonnegative("tol", args.tol)
     system = _read_system(args.instance)
+    # a bad truth file is an input error, found before the solve
     x_true = _read_truth(args.truth, system.n) if args.truth else None
-    config = _config_from(args)
-    start = time.perf_counter()
-    if args.epsilon is not None:
-        result = solve_denoising(system, args.lam, args.epsilon, config)
-        mode = "qbpd"
-    else:
-        result = solve(system, args.lam, config)
-        mode = "qbp"
-    wall = time.perf_counter() - start
-    report = build_report(
-        system, result, x_true, args.tol, phase_invariant=not args.exact_phase
-    )
+    result, report, wall = _timed_solve(args, system, x_true)
     _write_json(
         report_to_dict(
             report,
-            mode=mode,
+            mode="qbp" if args.epsilon is None else "qbpd",
             data_residual=result.data_residual,
             wall_time_s=wall,
         ),
@@ -169,53 +190,32 @@ def _cmd_montecarlo(args) -> int:
         tol=args.tol,
         side=args.side,
         iht_max_iters=args.iht_max_iters,
-        solver={
-            "eps_abs": args.eps_abs,
-            "eps_rel": args.eps_rel,
-            "max_iters": args.max_iters,
-        },
+        solver=dataclasses.asdict(_config_from(args)),
     )
     records = run_monte_carlo(spec, jobs=args.jobs)
-    if args.out in (None, "-"):
-        write_csv(records, sys.stdout)
-        stats_stream = sys.stderr
-    else:
-        write_csv(records, args.out)
-        stats_stream = sys.stdout
+    target = _path_or(args.out, sys.stdout)
+    write_csv(records, target)
     for method, stats in summarize(records).items():
         print(
             f"{method}: {stats['successes']}/{stats['trials']} recovered"
             f" (rate {stats['success_rate']:.2f},"
             f" median error {stats['median_error']:.3e},"
             f" mean iterations {stats['mean_iterations']:.0f})",
-            file=stats_stream,
+            file=_status_stream(target),
         )
     return 0
 
 
 def _cmd_diagnose(args) -> int:
     system = _read_system(args.instance)
-    config = _config_from(args)
-    result = solve(system, args.lam, config)
+    result = solve(system, args.lam, _config_from(args))
     cert = certify_coherence(system, result.Z)
     rip_k = args.rip_k if args.rip_k else min(4, (system.n + 1) ** 2)
     rip = sample_rip(system, rip_k, args.rip_samples, args.seed)
     _write_json(
         {
-            "coherence": {
-                "mu": cert.mu,
-                "bound": cert.bound,
-                "cardinality": cert.cardinality,
-                "rank_ratio": cert.rank_ratio,
-                "certified": cert.certified,
-                "skipped_columns": cert.skipped_columns,
-            },
-            "rip": {
-                "k": rip.k,
-                "samples": rip.samples,
-                "epsilon": rip.epsilon,
-                "epsilon_l1": rip.epsilon_l1,
-            },
+            "coherence": dataclasses.asdict(cert),
+            "rip": dataclasses.asdict(rip),
             "solve": {
                 "lambda": args.lam,
                 "iterations": result.iterations,
@@ -228,19 +228,10 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    _require_nonnegative("tol", args.tol)
     side = args.side
-    n = side * side
-    N = args.N if args.N else 2 * n
+    N = args.N if args.N else 2 * side * side
     system, x_true = phantom_instance(side, args.k, N, args.seed)
-    config = _config_from(args)
-    start = time.perf_counter()
-    if args.epsilon is not None:
-        result = solve_denoising(system, args.lam, args.epsilon, config)
-    else:
-        result = solve(system, args.lam, config)
-    wall = time.perf_counter() - start
-    report = build_report(system, result, x_true, args.tol, phase_invariant=True)
+    result, report, wall = _timed_solve(args, system, x_true)
     basis = fourier_basis(side)
     truth_img = (basis @ x_true).real.reshape(side, side)
     aligned = align_phase(report.x_hat, x_true)
@@ -251,20 +242,19 @@ def _cmd_phantom(args) -> int:
             t, v = float(truth_img[r, c]), float(recon_img[r, c])
             rows.append(f"{r},{c},{t!r},{v!r},{abs(t - v)!r}")
     text = "\n".join(rows) + "\n"
-    if args.out in (None, "-"):
+    target = _path_or(args.out, sys.stdout)
+    if target is sys.stdout:
         sys.stdout.write(text)
-        stream = sys.stderr
     else:
-        with open(args.out, "w", encoding="utf-8") as fp:
+        with open(target, "w", encoding="utf-8") as fp:
             fp.write(text)
-        stream = sys.stdout
     err = np.abs(truth_img - recon_img)
     print(
         f"phantom side={side} k={args.k} N={N}: {result.termination}"
         f" ({result.iterations} iterations, {wall:.1f}s),"
         f" pixel error mean {err.mean():.3e} max {err.max():.3e},"
         f" rank ratio {report.rank_ratio:.3e}",
-        file=stream,
+        file=_status_stream(target),
     )
     return 0
 
@@ -294,8 +284,6 @@ def _build_parser() -> _Parser:
                      help="residual budget; solves the qbpd program")
     slv.add_argument("--truth", help="planted-signal JSON to score against")
     slv.add_argument("--tol", type=float, default=1e-3, help="success threshold")
-    slv.add_argument("--exact-phase", action="store_true",
-                     help="score without global-phase alignment")
     slv.add_argument("-o", "--output", help="report path (default stdout)")
     _solver_options(slv)
     slv.set_defaults(func=_cmd_solve)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +62,12 @@ ENSEMBLES = ("general", "purephase", "fourier")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: an instance ensemble, the methods to run, and knobs."""
+    """One experiment: an instance ensemble, the methods to run, and knobs.
+
+    ``solver`` holds the keyword arguments of :class:`SolverConfig`;
+    ``config`` is the config built from them when the spec is made, so a bad
+    key or value fails here and not inside a trial.
+    """
 
     n: int
     N: int
@@ -77,6 +83,7 @@ class ExperimentSpec:
     side: int = 0
     iht_max_iters: int = 1000
     solver: dict = field(default_factory=dict)
+    config: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
@@ -89,6 +96,7 @@ class ExperimentSpec:
         if self.trials < 1:
             raise ValueError("trials must be positive")
         _require_nonnegative("tol", self.tol)
+        object.__setattr__(self, "config", SolverConfig(**self.solver))
 
 
 @dataclass(frozen=True)
@@ -129,42 +137,29 @@ _SOLVER_ERRORS = (
 
 def _run_method(spec: ExperimentSpec, method: str, system, x_true,
                 index: int) -> TrialRecord:
-    config = SolverConfig(**spec.solver)
     # a system without linear terms fixes its signal only up to a global phase
     phase_invariant = is_phase_invariant(system)
+    rank_ratio, note = float("nan"), ""
     start = time.perf_counter()
     try:
-        if method in ("qbp", "qbp0", "qbpd"):
-            if method == "qbp":
-                result = solve(system, spec.lam, config)
-            elif method == "qbp0":
-                result = solve(system, 0.0, config)
+        if method in ("bp", "iht"):
+            if method == "bp":
+                x_hat, iterations = basis_pursuit(linearize(system))
             else:
-                result = solve_denoising(system, spec.lam, spec.epsilon, config)
+                x_hat, iterations, _ = iterative_hard_thresholding(
+                    system, spec.k, spec.iht_max_iters)
+            success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
+        else:
+            if method == "qbpd":
+                result = solve_denoising(system, spec.lam, spec.epsilon, spec.config)
+            else:
+                result = solve(system, spec.lam if method == "qbp" else 0.0, spec.config)
             report = build_report(system, result, x_true, spec.tol, phase_invariant)
             success, error = report.success, report.error
             iterations, rank_ratio = report.iterations, report.rank_ratio
             note = "" if result.termination == "converged" else result.termination
-        elif method == "bp":
-            x_hat, iterations = basis_pursuit(linearize(system))
-            success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
-            rank_ratio, note = float("nan"), ""
-        else:
-            x_hat, iterations, _ = iterative_hard_thresholding(
-                system, spec.k, spec.iht_max_iters)
-            success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
-            rank_ratio, note = float("nan"), ""
     except _SOLVER_ERRORS as exc:
-        return TrialRecord(
-            trial=index,
-            method=method,
-            success=False,
-            error=float("inf"),
-            iterations=0,
-            wall_time_s=time.perf_counter() - start,
-            rank_ratio=float("nan"),
-            note=type(exc).__name__,
-        )
+        success, error, iterations, note = False, float("inf"), 0, type(exc).__name__
     return TrialRecord(
         trial=index,
         method=method,
@@ -187,18 +182,14 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
                     progress=None) -> list[TrialRecord]:
     """All trials of an experiment; ``jobs > 1`` runs trials in processes."""
     records: list[TrialRecord] = []
-    if jobs > 1:
-        # a fork-started pool launches all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) as pool:
-            for index, batch in enumerate(
-                pool.map(run_trial, [spec] * spec.trials, range(spec.trials))
-            ):
-                records.extend(batch)
-                if progress is not None:
-                    progress(index)
-    else:
-        for index in range(spec.trials):
-            records.extend(run_trial(spec, index))
+    # a fork-started pool launches all its workers at the first submit
+    pool = (ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) if jobs > 1
+            else nullcontext())
+    with pool:
+        trial_map = pool.map if jobs > 1 else map
+        batches = trial_map(run_trial, [spec] * spec.trials, range(spec.trials))
+        for index, batch in enumerate(batches):
+            records.extend(batch)
             if progress is not None:
                 progress(index)
     return records

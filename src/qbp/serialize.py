@@ -8,6 +8,7 @@ field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -41,7 +42,11 @@ class InstanceFormatError(ValueError):
 def _real(value, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InstanceFormatError(location, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # an integer literal beyond the float range
+        raise InstanceFormatError(location, "number out of the float range") from None
     if not np.isfinite(value):
         raise InstanceFormatError(location, "non-finite value")
     return value
@@ -65,13 +70,10 @@ def _pair_matrix(value, n: int, location: str) -> np.ndarray:
     return np.stack([_pair_list(row, n, f"{location}[{i}]") for i, row in enumerate(value)])
 
 
-def _cx(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def vector_to_pairs(x) -> list[list[float]]:
-    return [_cx(v) for v in np.asarray(x, dtype=complex)]
+def vector_to_pairs(x) -> list:
+    """Nested lists of ``x``'s shape with each complex entry a [real, imag] pair."""
+    x = np.asarray(x, dtype=complex)
+    return np.stack((x.real, x.imag), axis=-1).tolist()
 
 
 def vector_from_pairs(value, location: str = "x") -> np.ndarray:
@@ -81,18 +83,11 @@ def vector_from_pairs(value, location: str = "x") -> np.ndarray:
 
 
 def system_to_dict(system: QuadraticSystem) -> dict:
+    blocks = {name: vector_to_pairs(getattr(system, name))
+              for name in ("a", "b", "c", "Q", "y")}
     return {
         "n": system.n,
-        "measurements": [
-            {
-                "a": _cx(m.a),
-                "b": [_cx(v) for v in m.b],
-                "c": [_cx(v) for v in m.c],
-                "Q": [[_cx(v) for v in row] for row in m.Q],
-                "y": _cx(m.y),
-            }
-            for m in system.measurements
-        ],
+        "measurements": [dict(zip(blocks, row)) for row in zip(*blocks.values())],
     }
 
 
@@ -170,16 +165,8 @@ def save_system(system: QuadraticSystem, target) -> None:
 
 def report_to_dict(report, **extra) -> dict:
     """JSON form of a recovery report, with optional extra metadata merged in."""
-    out = {
-        "x_hat": vector_to_pairs(report.x_hat),
-        "rank_ratio": report.rank_ratio,
-        "feasibility_residual": report.feasibility_residual,
-        "sparsity": report.sparsity,
-        "iterations": report.iterations,
-        "termination": report.termination,
-        "lambda": report.lam,
-        "success": report.success,
-        "error": report.error,
-    }
+    out = dataclasses.asdict(report)
+    out["x_hat"] = vector_to_pairs(report.x_hat)
+    out["lambda"] = out.pop("lam")
     out.update(extra)
     return out

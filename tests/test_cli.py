@@ -12,9 +12,21 @@ import qbp.cli
 import qbp.montecarlo
 from qbp.cli import main
 from qbp.model import QuadraticMeasurement, QuadraticSystem
-from qbp.serialize import load_system, save_system
+from qbp.recovery import judge_success
+from qbp.serialize import load_system, save_system, vector_from_pairs
 
 from support import unitary_sensing_system, zero_valued_system
+
+# the full key sets of the documents the commands write
+REPORT_KEYS = {"x_hat", "rank_ratio", "feasibility_residual", "sparsity", "iterations",
+               "termination", "lambda", "success", "error", "mode", "data_residual",
+               "wall_time_s"}
+DIAGNOSE_KEYS = {
+    "coherence": {"mu", "bound", "cardinality", "rank_ratio", "certified",
+                  "skipped_columns"},
+    "rip": {"k", "samples", "epsilon", "epsilon_l1"},
+    "solve": {"lambda", "iterations", "termination"},
+}
 
 
 def test_help_exits_zero(capsys):
@@ -97,10 +109,36 @@ def test_solve_without_truth_reports_structure(tmp_path, capsys):
     assert report["error"] is None
     assert report["lambda"] == 50.0
     assert report["mode"] == "qbp"
-    for key in ("x_hat", "rank_ratio", "feasibility_residual", "sparsity",
-                "iterations", "termination", "wall_time_s"):
-        assert key in report
+    assert set(report) == REPORT_KEYS
     assert len(report["x_hat"]) == 20
+
+
+def test_solve_scores_a_general_instance_without_phase_alignment(tmp_path, capsys):
+    # a system with linear terms fixes the signal's phase: the error is the
+    # plain relative error, as in the Monte Carlo records
+    inst = tmp_path / "instance.json"
+    truth = tmp_path / "truth.json"
+    assert main(["generate", "-n", "6", "-N", "10", "-k", "1", "--seed", "1",
+                 "-o", str(inst), "--truth", str(truth)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--lambda", "5", "--truth", str(truth)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    x_hat = vector_from_pairs(report["x_hat"])
+    x = vector_from_pairs(json.loads(truth.read_text())["x"])
+    exact = judge_success(x_hat, x, 1e-3, phase_invariant=False)[1]
+    assert exact != judge_success(x_hat, x, 1e-3, phase_invariant=True)[1]
+    assert report["error"] == exact
+
+
+def test_out_of_range_truth_entry_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    truth = tmp_path / "truth.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "2", "-N", "8",
+                 "-k", "1", "--seed", "0", "-o", str(inst)]) == 0
+    truth.write_text('{"x": [[1' + "0" * 400 + ', 0.0], [0.0, 0.0]]}')
+    assert main(["solve", str(inst), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert "qbp: error: x[0][0]: number out of the float range" in err
 
 
 def test_solve_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -131,7 +169,7 @@ def test_epsilon_switches_to_denoising(tmp_path):
     ]) == 0
     report = json.loads(report_path.read_text())
     assert report["mode"] == "qbpd"
-    assert "beta" not in report
+    assert set(report) == REPORT_KEYS
     assert report["data_residual"] <= 1e-4 + 1e-6
 
 
@@ -268,6 +306,7 @@ def test_diagnose_flags_orthonormal_sensing(tmp_path):
         "-o", str(report_path),
     ]) == 0
     doc = json.loads(report_path.read_text())
+    assert {key: set(value) for key, value in doc.items()} == DIAGNOSE_KEYS
     assert doc["coherence"]["mu"] < 1e-8
     assert doc["coherence"]["certified"] is True
     assert doc["coherence"]["bound"] is not None

@@ -208,3 +208,11 @@ def test_spec_validation():
     for tol in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             _tiny_spec(tol=tol)
+    # the solver settings are checked when the spec is made, before any trial
+    with pytest.raises(ValueError, match="max_iters"):
+        _tiny_spec(solver={"max_iters": 0})
+    with pytest.raises(ValueError, match="eps_abs"):
+        _tiny_spec(solver={"eps_abs": -1.0})
+    with pytest.raises(TypeError, match="bogus"):
+        _tiny_spec(solver={"bogus": 1})
+    assert _tiny_spec().config == SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)

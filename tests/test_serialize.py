@@ -128,6 +128,14 @@ def test_field_shape_errors_have_deep_locations():
         system_from_dict(doc)
 
 
+def test_out_of_range_integers_rejected():
+    # a JSON integer beyond the float range is a located format error
+    text = json.dumps(_valid_doc()).replace('"a": [0.0, 0.0]', '"a": [1' + "0" * 400 + ', 0.0]')
+    with pytest.raises(InstanceFormatError,
+                       match=r"measurements\[0\]\.a\[0\]: number out of the float range"):
+        load_system(io.StringIO(text))
+
+
 def test_non_finite_values_rejected():
     doc = _valid_doc()
     doc["measurements"][0]["y"] = [float("nan"), 0.0]
