@@ -21,7 +21,7 @@ budget step (:class:`_PenalizedStep`) in its affine limit, built from an
 The X1 step takes a Hermitian, C-contiguous matrix and works on its flat
 float64 view through the maps of :func:`~qbp.model.hermitian_coordinates`:
 one gather reads the diagonal and the upper triangle, two matrix-vector
-products with the realvec weights folded into their columns correct them,
+products with the coordinate weights folded into their columns correct them,
 and one scatter writes an exactly Hermitian matrix back.
 
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
@@ -167,7 +167,7 @@ class SolverResult:
     objective: np.ndarray
     lam: float
     rho_final: float
-    data_residual: float | None = None
+    data_residual: float
 
     @property
     def converged(self) -> bool:
@@ -181,8 +181,8 @@ class _PenalizedStep:
     Hermitian with X[0, 0] == 1.  A call reads the diagonal and the upper
     triangle of its input with one gather into a coordinate buffer, pins the
     corner coordinate to 1, corrects the rest v with matrices whose columns
-    carry the realvec weights, and writes an exactly Hermitian matrix back
-    with one scatter.
+    carry the coordinate ``weights`` of :func:`~qbp.model.hermitian_coordinates`,
+    and writes an exactly Hermitian matrix back with one scatter.
 
     Off the corner this is the penalized prox argmin ||X - M||^2 + mu *
     ||A(X) - y||^2 with the weight mu solved for in each call.  In the thin
@@ -191,15 +191,16 @@ class _PenalizedStep:
 
         phi(mu) = sum_i (s_i c_i - h_i)^2 / (1 + mu s_i^2)^2 + ||g_perp||^2,
 
-    with c = V^T realvec(M), h = U^T g, g = y - B e_0 and g_perp the part of
-    g outside range(B).  phi decreases in mu and phi^(-1/2) is concave, so
-    Newton on phi^(-1/2) = radius^(-1) converges monotonically (Moré &
-    Sorensen 1983); it starts from the previous call's mu.  An input inside
-    the budget is returned with only its corner set.  A budget at or below
+    with c = V^T (weights * x), x the coordinates of M, h = U^T g,
+    g = y - B e_0 and g_perp the part of g outside range(B).  phi decreases
+    in mu and phi^(-1/2) is concave, so Newton on phi^(-1/2) = radius^(-1)
+    converges monotonically (Moré & Sorensen 1983); it starts from the
+    previous call's mu.  An input inside the budget is returned with only
+    its corner set.  A budget at or below
     the floor ||g_perp||^2 gives the affine limit mu -> inf, the exact
     projection v - back^T (fwd v - target) onto the least-squares solutions,
-    here with target = h / s.  V^T is stored twice, with the realvec weights
-    folded into its columns (fwd) and divided out of them (back).
+    here with target = h / s.  V^T is stored twice, with the weights folded
+    into its columns (fwd) and divided out of them (back).
     """
 
     def __init__(self, system: QuadraticSystem, epsilon: float):
@@ -225,7 +226,7 @@ class _PenalizedStep:
         """Check the budget against the least-squares floor and set up the maps.
 
         Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps
-        them.  Returns the realvec weights of the off-corner coordinates.
+        them.  Returns the weights of the off-corner coordinates.
         """
         scale = max(float(np.linalg.norm(system.y)), 1.0)
         if math.sqrt(floor) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale:
@@ -285,7 +286,7 @@ class AffineProjector(_PenalizedStep):
     The budget step at epsilon = 0, built from the constraint matrix A1 of
     :func:`~qbp.model.constraint_system` (without its corner row and column)
     and g = b - A e_0: fwd = A1, back = G^+ A1 and target = g, with the
-    realvec weights folded in as in the budget step.  G^+ comes from an
+    coordinate weights folded in as in the budget step.  G^+ comes from an
     ``eigh`` of the Gram matrix G = A1 A1^T, which is far cheaper than the
     budget step's SVD; eigenvalues at or below max(A1.shape) * eps times the
     largest count as zero, so duplicated measurements (rank-deficient A1)
@@ -333,7 +334,7 @@ def project_psd(M) -> np.ndarray:
 
 def _shrink_scale(x: np.ndarray, q: float) -> np.ndarray:
     """Entrywise factors max(|x| - q, 0) / |x| of the soft threshold (0 at x = 0)."""
-    mag = np.atleast_1d(np.abs(x))
+    mag = np.abs(x)
     scale = mag - q
     np.maximum(scale, 0.0, out=scale)
     # divide only where the entry survives: |x| = 0 with q = 0 must give 0, not 0/0
@@ -341,13 +342,9 @@ def _shrink_scale(x: np.ndarray, q: float) -> np.ndarray:
     return scale
 
 
-def soft_threshold(x, q: float):
-    """Complex soft threshold: 0 where |x| <= q, else shrink |x| by q."""
-    x = np.asarray(x)
-    scale = _shrink_scale(x, q)
-    if x.ndim == 0:
-        return (x * scale[0]).item()
-    return x * scale
+def soft_threshold(x: np.ndarray, q: float) -> np.ndarray:
+    """Complex soft threshold of an array: 0 where |x| <= q, else shrink |x| by q."""
+    return x * _shrink_scale(x, q)
 
 
 def update_z(X1, X2, Y1, Y2, rho: float, lam: float) -> np.ndarray:

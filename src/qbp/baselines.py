@@ -8,8 +8,6 @@ directly with a gradient step and a fixed sparsity projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from qbp.model import DimensionMismatchError, QuadraticSystem, evaluate
@@ -17,7 +15,6 @@ from qbp.admm import soft_threshold
 
 __all__ = [
     "InfeasibleLinearSystemError",
-    "LinearizedProblem",
     "linearize",
     "basis_pursuit",
     "hard_threshold",
@@ -45,26 +42,17 @@ class InfeasibleLinearSystemError(ValueError):
     """The linearized equality constraints admit no solution."""
 
 
-@dataclass(frozen=True)
-class LinearizedProblem:
-    """Equality-constrained l1 problem min ||x||_1 s.t. A x = y."""
-
-    A: np.ndarray
-    y: np.ndarray
-
-
-def linearize(system: QuadraticSystem) -> LinearizedProblem:
-    """Keep only the terms linear in x: row i is b_i^H + c_i^T, offset a_i.
+def linearize(system: QuadraticSystem):
+    """The terms linear in x, as ``(A, y - a)``: row i of A is b_i^H + c_i^T.
 
     Folding the two linear terms into one matrix is exact whenever c is zero
     or the signal is real; a complex signal with nonzero c also has an
     anti-linear contribution that a single matrix cannot carry.
     """
-    A = system.bh + system.c
-    return LinearizedProblem(A=A, y=system.y - system.a)
+    return system.bh + system.c, system.y - system.a
 
 
-def basis_pursuit(problem: LinearizedProblem):
+def basis_pursuit(A, y):
     """Minimum-l1 solution of A x = y via ADMM on the vector splitting.
 
     Returns ``(x, iterations)``.  ``x`` is an exact projection onto the
@@ -72,8 +60,8 @@ def basis_pursuit(problem: LinearizedProblem):
     pseudoinverse.  Raises :class:`InfeasibleLinearSystemError` when no
     solution exists.
     """
-    A = np.asarray(problem.A, dtype=complex)
-    y = np.asarray(problem.y, dtype=complex)
+    A = np.asarray(A, dtype=complex)
+    y = np.asarray(y, dtype=complex)
     pinv = np.linalg.pinv(A)
     x0 = pinv @ y
     gap = np.linalg.norm(A @ x0 - y)
@@ -150,26 +138,18 @@ def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
 
 
 def iterative_hard_thresholding(system: QuadraticSystem, k: int,
-                                max_iters: int = 1000, x0=None):
+                                max_iters: int = 1000):
     """Projected gradient descent onto the k-sparse set with backtracking.
 
-    Each iteration restarts the line search from ``IHT_STEP0`` and halves
-    the step until the objective strictly decreases; the run stops when no
-    step down to 1e-20 helps or the relative decrease stalls.  Returns
-    ``(x, iterations, objective)`` for the best iterate seen, so a k-sparse
-    zero-residual starting point ``x0`` comes back unchanged.  The default
-    start is the zero vector.
+    The run starts from the zero vector.  Each iteration restarts the line
+    search from ``IHT_STEP0`` and halves the step until the objective
+    strictly decreases; the run stops when no step down to 1e-20 helps or
+    the relative decrease stalls.  Returns ``(x, iterations, objective)``
+    for the best iterate seen.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if x0 is None:
-        x = np.zeros(system.n, dtype=complex)
-    else:
-        x = np.asarray(x0, dtype=complex).copy()
-        if x.shape != (system.n,):
-            raise DimensionMismatchError(
-                f"x0 has shape {x.shape}, system dimension is {system.n}"
-            )
+    x = np.zeros(system.n, dtype=complex)
     g = iht_objective(system, x)
     best_x, best_g = x, g
     iterations = 0

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from qbp.admm import SolverConfig, solve, solve_denoising
-from qbp.generators import fourier_basis, phantom_instance
+from qbp.generators import SIGNALS, fourier_basis, phantom_instance
 from qbp.model import (
     DimensionMismatchError,
     NonFiniteValueError,
@@ -108,8 +108,12 @@ def _read_system(path):
 
 
 def _read_truth(path, n: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
+    source = _path_or(path, sys.stdin)
+    if source is sys.stdin:
+        doc = json.load(source)
+    else:
+        with open(source, "r", encoding="utf-8") as fp:
+            doc = json.load(fp)
     if not isinstance(doc, dict):
         raise InstanceFormatError("$", "expected a JSON object")
     x = vector_from_pairs(doc.get("x"), "x")
@@ -141,10 +145,13 @@ def _timed_solve(args, system, x_true):
 
 
 def _cmd_generate(args) -> int:
+    target = _path_or(args.output, sys.stdout)
+    if args.truth == "-" and target is sys.stdout:
+        raise ValueError("--truth - needs -o: the instance is written to stdout")
     spec = ExperimentSpec(n=args.n, N=args.N, k=args.k, ensemble=args.ensemble,
                           signal=args.signal, side=args.side)
     system, x = make_instance(spec, args.seed)
-    save_system(system, _path_or(args.output, sys.stdout))
+    save_system(system, target)
     if args.truth:
         _write_json({"n": system.n, "x": vector_to_pairs(x)}, args.truth)
     logger.info("generated %s instance: n=%d N=%d k=%d seed=%d",
@@ -153,6 +160,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.truth == "-" and _path_or(args.instance, sys.stdin) is sys.stdin:
+        raise ValueError("--truth - needs an instance path: the instance is read from stdin")
     system = _read_system(args.instance)
     # a bad truth file is an input error, found before the solve
     x_true = _read_truth(args.truth, system.n) if args.truth else None
@@ -269,11 +278,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("-N", "--N", type=int, default=25,
                      help="number of measurements")
     gen.add_argument("-k", "--k", type=int, default=3, help="signal sparsity")
-    gen.add_argument("--signal", choices=("binary", "gaussian"), default="binary")
+    gen.add_argument("--signal", choices=SIGNALS, default="binary")
     gen.add_argument("--side", type=int, default=4, help="image side (fourier)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", help="instance path (default stdout)")
-    gen.add_argument("--truth", help="also write the planted signal here")
+    gen.add_argument("--truth", help="also write the planted signal here (- for stdout)")
     gen.set_defaults(func=_cmd_generate)
 
     slv = sub.add_parser("solve", help="solve one instance and report the recovery")
@@ -282,7 +291,7 @@ def _build_parser() -> _Parser:
                      help="l1 weight")
     slv.add_argument("--epsilon", type=float, default=None,
                      help="residual budget; solves the qbpd program")
-    slv.add_argument("--truth", help="planted-signal JSON to score against")
+    slv.add_argument("--truth", help="planted-signal JSON to score against (- for stdin)")
     slv.add_argument("--tol", type=float, default=1e-3, help="success threshold")
     slv.add_argument("-o", "--output", help="report path (default stdout)")
     _solver_options(slv)
@@ -293,7 +302,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("-n", "--n", type=int, default=20)
     mc.add_argument("-N", "--N", type=int, default=25)
     mc.add_argument("-k", "--k", type=int, default=3)
-    mc.add_argument("--signal", choices=("binary", "gaussian"), default="binary")
+    mc.add_argument("--signal", choices=SIGNALS, default="binary")
     mc.add_argument("--side", type=int, default=0)
     mc.add_argument("--methods", default="qbp,qbp0,bp,iht",
                     help="comma list from qbp,qbp0,qbpd,bp,iht")

@@ -14,6 +14,7 @@ import numpy as np
 from qbp.model import QuadraticSystem, evaluate, hermitianize
 
 __all__ = [
+    "SIGNALS",
     "general_quadratic",
     "pure_phase",
     "fourier_basis",
@@ -23,11 +24,8 @@ __all__ = [
     "phantom_instance",
 ]
 
-
-def _sparse_support(n: int, k: int, rng) -> np.ndarray:
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}]")
-    return np.sort(rng.choice(n, size=k, replace=False))
+# the kinds of planted signal values: unit ("binary") or Gaussian
+SIGNALS = ("binary", "gaussian")
 
 
 def _measured(phis: np.ndarray, x, real: bool = False):
@@ -45,6 +43,21 @@ def _circular_normal(rng, shape=None):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def _planted(rng, n: int, k: int, signal: str = "gaussian", real: bool = False):
+    """k-sparse x on a uniform support: unit values, or real or circular normal ones."""
+    if signal not in SIGNALS:
+        raise ValueError(f"unknown signal kind {signal!r}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}]")
+    support = np.sort(rng.choice(n, size=k, replace=False))
+    x = np.zeros(n, dtype=complex)
+    if signal == "binary":
+        x[support] = 1.0
+    else:
+        x[support] = rng.standard_normal(k) if real else _circular_normal(rng, k)
+    return x
+
+
 def general_quadratic(n: int, N: int, k: int, signal: str = "binary",
                       seed: int = 0):
     """Dense unitarily invariant Gaussian quadratics at a k-sparse signal.
@@ -55,14 +68,7 @@ def general_quadratic(n: int, N: int, k: int, signal: str = "binary",
     values.
     """
     rng = np.random.default_rng(seed)
-    support = _sparse_support(n, k, rng)
-    x = np.zeros(n, dtype=complex)
-    if signal == "binary":
-        x[support] = 1.0
-    elif signal == "gaussian":
-        x[support] = rng.standard_normal(k)
-    else:
-        raise ValueError(f"unknown signal kind {signal!r}")
+    x = _planted(rng, n, k, signal, real=True)
     phis = np.zeros((N, n + 1, n + 1), dtype=complex)
     for phi in phis:
         phi[0, 0] = _circular_normal(rng)
@@ -86,16 +92,8 @@ def _magnitude_system(sensing: np.ndarray, x):
 def pure_phase(n: int, N: int, k: int, signal: str = "gaussian", seed: int = 0):
     """Magnitude-only measurements y_i = |<a_i, x>|^2 with Gaussian a_i."""
     rng = np.random.default_rng(seed)
-    support = _sparse_support(n, k, rng)
-    x = np.zeros(n, dtype=complex)
-    if signal == "binary":
-        x[support] = 1.0
-    elif signal == "gaussian":
-        x[support] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown signal kind {signal!r}")
-    sensing = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))) / np.sqrt(2.0)
-    return _magnitude_system(sensing.conj(), x)
+    x = _planted(rng, n, k, signal)
+    return _magnitude_system(_circular_normal(rng, (N, n)).conj(), x)
 
 
 def fourier_basis(side: int) -> np.ndarray:
@@ -119,13 +117,12 @@ def fourier_sparse_image(side: int, k: int, N: int, seed: int = 0):
     the image the coefficients synthesize.
     """
     rng = np.random.default_rng(seed)
-    n = side * side
-    support = _sparse_support(n, k, rng)
-    x = np.zeros(n, dtype=complex)
-    x[support] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-    R = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))) / np.sqrt(2.0)
-    M = R @ fourier_basis(side)
-    return _magnitude_system(M, x)
+    return _fourier_magnitudes(rng, side, N, _planted(rng, side * side, k))
+
+
+def _fourier_magnitudes(rng, side: int, N: int, x):
+    sensing = _circular_normal(rng, (N, side * side)) @ fourier_basis(side)
+    return _magnitude_system(sensing, x)
 
 
 _ELLIPSES = (
@@ -195,8 +192,4 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
 def phantom_instance(side: int, k: int, N: int, seed: int = 0):
     """Magnitude measurements of the truncated phantom's Fourier coefficients."""
     x = truncate_fourier(phantom_image(side), k)
-    rng = np.random.default_rng(seed)
-    n = side * side
-    R = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))) / np.sqrt(2.0)
-    M = R @ fourier_basis(side)
-    return _magnitude_system(M, x)
+    return _fourier_magnitudes(np.random.default_rng(seed), side, N, x)

@@ -29,14 +29,11 @@ __all__ = [
     "QuadraticMeasurement",
     "QuadraticSystem",
     "hermitianize",
-    "check_hermitian",
     "evaluate",
     "lift",
     "measure_lifted",
     "is_phase_invariant",
     "hermitian_coordinates",
-    "realvec",
-    "unrealvec",
     "real_measurement_matrix",
     "constraint_system",
     "vec_measurement_matrix",
@@ -91,7 +88,10 @@ class _Blocks:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticMeasurement(_Blocks):
-    """One equation a + b^H x + x^H c + x^H Q x = y; ``a`` and ``y`` are 0-d."""
+    """One equation a + b^H x + x^H c + x^H Q x = y; ``a`` and ``y`` are 0-d.
+
+    Kept, with ``QuadraticSystem(measurements)``, for perfbench's ``relabel``.
+    """
 
     _lifted: np.ndarray
     y: np.ndarray
@@ -197,14 +197,6 @@ def hermitianize(M) -> np.ndarray:
     return H
 
 
-def check_hermitian(M, tol: float = 1e-12) -> None:
-    """Raise if M deviates from Hermitian symmetry by more than tol."""
-    M = np.asarray(M)
-    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-
-
 def evaluate(system: QuadraticSystem, x) -> np.ndarray:
     """Values of all measurements' quadratic forms at x, shape (N,)."""
     x = np.asarray(x, dtype=complex)
@@ -248,9 +240,11 @@ def is_phase_invariant(system: QuadraticSystem) -> bool:
 def hermitian_coordinates(m: int):
     """Read-only index maps between an m x m complex matrix and its coordinates.
 
-    The coordinates are those of :func:`realvec` without its sqrt(2) weights:
-    the real diagonal, then the real and the imaginary parts of the strict
-    upper triangle, row-major.  Returns ``(gather, src, coef, weights)``:
+    The coordinates are the real diagonal, then the real and the imaginary
+    parts of the strict upper triangle, row-major.  Times ``weights`` (1 on
+    the diagonal, sqrt(2) off it) they are isometric: the dot product of the
+    weighted coordinates of two Hermitian matrices is Tr(X1 X2).  Returns
+    ``(gather, src, coef, weights)``:
 
     - ``gather[j]`` is the position of coordinate j in the matrix's flat
       float64 view;
@@ -258,7 +252,7 @@ def hermitian_coordinates(m: int):
       back as ``flat[k] = coef[k] * x[src[k]]``: the lower triangle reads the
       upper one with the sign of its imaginary part flipped, and the
       imaginary diagonal reads the zero slot;
-    - ``weights`` holds the realvec weights, so realvec(X) = weights * x.
+    - ``weights`` holds those scale factors.
     """
     iu, ju = np.triu_indices(m, k=1)
     diag = np.arange(m) * (2 * m + 2)
@@ -284,43 +278,17 @@ def _flat(A: np.ndarray) -> np.ndarray:
     return A.reshape(-1).view(np.float64)
 
 
-def realvec(X) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
-
-    Layout: the m diagonal entries (real), then sqrt(2)*Re X[i, j] and
-    sqrt(2)*Im X[i, j] over the strict upper triangle, row-major.  The map
-    preserves inner products, so least squares on these coordinates agrees
-    with Frobenius geometry on matrices.
-    """
-    X = np.ascontiguousarray(X, dtype=complex)
-    gather, _, _, weights = hermitian_coordinates(X.shape[0])
-    return _flat(X)[gather] * weights
-
-
-def unrealvec(v) -> np.ndarray:
-    """Inverse of :func:`realvec`; returns an exactly Hermitian matrix."""
-    v = np.asarray(v, dtype=float)
-    m = int(round(np.sqrt(v.size)))
-    if m * m != v.size:
-        raise DimensionMismatchError(f"coordinate vector of size {v.size} is not square")
-    _, src, coef, weights = hermitian_coordinates(m)
-    x = np.zeros(m * m + 1)
-    np.divide(v, weights, out=x[:-1])
-    X = np.empty((m, m), dtype=complex)
-    np.multiply(x[src], coef, out=_flat(X))
-    return X
-
-
-# The realvec rows are built for blocks of measurements whose complex rows
+# The coordinate rows are built for blocks of measurements whose complex rows
 # hold at most this many entries, so the temporaries stay small however
 # large the system is.
 _ROW_BLOCK = 1 << 15
 
 
 def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
-    """Write the real and imaginary parts of the realvec rows of ``phis``.
+    """Write the real and imaginary parts of the coordinate rows of ``phis``.
 
-    The complex row r_i with r_i . realvec(X) = Tr(Phi_i X) holds the
+    The complex row r_i with r_i . v = Tr(Phi_i X), v the weighted
+    coordinates of X (:func:`hermitian_coordinates`), holds the
     diagonal of Phi_i, then (Phi[j, k] + Phi[k, j]) / sqrt(2) and
     1j * (Phi[k, j] - Phi[j, k]) / sqrt(2) over the strict upper triangle,
     row-major.  The rows of the measurements ``which`` (all by default) put
@@ -349,10 +317,11 @@ def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
 def real_measurement_matrix(system: QuadraticSystem):
     """Real matrix form of the lifted measurement map.
 
-    Returns ``(B, rhs)`` with B of shape (2N, (n+1)^2) acting on realvec
-    coordinates; the first N rows carry the real parts of the measurements
-    and the last N rows the imaginary parts, so B v = rhs exactly encodes
-    Tr(Phi_i X) = y_i for X = unrealvec(v).
+    Returns ``(B, rhs)`` with B of shape (2N, (n+1)^2) acting on the
+    weighted coordinates v of :func:`hermitian_coordinates`; the first N
+    rows carry the real parts of the measurements and the last N rows the
+    imaginary parts, so B v = rhs exactly encodes Tr(Phi_i X) = y_i for the
+    Hermitian X with coordinates v.
     """
     phis = system.phis
     N, m = phis.shape[:2]

@@ -28,7 +28,7 @@ from qbp.baselines import (
     iterative_hard_thresholding,
     linearize,
 )
-from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
+from qbp.generators import SIGNALS, fourier_sparse_image, general_quadratic, pure_phase
 from qbp.model import _require_nonnegative, is_phase_invariant
 from qbp.recovery import DegenerateMatrixError, build_report, judge_success
 
@@ -88,6 +88,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
+        if self.signal not in SIGNALS:
+            raise ValueError(f"unknown signal kind {self.signal!r}")
         if self.ensemble == "fourier" and self.side < 2:
             raise ValueError("fourier ensemble needs side >= 2")
         bad = [m for m in self.methods if m not in _METHODS]
@@ -144,7 +146,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
     try:
         if method in ("bp", "iht"):
             if method == "bp":
-                x_hat, iterations = basis_pursuit(linearize(system))
+                x_hat, iterations = basis_pursuit(*linearize(system))
             else:
                 x_hat, iterations, _ = iterative_hard_thresholding(
                     system, spec.k, spec.iht_max_iters)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qbp.model import QuadraticMeasurement, QuadraticSystem
+from qbp.model import QuadraticSystem
 
 __all__ = [
     "InstanceFormatError",
@@ -100,7 +100,6 @@ def system_from_dict(obj) -> QuadraticSystem:
     measurements = obj.get("measurements")
     if not isinstance(measurements, list) or not measurements:
         raise InstanceFormatError("measurements", "expected a non-empty list")
-    out = []
     for i, item in enumerate(measurements):
         loc = f"measurements[{i}]"
         if not isinstance(item, dict):
@@ -108,16 +107,22 @@ def system_from_dict(obj) -> QuadraticSystem:
         missing = {"a", "b", "c", "Q", "y"} - set(item)
         if missing:
             raise InstanceFormatError(loc, f"missing fields {sorted(missing)}")
-        out.append(
-            QuadraticMeasurement(
-                a=_pair(item["a"], f"{loc}.a"),
-                b=_pair_list(item["b"], n, f"{loc}.b"),
-                c=_pair_list(item["c"], n, f"{loc}.c"),
-                Q=_pair_matrix(item["Q"], n, f"{loc}.Q"),
-                y=_pair(item["y"], f"{loc}.y"),
-            )
-        )
-    return QuadraticSystem(out)
+        a = _pair(item["a"], f"{loc}.a")
+        b = _pair_list(item["b"], n, f"{loc}.b")
+        c = _pair_list(item["c"], n, f"{loc}.c")
+        Q = _pair_matrix(item["Q"], n, f"{loc}.Q")
+        if i == 0:
+            # the Phi stack, sized once a Q of n rows of n pairs backs n;
+            # each item is written straight into its row
+            phis = np.empty((len(measurements), n + 1, n + 1), dtype=complex)
+            y = np.empty(len(measurements), dtype=complex)
+        phi = phis[i]
+        phi[0, 0] = a
+        phi[0, 1:] = b.conj()
+        phi[1:, 0] = c
+        phi[1:, 1:] = Q
+        y[i] = _pair(item["y"], f"{loc}.y")
+    return QuadraticSystem.from_arrays(phis, y)
 
 
 def load_system(source) -> QuadraticSystem:

@@ -1,12 +1,15 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and reference helpers for the test suite."""
 
 import numpy as np
 
 from qbp.generators import fourier_basis, phantom_image, truncate_fourier
 from qbp.model import (
+    DimensionMismatchError,
     QuadraticMeasurement,
     QuadraticSystem,
+    _flat,
     evaluate,
+    hermitian_coordinates,
     hermitianize,
     lift,
     measure_lifted,
@@ -23,6 +26,44 @@ def random_hermitian(m, rng):
     H = 0.5 * (A + A.conj().T)
     np.fill_diagonal(H, H.diagonal().real)
     return H
+
+
+def check_hermitian(M, tol: float = 1e-12) -> None:
+    """Raise if M deviates from Hermitian symmetry by more than tol."""
+    M = np.asarray(M)
+    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
+    if dev > tol:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+
+
+# Reference coordinate maps: the weighted coordinates of
+# qbp.model.hermitian_coordinates, read from and written to a matrix.
+
+def realvec(X) -> np.ndarray:
+    """Isometric real coordinates of a Hermitian matrix.
+
+    Layout: the m diagonal entries (real), then sqrt(2)*Re X[i, j] and
+    sqrt(2)*Im X[i, j] over the strict upper triangle, row-major.  The map
+    preserves inner products, so least squares on these coordinates agrees
+    with Frobenius geometry on matrices.
+    """
+    X = np.ascontiguousarray(X, dtype=complex)
+    gather, _, _, weights = hermitian_coordinates(X.shape[0])
+    return _flat(X)[gather] * weights
+
+
+def unrealvec(v) -> np.ndarray:
+    """Inverse of :func:`realvec`; returns an exactly Hermitian matrix."""
+    v = np.asarray(v, dtype=float)
+    m = int(round(np.sqrt(v.size)))
+    if m * m != v.size:
+        raise DimensionMismatchError(f"coordinate vector of size {v.size} is not square")
+    _, src, coef, weights = hermitian_coordinates(m)
+    x = np.zeros(m * m + 1)
+    np.divide(v, weights, out=x[:-1])
+    X = np.empty((m, m), dtype=complex)
+    np.multiply(x[src], coef, out=_flat(X))
+    return X
 
 
 def random_measurement(n, rng, real=False):

@@ -32,8 +32,6 @@ from qbp.model import (
     lift,
     measure_lifted,
     real_measurement_matrix,
-    realvec,
-    unrealvec,
 )
 from qbp.recovery import extract_phase_signal
 from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
@@ -42,7 +40,9 @@ from qbp.montecarlo import trial_seed
 from support import (
     consistent_system,
     random_hermitian,
+    realvec,
     unitary_sensing_system,
+    unrealvec,
     zero_valued_system,
 )
 
@@ -55,16 +55,16 @@ def _single_equation(y):
 
 
 def test_soft_threshold_scalar_examples():
-    assert np.isclose(soft_threshold(3.0 + 4.0j, 1.0), 2.4 + 3.2j)
-    assert soft_threshold(1.0, 2.0) == 0.0
-    assert soft_threshold(-3.0, 1.0) == -2.0
+    assert np.allclose(soft_threshold(np.array([3.0 + 4.0j]), 1.0), [2.4 + 3.2j])
+    assert np.array_equal(soft_threshold(np.array([1.0]), 2.0), [0.0])
+    assert np.array_equal(soft_threshold(np.array([-3.0]), 1.0), [-2.0])
 
 
 def test_soft_threshold_zero_weight_is_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.array_equal(soft_threshold(x, 0.0), x)
-    assert soft_threshold(0.0, 0.0) == 0.0
+    assert np.array_equal(soft_threshold(np.array([0.0]), 0.0), [0.0])
 
 
 def test_soft_threshold_shrinks_magnitudes():

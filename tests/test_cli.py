@@ -151,6 +151,49 @@ def test_solve_reads_stdin(tmp_path, capsys, monkeypatch):
     assert report["mode"] == "qbp"
 
 
+def test_generate_writes_truth_to_stdout(tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    argv = ["generate", "-n", "4", "-N", "8", "-k", "1", "--seed", "2"]
+    assert main(argv + ["-o", str(inst), "--truth", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 4 and len(doc["x"]) == 4
+    assert load_system(inst).n == 4
+
+
+def test_generate_truth_and_instance_cannot_share_stdout(capsys):
+    for argv in (["--truth", "-"], ["-o", "-", "--truth", "-"]):
+        assert main(["generate", "-n", "4", "-N", "8", "-k", "1"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--truth -" in captured.err
+
+
+def test_solve_reads_truth_from_stdin(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "instance.json"
+    truth = tmp_path / "truth.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "4", "-N", "16",
+                 "-k", "1", "--seed", "0", "-o", str(inst), "--truth", str(truth)]) == 0
+    argv = ["solve", str(inst), "--lambda", "2", "--tol", "1e-2", "--truth"]
+    assert main(argv + [str(truth)]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(truth.read_text()))
+    assert main(argv + ["-"]) == 0
+    from_stdin = json.loads(capsys.readouterr().out)
+    assert from_stdin["error"] == from_file["error"]
+    assert from_stdin["success"] is True
+
+
+def test_solve_truth_and_instance_cannot_share_stdin(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "-n", "4", "-N", "8", "-k", "1", "-o", str(inst)]) == 0
+    for instance in ([], ["-"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(inst.read_text()))
+        assert main(["solve"] + instance + ["--truth", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--truth -" in captured.err
+
+
 def test_mode_flag_is_usage_error(tmp_path, capsys):
     # --epsilon alone selects the residual-budget program
     argv = ["solve", str(tmp_path / "whatever.json"), "--mode", "qbpd"]

@@ -13,7 +13,6 @@ from qbp.model import (
     NonFiniteValueError,
     QuadraticMeasurement,
     QuadraticSystem,
-    check_hermitian,
     constraint_system,
     evaluate,
     hermitianize,
@@ -21,8 +20,6 @@ from qbp.model import (
     lift,
     measure_lifted,
     real_measurement_matrix,
-    realvec,
-    unrealvec,
     vec_measurement_matrix,
 )
 
@@ -33,7 +30,15 @@ from qbp.generators import (
 )
 from qbp.recovery import build_report
 
-from support import cgauss, consistent_system, random_hermitian, random_system
+from support import (
+    cgauss,
+    check_hermitian,
+    consistent_system,
+    random_hermitian,
+    random_system,
+    realvec,
+    unrealvec,
+)
 
 
 def test_measurement_stores_blocks():

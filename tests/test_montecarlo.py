@@ -205,6 +205,9 @@ def test_spec_validation():
         _tiny_spec(trials=0)
     with pytest.raises(ValueError):
         _tiny_spec(ensemble="fourier", side=1)
+    # an unknown signal kind fails when the spec is made, not inside trial 0
+    with pytest.raises(ValueError, match="unknown signal kind 'bogus'"):
+        _tiny_spec(signal="bogus")
     for tol in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             _tiny_spec(tol=tol)

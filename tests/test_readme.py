@@ -1,11 +1,13 @@
 """The README's commands and quick start stay in step with the code."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import qbp
 from qbp.cli import _build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -41,3 +43,42 @@ def test_library_quick_start_runs(capsys):
     block = re.search(r"## Library quick start\n\n```python\n(.*?)```", README, re.DOTALL)
     exec(compile(block.group(1), "README quick start", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def _call_forms():
+    """Backticked ``name(arg, ...)`` and ``Class.method(arg, ...)`` spans of the
+    prose, wrapped lines joined, whose name is a qbp function or method.
+
+    Returns ``(text, callable, argument names)`` triples.
+    """
+    prose = re.sub(r"```.*?```", "", README, flags=re.DOTALL)
+    prose = re.sub(r"\s*\n\s*", " ", prose)
+    modules = [m for m in vars(qbp).values() if inspect.ismodule(m)]
+    out = []
+    for span in re.findall(r"`([^`]+)`", prose):
+        match = re.fullmatch(r"(\w+)(?:\.(\w+))?\((.*)\)", span)
+        if not match:
+            continue
+        head, attr, args = match.groups()
+        for module in modules:
+            target = getattr(module, head, None)
+            if target is not None and attr:
+                target = getattr(target, attr, None)
+            if inspect.isfunction(target) or inspect.ismethod(target):
+                names = [arg.split("=")[0].strip() for arg in args.split(",")]
+                out.append((span, target, names))
+                break
+    return out
+
+
+CALL_FORMS = _call_forms()
+
+
+def test_readme_has_call_forms():
+    assert len(CALL_FORMS) >= 3
+
+
+@pytest.mark.parametrize("span, target, names", CALL_FORMS, ids=[c[0] for c in CALL_FORMS])
+def test_readme_call_form_lists_the_parameters(span, target, names):
+    params = [p for p in inspect.signature(target).parameters if p != "self"]
+    assert names == params, f"README shows `{span}`; the signature is {params}"
