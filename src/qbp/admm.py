@@ -427,10 +427,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     f0 = 0.0
     accepted = rejected = restarts = 0
 
-    # traces grow by doubling, so a huge max_iters reserves no memory up front
-    size = min(config.max_iters, 1024)
-    residuals = np.empty((size, 3))
-    objective = np.empty(size)
+    # traces grow per iteration, so a huge max_iters reserves no memory up front
+    residuals, objective = [], []
     termination = "max_iters"
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
@@ -475,14 +473,10 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(_sqnorm(Z)))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
-        if it > size:
-            size = min(2 * size, config.max_iters)
-            residuals = np.resize(residuals, (size, 3))
-            objective = np.resize(objective, size)
-        residuals[it - 1] = (r_norm, s_norm, rho)
+        residuals.append((r_norm, s_norm, rho))
         answer = X1 if return_x1 else Z
         np.abs(answer, out=mag)
-        objective[it - 1] = answer.trace().real + lam * mag.sum()
+        objective.append(answer.trace().real + lam * mag.sum())
         if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             termination = "diverged"
             iterations = it
@@ -490,7 +484,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         if chatty and it % 100 == 0:
             logger.debug(
                 "iter %d: r=%.3e s=%.3e rho=%.3e obj=%.6f",
-                it, r_norm, s_norm, rho, objective[it - 1],
+                it, r_norm, s_norm, rho, objective[-1],
             )
 
         if r_norm <= eps_pri and s_norm <= eps_dual:
@@ -557,8 +551,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         termination, iterations, accepted, rejected, restarts, setup_s,
         time.perf_counter() - start,
     )
-    return (answer, iterations, termination, residuals[:iterations].copy(),
-            objective[:iterations].copy(), rho)
+    return (answer, iterations, termination, np.array(residuals),
+            np.array(objective), rho)
 
 
 def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,

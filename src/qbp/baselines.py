@@ -149,6 +149,8 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     x = np.zeros(system.n, dtype=complex)
     g = iht_objective(system, x)
     best_x, best_g = x, g

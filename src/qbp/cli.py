@@ -10,8 +10,8 @@ solver progress on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -21,12 +21,7 @@ import numpy as np
 
 from qbp.admm import SolverConfig, solve, solve_denoising
 from qbp.generators import SIGNALS, fourier_basis, phantom_instance
-from qbp.model import (
-    DimensionMismatchError,
-    NonFiniteValueError,
-    _require_nonnegative,
-    is_phase_invariant,
-)
+from qbp.model import _require_nonnegative, is_phase_invariant
 from qbp.montecarlo import (
     _SOLVER_ERRORS,
     ENSEMBLES,
@@ -45,6 +40,7 @@ from qbp.recovery import (
 from qbp.serialize import (
     InstanceFormatError,
     load_system,
+    read_json,
     report_to_dict,
     save_system,
     vector_from_pairs,
@@ -53,13 +49,6 @@ from qbp.serialize import (
 )
 
 logger = logging.getLogger(__name__)
-
-_INPUT_ERRORS = (
-    InstanceFormatError,
-    DimensionMismatchError,
-    NonFiniteValueError,
-    OSError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,27 +82,37 @@ def _config_from(args) -> SolverConfig:
     )
 
 
-def _path_or(path, stream):
-    """``stream`` for an omitted path or "-", else the path itself."""
-    return stream if path in (None, "-") else path
+def _place(path):
+    """None for an omitted path or "-" (stdin or stdout), else the real file path."""
+    return None if path in (None, "-") else os.path.realpath(path)
 
 
-def _status_stream(target):
+@contextlib.contextmanager
+def _opened(path, mode: str):
+    """stdin or stdout for an omitted path or "-", else ``path`` opened as UTF-8 text."""
+    if _place(path) is None:
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        # csv asks for newline=""; the JSON writers emit "\n" either way
+        with open(path, mode, encoding="utf-8",
+                  newline="" if mode == "w" else None) as stream:
+            yield stream
+
+
+def _status_stream(path):
     # status lines stay out of data written to stdout
-    return sys.stderr if target is sys.stdout else sys.stdout
+    return sys.stderr if _place(path) is None else sys.stdout
 
 
-def _read_system(path):
-    return load_system(_path_or(path, sys.stdin))
+def _keep_apart(instance, truth) -> None:
+    """An instance and its truth document may not share a file or a standard stream."""
+    if truth is not None and _place(truth) == _place(instance):
+        raise ValueError(f"--truth {truth} names the instance's file or stream: give each its own")
 
 
 def _read_truth(path, n: int) -> np.ndarray:
-    source = _path_or(path, sys.stdin)
-    if source is sys.stdin:
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
+    with _opened(path, "r") as stream:
+        doc = read_json(stream)
     if not isinstance(doc, dict):
         raise InstanceFormatError("$", "expected a JSON object")
     x = vector_from_pairs(doc.get("x"), "x")
@@ -123,7 +122,8 @@ def _read_truth(path, n: int) -> np.ndarray:
 
 
 def _write_json(obj, path) -> None:
-    write_json(obj, _path_or(path, sys.stdout))
+    with _opened(path, "w") as stream:
+        write_json(obj, stream)
 
 
 def _timed_solve(args, system, x_true):
@@ -145,13 +145,12 @@ def _timed_solve(args, system, x_true):
 
 
 def _cmd_generate(args) -> int:
-    target = _path_or(args.output, sys.stdout)
-    if args.truth == "-" and target is sys.stdout:
-        raise ValueError("--truth - needs -o: the instance is written to stdout")
+    _keep_apart(args.output, args.truth)
     spec = ExperimentSpec(n=args.n, N=args.N, k=args.k, ensemble=args.ensemble,
                           signal=args.signal, side=args.side)
     system, x = make_instance(spec, args.seed)
-    save_system(system, target)
+    with _opened(args.output, "w") as stream:
+        save_system(system, stream)
     if args.truth:
         _write_json({"n": system.n, "x": vector_to_pairs(x)}, args.truth)
     logger.info("generated %s instance: n=%d N=%d k=%d seed=%d",
@@ -160,9 +159,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.truth == "-" and _path_or(args.instance, sys.stdin) is sys.stdin:
-        raise ValueError("--truth - needs an instance path: the instance is read from stdin")
-    system = _read_system(args.instance)
+    _keep_apart(args.instance, args.truth)
+    with _opened(args.instance, "r") as stream:
+        system = load_system(stream)
     # a bad truth file is an input error, found before the solve
     x_true = _read_truth(args.truth, system.n) if args.truth else None
     result, report, wall = _timed_solve(args, system, x_true)
@@ -202,21 +201,22 @@ def _cmd_montecarlo(args) -> int:
         solver=dataclasses.asdict(_config_from(args)),
     )
     records = run_monte_carlo(spec, jobs=args.jobs)
-    target = _path_or(args.out, sys.stdout)
-    write_csv(records, target)
+    with _opened(args.out, "w") as stream:
+        write_csv(records, stream)
     for method, stats in summarize(records).items():
         print(
             f"{method}: {stats['successes']}/{stats['trials']} recovered"
             f" (rate {stats['success_rate']:.2f},"
             f" median error {stats['median_error']:.3e},"
             f" mean iterations {stats['mean_iterations']:.0f})",
-            file=_status_stream(target),
+            file=_status_stream(args.out),
         )
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    system = _read_system(args.instance)
+    with _opened(args.instance, "r") as stream:
+        system = load_system(stream)
     result = solve(system, args.lam, _config_from(args))
     cert = certify_coherence(system, result.Z)
     rip_k = args.rip_k if args.rip_k else min(4, (system.n + 1) ** 2)
@@ -250,22 +250,29 @@ def _cmd_phantom(args) -> int:
         for c in range(side):
             t, v = float(truth_img[r, c]), float(recon_img[r, c])
             rows.append(f"{r},{c},{t!r},{v!r},{abs(t - v)!r}")
-    text = "\n".join(rows) + "\n"
-    target = _path_or(args.out, sys.stdout)
-    if target is sys.stdout:
-        sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fp:
-            fp.write(text)
+    with _opened(args.out, "w") as stream:
+        stream.write("\n".join(rows) + "\n")
     err = np.abs(truth_img - recon_img)
     print(
         f"phantom side={side} k={args.k} N={N}: {result.termination}"
         f" ({result.iterations} iterations, {wall:.1f}s),"
         f" pixel error mean {err.mean():.3e} max {err.max():.3e},"
         f" rank ratio {report.rank_ratio:.3e}",
-        file=_status_stream(target),
+        file=_status_stream(args.out),
     )
     return 0
+
+
+def _instance_options(parser):
+    # generate and montecarlo draw their instances from the same ensembles
+    parser.add_argument("--ensemble", choices=ENSEMBLES, default="general")
+    parser.add_argument("-n", "--n", type=int, default=20, help="signal dimension")
+    parser.add_argument("-N", "--N", type=int, default=25,
+                        help="number of measurements")
+    parser.add_argument("-k", "--k", type=int, default=3, help="signal sparsity")
+    parser.add_argument("--signal", choices=SIGNALS, default="binary")
+    parser.add_argument("--side", type=int, default=4, help="image side (fourier)")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> _Parser:
@@ -273,14 +280,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random instance as JSON")
-    gen.add_argument("--ensemble", choices=ENSEMBLES, default="general")
-    gen.add_argument("-n", "--n", type=int, default=20, help="signal dimension")
-    gen.add_argument("-N", "--N", type=int, default=25,
-                     help="number of measurements")
-    gen.add_argument("-k", "--k", type=int, default=3, help="signal sparsity")
-    gen.add_argument("--signal", choices=SIGNALS, default="binary")
-    gen.add_argument("--side", type=int, default=4, help="image side (fourier)")
-    gen.add_argument("--seed", type=int, default=0)
+    _instance_options(gen)
     gen.add_argument("-o", "--output", help="instance path (default stdout)")
     gen.add_argument("--truth", help="also write the planted signal here (- for stdout)")
     gen.set_defaults(func=_cmd_generate)
@@ -298,19 +298,13 @@ def _build_parser() -> _Parser:
     slv.set_defaults(func=_cmd_solve)
 
     mc = sub.add_parser("montecarlo", help="run repeated trials and write CSV records")
-    mc.add_argument("--ensemble", choices=ENSEMBLES, default="general")
-    mc.add_argument("-n", "--n", type=int, default=20)
-    mc.add_argument("-N", "--N", type=int, default=25)
-    mc.add_argument("-k", "--k", type=int, default=3)
-    mc.add_argument("--signal", choices=SIGNALS, default="binary")
-    mc.add_argument("--side", type=int, default=0)
+    _instance_options(mc)
     mc.add_argument("--methods", default="qbp,qbp0,bp,iht",
                     help="comma list from qbp,qbp0,qbpd,bp,iht")
     mc.add_argument("--lambda", dest="lam", type=float, default=50.0)
     mc.add_argument("--epsilon", type=float, default=None,
                     help="residual budget for the qbpd method")
     mc.add_argument("--trials", type=int, default=100)
-    mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--tol", type=float, default=1e-3)
     mc.add_argument("--iht-max-iters", type=int, default=1000,
                     help="iteration budget for the iht method")
@@ -367,13 +361,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"qbp: error: {exc}", file=sys.stderr)
-        return 1
     except _SOLVER_ERRORS as exc:
         print(f"qbp: solver error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"qbp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -92,12 +91,20 @@ class ExperimentSpec:
             raise ValueError(f"unknown signal kind {self.signal!r}")
         if self.ensemble == "fourier" and self.side < 2:
             raise ValueError("fourier ensemble needs side >= 2")
+        if self.n < 1 or self.N < 1:
+            raise ValueError("n and N must be positive")
+        dim = self.side ** 2 if self.ensemble == "fourier" else self.n
+        if not 1 <= self.k <= dim:
+            raise ValueError(f"k must be in [1, {dim}]")
         bad = [m for m in self.methods if m not in _METHODS]
         if bad or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {_METHODS}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        _require_nonnegative("tol", self.tol)
+        if self.iht_max_iters < 1:
+            raise ValueError("iht_max_iters must be at least 1")
+        for name in ("lam", "epsilon", "tol"):
+            _require_nonnegative(name, getattr(self, name))
         object.__setattr__(self, "config", SolverConfig(**self.solver))
 
 
@@ -183,6 +190,8 @@ def run_trial(spec: ExperimentSpec, index: int) -> list[TrialRecord]:
 def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
                     progress=None) -> list[TrialRecord]:
     """All trials of an experiment; ``jobs > 1`` runs trials in processes."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     records: list[TrialRecord] = []
     # a fork-started pool launches all its workers at the first submit
     pool = (ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) if jobs > 1
@@ -220,13 +229,9 @@ def summarize(records) -> dict[str, dict]:
     return out
 
 
-def write_csv(records, target) -> None:
-    """Write records to a path or an open text stream with the stable schema."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_csv(records, fp)
-            return
-    writer = csv.writer(target)
+def write_csv(records, stream) -> None:
+    """Write records with the stable schema to a text stream opened with newline=""."""
+    writer = csv.writer(stream)
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow(

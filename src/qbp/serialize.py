@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import numbers
-from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +21,7 @@ __all__ = [
     "InstanceFormatError",
     "system_to_dict",
     "system_from_dict",
+    "read_json",
     "load_system",
     "save_system",
     "write_json",
@@ -125,18 +125,19 @@ def system_from_dict(obj) -> QuadraticSystem:
     return QuadraticSystem.from_arrays(phis, y)
 
 
-def load_system(source) -> QuadraticSystem:
-    """Read an instance from a path or an open text stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fp:
-            return load_system(fp)
+def read_json(stream):
+    """One JSON document from an open text stream; syntax errors are located."""
     try:
-        obj = json.load(source)
+        return json.load(stream)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"line {exc.lineno} column {exc.colno}", exc.msg
         ) from exc
-    return system_from_dict(obj)
+
+
+def load_system(stream) -> QuadraticSystem:
+    """Read an instance from an open text stream."""
+    return system_from_dict(read_json(stream))
 
 
 def _finite_or_null(obj):
@@ -150,22 +151,18 @@ def _finite_or_null(obj):
     return obj
 
 
-def write_json(obj, target) -> None:
-    """Write ``obj`` as indented JSON to a path or an open text stream.
+def write_json(obj, stream) -> None:
+    """Write ``obj`` as indented JSON to an open text stream.
 
     Non-finite numbers are written as null, so the output is strict JSON.
     """
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fp:
-            write_json(obj, fp)
-            return
-    target.write(json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+    stream.write(json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
                             allow_nan=False) + "\n")
 
 
-def save_system(system: QuadraticSystem, target) -> None:
-    """Write an instance to a path or an open text stream."""
-    write_json(system_to_dict(system), target)
+def save_system(system: QuadraticSystem, stream) -> None:
+    """Write an instance to an open text stream."""
+    write_json(system_to_dict(system), stream)
 
 
 def report_to_dict(report, **extra) -> dict:

@@ -123,6 +123,8 @@ def test_iht_config_validation():
     system, _ = general_quadratic(4, 8, 1, "binary", seed=0)
     with pytest.raises(ValueError):
         iterative_hard_thresholding(system, 0)
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        iterative_hard_thresholding(system, 1, max_iters=0)
 
 
 def test_iht_objective_zero_at_plant():

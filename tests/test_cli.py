@@ -11,9 +11,15 @@ import pytest
 import qbp.cli
 import qbp.montecarlo
 from qbp.cli import main
-from qbp.model import QuadraticMeasurement, QuadraticSystem
+from qbp.model import (
+    DimensionMismatchError,
+    NonFiniteValueError,
+    QuadraticMeasurement,
+    QuadraticSystem,
+)
+from qbp.montecarlo import _SOLVER_ERRORS
 from qbp.recovery import judge_success
-from qbp.serialize import load_system, save_system, vector_from_pairs
+from qbp.serialize import InstanceFormatError, load_system, save_system, vector_from_pairs
 
 from support import unitary_sensing_system, zero_valued_system
 
@@ -27,6 +33,16 @@ DIAGNOSE_KEYS = {
     "rip": {"k", "samples", "epsilon", "epsilon_l1"},
     "solve": {"lambda", "iterations", "termination"},
 }
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as stream:
+        return load_system(stream)
+
+
+def _save(system, path):
+    with open(path, "w", encoding="utf-8") as stream:
+        save_system(system, stream)
 
 
 def test_help_exits_zero(capsys):
@@ -55,7 +71,7 @@ def test_generate_writes_loadable_instance(tmp_path):
         "-k", "1", "--seed", "3", "-o", str(inst), "--truth", str(truth),
     ]
     assert main(argv) == 0
-    system = load_system(inst)
+    system = _load(inst)
     assert system.n == 6
     assert system.num_measurements == 12
     doc = json.loads(truth.read_text())
@@ -157,7 +173,7 @@ def test_generate_writes_truth_to_stdout(tmp_path, capsys):
     assert main(argv + ["-o", str(inst), "--truth", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 4 and len(doc["x"]) == 4
-    assert load_system(inst).n == 4
+    assert _load(inst).n == 4
 
 
 def test_generate_truth_and_instance_cannot_share_stdout(capsys):
@@ -166,6 +182,23 @@ def test_generate_truth_and_instance_cannot_share_stdout(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--truth -" in captured.err
+
+
+def test_instance_and_truth_cannot_share_a_file(tmp_path, capsys, monkeypatch):
+    # one file named twice, also through another spelling of its path
+    monkeypatch.chdir(tmp_path)
+    shared = tmp_path / "shared.json"
+    for other in ("shared.json", "./shared.json", str(shared)):
+        assert main(["generate", "-n", "4", "-N", "8", "-k", "1",
+                     "-o", str(shared), "--truth", other]) == 1
+        captured = capsys.readouterr()
+        assert f"--truth {other}" in captured.err
+        assert captured.out == "" and not shared.exists()
+    assert main(["generate", "-n", "4", "-N", "8", "-k", "1", "-o", str(shared)]) == 0
+    before = shared.read_text()
+    assert main(["solve", str(shared), "--truth", "shared.json"]) == 1
+    assert "--truth shared.json" in capsys.readouterr().err
+    assert shared.read_text() == before
 
 
 def test_solve_reads_truth_from_stdin(tmp_path, capsys, monkeypatch):
@@ -248,6 +281,37 @@ def test_bad_success_threshold_is_usage_error(tmp_path, capsys, monkeypatch):
             assert "qbp: error: tol must be finite and nonnegative" in err
 
 
+def test_truth_syntax_error_is_located(tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    truth = tmp_path / "truth.json"
+    assert main(["generate", "-n", "2", "-N", "8", "-k", "1", "-o", str(inst)]) == 0
+    truth.write_text('{"x": [[1.0 0.0]]}')
+    assert main(["solve", str(inst), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert "qbp: error: line 1 column 13: Expecting ',' delimiter" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (OSError("device lost"), 1, "qbp: error:"),
+    (InstanceFormatError("x", "bad pair"), 1, "qbp: error:"),
+    (DimensionMismatchError("bad size"), 1, "qbp: error:"),
+    (NonFiniteValueError("bad value"), 1, "qbp: error:"),
+    (ValueError("bad argument"), 1, "qbp: error:"),
+] + [(cls("no fit"), 2, "qbp: solver error:") for cls in _SOLVER_ERRORS],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_class_maps_to_one_exit_code(tmp_path, capsys, monkeypatch,
+                                                error, code, prefix):
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "-n", "2", "-N", "8", "-k", "1", "-o", str(inst)]) == 0
+
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(qbp.cli, "solve", failing_solve)
+    assert main(["solve", str(inst)]) == code
+    assert capsys.readouterr().err == f"{prefix} {error}\n"
+
+
 def test_solve_report_is_strict_json_for_an_all_zero_truth(tmp_path, capsys):
     # the relative error against a zero signal is infinite and is written as null
     inst = tmp_path / "instance.json"
@@ -285,7 +349,7 @@ def test_contradictory_instance_is_solver_error(tmp_path, capsys):
         for y in (4.0, 5.0)
     ]
     path = tmp_path / "contradiction.json"
-    save_system(QuadraticSystem(measurements), path)
+    _save(QuadraticSystem(measurements), path)
     assert main(["solve", str(path)]) == 2
     assert "qbp: solver error:" in capsys.readouterr().err
     # their least-squares residual is 0.5: a smaller budget is infeasible too
@@ -297,7 +361,7 @@ def test_zero_budget_solves_a_zero_valued_instance(tmp_path, capsys):
     # all-zero data still leaves the feasibility test its rounding slack
     system, _ = zero_valued_system(4, 6, np.random.default_rng(17))
     path = tmp_path / "zeros.json"
-    save_system(system, path)
+    _save(system, path)
     assert main(["solve", str(path), "--epsilon", "0", "--eps-abs", "1e-5",
                  "--eps-rel", "1e-5"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -342,7 +406,7 @@ def test_diagnose_flags_orthonormal_sensing(tmp_path):
     system = unitary_sensing_system(x, kind="dft")
     inst = tmp_path / "instance.json"
     report_path = tmp_path / "diagnosis.json"
-    save_system(system, inst)
+    _save(system, inst)
     assert main([
         "diagnose", str(inst), "--lambda", "0.5", "--rip-samples", "50",
         "--eps-abs", "1e-7", "--eps-rel", "1e-7", "--max-iters", "20000",

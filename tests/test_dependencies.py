@@ -48,3 +48,24 @@ def test_package_root_binds_only_submodules():
     bound = set(_bound_names(tree))
     assert bound
     assert sorted(bound - modules) == []
+
+
+def _io_uses(tree):
+    # calls to the open and print builtins (print writes to sys.stdout) and
+    # any reference to sys.stdin/stdout/stderr
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("open", "print")):
+            yield f"{node.func.id}() at line {node.lineno}"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+                and node.attr in ("stdin", "stdout", "stderr")):
+            yield f"sys.{node.attr} at line {node.lineno}"
+
+
+def test_only_the_cli_opens_files_or_touches_the_standard_streams():
+    # library readers and writers take open streams; the command line owns the edge
+    found = {path.name: list(_io_uses(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found["cli.py"]
+    assert {name: uses for name, uses in found.items() if uses and name != "cli.py"} == {}

@@ -43,15 +43,6 @@ def test_system_dict_is_plain_json():
     assert isinstance(json.loads(text), dict)
 
 
-def test_save_and_load_file(tmp_path):
-    rng = np.random.default_rng(2)
-    system = random_system(2, 3, rng)
-    path = tmp_path / "instance.json"
-    save_system(system, path)
-    back = load_system(path)
-    assert np.array_equal(back.y, system.y)
-
-
 def test_save_and_load_stream():
     rng = np.random.default_rng(3)
     system = random_system(2, 2, rng)
