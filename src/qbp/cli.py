@@ -82,36 +82,60 @@ def _config_from(args) -> SolverConfig:
     )
 
 
-def _place(path):
-    """None for an omitted path or "-" (stdin or stdout), else the real file path."""
-    return None if path in (None, "-") else os.path.realpath(path)
+def _keep_apart(inputs: dict, outputs: dict) -> None:
+    """No two of a command's inputs and outputs may share a file or a stream.
+
+    Each maps an option to its path: None when not given, "-" (the default
+    of an omitted instance or output) for stdin or stdout, else a file
+    compared by real path.
+    """
+    seen = {}
+    for paths, stdio in ((inputs, "stdin"), (outputs, "stdout")):
+        for option, path in paths.items():
+            if path is None:
+                continue
+            place = stdio if path == "-" else os.path.realpath(path)
+            if place in seen:
+                raise ValueError(f"{option} {path} names the same file or stream as"
+                                 f" {seen[place]}: give each its own")
+            seen[place] = option
+
+
+def _reading(path):
+    """stdin for "-", else ``path`` opened as UTF-8 text."""
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
 
 
 @contextlib.contextmanager
-def _opened(path, mode: str):
-    """stdin or stdout for an omitted path or "-", else ``path`` opened as UTF-8 text."""
-    if _place(path) is None:
-        yield sys.stdin if mode == "r" else sys.stdout
-    else:
-        # csv asks for newline=""; the JSON writers emit "\n" either way
-        with open(path, mode, encoding="utf-8",
-                  newline="" if mode == "w" else None) as stream:
-            yield stream
+def _writing(*paths):
+    """UTF-8 text streams for ``paths``: stdout for "-", None for None.
+
+    The files all open, keeping their contents, before any is emptied, and
+    a failed open removes the ones created before it: a failed command
+    leaves every destination as it was.
+    """
+    files = {}
+    with contextlib.ExitStack() as stack, contextlib.ExitStack() as undo:
+        for path in [p for p in paths if p not in (None, "-")]:
+            new = not os.path.lexists(path)
+            # csv asks for newline=""; the JSON writers emit "\n" either way
+            files[path] = stack.enter_context(open(path, "a", encoding="utf-8", newline=""))
+            if new:
+                undo.callback(os.remove, path)
+        undo.pop_all()
+        for stream in files.values():
+            if os.path.isfile(stream.name):  # /dev/null has no length to cut
+                stream.truncate(0)
+        yield [sys.stdout if path == "-" else files.get(path) for path in paths]
 
 
 def _status_stream(path):
     # status lines stay out of data written to stdout
-    return sys.stderr if _place(path) is None else sys.stdout
-
-
-def _keep_apart(instance, truth) -> None:
-    """An instance and its truth document may not share a file or a standard stream."""
-    if truth is not None and _place(truth) == _place(instance):
-        raise ValueError(f"--truth {truth} names the instance's file or stream: give each its own")
+    return sys.stderr if path == "-" else sys.stdout
 
 
 def _read_truth(path, n: int) -> np.ndarray:
-    with _opened(path, "r") as stream:
+    with _reading(path) as stream:
         doc = read_json(stream)
     if not isinstance(doc, dict):
         raise InstanceFormatError("$", "expected a JSON object")
@@ -121,59 +145,48 @@ def _read_truth(path, n: int) -> np.ndarray:
     return x
 
 
-def _write_json(obj, path) -> None:
-    with _opened(path, "w") as stream:
-        write_json(obj, stream)
+def _timed_solve(args, system):
+    """Solve under the command's options: ``(result, wall seconds)``.
 
-
-def _timed_solve(args, system, x_true):
-    """Solve under the command's options: ``(result, report, wall seconds)``.
-
-    ``--epsilon`` selects the residual-budget program; the report scores
-    against ``x_true`` under the system's own phase rule.
+    ``--epsilon`` selects the residual-budget program.
     """
-    _require_nonnegative("tol", args.tol)
     config = _config_from(args)
     start = time.perf_counter()
     if args.epsilon is not None:
         result = solve_denoising(system, args.lam, args.epsilon, config)
     else:
         result = solve(system, args.lam, config)
-    wall = time.perf_counter() - start
-    report = build_report(system, result, x_true, args.tol, is_phase_invariant(system))
-    return result, report, wall
+    return result, time.perf_counter() - start
 
 
 def _cmd_generate(args) -> int:
-    _keep_apart(args.output, args.truth)
+    _keep_apart({}, {"--output": args.output, "--truth": args.truth})
     spec = ExperimentSpec(n=args.n, N=args.N, k=args.k, ensemble=args.ensemble,
-                          signal=args.signal, side=args.side)
+                          signal=args.signal)
     system, x = make_instance(spec, args.seed)
-    with _opened(args.output, "w") as stream:
-        save_system(system, stream)
-    if args.truth:
-        _write_json({"n": system.n, "x": vector_to_pairs(x)}, args.truth)
+    with _writing(args.output, args.truth) as (out, truth):
+        save_system(system, out)
+        if truth is not None:
+            write_json({"n": system.n, "x": vector_to_pairs(x)}, truth)
     logger.info("generated %s instance: n=%d N=%d k=%d seed=%d",
                 args.ensemble, system.n, args.N, args.k, args.seed)
     return 0
 
 
 def _cmd_solve(args) -> int:
-    _keep_apart(args.instance, args.truth)
-    with _opened(args.instance, "r") as stream:
+    _keep_apart({"instance": args.instance, "--truth": args.truth},
+                {"--output": args.output})
+    _require_nonnegative("tol", args.tol)
+    with _reading(args.instance) as stream:
         system = load_system(stream)
     # a bad truth file is an input error, found before the solve
     x_true = _read_truth(args.truth, system.n) if args.truth else None
-    result, report, wall = _timed_solve(args, system, x_true)
-    _write_json(
-        report_to_dict(
-            report,
-            mode="qbp" if args.epsilon is None else "qbpd",
-            data_residual=result.data_residual,
-            wall_time_s=wall,
-        ),
-        args.output,
-    )
+    result, wall = _timed_solve(args, system)
+    report = build_report(system, result, x_true, args.tol, is_phase_invariant(system))
+    with _writing(args.output) as (stream,):
+        write_json(report_to_dict(report, mode="qbp" if args.epsilon is None else "qbpd",
+                                  data_residual=result.data_residual, wall_time_s=wall),
+                   stream)
     logger.info("solve finished: %s after %d iterations (%.2fs)",
                 result.termination, result.iterations, wall)
     return 0
@@ -196,12 +209,11 @@ def _cmd_montecarlo(args) -> int:
         trials=args.trials,
         seed=args.seed,
         tol=args.tol,
-        side=args.side,
         iht_max_iters=args.iht_max_iters,
         solver=dataclasses.asdict(_config_from(args)),
     )
     records = run_monte_carlo(spec, jobs=args.jobs)
-    with _opened(args.out, "w") as stream:
+    with _writing(args.out) as (stream,):
         write_csv(records, stream)
     for method, stats in summarize(records).items():
         print(
@@ -215,14 +227,15 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    with _opened(args.instance, "r") as stream:
+    _keep_apart({"instance": args.instance}, {"--output": args.output})
+    with _reading(args.instance) as stream:
         system = load_system(stream)
     result = solve(system, args.lam, _config_from(args))
     cert = certify_coherence(system, result.Z)
     rip_k = args.rip_k if args.rip_k else min(4, (system.n + 1) ** 2)
     rip = sample_rip(system, rip_k, args.rip_samples, args.seed)
-    _write_json(
-        {
+    with _writing(args.output) as (stream,):
+        write_json({
             "coherence": dataclasses.asdict(cert),
             "rip": dataclasses.asdict(rip),
             "solve": {
@@ -230,9 +243,7 @@ def _cmd_diagnose(args) -> int:
                 "iterations": result.iterations,
                 "termination": result.termination,
             },
-        },
-        args.output,
-    )
+        }, stream)
     return 0
 
 
@@ -240,7 +251,8 @@ def _cmd_phantom(args) -> int:
     side = args.side
     N = args.N if args.N else 2 * side * side
     system, x_true = phantom_instance(side, args.k, N, args.seed)
-    result, report, wall = _timed_solve(args, system, x_true)
+    result, wall = _timed_solve(args, system)
+    report = build_report(system, result)
     basis = fourier_basis(side)
     truth_img = (basis @ x_true).real.reshape(side, side)
     aligned = align_phase(report.x_hat, x_true)
@@ -250,7 +262,7 @@ def _cmd_phantom(args) -> int:
         for c in range(side):
             t, v = float(truth_img[r, c]), float(recon_img[r, c])
             rows.append(f"{r},{c},{t!r},{v!r},{abs(t - v)!r}")
-    with _opened(args.out, "w") as stream:
+    with _writing(args.out) as (stream,):
         stream.write("\n".join(rows) + "\n")
     err = np.abs(truth_img - recon_img)
     print(
@@ -271,7 +283,6 @@ def _instance_options(parser):
                         help="number of measurements")
     parser.add_argument("-k", "--k", type=int, default=3, help="signal sparsity")
     parser.add_argument("--signal", choices=SIGNALS, default="binary")
-    parser.add_argument("--side", type=int, default=4, help="image side (fourier)")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -281,19 +292,19 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="write a random instance as JSON")
     _instance_options(gen)
-    gen.add_argument("-o", "--output", help="instance path (default stdout)")
+    gen.add_argument("-o", "--output", default="-", help="instance path (default stdout)")
     gen.add_argument("--truth", help="also write the planted signal here (- for stdout)")
     gen.set_defaults(func=_cmd_generate)
 
     slv = sub.add_parser("solve", help="solve one instance and report the recovery")
-    slv.add_argument("instance", nargs="?", help="instance path (default stdin)")
+    slv.add_argument("instance", nargs="?", default="-", help="instance path (default stdin)")
     slv.add_argument("--lambda", dest="lam", type=float, default=1.0,
                      help="l1 weight")
     slv.add_argument("--epsilon", type=float, default=None,
                      help="residual budget; solves the qbpd program")
     slv.add_argument("--truth", help="planted-signal JSON to score against (- for stdin)")
     slv.add_argument("--tol", type=float, default=1e-3, help="success threshold")
-    slv.add_argument("-o", "--output", help="report path (default stdout)")
+    slv.add_argument("-o", "--output", default="-", help="report path (default stdout)")
     _solver_options(slv)
     slv.set_defaults(func=_cmd_solve)
 
@@ -309,18 +320,18 @@ def _build_parser() -> _Parser:
     mc.add_argument("--iht-max-iters", type=int, default=1000,
                     help="iteration budget for the iht method")
     mc.add_argument("--jobs", type=int, default=1)
-    mc.add_argument("-o", "--out", help="CSV path (default stdout)")
+    mc.add_argument("-o", "--out", default="-", help="CSV path (default stdout)")
     _solver_options(mc)
     mc.set_defaults(func=_cmd_montecarlo)
 
     diag = sub.add_parser("diagnose", help="recoverability diagnostics for an instance")
-    diag.add_argument("instance", nargs="?", help="instance path (default stdin)")
+    diag.add_argument("instance", nargs="?", default="-", help="instance path (default stdin)")
     diag.add_argument("--lambda", dest="lam", type=float, default=1.0)
     diag.add_argument("--rip-k", type=int, default=0,
                       help="sparsity level for isometry sampling")
     diag.add_argument("--rip-samples", type=int, default=200)
     diag.add_argument("--seed", type=int, default=0)
-    diag.add_argument("-o", "--output", help="report path (default stdout)")
+    diag.add_argument("-o", "--output", default="-", help="report path (default stdout)")
     _solver_options(diag)
     diag.set_defaults(func=_cmd_diagnose)
 
@@ -334,9 +345,8 @@ def _build_parser() -> _Parser:
                     help="l1 weight")
     ph.add_argument("--epsilon", type=float, default=None,
                     help="residual budget; switches to the denoising solver")
-    ph.add_argument("--tol", type=float, default=1e-3)
     ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("-o", "--out", help="per-pixel CSV path (default stdout)")
+    ph.add_argument("-o", "--out", default="-", help="per-pixel CSV path (default stdout)")
     _solver_options(ph)
     ph.set_defaults(func=_cmd_phantom, eps_abs=1e-5, eps_rel=1e-5, max_iters=40000)
 

@@ -9,6 +9,8 @@ instance bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qbp.model import QuadraticSystem, evaluate, hermitianize
@@ -109,15 +111,26 @@ def fourier_basis(side: int) -> np.ndarray:
     return np.kron(W1, W1)
 
 
-def fourier_sparse_image(side: int, k: int, N: int, seed: int = 0):
-    """Magnitude measurements of an image with k active Fourier coefficients.
+def _image_side(n: int) -> int:
+    """The side of the square image whose n = side^2 pixels carry n unknowns."""
+    side = math.isqrt(max(n, 0))
+    if side < 2 or side * side != n:
+        raise ValueError(f"an image needs n = side^2 with side >= 2, got n={n}")
+    return side
+
+
+def fourier_sparse_image(n: int, N: int, k: int, signal: str = "gaussian",
+                         seed: int = 0):
+    """Magnitude measurements of an n = side^2 pixel image with k active Fourier
+    coefficients, unit or circular Gaussian as ``signal`` picks.
 
     The unknown is the coefficient vector; each sensing row is a complex
     Gaussian combination of the inverse-DFT rows, so the measurements probe
     the image the coefficients synthesize.
     """
+    side = _image_side(n)
     rng = np.random.default_rng(seed)
-    return _fourier_magnitudes(rng, side, N, _planted(rng, side * side, k))
+    return _fourier_magnitudes(rng, side, N, _planted(rng, n, k, signal))
 
 
 def _fourier_magnitudes(rng, side: int, N: int, x):

@@ -36,7 +36,6 @@ __all__ = [
     "hermitian_coordinates",
     "real_measurement_matrix",
     "constraint_system",
-    "vec_measurement_matrix",
 ]
 
 
@@ -353,13 +352,3 @@ def constraint_system(system: QuadraticSystem):
     b = np.concatenate([y.real, y.imag[imag_rows], [1.0]])
     return A, b
 
-
-def vec_measurement_matrix(system: QuadraticSystem) -> np.ndarray:
-    """Complex matrix M with M @ X.ravel() = measurements, shape (N, (n+1)^2).
-
-    Column (j, k) holds the coefficients multiplying the matrix entry
-    X[j, k]; the coherence diagnostics operate on these columns.
-    """
-    phis = system.phis
-    N = phis.shape[0]
-    return phis.transpose(0, 2, 1).reshape(N, -1)

@@ -27,7 +27,13 @@ from qbp.baselines import (
     iterative_hard_thresholding,
     linearize,
 )
-from qbp.generators import SIGNALS, fourier_sparse_image, general_quadratic, pure_phase
+from qbp.generators import (
+    SIGNALS,
+    _image_side,
+    fourier_sparse_image,
+    general_quadratic,
+    pure_phase,
+)
 from qbp.model import _require_nonnegative, is_phase_invariant
 from qbp.recovery import DegenerateMatrixError, build_report, judge_success
 
@@ -79,7 +85,6 @@ class ExperimentSpec:
     trials: int = 100
     seed: int = 0
     tol: float = 1e-3
-    side: int = 0
     iht_max_iters: int = 1000
     solver: dict = field(default_factory=dict)
     config: SolverConfig = field(init=False, repr=False, compare=False)
@@ -89,13 +94,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown signal kind {self.signal!r}")
-        if self.ensemble == "fourier" and self.side < 2:
-            raise ValueError("fourier ensemble needs side >= 2")
         if self.n < 1 or self.N < 1:
             raise ValueError("n and N must be positive")
-        dim = self.side ** 2 if self.ensemble == "fourier" else self.n
-        if not 1 <= self.k <= dim:
-            raise ValueError(f"k must be in [1, {dim}]")
+        if self.ensemble == "fourier":
+            _image_side(self.n)
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"k must be in [1, {self.n}]")
         bad = [m for m in self.methods if m not in _METHODS]
         if bad or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {_METHODS}")
@@ -127,11 +131,11 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 def make_instance(spec: ExperimentSpec, seed: int):
     """Draw one instance of the spec's ensemble: ``(system, x)``."""
-    if spec.ensemble == "general":
-        return general_quadratic(spec.n, spec.N, spec.k, spec.signal, seed)
-    if spec.ensemble == "purephase":
-        return pure_phase(spec.n, spec.N, spec.k, spec.signal, seed)
-    return fourier_sparse_image(spec.side, spec.k, spec.N, seed)
+    # looked up at each call, so a generator replaced in this module is the
+    # one that draws
+    draw = {"general": general_quadratic, "purephase": pure_phase,
+            "fourier": fourier_sparse_image}[spec.ensemble]
+    return draw(spec.n, spec.N, spec.k, spec.signal, seed)
 
 
 # The failures a method may meet on a valid instance: a trial records them,
@@ -209,23 +213,17 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
 def summarize(records) -> dict[str, dict]:
     """Per-method success rate and iteration/error averages."""
     out: dict[str, dict] = {}
-    for record in records:
-        stats = out.setdefault(
-            record.method,
-            {"trials": 0, "successes": 0, "iterations": 0.0, "errors": []},
-        )
-        stats["trials"] += 1
-        stats["successes"] += int(record.success)
-        stats["iterations"] += record.iterations
-        if np.isfinite(record.error):
-            stats["errors"].append(record.error)
-    for stats in out.values():
-        trials = stats["trials"]
-        stats["success_rate"] = stats["successes"] / trials
-        stats["mean_iterations"] = stats["iterations"] / trials
-        errors = stats.pop("errors")
-        stats["median_error"] = float(np.median(errors)) if errors else float("inf")
-        del stats["iterations"]
+    for method in dict.fromkeys(r.method for r in records):
+        rows = [r for r in records if r.method == method]
+        successes = sum(int(r.success) for r in rows)
+        errors = [r.error for r in rows if np.isfinite(r.error)]
+        out[method] = {
+            "trials": len(rows),
+            "successes": successes,
+            "success_rate": successes / len(rows),
+            "mean_iterations": sum(r.iterations for r in rows) / len(rows),
+            "median_error": float(np.median(errors)) if errors else float("inf"),
+        }
     return out
 
 
@@ -233,16 +231,6 @@ def write_csv(records, stream) -> None:
     """Write records with the stable schema to a text stream opened with newline=""."""
     writer = csv.writer(stream)
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.trial,
-                r.method,
-                int(r.success),
-                repr(r.error),
-                r.iterations,
-                repr(r.wall_time_s),
-                repr(r.rank_ratio),
-                r.note,
-            ]
-        )
+    # csv writes a float as str, its shortest round-trip form
+    writer.writerows((r.trial, r.method, int(r.success), r.error, r.iterations,
+                      r.wall_time_s, r.rank_ratio, r.note) for r in records)

@@ -19,7 +19,6 @@ from qbp.model import (
     is_phase_invariant,
     lift,
     measure_lifted,
-    vec_measurement_matrix,
 )
 
 __all__ = [
@@ -96,9 +95,9 @@ def judge_success(x_hat, x_true, tol: float = 1e-3, phase_invariant: bool = True
     """Relative recovery error, optionally minimized over a global phase.
 
     Returns ``(success, error)`` with ``error = min_theta ||exp(i theta) *
-    x_hat - x_true|| / ||x_true||`` when phase-invariant (the minimum has the
-    closed form ||a||^2 + ||b||^2 - 2 |<x_hat, x_true>|), else the plain
-    relative error.  ``tol`` must be finite and nonnegative.
+    x_hat - x_true|| / ||x_true||`` when phase-invariant (the plain error of
+    :func:`align_phase` ``(x_hat, x_true)``), else the plain relative error.
+    ``tol`` must be finite and nonnegative.
     """
     _require_nonnegative("tol", tol)
     x_hat = np.asarray(x_hat, dtype=complex)
@@ -112,14 +111,8 @@ def judge_success(x_hat, x_true, tol: float = 1e-3, phase_invariant: bool = True
         err = 0.0 if np.linalg.norm(x_hat) == 0.0 else np.inf
         return err <= tol, err
     if phase_invariant:
-        gap = (
-            np.linalg.norm(x_hat) ** 2
-            + scale**2
-            - 2.0 * np.abs(np.vdot(x_hat, x_true))
-        )
-        err = float(np.sqrt(max(gap, 0.0)) / scale)
-    else:
-        err = float(np.linalg.norm(x_hat - x_true) / scale)
+        x_hat = align_phase(x_hat, x_true)
+    err = float(np.linalg.norm(x_hat - x_true) / scale)
     return err <= tol, err
 
 
@@ -179,7 +172,11 @@ def _support_size(v: np.ndarray) -> int:
 def certify_coherence(system: QuadraticSystem, Z) -> CoherenceCertificate:
     """Coherence certificate for a solved matrix against its system."""
     Z = np.asarray(Z, dtype=complex)
-    mu, skipped = mutual_coherence(vec_measurement_matrix(system))
+    # the columns of the matricized operator (one per entry of X) are the
+    # flattened stack's columns in another order, and coherence reads only
+    # the set of columns, so the stack is read in place
+    phis = system.phis
+    mu, skipped = mutual_coherence(phis.reshape(phis.shape[0], -1))
     bound = np.inf if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
     cardinality = _support_size(Z)
     s = np.linalg.svd(Z, compute_uv=False)

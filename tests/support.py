@@ -1,5 +1,7 @@
 """Shared instance builders and reference helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from qbp.generators import fourier_basis, phantom_image, truncate_fourier
@@ -189,12 +191,12 @@ def reference_pure_phase(n, N, k, signal="gaussian", seed=0):
     return _reference_magnitude(cgauss(rng, (N, n)).conj(), x)
 
 
-def reference_fourier_sparse_image(side, k, N, seed=0):
+def reference_fourier_sparse_image(n, N, k, signal="gaussian", seed=0):
     rng = np.random.default_rng(seed)
-    n = side * side
     support = _reference_support(n, k, rng)
     x = np.zeros(n, dtype=complex)
-    x[support] = cgauss(rng, k)
+    x[support] = 1.0 if signal == "binary" else cgauss(rng, k)
+    side = math.isqrt(n)
     return _reference_magnitude(cgauss(rng, (N, n)) @ fourier_basis(side), x)
 
 

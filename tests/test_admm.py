@@ -687,7 +687,7 @@ def test_denoising_reports_unattained_budget():
     (lambda: pure_phase(16, 60, 3, "binary", 0), 100.0),
     (lambda: pure_phase(6, 24, 2, "gaussian", 1), 5.0),
     (lambda: general_quadratic(8, 20, 2, "binary", 0), 5.0),
-    (lambda: fourier_sparse_image(4, 2, 64, 0), 1.0),
+    (lambda: fourier_sparse_image(16, 64, 2, "gaussian", 0), 1.0),
 ], ids=["purephase16", "purephase6", "general8", "fourier4"])
 @pytest.mark.parametrize("epsilon", [0.02, 1.2e-3, 1e-4, 1e-6])
 def test_denoising_meets_the_budget_exactly(make, lam, epsilon):

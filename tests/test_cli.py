@@ -201,6 +201,41 @@ def test_instance_and_truth_cannot_share_a_file(tmp_path, capsys, monkeypatch):
     assert shared.read_text() == before
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_an_output_may_not_overwrite_the_instance(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "-n", "4", "-N", "8", "-k", "1", "-o", str(inst)]) == 0
+    before = inst.read_bytes()
+    monkeypatch.setattr(qbp.cli, "load_system", None)  # nothing may be read
+    for output in ("instance.json", "./instance.json", str(inst)):
+        assert main([command, str(inst), "-o", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--output {output} names the same file or stream as instance" in captured.err
+        assert inst.read_bytes() == before
+
+
+def test_a_failed_generate_writes_nothing(tmp_path, capsys):
+    inst, truth = tmp_path / "instance.json", tmp_path / "truth.json"
+    argv = ["generate", "-n", "4", "-N", "8", "-k", "1"]
+    missing = str(tmp_path / "nodir" / "file.json")
+    # either destination may be the one that cannot be opened
+    assert main(argv + ["-o", str(inst), "--truth", missing]) == 1
+    assert main(argv + ["-o", missing, "--truth", str(truth)]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not inst.exists() and not truth.exists()
+    # files that were there keep their bytes
+    inst.write_text("old instance")
+    truth.write_text("old truth")
+    assert main(argv + ["-o", str(inst), "--truth", missing]) == 1
+    assert main(argv + ["-o", missing, "--truth", str(truth)]) == 1
+    assert inst.read_text() == "old instance" and truth.read_text() == "old truth"
+    # and a generate that succeeds replaces them whole
+    assert main(argv + ["-o", str(inst), "--truth", str(truth)]) == 0
+    assert _load(inst).n == 4 and json.loads(truth.read_text())["n"] == 4
+
+
 def test_solve_reads_truth_from_stdin(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "instance.json"
     truth = tmp_path / "truth.json"
@@ -274,11 +309,28 @@ def test_bad_success_threshold_is_usage_error(tmp_path, capsys, monkeypatch):
     for tol in ("nan", "-1", "inf"):
         for argv in (["solve", str(inst)],
                      ["montecarlo", "--ensemble", "purephase", "-n", "6", "-N", "30",
-                      "-k", "2", "--methods", "qbp", "--trials", "2"],
-                     ["phantom", "--side", "2", "-k", "1"]):
+                      "-k", "2", "--methods", "qbp", "--trials", "2"]):
             assert main(argv + ["--tol", tol]) == 1, (argv[0], tol)
             err = capsys.readouterr().err
             assert "qbp: error: tol must be finite and nonnegative" in err
+
+
+def test_phantom_has_no_success_threshold(capsys):
+    # phantom prints pixel errors and never judges success, so it takes no --tol
+    assert main(["phantom", "--side", "2", "-k", "1", "--tol", "5"]) == 1
+    assert "unrecognized arguments: --tol 5" in capsys.readouterr().err
+
+
+def test_fourier_ensemble_takes_a_square_n_and_its_signal(capsys):
+    argv = ["generate", "--ensemble", "fourier", "-N", "12", "-k", "2"]
+    for n in ("20", "7", "1"):
+        assert main(argv + ["-n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n = side^2 with side >= 2, got n={n}" in captured.err
+    assert main(argv + ["-n", "9", "--truth", "-", "-o", "/dev/null"]) == 0
+    x = vector_from_pairs(json.loads(capsys.readouterr().out)["x"], "x")
+    assert x.size == 9 and set(x[x != 0]) == {1.0}
 
 
 def test_truth_syntax_error_is_located(tmp_path, capsys):

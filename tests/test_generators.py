@@ -37,8 +37,9 @@ REFERENCE_CASES = [
     (phantom_instance, reference_phantom_instance, (8, 10, 128, 0)),
     (general_quadratic, reference_general_quadratic, (5, 7, 2, "gaussian", 3)),
     (pure_phase, reference_pure_phase, (4, 9, 2, "gaussian", 1)),
-    (fourier_sparse_image, reference_fourier_sparse_image, (3, 2, 20, 0)),
+    (fourier_sparse_image, reference_fourier_sparse_image, (9, 20, 2, "gaussian", 0)),
     (phantom_instance, reference_phantom_instance, (4, 3, 24, 6)),
+    (fourier_sparse_image, reference_fourier_sparse_image, (16, 12, 3, "binary", 1)),
 ]
 # one small instance of each generator
 SAVE_CASES = REFERENCE_CASES[3:]
@@ -91,6 +92,10 @@ def test_generator_argument_validation():
         general_quadratic(4, 6, 2, signal="spiky", seed=0)
     with pytest.raises(ValueError):
         pure_phase(4, 6, 2, signal="spiky", seed=0)
+    # the Fourier unknowns are the pixels of a square image of side >= 2
+    for n in (1, 7, 20):
+        with pytest.raises(ValueError, match=f"n = side\\^2 with side >= 2, got n={n}"):
+            fourier_sparse_image(n, 6, 1, seed=0)
 
 
 def test_pure_phase_structure():
@@ -149,19 +154,20 @@ def test_fourier_basis_matches_ifft2():
 
 
 def test_fourier_sparse_image_instance():
-    side = 4
-    system, x = fourier_sparse_image(side, 2, 20, seed=5)
-    assert system.n == side * side
+    system, x = fourier_sparse_image(16, 20, 2, seed=5)
+    assert system.n == 16
     assert np.count_nonzero(x) == 2
     assert is_phase_invariant(system)
     fresh = evaluate(system, x)
     assert np.array_equal(system.y.real, fresh.real)
     assert np.abs(fresh.imag).max() < 1e-12
     assert np.array_equal(system.y.imag, np.zeros(20))
+    _, x = fourier_sparse_image(16, 20, 3, "binary", seed=5)
+    assert set(x[np.abs(x) > 0]) == {1.0 + 0.0j}
 
 
 def test_fourier_sparse_image_denoising_recovery():
-    system, x = fourier_sparse_image(4, 2, 64, seed=0)
+    system, x = fourier_sparse_image(16, 64, 2, seed=0)
     cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
     result = solve_denoising(system, 1.0, 1e-6, cfg)
     report = build_report(system, result, x, tol=1e-2, phase_invariant=True)

@@ -20,7 +20,6 @@ from qbp.model import (
     lift,
     measure_lifted,
     real_measurement_matrix,
-    vec_measurement_matrix,
 )
 
 from qbp.admm import SolverConfig, solve
@@ -438,7 +437,7 @@ def test_operator_matrices_match_the_complex_row_formula_bit_for_bit():
         random_system(3, 5, rng, real=True),
         hermitian,
         general_quadratic(6, 8, 2, "binary", 1)[0],
-        fourier_sparse_image(3, 2, 20, 0)[0],
+        fourier_sparse_image(9, 20, 2, "gaussian", 0)[0],
         # only some measurements keep their imaginary rows
         QuadraticSystem(random_system(3, 3, rng).measurements
                         + hermitian.measurements),
@@ -451,12 +450,3 @@ def test_operator_matrices_match_the_complex_row_formula_bit_for_bit():
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
 
-
-def test_vec_measurement_matrix_identity():
-    rng = np.random.default_rng(14)
-    system = random_system(3, 4, rng)
-    M = vec_measurement_matrix(system)
-    assert M.shape == (4, 16)
-    for _ in range(10):
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(M @ X.ravel(), measure_lifted(system, X), rtol=1e-12, atol=1e-12)

@@ -9,6 +9,7 @@ import pytest
 
 from qbp.admm import SolverConfig, solve
 from qbp.baselines import iterative_hard_thresholding
+from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
 from qbp.model import is_phase_invariant
 from qbp.montecarlo import (
     CSV_COLUMNS,
@@ -63,6 +64,21 @@ def test_run_trial_covers_all_methods():
         assert isinstance(record.error, float)
         assert record.iterations >= 0
         assert record.wall_time_s >= 0.0
+
+
+@pytest.mark.parametrize("ensemble, draw", [
+    ("general", general_quadratic),
+    ("purephase", pure_phase),
+    ("fourier", fourier_sparse_image),
+])
+@pytest.mark.parametrize("signal", ["binary", "gaussian"])
+def test_every_ensemble_draws_from_the_spec_sizes_and_signal(ensemble, draw, signal):
+    spec = _tiny_spec(ensemble=ensemble, signal=signal, n=9, k=2)
+    system, x = make_instance(spec, 7)
+    want_system, want_x = draw(9, 16, 2, signal, 7)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(system.phis, want_system.phis)
+    assert (set(x[x != 0]) == {1.0}) == (signal == "binary")
 
 
 @pytest.mark.parametrize("ensemble", ["general", "purephase"])
@@ -198,8 +214,10 @@ def test_spec_validation():
         _tiny_spec(methods=())
     with pytest.raises(ValueError):
         _tiny_spec(trials=0)
-    with pytest.raises(ValueError):
-        _tiny_spec(ensemble="fourier", side=1)
+    # the Fourier ensemble draws a square image: n = side^2 with side >= 2
+    for n in (1, 20):
+        with pytest.raises(ValueError, match=f"got n={n}"):
+            _tiny_spec(ensemble="fourier", n=n)
     # an unknown signal kind fails when the spec is made, not inside trial 0
     with pytest.raises(ValueError, match="unknown signal kind 'bogus'"):
         _tiny_spec(signal="bogus")
@@ -215,8 +233,8 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
             _tiny_spec(k=k)
     with pytest.raises(ValueError, match=r"k must be in \[1, 9\]"):
-        _tiny_spec(ensemble="fourier", side=3, k=10)
-    assert _tiny_spec(ensemble="fourier", side=3, k=9).k == 9
+        _tiny_spec(ensemble="fourier", n=9, k=10)
+    assert _tiny_spec(ensemble="fourier", n=9, k=9).k == 9
     with pytest.raises(ValueError, match="iht_max_iters must be at least 1"):
         _tiny_spec(iht_max_iters=0)
     # the solver settings are checked when the spec is made, before any trial

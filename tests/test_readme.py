@@ -1,10 +1,12 @@
 """The README's commands and quick start stay in step with the code."""
 
+import dataclasses
 import inspect
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qbp
@@ -82,3 +84,45 @@ def test_readme_has_call_forms():
 def test_readme_call_form_lists_the_parameters(span, target, names):
     params = [p for p in inspect.signature(target).parameters if p != "self"]
     assert names == params, f"README shows `{span}`; the signature is {params}"
+
+
+def _entry_point_names():
+    """``(module, name)`` for each backticked identifier, or name of a
+    backticked ``name(...)`` call, in the "Key entry points" bullets; the
+    module is the bullet's ``qbp.<module>``."""
+    section = README.split("Key entry points", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for module, text in re.findall(r"^- `qbp\.(\w+)` — (.*?)(?=^- |\Z)", section,
+                                   re.MULTILINE | re.DOTALL):
+        for span in re.findall(r"`([^`]+)`", text):
+            match = re.fullmatch(r"(\w+)(?:\(.*\))?", span)
+            if match:
+                out.append((module, match.group(1)))
+    return out
+
+
+def _resolves(module, name):
+    """The name is in any qbp module, is an attribute of one of its own
+    module's classes (dataclass fields included) or an entry of one of its
+    string tuples, or is a numpy.linalg name."""
+    own = vars(getattr(qbp, module))
+    for value in own.values():
+        if inspect.isclass(value) and (
+                hasattr(value, name)
+                or dataclasses.is_dataclass(value)
+                and name in {f.name for f in dataclasses.fields(value)}):
+            return True
+        if isinstance(value, tuple) and name in value and all(
+                isinstance(entry, str) for entry in value):
+            return True
+    modules = [m for m in vars(qbp).values() if inspect.ismodule(m)]
+    return any(hasattr(m, name) for m in modules) or hasattr(np.linalg, name)
+
+
+def test_key_entry_points_name_what_the_modules_hold():
+    names = _entry_point_names()
+    assert {module for module, _ in names} >= {"model", "admm", "recovery",
+                                               "generators", "montecarlo"}
+    missing = [f"qbp.{module}: `{name}`" for module, name in names
+               if not _resolves(module, name)]
+    assert not missing, f"README lists names its modules do not hold: {missing}"

@@ -10,7 +10,6 @@ from qbp.model import (
     QuadraticMeasurement,
     QuadraticSystem,
     lift,
-    vec_measurement_matrix,
 )
 from qbp.recovery import (
     CoherenceCertificate,
@@ -123,6 +122,19 @@ def test_judge_success_phase_symmetry():
     for theta in (0.3, 1.7, -2.2):
         _, rotated = judge_success(np.exp(1j * theta) * x_hat, x)
         assert np.isclose(rotated, base, rtol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-4])
+def test_judge_success_reads_small_phase_invariant_errors(delta):
+    # a rotated, rescaled truth is off by delta up to its global phase; the
+    # error is the norm of the aligned difference, which does not cancel the
+    # way ||a||^2 + ||b||^2 - 2|<a, b>| does.  Rounding the rotated vector
+    # moves it by about 1e-16 ||x||, some 1e-6 of delta = 1e-10.
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for theta in rng.uniform(-np.pi, np.pi, 20):
+        _, err = judge_success(np.exp(1j * theta) * x * (1.0 + delta), x)
+        assert err == pytest.approx(delta, rel=1e-5)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
