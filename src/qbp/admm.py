@@ -283,20 +283,20 @@ class _PenalizedStep:
 class AffineProjector(_PenalizedStep):
     """Frobenius projection onto {X Hermitian: Tr(Phi_i X) = y_i, X[0,0] = 1}.
 
-    The budget step at epsilon = 0, built from the constraint matrix A1 of
-    :func:`~qbp.model.constraint_system` (without its corner row and column)
-    and g = b - A e_0: fwd = A1, back = G^+ A1 and target = g, with the
-    coordinate weights folded in as in the budget step.  G^+ comes from an
-    ``eigh`` of the Gram matrix G = A1 A1^T, which is far cheaper than the
-    budget step's SVD; eigenvalues at or below max(A1.shape) * eps times the
-    largest count as zero, so duplicated measurements (rank-deficient A1)
-    project like the pseudoinverse does.
+    The budget step at epsilon = 0, built from the constraint rows
+    (A, b) of :func:`~qbp.model.constraint_system` split at the corner
+    column, A = [a0, A1], with g = b - a0: fwd = A1, back = G^+ A1 and
+    target = g, with the coordinate weights folded in as in the budget
+    step.  G^+ comes from an ``eigh`` of the Gram matrix G = A1 A1^T, which
+    is far cheaper than the budget step's SVD; eigenvalues at or below
+    max(A1.shape) * eps times the largest count as zero, so duplicated
+    measurements (rank-deficient A1) project like the pseudoinverse does.
     """
 
     def __init__(self, system: QuadraticSystem):
         A, b = constraint_system(system)
-        A1 = A[:-1, 1:]
-        g = b[:-1] - A[:-1, 0]
+        A1 = A[:, 1:]
+        g = b - A[:, 0]
         w, U = np.linalg.eigh(A1 @ A1.T)
         keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
         w, U = w[keep], U[:, keep]

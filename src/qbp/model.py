@@ -331,12 +331,12 @@ def real_measurement_matrix(system: QuadraticSystem):
 
 
 def constraint_system(system: QuadraticSystem):
-    """Measurement constraints plus the unit-corner row, in real coordinates.
+    """Measurement constraints in real coordinates.
 
     Identically zero rows with zero right-hand side (the imaginary parts of
-    real-valued measurements with Hermitian coefficients) are dropped, and a
-    final row pinning X[0, 0] = 1 is appended.  The rows are written straight
-    into the returned matrix.
+    real-valued measurements with Hermitian coefficients) are dropped.  The
+    unit corner X[0, 0] = 1 is not a row: the solver's X1 step pins it.  The
+    rows are written straight into the returned matrix.
     """
     phis, y = system.phis, system.y
     N, m = phis.shape[:2]
@@ -344,11 +344,8 @@ def constraint_system(system: QuadraticSystem):
     re, im = phis.real, phis.imag
     hermitian = ((re == re.transpose(0, 2, 1)) & (im == -im.transpose(0, 2, 1))).all(axis=(1, 2))
     imag_rows = np.flatnonzero((y.imag != 0.0) | ~hermitian)
-    k = imag_rows.size
-    A = np.zeros((N + k + 1, m * m))
+    A = np.empty((N + imag_rows.size, m * m))
     _fill_rows(phis, re_out=A[:N])
-    _fill_rows(phis, im_out=A[N:N + k], which=imag_rows)
-    A[-1, 0] = 1.0
-    b = np.concatenate([y.real, y.imag[imag_rows], [1.0]])
+    _fill_rows(phis, im_out=A[N:], which=imag_rows)
+    b = np.concatenate([y.real, y.imag[imag_rows]])
     return A, b
-

@@ -2,7 +2,8 @@
 
 Each trial seeds its generator from (master seed, trial index), so any trial
 can be reproduced in isolation and adding trials never perturbs earlier
-ones.  Results are flat records with a stable CSV schema.
+ones.  Results are flat records with a stable CSV schema; a lifted solve's
+record also keeps the matrix it returned, so audits read it in place.
 """
 
 from __future__ import annotations
@@ -114,6 +115,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One method on one trial.  ``Z`` is the matrix a lifted solve (qbp,
+    qbp0, qbpd) returned, and None for bp, iht and a trial that raised; it is
+    not written to CSV."""
+
     trial: int
     method: str
     success: bool
@@ -122,6 +127,7 @@ class TrialRecord:
     wall_time_s: float
     rank_ratio: float
     note: str = ""
+    Z: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -152,7 +158,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
                 index: int) -> TrialRecord:
     # a system without linear terms fixes its signal only up to a global phase
     phase_invariant = is_phase_invariant(system)
-    rank_ratio, note = float("nan"), ""
+    rank_ratio, note, Z = float("nan"), "", None
     start = time.perf_counter()
     try:
         if method in ("bp", "iht"):
@@ -171,6 +177,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
             success, error = report.success, report.error
             iterations, rank_ratio = report.iterations, report.rank_ratio
             note = "" if result.termination == "converged" else result.termination
+            Z = result.Z
     except _SOLVER_ERRORS as exc:
         success, error, iterations, note = False, float("inf"), 0, type(exc).__name__
     return TrialRecord(
@@ -182,6 +189,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
         wall_time_s=time.perf_counter() - start,
         rank_ratio=float(rank_ratio),
         note=note,
+        Z=Z,
     )
 
 

@@ -87,7 +87,7 @@ def extract_phase_signal(Z):
     top = float(vals[-1])
     if top <= 0.0:
         raise DegenerateMatrixError("signal block has no positive eigenvalue")
-    rank_ratio = max(float(vals[-2]), 0.0) / top if vals.size > 1 else 0.0
+    rank_ratio = max(0.0, float(vals[-2])) / top if vals.size > 1 else 0.0
     return np.sqrt(top) * vecs[:, -1], rank_ratio
 
 

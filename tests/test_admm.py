@@ -178,8 +178,8 @@ def test_project_psd_nonexpansive():
 
 
 def test_affine_projector_corner_only():
-    # an all-zero measurement contributes no constraint rows, leaving only
-    # the unit-corner row; projecting the zero matrix must produce e_00
+    # an all-zero measurement leaves only the pinned corner; projecting the
+    # zero matrix must produce e_00
     system = QuadraticSystem([QuadraticMeasurement(0.0, [0.0], [0.0], [[0.0]], 0.0)])
     proj = AffineProjector(system)
     out = proj(np.zeros((2, 2), dtype=complex))
@@ -250,13 +250,17 @@ def test_affine_projector_rejects_contradictions(extra4, extra5):
 
 
 def _realvec_affine(system):
-    """The affine projection as a pseudoinverse in realvec coordinates."""
+    """The affine projection as a pseudoinverse in realvec coordinates: the
+    corner is pinned, and the rest is projected onto the constraint rows."""
     A, b = constraint_system(system)
-    P = np.linalg.pinv(A)
+    A1, g = A[:, 1:], b - A[:, 0]
+    P = np.linalg.pinv(A1)
 
     def project(M):
         v = realvec(M)
-        return unrealvec(v - P @ (A @ v - b))
+        v[0] = 1.0
+        v[1:] -= P @ (A1 @ v[1:] - g)
+        return unrealvec(v)
     return project
 
 
@@ -302,9 +306,9 @@ def _gram_tol(system, base):
     matrix over its nonzero singular values, so a projection built from it
     agrees with the pseudoinverse to about eps * cond^2 at best.
     """
-    A, _ = constraint_system(system)
-    s = np.linalg.svd(A[:-1, 1:], compute_uv=False)
-    s = s[s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps]
+    A1 = constraint_system(system)[0][:, 1:]
+    s = np.linalg.svd(A1, compute_uv=False)
+    s = s[s > s.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps]
     cond = s[0] / s[-1] if s.size else 1.0
     return max(base, 100.0 * np.finfo(float).eps * cond * cond)
 

@@ -365,22 +365,12 @@ def test_real_symmetric_system_has_zero_imaginary_rows():
     assert np.array_equal(B[5:], np.zeros_like(B[5:]))
 
 
-def test_constraint_system_corner_row():
-    rng = np.random.default_rng(10)
-    system = random_system(3, 4, rng)
-    A, b = constraint_system(system)
-    assert b[-1] == 1.0
-    for _ in range(5):
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.isclose((A @ realvec(lift(x)))[-1], 1.0)
-
-
 def test_constraint_system_row_counts():
     rng = np.random.default_rng(12)
     N = 5
     complex_sys = random_system(3, N, rng)
     A, _ = constraint_system(complex_sys)
-    assert A.shape[0] == 2 * N + 1
+    assert A.shape[0] == 2 * N
 
     # real measurement values with Hermitian coefficients lose their
     # identically-zero imaginary rows
@@ -396,7 +386,7 @@ def test_constraint_system_row_counts():
             )
         )
     A2, _ = constraint_system(QuadraticSystem(meas))
-    assert A2.shape[0] == N + 1
+    assert A2.shape[0] == N
 
 
 def test_constraint_system_feasible_at_planted_lift():
@@ -420,11 +410,7 @@ def _complex_row_operator(system):
     B = np.concatenate([rows.real, rows.imag], axis=0)
     rhs = np.concatenate([system.y.real, system.y.imag])
     keep = ~((np.abs(B).max(axis=1) == 0.0) & (rhs == 0.0))
-    corner = np.zeros((1, B.shape[1]))
-    corner[0, 0] = 1.0
-    A = np.concatenate([B[keep], corner], axis=0)
-    b = np.concatenate([rhs[keep], [1.0]])
-    return (B, rhs), (A, b)
+    return (B, rhs), (B[keep], rhs[keep])
 
 
 def test_operator_matrices_match_the_complex_row_formula_bit_for_bit():

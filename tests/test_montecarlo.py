@@ -1,13 +1,15 @@
 """Batch experiment runner: seeding, per-trial records, CSV output."""
 
 import csv
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from qbp.admm import SolverConfig, solve
+import qbp.montecarlo
+from qbp.admm import InfeasibleProjectionError, SolverConfig, solve
 from qbp.baselines import iterative_hard_thresholding
 from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
 from qbp.model import is_phase_invariant
@@ -64,6 +66,11 @@ def test_run_trial_covers_all_methods():
         assert isinstance(record.error, float)
         assert record.iterations >= 0
         assert record.wall_time_s >= 0.0
+    # a lifted solve keeps the matrix it returned, as an array of its own
+    # that holds no solver workspace alive; the baselines keep none
+    for record in records[:3]:
+        assert record.Z.shape == (5, 5) and record.Z.flags.owndata
+    assert records[3].Z is None and records[4].Z is None
 
 
 @pytest.mark.parametrize("ensemble, draw", [
@@ -125,11 +132,10 @@ def test_parallel_jobs_match_serial():
                 continue
             va, vb = getattr(a, key), getattr(b, key)
             assert va == vb or (math.isnan(va) and math.isnan(vb)), key
+        assert a.Z.tobytes() == b.Z.tobytes()
 
 
 def test_pool_starts_no_more_workers_than_trials(monkeypatch):
-    import qbp.montecarlo
-
     class FakePool:
         # runs the trials in this process and records the pool size asked for
         sizes = []
@@ -172,6 +178,11 @@ def test_write_csv_schema():
         assert row["success"] in {"0", "1"}
         float(row["error"])  # parses back (inf/nan allowed)
         int(row["trial"])
+    # the kept matrices are not part of the schema
+    assert any(r.Z is not None for r in records)
+    bare = io.StringIO()
+    write_csv([dataclasses.replace(r, Z=None) for r in records], bare)
+    assert bare.getvalue() == buf.getvalue()
 
 
 def test_summarize_matches_records():
@@ -203,6 +214,17 @@ def test_infeasible_linearization_recorded_not_raised():
         assert record.success is False
         assert record.error == float("inf")
         assert record.note == "InfeasibleLinearSystemError"
+        assert record.Z is None
+
+
+def test_lifted_trial_that_raises_keeps_no_matrix(monkeypatch):
+    def infeasible(system, lam, config):
+        raise InfeasibleProjectionError("no Hermitian matrix fits")
+
+    monkeypatch.setattr(qbp.montecarlo, "solve", infeasible)
+    [record] = run_trial(_tiny_spec(trials=1), 0)
+    assert record.note == "InfeasibleProjectionError"
+    assert record.Z is None
 
 
 def test_spec_validation():

@@ -1,5 +1,7 @@
 """Signal extraction, success judging, and recoverability diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ def test_extract_phase_signal_block_diagonal():
     # defined up to a global phase only
     t = np.vdot(x_hat, x)
     assert np.allclose(x_hat * (t / abs(t)), x, atol=1e-10)
+
+
+def test_extract_phase_signal_rank_ratio_is_never_negative_zero():
+    # a second eigenvalue of -0.0 reads as rank ratio +0.0, so no "-0.0"
+    # reaches a report or a CSV row
+    _, rank_ratio = extract_phase_signal(np.diag([1.0, -0.0, 2.0]))
+    assert rank_ratio == 0.0 and math.copysign(1.0, rank_ratio) == 1.0
 
 
 def test_extract_phase_signal_degenerate_inputs():
