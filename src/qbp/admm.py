@@ -39,8 +39,11 @@ D = ANDERSON_SAFEGUARD_D and eps = ANDERSON_SAFEGUARD_EPS.  A rejected point
 is discarded, and the loop continues from the plain step it was made from
 with an empty memory.  A change of rho changes T, so it also empties the
 memory.  Every evaluation of T, a discarded one too, counts as an iteration.
-The loop allocates one workspace per solve and otherwise only the matrices
-its steps return.
+The loop allocates its state, workspace and Anderson buffers once per solve.
+An iteration allocates only the matrices the X1 and PSD steps return and
+the temporaries of :func:`update_z` (the dual sum and three real factor
+arrays); the new consensus iterate is written straight into its state
+buffer, and the returned one is copied out of it once.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import numpy as np
 from qbp.model import (
     QuadraticSystem,
     _flat,
+    _require_integer,
     _require_nonnegative,
     constraint_system,
     hermitian_coordinates,
@@ -123,6 +127,8 @@ RHO_FACTOR = 2.0
 RHO_MIN = 1e-8
 RHO_MAX = 1e8
 
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
 
 class InfeasibleProjectionError(ValueError):
     """No Hermitian matrix with unit corner fits the data within the budget."""
@@ -137,6 +143,7 @@ class SolverConfig:
     def __post_init__(self):
         _require_nonnegative("eps_abs", self.eps_abs)
         _require_nonnegative("eps_rel", self.eps_rel)
+        _require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -337,8 +344,9 @@ def _shrink_scale(x: np.ndarray, q: float) -> np.ndarray:
     mag = np.abs(x)
     scale = mag - q
     np.maximum(scale, 0.0, out=scale)
-    # divide only where the entry survives: |x| = 0 with q = 0 must give 0, not 0/0
-    np.divide(scale, mag, out=scale, where=mag > q)
+    # |x| = 0 with q = 0 must give 0, not 0/0: the floor changes no other
+    # quotient, since every nonzero magnitude is at least the floor
+    scale /= np.maximum(mag, _SMALLEST_SUBNORMAL)
     return scale
 
 
@@ -347,14 +355,15 @@ def soft_threshold(x: np.ndarray, q: float) -> np.ndarray:
     return x * _shrink_scale(x, q)
 
 
-def update_z(X1, X2, Y1, Y2, rho: float, lam: float) -> np.ndarray:
+def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     """Consensus update: shrink the dual-corrected primal average.
 
     Hermitian inputs give an exactly Hermitian result, because the average
     and the shrink scale are both entrywise and |conj(v)| = |v|.  The average
-    is a new array, shrunk in place and returned.
+    is written to ``out`` (a new array by default), shrunk in place and
+    returned.
     """
-    V = X1 + X2
+    V = np.add(X1, X2, out=out)
     W = Y1 + Y2
     W /= rho
     V += W
@@ -392,12 +401,11 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
           setup_s: float, return_x1: bool):
     start = time.perf_counter()
     m = system.n + 1
-    eye = np.eye(m, dtype=complex)
     # the state u = (Z, Y1, Y2) and its image g = T(u) under one ADMM step live
     # in three (3, m, m) buffers, swapped rather than copied: u, the last
     # plain image g_prev (which may be u itself) and the one being written
     bufs = np.zeros((3, 3, m, m), dtype=complex)
-    bufs[0, 0] = eye
+    bufs[0, 0] = np.eye(m)
     flats = [_flat(b) for b in bufs]
     iu = ip = 0
     rho = RHO0
@@ -407,21 +415,27 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     # copies H1 and H2, and the five matrices whose squared norms the
     # stopping test reads, reduced in one batched dot
     work = np.empty((9, m, m), dtype=complex)
-    arg1, arg2, H1, H2 = work[:4]
+    args, H = work[:2], work[2:4]
     diffs = work[4:]
     diff_flat = diffs.reshape(5, -1).view(np.float64)
     sq = np.empty(5)
     mag = np.empty((m, m))
+    # the shifts of (Y1, Y2) in the step arguments: I, and -0.0, which adds
+    # to every float, signed zeros included, without changing it
+    shift = np.full((2, m, m), complex(-0.0, -0.0))
+    shift[0] = np.eye(m)
 
     # Anderson memory: a ring of differences of residuals f = g - u (rows of
     # W, followed by the rows fk and fp holding f and the previous f) and of
-    # images g, plus the Gram matrix of the f differences
+    # images g, plus the Gram matrix of the f differences and the identity
+    # of its ridge term
     size_d = flats[0].size
     W = np.empty((ANDERSON_MEMORY + 2, size_d))
     dF = W[:ANDERSON_MEMORY]
     fk, fp = ANDERSON_MEMORY, ANDERSON_MEMORY + 1
     dG = np.empty((ANDERSON_MEMORY, size_d))
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+    ridge = np.eye(ANDERSON_MEMORY)
     cols = head = 0
     have_prev = extrapolated = False
     f0 = 0.0
@@ -433,38 +447,31 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
     for it in range(1, config.max_iters + 1):
-        Z_prev, Y1, Y2 = bufs[iu]
+        Z_prev, Y = bufs[iu, 0], bufs[iu, 1:]
         ig = 3 - iu - ip if iu != ip else (iu + 1) % 3
-        Z_out, Y1_out, Y2_out = bufs[ig]
-        # X1 from Z_prev - (I + Y1) / rho, X2 from Z_prev - Y2 / rho
-        np.add(Y1, eye, out=arg1)
-        arg1 /= rho
-        np.subtract(Z_prev, arg1, out=arg1)
-        np.divide(Y2, rho, out=arg2)
-        np.subtract(Z_prev, arg2, out=arg2)
-        X1 = x1_step(arg1)
-        X2 = project_psd(arg2)
+        Z, Y_out = bufs[ig, 0], bufs[ig, 1:]
+        # X1 from Z_prev - (Y1 + I) / rho, X2 from Z_prev - Y2 / rho
+        np.add(Y, shift, out=args)
+        args /= rho
+        np.subtract(Z_prev, args, out=args)
+        X1 = x1_step(args[0])
+        X2 = project_psd(args[1])
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = diffs[0]
         np.multiply(Z_prev, 1.0 - ALPHA, out=base)
-        np.multiply(X1, ALPHA, out=H1)
-        H1 += base
-        np.multiply(X2, ALPHA, out=H2)
-        H2 += base
-        Z = update_z(H1, H2, Y1, Y2, rho, lam)
-        Z_out[...] = Z
-        H1 -= Z
-        H1 *= rho
-        np.add(Y1, H1, out=Y1_out)
-        H2 -= Z
-        H2 *= rho
-        np.add(Y2, H2, out=Y2_out)
+        np.multiply(X1, ALPHA, out=H[0])
+        np.multiply(X2, ALPHA, out=H[1])
+        H += base
+        update_z(H[0], H[1], Y[0], Y[1], rho, lam, out=Z)
+        H -= Z
+        H *= rho
+        np.add(Y, H, out=Y_out)
 
         np.subtract(X1, Z, out=diffs[0])
         np.subtract(X2, Z, out=diffs[1])
         np.subtract(Z, Z_prev, out=diffs[2])
         np.add(X1, X2, out=diffs[3])
-        np.add(Y1_out, Y2_out, out=diffs[4])
+        np.add(Y_out[0], Y_out[1], out=diffs[4])
         np.einsum("ij,ij->i", diff_flat, diff_flat, out=sq)
         r_norm = math.sqrt(sq[0] + sq[1])
         s_norm = rho * math.sqrt(2.0 * sq[2])
@@ -532,7 +539,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
             if reg > 0.0:
                 # type-II step: u = g - dG gamma with gamma the regularized
                 # least-squares fit of f by dF; the old u buffer takes it
-                gamma = np.linalg.solve(G + reg * np.eye(cols), prod[:, 1])
+                gamma = np.linalg.solve(G + reg * ridge[:cols, :cols], prod[:, 1])
                 np.dot(gamma, dG[:cols], out=u_flat)
                 np.subtract(g_flat, u_flat, out=u_flat)
                 extrapolated = True
@@ -551,7 +558,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         termination, iterations, accepted, rejected, restarts, setup_s,
         time.perf_counter() - start,
     )
-    return (answer, iterations, termination, np.array(residuals),
+    # a consensus iterate is a view of a state buffer, so the answer is copied out
+    return (answer.copy(), iterations, termination, np.array(residuals),
             np.array(objective), rho)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbp.model import DimensionMismatchError, QuadraticSystem, evaluate
+from qbp.model import DimensionMismatchError, QuadraticSystem
 from qbp.admm import soft_threshold
 
 __all__ = [
@@ -107,33 +107,52 @@ def hard_threshold(x, k: int) -> np.ndarray:
     if k >= x.size:
         return x.copy()
     order = np.argsort(-np.abs(x), kind="stable")
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape, dtype=x.dtype)
     keep = order[:k]
     out[keep] = x[keep]
     return out
 
 
-def iht_objective(system: QuadraticSystem, x) -> float:
-    """Half the squared residual of the quadratic measurements at x."""
-    diff = evaluate(system, x) - system.y
-    return 0.5 * float(np.vdot(diff, diff).real)
+def _sparse_residual(system: QuadraticSystem, x):
+    """Residuals Tr(Phi_i X) - y_i at X = lift(x), the support L of [1; x] and v.
 
-
-def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
-    """Gradient of the residual objective with respect to the complex x.
-
-    Computed as twice the conjugate-coordinate derivative, so the real and
-    imaginary parts are the partial derivatives in Re x and Im x.
+    Only the lifted block on L, which holds 0 and the support of x shifted
+    by one, is read: v = [1; x][L] holds the nonzero entries of [1; x], so
+    Tr(Phi_i X) = v^H Phi_i[L, L] v, the dot product of the block with the
+    outer product of conj(v) and v.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (system.n,):
         raise DimensionMismatchError(
             f"x has shape {x.shape}, system dimension is {system.n}"
         )
-    q = system.Q
-    r = evaluate(system, x) - system.y
-    lin = system.c + np.einsum("nij,j->ni", q, x)
-    lin_conj = system.b + np.einsum("nji,j->ni", q.conj(), x)
+    v = np.concatenate(([1.0], x))
+    L = v.nonzero()[0]
+    v = v[L]
+    block = system.phis[:, L[:, None], L]
+    r = block.reshape(block.shape[0], -1) @ np.outer(v.conj(), v).ravel() - system.y
+    return r, L, v
+
+
+def iht_objective(system: QuadraticSystem, x) -> float:
+    """Half the squared residual of the quadratic measurements at x."""
+    r, _, _ = _sparse_residual(system, x)
+    return 0.5 * float(np.vdot(r, r).real)
+
+
+def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
+    """Gradient of the residual objective with respect to the complex x.
+
+    Computed as twice the conjugate-coordinate derivative, so the real and
+    imaginary parts are the partial derivatives in Re x and Im x:
+    conj(r) @ (c + Q x) + r @ (b + Q^H x), where c + Q x and b + Q^H x are
+    the rows 1: of Phi_i [1; x] and Phi_i^H [1; x], read from the columns and
+    the rows on the support block L of :func:`_sparse_residual`.
+    """
+    r, L, v = _sparse_residual(system, x)
+    phis = system.phis
+    lin = phis[:, 1:, L] @ v
+    lin_conj = (v.conj() @ phis[:, L, 1:]).conj()
     return r.conj() @ lin + r @ lin_conj
 
 

@@ -18,6 +18,7 @@ are built on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -62,6 +63,13 @@ def _require_nonnegative(name: str, value: float) -> None:
     # a NaN fails every comparison, so test for the good range, not the bad one
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def _require_integer(name: str, value) -> None:
+    # a float or a bool passes a range test but fails later as a count or a
+    # seed, so only integers are accepted (numpy's too; bool is not one)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _block(index):

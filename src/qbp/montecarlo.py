@@ -35,7 +35,7 @@ from qbp.generators import (
     general_quadratic,
     pure_phase,
 )
-from qbp.model import _require_nonnegative, is_phase_invariant
+from qbp.model import _require_integer, _require_nonnegative, is_phase_invariant
 from qbp.recovery import DegenerateMatrixError, build_report, judge_success
 
 __all__ = [
@@ -95,6 +95,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown signal kind {self.signal!r}")
+        for name in ("n", "N", "k", "trials", "seed", "iht_max_iters"):
+            _require_integer(name, getattr(self, name))
         if self.n < 1 or self.N < 1:
             raise ValueError("n and N must be positive")
         if self.ensemble == "fourier":
@@ -106,6 +108,8 @@ class ExperimentSpec:
             raise ValueError(f"methods must be a non-empty subset of {_METHODS}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.iht_max_iters < 1:
             raise ValueError("iht_max_iters must be at least 1")
         for name in ("lam", "epsilon", "tol"):

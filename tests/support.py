@@ -205,3 +205,44 @@ def reference_phantom_instance(side, k, N, seed=0):
     rng = np.random.default_rng(seed)
     sensing = cgauss(rng, (N, side * side)) @ fourier_basis(side)
     return _reference_magnitude(sensing, x)
+
+
+# Reference kernels: the consensus step's shrinkage with a boolean mask and a
+# masked divide, and the hard-thresholding objective and gradient from the
+# dense evaluate of every measurement.  The solver's kernels must reproduce
+# the first bit for bit and the second to rounding.
+
+def reference_shrink_scale(x, q):
+    mag = np.abs(x)
+    scale = mag - q
+    np.maximum(scale, 0.0, out=scale)
+    np.divide(scale, mag, out=scale, where=mag > q)
+    return scale
+
+
+def reference_soft_threshold(x, q):
+    return x * reference_shrink_scale(x, q)
+
+
+def reference_update_z(X1, X2, Y1, Y2, rho, lam):
+    V = X1 + X2
+    W = Y1 + Y2
+    W /= rho
+    V += W
+    V *= 0.5
+    V *= reference_shrink_scale(V, 0.5 * lam / rho)
+    return V
+
+
+def reference_iht_objective(system, x):
+    diff = evaluate(system, x) - system.y
+    return 0.5 * float(np.vdot(diff, diff).real)
+
+
+def reference_iht_gradient(system, x):
+    x = np.asarray(x, dtype=complex)
+    q = system.Q
+    r = evaluate(system, x) - system.y
+    lin = system.c + np.einsum("nij,j->ni", q, x)
+    lin_conj = system.b + np.einsum("nji,j->ni", q.conj(), x)
+    return r.conj() @ lin + r @ lin_conj

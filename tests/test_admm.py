@@ -41,6 +41,9 @@ from support import (
     consistent_system,
     random_hermitian,
     realvec,
+    reference_shrink_scale,
+    reference_soft_threshold,
+    reference_update_z,
     unitary_sensing_system,
     unrealvec,
     zero_valued_system,
@@ -154,6 +157,54 @@ def test_update_z_property_hermitian_and_finite(m, seed, lam, rho):
     assert np.all(np.isfinite(Z))
     assert np.array_equal(Z, Z.conj().T)
     assert np.all(Z[zero] == 0.0)
+
+
+# The kernels' complex inputs mix, component by component, exact zeros of
+# either sign, subnormals (so magnitudes may be subnormal too), tiny normal
+# numbers and ordinary values
+_THRESHOLD = st.one_of(
+    st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e-307), st.floats(0.0, 10.0))
+
+
+@st.composite
+def _complex_blocks(draw, count):
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, count, m, m)
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    parts = np.select(
+        [rng.random(shape) < p for p in (0.2, 0.4, 0.6)],
+        [sign * 0.0,
+         sign * rng.integers(1, 2**52, size=shape) * 5e-324,
+         sign * rng.random(shape) * 1e-307],
+        sign * rng.random(shape) * 1e3,
+    )
+    return parts[0] + 1j * parts[1]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_blocks(1), _THRESHOLD)
+def test_shrink_kernels_match_the_masked_reference_bit_for_bit(blocks, q):
+    x = blocks[0]
+    assert _same_bits(qbp.admm._shrink_scale(x, q), reference_shrink_scale(x, q))
+    assert _same_bits(soft_threshold(x, q), reference_soft_threshold(x, q))
+    assert _same_bits(soft_threshold(x.real, q), reference_soft_threshold(x.real, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_blocks(4), st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+def test_update_z_matches_the_reference_bit_for_bit(blocks, lam, rho):
+    want = reference_update_z(*blocks.copy(), rho, lam)
+    assert _same_bits(update_z(*blocks, rho, lam), want)
+    # writing into a given buffer gives the same bits, and that buffer back
+    out = np.full_like(blocks[0], np.nan)
+    assert update_z(*blocks, rho, lam, out=out) is out
+    assert _same_bits(out, want)
 
 
 def test_project_psd_variational_inequality():
@@ -404,6 +455,14 @@ def test_solver_config_validation():
             SolverConfig(eps_rel=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+
+
+def test_solver_config_max_iters_must_be_an_integer():
+    # a float or a bool would pass the range test and fail inside the loop
+    for bad in (1e4, 10.0, 2.5, True, False, "10", None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
 
 
 def test_solve_rejects_negative_lambda():

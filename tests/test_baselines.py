@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import qbp.baselines
 from qbp.baselines import (
     InfeasibleLinearSystemError,
     basis_pursuit,
@@ -14,15 +15,16 @@ from qbp.baselines import (
     iterative_hard_thresholding,
     linearize,
 )
-from qbp.model import (
-    DimensionMismatchError,
-    QuadraticMeasurement,
-    QuadraticSystem,
-    evaluate,
-)
+from qbp.model import DimensionMismatchError, QuadraticMeasurement, QuadraticSystem
 from qbp.generators import general_quadratic
+from qbp.montecarlo import trial_seed
 
-from support import cgauss, random_system
+from support import (
+    cgauss,
+    random_system,
+    reference_iht_gradient,
+    reference_iht_objective,
+)
 
 
 def _linear_system(A, y):
@@ -189,3 +191,45 @@ def test_iht_respects_sparsity_budget():
     system, _ = general_quadratic(12, 24, 3, "binary", seed=11)
     out, _, _ = iterative_hard_thresholding(system, 3, max_iters=60)
     assert np.count_nonzero(out) <= 3
+
+
+def _rel_gap(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 7, 12])
+def test_iht_objective_and_gradient_match_the_dense_reference(k):
+    # the support block of the lift gives the dense values to rounding, on
+    # sparse x, on dense x (k = n) and at zero
+    for seed in range(10):
+        rng = np.random.default_rng([seed, k])
+        system = random_system(12, 15, rng)
+        x = np.zeros(12, dtype=complex)
+        x[rng.choice(12, size=k, replace=False)] = cgauss(rng, k)
+        want = reference_iht_objective(system, x)
+        assert abs(iht_objective(system, x) - want) <= 1e-12 * want
+        assert _rel_gap(iht_gradient(system, x), reference_iht_gradient(system, x)) <= 1e-12
+
+
+def test_iht_objective_dimension_mismatch():
+    system, _ = general_quadratic(4, 6, 2, "binary", seed=0)
+    with pytest.raises(DimensionMismatchError):
+        iht_objective(system, np.zeros(3))
+
+
+def test_iht_runs_as_with_the_dense_reference(monkeypatch):
+    # on table instances (n=20, N=25, k=3) the run takes the same supports
+    # and iterations as one that evaluates every measurement densely
+    systems = [general_quadratic(20, 25, 3, "binary", trial_seed(0, i))[0]
+               for i in range(20)]
+    got = [iterative_hard_thresholding(s, 3, max_iters=40) for s in systems]
+    monkeypatch.setattr(qbp.baselines, "iht_objective", reference_iht_objective)
+    monkeypatch.setattr(qbp.baselines, "iht_gradient", reference_iht_gradient)
+    for system, (x, iterations, best) in zip(systems, got):
+        x_ref, iterations_ref, best_ref = iterative_hard_thresholding(system, 3, max_iters=40)
+        assert np.array_equal(np.flatnonzero(x), np.flatnonzero(x_ref))
+        assert iterations == iterations_ref
+        assert np.max(np.abs(x - x_ref)) <= 1e-12
+        # the residual norms agree to rounding on the scale of the data
+        gap = abs(np.sqrt(2.0 * best) - np.sqrt(2.0 * best_ref))
+        assert gap <= 1e-12 * np.linalg.norm(system.y)

@@ -266,7 +266,28 @@ def test_spec_validation():
         _tiny_spec(solver={"eps_abs": -1.0})
     with pytest.raises(TypeError, match="bogus"):
         _tiny_spec(solver={"bogus": 1})
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        _tiny_spec(seed=-1)
     assert _tiny_spec().config == SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_monte_carlo(_tiny_spec(), jobs=jobs)
+
+
+@pytest.mark.parametrize("field", ["n", "N", "k", "trials", "seed", "iht_max_iters"])
+@pytest.mark.parametrize("bad", [4.0, 2.5, True])
+def test_spec_integer_fields_reject_floats_and_bools(field, bad):
+    # each passed the range checks before and then failed inside a trial
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+        _tiny_spec(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [1000.0, True])
+def test_spec_solver_max_iters_rejects_floats_and_bools(bad):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        _tiny_spec(solver={"max_iters": bad})
+
+
+def test_spec_integer_fields_take_numpy_integers():
+    spec = _tiny_spec(n=np.int64(4), trials=np.int32(2), seed=np.uint64(7))
+    assert (spec.n, spec.trials, spec.seed) == (4, 2, 7)

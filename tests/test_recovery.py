@@ -7,12 +7,7 @@ import pytest
 
 from qbp.admm import SolverConfig, solve
 from qbp.generators import general_quadratic, pure_phase
-from qbp.model import (
-    DimensionMismatchError,
-    QuadraticMeasurement,
-    QuadraticSystem,
-    lift,
-)
+from qbp.model import DimensionMismatchError, lift
 from qbp.recovery import (
     CoherenceCertificate,
     DegenerateMatrixError,
@@ -27,12 +22,7 @@ from qbp.recovery import (
     sample_rip,
 )
 
-from support import (
-    measurement_from_phi,
-    random_hermitian,
-    system_from_phis,
-    unitary_sensing_system,
-)
+from support import random_hermitian, system_from_phis, unitary_sensing_system
 
 
 def test_extract_signal_exact_lift():
