@@ -14,9 +14,10 @@ variable Z carries the l1 shrinkage.  The denoising program
 runs the same loop with the X1 step replaced by the exact Frobenius
 projection onto the residual budget set, one scalar root of a secular
 equation per call.  The equality program is its epsilon = 0 limit, so one
-class does both X1 steps: the equality step (:class:`AffineProjector`) is the
-budget step (:class:`_PenalizedStep`) in its affine limit, built from an
-``eigh`` of the Gram matrix of its constraints instead of an SVD.
+constructor body builds both X1 steps from an ``eigh`` of the Gram matrix of
+the measurement rows: the budget step (:class:`_PenalizedStep`) reads those of
+:func:`~qbp.model.real_measurement_matrix`, the equality step
+(:class:`AffineProjector`) those of :func:`~qbp.model.constraint_system`.
 
 The X1 step takes a Hermitian, C-contiguous matrix and works on its flat
 float64 view through the maps of :func:`~qbp.model.hermitian_coordinates`:
@@ -192,64 +193,68 @@ class _PenalizedStep:
     and writes an exactly Hermitian matrix back with one scatter.
 
     Off the corner this is the penalized prox argmin ||X - M||^2 + mu *
-    ||A(X) - y||^2 with the weight mu solved for in each call.  In the thin
-    SVD B = U diag(s) V^T of the measurement matrix (minus its corner column)
-    the squared residual of the prox is the secular function
+    ||A(X) - y||^2 with the weight mu solved for in each call.  Split the
+    measurement rows (A, b) at the corner column, A = [a0, A1] and
+    g = b - a0, and factor G = A1 A1^T = U diag(s^2) U^T by ``eigh``,
+    dropping eigenvalues at or below max(A1.shape) * eps times the largest.
+    With V^T = diag(1/s) U^T A1 the squared residual of the prox is the
+    secular function
 
         phi(mu) = sum_i (s_i c_i - h_i)^2 / (1 + mu s_i^2)^2 + ||g_perp||^2,
 
-    with c = V^T (weights * x), x the coordinates of M, h = U^T g,
-    g = y - B e_0 and g_perp the part of g outside range(B).  phi decreases
-    in mu and phi^(-1/2) is concave, so Newton on phi^(-1/2) = radius^(-1)
+    with c = V^T (weights * x), x the coordinates of M, h = U^T g and
+    g_perp = g - U h the part of g outside range(A1).  phi decreases in mu
+    and phi^(-1/2) is concave, so Newton on phi^(-1/2) = radius^(-1)
     converges monotonically (Moré & Sorensen 1983); it starts from the
     previous call's mu.  An input inside the budget is returned with only
-    its corner set.  A budget at or below
-    the floor ||g_perp||^2 gives the affine limit mu -> inf, the exact
-    projection v - back^T (fwd v - target) onto the least-squares solutions,
-    here with target = h / s.  V^T is stored twice, with the weights folded
-    into its columns (fwd) and divided out of them (back).
+    its corner set.  A budget at or below the floor ||g_perp||^2 gives the
+    affine limit mu -> inf, the exact projection v - back^T (fwd v - target)
+    onto the least-squares solutions, with fwd = A1, back = G^+ A1 and
+    target = g, so duplicated measurements (rank-deficient A1) project like
+    the pseudoinverse does; otherwise fwd = back = V^T.  The weights are
+    folded into the columns of fwd and divided out of those of back.
     """
 
     def __init__(self, system: QuadraticSystem, epsilon: float):
-        _require_nonnegative("epsilon", epsilon)
-        B, y = real_measurement_matrix(system)
-        g = y - B[:, 0]
-        B1 = B[:, 1:]
-        U, s, Vt = np.linalg.svd(B1, full_matrices=False)
-        rank = int(np.count_nonzero(
-            s > s.max(initial=0.0) * max(B1.shape) * np.finfo(float).eps))
-        U, s, Vt = U[:, :rank], s[:rank], Vt[:rank]
-        h = U.T @ g
-        weights = self._start(system, _sqnorm(g - U @ h), epsilon)
-        self._fwd = Vt * weights
-        self._back = Vt / weights
-        if self._radius is None:
-            self._target = h / s
-        else:
-            self._s, self._s2, self._h = s, s * s, h
-            self._mu = 0.0
+        self._build(system, epsilon, *real_measurement_matrix(system))
 
-    def _start(self, system: QuadraticSystem, floor: float, epsilon: float) -> np.ndarray:
-        """Check the budget against the least-squares floor and set up the maps.
+    def _build(self, system: QuadraticSystem, epsilon: float, A, b) -> None:
+        """Factor the rows (A, b), check the budget against their floor, set up the maps.
 
-        Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps
-        them.  Returns the weights of the off-corner coordinates.
+        Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps them.
         """
+        _require_nonnegative("epsilon", epsilon)
+        A1 = A[:, 1:]
+        g = b - A[:, 0]
+        w, U = np.linalg.eigh(A1 @ A1.T)
+        keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
+        w, U = w[keep], U[:, keep]
+        h = U.T @ g
+        floor = _sqnorm(g - U @ h)
         scale = max(float(np.linalg.norm(system.y)), 1.0)
         if math.sqrt(floor) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale:
-            raise InfeasibleProjectionError(
-                f"residual budget {epsilon:.3e} is below the least-squares"
-                f" floor {floor:.3e}"
-            )
+            message = f"inconsistent measurements: least-squares floor {floor:.3e}"
+            if epsilon > 0.0:
+                message += f" exceeds the residual budget {epsilon:.3e}"
+            raise InfeasibleProjectionError(message)
         self._floor = floor
         radius = math.sqrt(epsilon) - BUDGET_MARGIN * scale
         # None marks the affine limit: no smaller residual than the floor exists
         self._radius = radius if radius > 0.0 and radius * radius > floor else None
         m = self._m = system.n + 1
         self._gather, self._src, self._coef, weights = hermitian_coordinates(m)
+        weights = weights[1:]
         # the coordinates, then the zero slot the scatter reads
         self._x = np.zeros(m * m + 1)
-        return weights[1:]
+        if self._radius is None:
+            back = ((U / w) @ U.T) @ A1
+            back /= weights
+            self._fwd, self._back, self._target = A1 * weights, back, g
+        else:
+            s = np.sqrt(w)
+            Vt = (U / s).T @ A1
+            self._fwd, self._back = Vt * weights, Vt / weights
+            self._s, self._s2, self._h, self._mu = s, w, h, 0.0
 
     def __call__(self, M) -> np.ndarray:
         x = self._x
@@ -290,29 +295,16 @@ class _PenalizedStep:
 class AffineProjector(_PenalizedStep):
     """Frobenius projection onto {X Hermitian: Tr(Phi_i X) = y_i, X[0,0] = 1}.
 
-    The budget step at epsilon = 0, built from the constraint rows
-    (A, b) of :func:`~qbp.model.constraint_system` split at the corner
-    column, A = [a0, A1], with g = b - a0: fwd = A1, back = G^+ A1 and
-    target = g, with the coordinate weights folded in as in the budget
-    step.  G^+ comes from an ``eigh`` of the Gram matrix G = A1 A1^T, which
-    is far cheaper than the budget step's SVD; eigenvalues at or below
-    max(A1.shape) * eps times the largest count as zero, so duplicated
-    measurements (rank-deficient A1) project like the pseudoinverse does.
+    The budget step at epsilon = 0, built by the same constructor body from
+    the rows of :func:`~qbp.model.constraint_system`, which leaves out the
+    identically zero imaginary rows of real-valued measurements and so
+    factors a smaller Gram matrix.  Raises
+    :class:`InfeasibleProjectionError` when the measurements admit no
+    Hermitian matrix at all.
     """
 
     def __init__(self, system: QuadraticSystem):
-        A, b = constraint_system(system)
-        A1 = A[:, 1:]
-        g = b - A[:, 0]
-        w, U = np.linalg.eigh(A1 @ A1.T)
-        keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
-        w, U = w[keep], U[:, keep]
-        weights = self._start(system, _sqnorm(g - U @ (U.T @ g)), 0.0)
-        self._fwd = A1 * weights
-        back = ((U / w) @ U.T) @ A1
-        back /= weights
-        self._back = back
-        self._target = g
+        self._build(system, 0.0, *constraint_system(system))
 
 
 def project_psd(M) -> np.ndarray:

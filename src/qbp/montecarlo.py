@@ -9,6 +9,7 @@ record also keeps the matrix it returned, so audits read it in place.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -210,8 +211,8 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
         raise ValueError("jobs must be at least 1")
     records: list[TrialRecord] = []
     # a fork-started pool launches all its workers at the first submit
-    pool = (ProcessPoolExecutor(max_workers=min(jobs, spec.trials)) if jobs > 1
-            else nullcontext())
+    workers = min(jobs, spec.trials, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()
     with pool:
         trial_map = pool.map if jobs > 1 else map
         batches = trial_map(run_trial, [spec] * spec.trials, range(spec.trials))

@@ -405,6 +405,25 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
     want = _realvec_affine(system)(M)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-10) * scale
+    # the budget step drops the same null directions: at a budget above the
+    # floor it must still match the SVD-based formulation
+    epsilon = 0.5 * data_residual(system, M) + 1e-3
+    got = _PenalizedStep(system, epsilon)(M)
+    _assert_hermitian_step_output(got)
+    want = _realvec_budget(system, epsilon)(M)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-10) * scale
+
+
+def test_affine_limit_of_the_budget_step_is_the_equality_step():
+    # with complex data no imaginary row is dropped, so both row builders
+    # give the same rows and the one constructor body the same matrices
+    rng = np.random.default_rng(21)
+    for N in range(1, 21):
+        system, _ = consistent_system(3, N, rng)
+        budget, equality = _PenalizedStep(system, 0.0), AffineProjector(system)
+        for name in ("_fwd", "_back", "_target"):
+            assert getattr(budget, name).tobytes() == getattr(equality, name).tobytes()
 
 
 def test_hermitian_maps_are_read_only():
@@ -793,8 +812,8 @@ def test_budget_projection_at_zero_budget_is_affine():
 
 
 def test_affine_projector_is_the_budget_step_at_zero_budget():
-    # the equality step only builds its matrices from a Gram factor; the
-    # call and the infeasibility rule are the budget step's
+    # the equality step only hands its rows to the budget step's constructor
+    # body; the factorization, the call and the infeasibility rule are shared
     assert issubclass(AffineProjector, _PenalizedStep)
     assert "__call__" not in vars(AffineProjector)
     rng = np.random.default_rng(15)

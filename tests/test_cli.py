@@ -402,11 +402,15 @@ def test_contradictory_instance_is_solver_error(tmp_path, capsys):
     ]
     path = tmp_path / "contradiction.json"
     _save(QuadraticSystem(measurements), path)
+    # their least-squares residual is 0.5: without a budget the message names
+    # only that floor, and a smaller budget is infeasible too
     assert main(["solve", str(path)]) == 2
-    assert "qbp: solver error:" in capsys.readouterr().err
-    # their least-squares residual is 0.5: a smaller budget is infeasible too
+    assert capsys.readouterr().err == (
+        "qbp: solver error: inconsistent measurements: least-squares floor 5.000e-01\n")
     assert main(["solve", str(path), "--epsilon", "0.1"]) == 2
-    assert "qbp: solver error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "qbp: solver error: inconsistent measurements: least-squares floor 5.000e-01"
+        " exceeds the residual budget 1.000e-01\n")
 
 
 def test_zero_budget_solves_a_zero_valued_instance(tmp_path, capsys):

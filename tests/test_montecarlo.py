@@ -137,7 +137,8 @@ def test_parallel_jobs_match_serial():
 
 def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     class FakePool:
-        # runs the trials in this process and records the pool size asked for
+        # records the pool size asked for and runs at most two trials in
+        # this process, so a large request starts no process and stays cheap
         sizes = []
 
         def __init__(self, max_workers):
@@ -150,12 +151,17 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            return map(fn, *(it[:2] for it in iterables))
 
     monkeypatch.setattr(qbp.montecarlo, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: 4)
     records = run_monte_carlo(_tiny_spec(trials=2), jobs=64)
-    assert FakePool.sizes == [2]
     assert len(records) == 2
+    # nor more workers than CPUs, and one when the CPU count is unknown
+    run_monte_carlo(_tiny_spec(trials=1000), jobs=1000)
+    monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: None)
+    run_monte_carlo(_tiny_spec(trials=1000), jobs=1000)
+    assert FakePool.sizes == [2, 4, 1]
 
 
 def test_progress_callback_fires_per_trial():
