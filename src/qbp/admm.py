@@ -19,11 +19,15 @@ the measurement rows: the budget step (:class:`_PenalizedStep`) reads those of
 :func:`~qbp.model.real_measurement_matrix`, the equality step
 (:class:`AffineProjector`) those of :func:`~qbp.model.constraint_system`.
 
-The X1 step takes a Hermitian, C-contiguous matrix and works on its flat
-float64 view through the maps of :func:`~qbp.model.hermitian_coordinates`:
-one gather reads the diagonal and the upper triangle, two matrix-vector
-products with the coordinate weights folded into their columns correct them,
-and one scatter writes an exactly Hermitian matrix back.
+The loop holds every Hermitian matrix as its (n+1)^2 weighted coordinates
+(:func:`~qbp.model.hermitian_coordinates`): the diagonal, then sqrt(2) times
+the real and the imaginary parts of the upper triangle.  Plain dot products
+of coordinates are Frobenius products, so the stopping test and the
+Anderson fit read them directly.  The X1 step maps coordinates to
+coordinates: it pins the corner and applies one matrix V^T with orthonormal
+rows, forward and back.  Only :func:`project_psd` sees a complex matrix: one
+scatter writes its argument, one gather reads the projection back, and one
+more scatter writes the returned matrix at the end.
 
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
 and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
@@ -41,10 +45,10 @@ is discarded, and the loop continues from the plain step it was made from
 with an empty memory.  A change of rho changes T, so it also empties the
 memory.  Every evaluation of T, a discarded one too, counts as an iteration.
 The loop allocates its state, workspace and Anderson buffers once per solve.
-An iteration allocates only the matrices the X1 and PSD steps return and
-the temporaries of :func:`update_z` (the dual sum and three real factor
-arrays); the new consensus iterate is written straight into its state
-buffer, and the returned one is copied out of it once.
+The X1 step overwrites its argument and :func:`update_z` into the
+consensus state buffer, with its temporaries in the workspace, so an
+iteration allocates only what :func:`project_psd` returns and vectors of
+the length of the measurement count or the Anderson memory.
 """
 
 from __future__ import annotations
@@ -129,6 +133,7 @@ RHO_MIN = 1e-8
 RHO_MAX = 1e8
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+_SQRT2 = math.sqrt(2.0)
 
 
 class InfeasibleProjectionError(ValueError):
@@ -185,12 +190,12 @@ class SolverResult:
 class _PenalizedStep:
     """Frobenius projection onto {X Hermitian: X[0,0] = 1, ||A(X) - y||^2 <= epsilon}.
 
-    The input must be Hermitian and is not modified; the output is exactly
-    Hermitian with X[0, 0] == 1.  A call reads the diagonal and the upper
-    triangle of its input with one gather into a coordinate buffer, pins the
-    corner coordinate to 1, corrects the rest v with matrices whose columns
-    carry the coordinate ``weights`` of :func:`~qbp.model.hermitian_coordinates`,
-    and writes an exactly Hermitian matrix back with one scatter.
+    A call takes the weighted coordinates x of a Hermitian matrix
+    (:func:`~qbp.model.hermitian_coordinates`), in which Frobenius geometry is
+    plain Euclidean geometry, overwrites them with those of the projection
+    and returns x.  The corner coordinate is pinned to 1 and the rest, v,
+    corrected by one matrix V^T with orthonormal rows, applied in both
+    directions.
 
     Off the corner this is the penalized prox argmin ||X - M||^2 + mu *
     ||A(X) - y||^2 with the weight mu solved for in each call.  Split the
@@ -202,24 +207,22 @@ class _PenalizedStep:
 
         phi(mu) = sum_i (s_i c_i - h_i)^2 / (1 + mu s_i^2)^2 + ||g_perp||^2,
 
-    with c = V^T (weights * x), x the coordinates of M, h = U^T g and
-    g_perp = g - U h the part of g outside range(A1).  phi decreases in mu
-    and phi^(-1/2) is concave, so Newton on phi^(-1/2) = radius^(-1)
-    converges monotonically (Moré & Sorensen 1983); it starts from the
-    previous call's mu.  An input inside the budget is returned with only
-    its corner set.  A budget at or below the floor ||g_perp||^2 gives the
-    affine limit mu -> inf, the exact projection v - back^T (fwd v - target)
-    onto the least-squares solutions, with fwd = A1, back = G^+ A1 and
-    target = g, so duplicated measurements (rank-deficient A1) project like
-    the pseudoinverse does; otherwise fwd = back = V^T.  The weights are
-    folded into the columns of fwd and divided out of those of back.
+    with c = V^T v, h = U^T g and g_perp = g - U h the part of g outside
+    range(A1).  phi decreases in mu and phi^(-1/2) is concave, so Newton on
+    phi^(-1/2) = radius^(-1) converges monotonically (Moré & Sorensen 1983);
+    it starts from the previous call's mu.  An input inside the budget is
+    returned with only its corner set.  A budget at or below the floor
+    ||g_perp||^2 gives the affine limit mu -> inf, the exact projection
+    v - V (V^T v - h / s) onto the least-squares solutions, which is
+    v - A1^+ (A1 v - g) with the rank cutoff above, so duplicated
+    measurements (rank-deficient A1) project like the pseudoinverse does.
     """
 
     def __init__(self, system: QuadraticSystem, epsilon: float):
         self._build(system, epsilon, *real_measurement_matrix(system))
 
     def _build(self, system: QuadraticSystem, epsilon: float, A, b) -> None:
-        """Factor the rows (A, b), check the budget against their floor, set up the maps.
+        """Factor the rows (A, b), check the budget against their floor, set up V^T.
 
         Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps them.
         """
@@ -241,31 +244,22 @@ class _PenalizedStep:
         radius = math.sqrt(epsilon) - BUDGET_MARGIN * scale
         # None marks the affine limit: no smaller residual than the floor exists
         self._radius = radius if radius > 0.0 and radius * radius > floor else None
-        m = self._m = system.n + 1
-        self._gather, self._src, self._coef, weights = hermitian_coordinates(m)
-        weights = weights[1:]
-        # the coordinates, then the zero slot the scatter reads
-        self._x = np.zeros(m * m + 1)
+        s = np.sqrt(w)
+        self._Vt = (U / s).T @ A1
         if self._radius is None:
-            back = ((U / w) @ U.T) @ A1
-            back /= weights
-            self._fwd, self._back, self._target = A1 * weights, back, g
+            self._target = h / s
         else:
-            s = np.sqrt(w)
-            Vt = (U / s).T @ A1
-            self._fwd, self._back = Vt * weights, Vt / weights
             self._s, self._s2, self._h, self._mu = s, w, h, 0.0
 
-    def __call__(self, M) -> np.ndarray:
-        x = self._x
-        x[:-1] = _flat(np.asarray(M, dtype=complex))[self._gather]
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         x[0] = 1.0
-        v = x[1:-1]
-        c = self._fwd @ v
+        v = x[1:]
+        Vt = self._Vt
+        c = Vt @ v
         radius = self._radius
         if radius is None:
             c -= self._target
-            v -= c @ self._back
+            v -= c @ Vt
         else:
             t = self._s * c - self._h
             r2 = t * t
@@ -286,10 +280,8 @@ class _PenalizedStep:
                 else:
                     q = 1.0 / (1.0 + mu * self._s2)
                 self._mu = mu
-                v += (-mu * q * self._s * t) @ self._back
-        X = np.empty((self._m, self._m), dtype=complex)
-        np.multiply(x[self._src], self._coef, out=_flat(X))
-        return X
+                v += (-mu * q * self._s * t) @ Vt
+        return x
 
 
 class AffineProjector(_PenalizedStep):
@@ -347,20 +339,45 @@ def soft_threshold(x: np.ndarray, q: float) -> np.ndarray:
     return x * _shrink_scale(x, q)
 
 
-def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
+def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None, work=None) -> np.ndarray:
     """Consensus update: shrink the dual-corrected primal average.
 
-    Hermitian inputs give an exactly Hermitian result, because the average
-    and the shrink scale are both entrywise and |conj(v)| = |v|.  The average
-    is written to ``out`` (a new array by default), shrunk in place and
-    returned.
+    The arguments are weighted coordinates of Hermitian (n+1) x (n+1)
+    matrices (:func:`~qbp.model.hermitian_coordinates`).  The average is
+    soft-thresholded as a matrix at q = lam / (2 rho): each diagonal
+    coordinate at q, and each (Re, Im) pair of an upper-triangle entry, whose
+    norm is sqrt(2) times the entry's magnitude, at sqrt(2) q, with the
+    magnitude from ``hypot``.  Exact zeros stay zero.  The average is written
+    to ``out`` (a new array by default), shrunk in place and returned;
+    ``work``, a float buffer of at least (n+1)^2 + n + 1 entries, holds the
+    temporaries, which are allocated when it is None.
     """
+    d = X1.size
+    m = math.isqrt(d)
+    k = (d - m) // 2
+    if work is None:
+        work = np.empty(d + m)
     V = np.add(X1, X2, out=out)
-    W = Y1 + Y2
+    W = np.add(Y1, Y2, out=work[:d])
     W /= rho
     V += W
     V *= 0.5
-    V *= _shrink_scale(V, 0.5 * lam / rho)
+    q = 0.5 * lam / rho
+    # magnitudes and factors max(|x| - q, 0) / |x|: the diagonal's m, then
+    # one per upper-triangle pair
+    mag, scale = work[:m + k], work[m + k:d + m]
+    np.abs(V[:m], out=mag[:m])
+    np.hypot(V[m:m + k], V[m + k:], out=mag[m:])
+    np.subtract(mag[:m], q, out=scale[:m])
+    np.subtract(mag[m:], _SQRT2 * q, out=scale[m:])
+    np.maximum(scale, 0.0, out=scale)
+    # |x| = 0 with q = 0 must give 0, not 0/0: the floor changes no other
+    # quotient, since every nonzero magnitude is at least the floor
+    np.maximum(mag, _SMALLEST_SUBNORMAL, out=mag)
+    scale /= mag
+    V[:m] *= scale[:m]
+    pairs = V[m:].reshape(2, k)
+    np.multiply(pairs, scale[m:], out=pairs)
     return V
 
 
@@ -389,33 +406,84 @@ def _sqnorm(A: np.ndarray) -> float:
     return float(f @ f)
 
 
+def _coordinate_maps(m: int):
+    """The loop's maps between an m x m Hermitian matrix and its weighted coordinates.
+
+    Returns ``(gather, weights, src, unweigh)``: the first two read the
+    coordinates (:func:`_gather`), the last two write them back with the
+    weights divided out (:func:`_scatter`).
+    """
+    gather, src, coef, weights = hermitian_coordinates(m)
+    return gather, weights, src, coef / np.append(weights, 1.0)[src]
+
+
+# The index maps are in range, and a take with mode "clip" into ``out`` skips
+# the bounds-checked copy that the default mode makes.
+
+def _gather(P: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
+    """Write the weighted coordinates of the Hermitian, C-contiguous ``P`` to ``out``."""
+    _flat(P).take(maps[0], out=out, mode="clip")
+    out *= maps[1]
+    return out
+
+
+def _scatter(x: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
+    """Write the Hermitian matrix with weighted coordinates ``x[:-1]`` to ``out``.
+
+    ``out`` is the flat float64 view of a C-contiguous complex matrix, and
+    ``x`` ends in one zero slot, which the imaginary diagonal reads, so the
+    matrix is exactly Hermitian.  Each off-diagonal part comes back from
+    :func:`_gather` within one unit in the last place (the weight sqrt(2)
+    is not a binary fraction); the diagonal comes back exactly.
+    """
+    x.take(maps[2], out=out, mode="clip")
+    out *= maps[3]
+    return out
+
+
 def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
           setup_s: float, return_x1: bool):
     start = time.perf_counter()
     m = system.n + 1
+    d = m * m
+    k = (d - m) // 2
+    # the PSD step alone sees a matrix, scattered into M and gathered back
+    maps = _coordinate_maps(m)
+    M = np.empty((m, m), dtype=complex)
+    M_flat = _flat(M)
     # the state u = (Z, Y1, Y2) and its image g = T(u) under one ADMM step live
-    # in three (3, m, m) buffers, swapped rather than copied: u, the last
-    # plain image g_prev (which may be u itself) and the one being written
-    bufs = np.zeros((3, 3, m, m), dtype=complex)
-    bufs[0, 0] = np.eye(m)
-    flats = [_flat(b) for b in bufs]
+    # in three (3, d) buffers of coordinates, swapped rather than copied: u,
+    # the last plain image g_prev (which may be u itself) and the one being
+    # written
+    bufs = np.zeros((3, 3, d))
+    bufs[0, 0, :m] = 1.0
+    flats = [b.reshape(-1) for b in bufs]
     iu = ip = 0
     rho = RHO0
     dim = float(system.n)
 
-    # one workspace for the solve: the X1 and X2 arguments, the relaxed
-    # copies H1 and H2, and the five matrices whose squared norms the
-    # stopping test reads, reduced in one batched dot
-    work = np.empty((9, m, m), dtype=complex)
-    args, H = work[:2], work[2:4]
-    diffs = work[4:]
-    diff_flat = diffs.reshape(5, -1).view(np.float64)
+    # one workspace for the solve: the X1 and X2 arguments (each followed by
+    # the scatter's zero slot), X2, the relaxed copies H1 and H2, and the
+    # five vectors whose squared norms the stopping test reads, reduced in
+    # one batched dot; the first two of those are free while update_z runs
+    padded = np.zeros((2, d + 1))
+    args = padded[:, :d]
+    work = np.empty((8, d))
+    X2, H, diffs = work[0], work[1:3], work[3:]
+    shrink_work = diffs[:2].reshape(-1)
     sq = np.empty(5)
-    mag = np.empty((m, m))
-    # the shifts of (Y1, Y2) in the step arguments: I, and -0.0, which adds
-    # to every float, signed zeros included, without changing it
-    shift = np.full((2, m, m), complex(-0.0, -0.0))
-    shift[0] = np.eye(m)
+    # the magnitudes of the answer's entries, one per diagonal coordinate and
+    # one per upper-triangle pair, and their weights in ||M||_1: a pair's
+    # norm is sqrt(2) |M_ij|, and the entry counts twice
+    mag = np.empty(m + k)
+    l1_weights = np.full(m + k, _SQRT2)
+    l1_weights[:m] = 1.0
+    # the shifts of (Y1, Y2) in the step arguments: the coordinates of I,
+    # and -0.0, which adds to every float, signed zeros included, without
+    # changing it
+    shift = np.full((2, d), -0.0)
+    shift[0] = 0.0
+    shift[0, :m] = 1.0
 
     # Anderson memory: a ring of differences of residuals f = g - u (rows of
     # W, followed by the rows fk and fp holding f and the previous f) and of
@@ -447,14 +515,15 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         args /= rho
         np.subtract(Z_prev, args, out=args)
         X1 = x1_step(args[0])
-        X2 = project_psd(args[1])
+        _scatter(padded[1], maps, M_flat)
+        _gather(project_psd(M), maps, X2)
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = diffs[0]
         np.multiply(Z_prev, 1.0 - ALPHA, out=base)
         np.multiply(X1, ALPHA, out=H[0])
         np.multiply(X2, ALPHA, out=H[1])
         H += base
-        update_z(H[0], H[1], Y[0], Y[1], rho, lam, out=Z)
+        update_z(H[0], H[1], Y[0], Y[1], rho, lam, out=Z, work=shrink_work)
         H -= Z
         H *= rho
         np.add(Y, H, out=Y_out)
@@ -464,18 +533,19 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         np.subtract(Z, Z_prev, out=diffs[2])
         np.add(X1, X2, out=diffs[3])
         np.add(Y_out[0], Y_out[1], out=diffs[4])
-        np.einsum("ij,ij->i", diff_flat, diff_flat, out=sq)
+        np.einsum("ij,ij->i", diffs, diffs, out=sq)
         r_norm = math.sqrt(sq[0] + sq[1])
         s_norm = rho * math.sqrt(2.0 * sq[2])
         xbar_norm = 0.5 * math.sqrt(sq[3])
         ybar_norm = 0.5 * math.sqrt(sq[4])
-        eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(_sqnorm(Z)))
+        eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(Z @ Z))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
         residuals.append((r_norm, s_norm, rho))
         answer = X1 if return_x1 else Z
-        np.abs(answer, out=mag)
-        objective.append(answer.trace().real + lam * mag.sum())
+        np.abs(answer[:m], out=mag[:m])
+        np.hypot(answer[m:m + k], answer[m + k:], out=mag[m:])
+        objective.append(answer[:m].sum() + lam * (mag @ l1_weights))
         if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             termination = "diverged"
             iterations = it
@@ -543,15 +613,20 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         else:
             iu = ip = ig
 
+    loop_s = time.perf_counter() - start
     logger.debug(
         "terminated (%s) after %d iterations: %d extrapolations accepted,"
         " %d rejected, %d memory restarts on a rho change; setup %.4f s,"
-        " loop %.4f s",
+        " loop %.4f s, %.1f us per iteration",
         termination, iterations, accepted, rejected, restarts, setup_s,
-        time.perf_counter() - start,
+        loop_s, 1e6 * loop_s / iterations,
     )
-    # a consensus iterate is a view of a state buffer, so the answer is copied out
-    return (answer.copy(), iterations, termination, np.array(residuals),
+    # the answer is a view of a state or work buffer; one scatter writes it
+    # out as an exactly Hermitian matrix
+    padded[1, :d] = answer
+    Z = np.empty((m, m), dtype=complex)
+    _scatter(padded[1], maps, _flat(Z))
+    return (Z, iterations, termination, np.array(residuals),
             np.array(objective), rho)
 
 

@@ -14,6 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -204,18 +205,46 @@ def run_trial(spec: ExperimentSpec, index: int) -> list[TrialRecord]:
     return [_run_method(spec, method, system, x_true, index) for method in spec.methods]
 
 
+# The BLAS thread counts a worker process starts with: one each, so that
+# ``jobs`` workers ask for ``jobs`` cores, not ``jobs`` times the parent's
+# threads.
+_WORKER_ENVIRONMENT = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                      "MKL_NUM_THREADS": "1"}
+
+
+def _map_in_workers(pool, fn, *iterables):
+    """``pool.map`` with workers started under :data:`_WORKER_ENVIRONMENT`.
+
+    The map submits every item, which starts every worker of a spawn pool,
+    each with a copy of the environment as it is then; the parent's
+    environment is restored afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in _WORKER_ENVIRONMENT}
+    os.environ.update(_WORKER_ENVIRONMENT)
+    try:
+        return pool.map(fn, *iterables)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
                     progress=None) -> list[TrialRecord]:
     """All trials of an experiment; ``jobs > 1`` runs trials in processes."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     records: list[TrialRecord] = []
-    # a fork-started pool launches all its workers at the first submit
     workers = min(jobs, spec.trials, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext()
+    if jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+    else:
+        pool = nullcontext()
     with pool:
-        trial_map = pool.map if jobs > 1 else map
-        batches = trial_map(run_trial, [spec] * spec.trials, range(spec.trials))
+        args = run_trial, [spec] * spec.trials, range(spec.trials)
+        batches = _map_in_workers(pool, *args) if jobs > 1 else map(*args)
         for index, batch in enumerate(batches):
             records.extend(batch)
             if progress is not None:

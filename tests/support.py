@@ -208,8 +208,8 @@ def reference_phantom_instance(side, k, N, seed=0):
 
 
 # Reference kernels: the consensus step's shrinkage with a boolean mask and a
-# masked divide, and the hard-thresholding objective and gradient from the
-# dense evaluate of every measurement.  The solver's kernels must reproduce
+# masked divide, on matrices and on coordinates, and the hard-thresholding
+# objective and gradient from the dense evaluate of every measurement.  The solver's kernels must reproduce
 # the first bit for bit and the second to rounding.
 
 def reference_shrink_scale(x, q):
@@ -224,14 +224,25 @@ def reference_soft_threshold(x, q):
     return x * reference_shrink_scale(x, q)
 
 
-def reference_update_z(X1, X2, Y1, Y2, rho, lam):
-    V = X1 + X2
-    W = Y1 + Y2
-    W /= rho
-    V += W
-    V *= 0.5
-    V *= reference_shrink_scale(V, 0.5 * lam / rho)
-    return V
+def reference_update_z(x1, x2, y1, y2, rho, lam):
+    """The consensus step on weighted coordinates, with masked divides."""
+    v = x1 + x2
+    w = y1 + y2
+    w /= rho
+    v += w
+    v *= 0.5
+    m = math.isqrt(v.size)
+    k = (v.size - m) // 2
+    q = 0.5 * lam / rho
+    v[:m] *= reference_shrink_scale(v[:m], q)
+    re, im = v[m:m + k], v[m + k:]
+    mag = np.hypot(re, im)
+    scale = mag - math.sqrt(2.0) * q
+    np.maximum(scale, 0.0, out=scale)
+    np.divide(scale, mag, out=scale, where=mag > math.sqrt(2.0) * q)
+    re *= scale
+    im *= scale
+    return v
 
 
 def reference_iht_objective(system, x):

@@ -49,6 +49,7 @@ from support import (
     random_hermitian,
     realvec,
     unitary_sensing_system,
+    unrealvec,
 )
 
 BENCH_SOLVER = {"eps_abs": 1e-5, "eps_rel": 1e-5, "max_iters": 30000}
@@ -169,7 +170,12 @@ def test_criterion_4_projection_oracles():
     worst_drift = 0.0
     for i in range(100):
         system, _ = consistent_system(3, 4, rng, real=i % 2 == 0)
-        projector = AffineProjector(system)
+        step = AffineProjector(system)
+
+        def projector(M):
+            # the X1 step maps weighted coordinates
+            return unrealvec(step(realvec(M)))
+
         P = projector(random_hermitian(4, rng))
         scale = 1.0 + float(np.max(np.abs(system.y)))
         residual = float(np.max(np.abs(measure_lifted(system, P) - system.y)))

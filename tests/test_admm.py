@@ -84,9 +84,9 @@ def test_soft_threshold_shrinks_magnitudes():
 
 
 def test_update_z_thresholds_the_average():
-    X = np.diag([3.0, 1.0]).astype(complex)
-    Y = np.zeros((2, 2), dtype=complex)
-    Z = update_z(X, X, Y, Y, rho=1.0, lam=4.0)
+    x = realvec(np.diag([3.0, 1.0]))
+    y = realvec(np.zeros((2, 2)))
+    Z = unrealvec(update_z(x, x, y, y, rho=1.0, lam=4.0))
     assert np.allclose(Z, np.diag([1.0, 0.0]))
 
 
@@ -97,7 +97,7 @@ def test_update_z_zero_lambda_averages():
     Y1 = random_hermitian(3, rng)
     Y2 = random_hermitian(3, rng)
     rho = 2.5
-    Z = update_z(X1, X2, Y1, Y2, rho, 0.0)
+    Z = unrealvec(update_z(*map(realvec, (X1, X2, Y1, Y2)), rho, 0.0))
     want = hermitianize(0.5 * (X1 + X2) + 0.5 * (Y1 + Y2) / rho)
     assert np.allclose(Z, want, atol=1e-14)
 
@@ -153,8 +153,11 @@ def test_update_z_property_hermitian_and_finite(m, seed, lam, rho):
     zero |= zero.T
     for B in blocks:
         B[zero] = 0.0
-    Z = update_z(*blocks, rho=rho, lam=lam)
-    assert np.all(np.isfinite(Z))
+    z = update_z(*map(realvec, blocks), rho=rho, lam=lam)
+    assert np.all(np.isfinite(z))
+    # exact zeros stay zero, in the coordinates and in the matrix
+    assert np.all(z[realvec(zero.astype(float)) != 0.0] == 0.0)
+    Z = unrealvec(z)
     assert np.array_equal(Z, Z.conj().T)
     assert np.all(Z[zero] == 0.0)
 
@@ -195,16 +198,38 @@ def test_shrink_kernels_match_the_masked_reference_bit_for_bit(blocks, q):
     assert _same_bits(soft_threshold(x.real, q), reference_soft_threshold(x.real, q))
 
 
+def _coordinates(blocks):
+    """The unweighted coordinates of each block: every special value kept."""
+    gather = hermitian_coordinates(blocks.shape[-1])[0]
+    return blocks.reshape(blocks.shape[0], -1).view(np.float64)[:, gather]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_complex_blocks(4), st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
        st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
 def test_update_z_matches_the_reference_bit_for_bit(blocks, lam, rho):
-    want = reference_update_z(*blocks.copy(), rho, lam)
-    assert _same_bits(update_z(*blocks, rho, lam), want)
-    # writing into a given buffer gives the same bits, and that buffer back
-    out = np.full_like(blocks[0], np.nan)
-    assert update_z(*blocks, rho, lam, out=out) is out
+    x = _coordinates(blocks)
+    want = reference_update_z(*x.copy(), rho, lam)
+    assert _same_bits(update_z(*x, rho, lam), want)
+    # writing into given buffers gives the same bits, and the out buffer back
+    out = np.full_like(x[0], np.nan)
+    work = np.full(x[0].size + blocks.shape[-1], np.nan)
+    assert update_z(*x, rho, lam, out=out, work=work) is out
     assert _same_bits(out, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_blocks(4), st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+def test_update_z_is_the_matrix_soft_threshold(blocks, lam, rho):
+    # the coordinate shrink is the soft threshold of the scattered average
+    x1, x2, y1, y2 = _coordinates(blocks)
+    average = unrealvec((x1 + x2 + (y1 + y2) / rho) * 0.5)
+    want = soft_threshold(average, 0.5 * lam / rho)
+    got = unrealvec(update_z(x1, x2, y1, y2, rho, lam))
+    # rounding in the subnormal range is absolute: a few units of the smallest one
+    tol = 1e-15 * np.max(np.abs(average)) + 4 * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def test_project_psd_variational_inequality():
@@ -228,11 +253,16 @@ def test_project_psd_nonexpansive():
         assert d <= np.linalg.norm(A - B) * (1.0 + 1e-12)
 
 
+def _on_matrices(step):
+    """An X1 step, which maps coordinates in place, as a map of Hermitian matrices."""
+    return lambda M: unrealvec(step(realvec(M)))
+
+
 def test_affine_projector_corner_only():
     # an all-zero measurement leaves only the pinned corner; projecting the
     # zero matrix must produce e_00
     system = QuadraticSystem([QuadraticMeasurement(0.0, [0.0], [0.0], [[0.0]], 0.0)])
-    proj = AffineProjector(system)
+    proj = _on_matrices(AffineProjector(system))
     out = proj(np.zeros((2, 2), dtype=complex))
     want = np.zeros((2, 2))
     want[0, 0] = 1.0
@@ -243,7 +273,7 @@ def test_affine_projector_fixed_point_and_idempotence():
     rng = np.random.default_rng(6)
     for seed in range(10):
         system, x = consistent_system(3, 4, rng, real=seed % 2 == 0)
-        proj = AffineProjector(system)
+        proj = _on_matrices(AffineProjector(system))
         feasible = lift(x)
         assert np.allclose(proj(feasible), feasible, atol=1e-10)
         M = random_hermitian(4, rng)
@@ -255,7 +285,7 @@ def test_affine_projector_output_satisfies_constraints():
     rng = np.random.default_rng(7)
     for _ in range(25):
         system, _ = consistent_system(4, 5, rng)
-        proj = AffineProjector(system)
+        proj = _on_matrices(AffineProjector(system))
         P = proj(random_hermitian(5, rng))
         resid = np.max(np.abs(measure_lifted(system, P) - system.y))
         scale = 1.0 + float(np.max(np.abs(system.y)))
@@ -268,7 +298,7 @@ def test_affine_projector_is_orthogonal_projection():
     # the residual M - P(M) must be orthogonal to the feasible affine set
     rng = np.random.default_rng(8)
     system, _ = consistent_system(3, 3, rng)
-    proj = AffineProjector(system)
+    proj = _on_matrices(AffineProjector(system))
     M = random_hermitian(4, rng)
     P = proj(M)
     for _ in range(5):
@@ -280,7 +310,7 @@ def test_affine_projector_is_orthogonal_projection():
 def test_affine_projector_nonexpansive():
     rng = np.random.default_rng(9)
     system, _ = consistent_system(3, 4, rng)
-    proj = AffineProjector(system)
+    proj = _on_matrices(AffineProjector(system))
     for _ in range(10):
         A = random_hermitian(4, rng)
         B = random_hermitian(4, rng)
@@ -373,17 +403,17 @@ def _assert_hermitian_step_output(X):
 @given(st.integers(1, 4), st.integers(1, 30), st.integers(0, 2**32 - 1),
        st.floats(1e-10, 10.0), st.floats(0.1, 10.0))
 def test_x1_steps_match_the_realvec_formulation(n, N, seed, epsilon, spread):
-    # the flat-view steps read and write the same coordinates realvec and
-    # unrealvec do, with the sqrt(2) weights folded into their matrices
+    # the steps map the weighted coordinates realvec and unrealvec convert,
+    # with one orthonormal-row matrix V^T in place of a pseudoinverse
     rng = np.random.default_rng(seed)
     system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
     M = spread * random_hermitian(n + 1, rng)
     scale = max(1.0, float(np.max(np.abs(M))))
-    got = AffineProjector(system)(M)
+    got = _on_matrices(AffineProjector(system))(M)
     _assert_hermitian_step_output(got)
     want = _realvec_affine(system)(M)
     assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-12) * scale
-    got = _PenalizedStep(system, epsilon)(M)
+    got = _on_matrices(_PenalizedStep(system, epsilon))(M)
     _assert_hermitian_step_output(got)
     want = _realvec_budget(system, epsilon)(M)
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -400,7 +430,7 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
     meas = system.measurements
     system = QuadraticSystem(meas + tuple(meas[i % N] for i in repeats))
     M = random_hermitian(n + 1, rng)
-    got = AffineProjector(system)(M)
+    got = _on_matrices(AffineProjector(system))(M)
     _assert_hermitian_step_output(got)
     want = _realvec_affine(system)(M)
     scale = max(1.0, float(np.max(np.abs(want))))
@@ -408,7 +438,7 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
     # the budget step drops the same null directions: at a budget above the
     # floor it must still match the SVD-based formulation
     epsilon = 0.5 * data_residual(system, M) + 1e-3
-    got = _PenalizedStep(system, epsilon)(M)
+    got = _on_matrices(_PenalizedStep(system, epsilon))(M)
     _assert_hermitian_step_output(got)
     want = _realvec_budget(system, epsilon)(M)
     scale = max(1.0, float(np.max(np.abs(want))))
@@ -422,7 +452,7 @@ def test_affine_limit_of_the_budget_step_is_the_equality_step():
     for N in range(1, 21):
         system, _ = consistent_system(3, N, rng)
         budget, equality = _PenalizedStep(system, 0.0), AffineProjector(system)
-        for name in ("_fwd", "_back", "_target"):
+        for name in ("_Vt", "_target"):
             assert getattr(budget, name).tobytes() == getattr(equality, name).tobytes()
 
 
@@ -431,6 +461,70 @@ def test_hermitian_maps_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+
+
+def _hermitian_from(block):
+    """The Hermitian matrix with the upper triangle and real diagonal of ``block``."""
+    m = block.shape[0]
+    iu, ju = np.triu_indices(m, k=1)
+    H = np.empty_like(block)
+    H[iu, ju] = block[iu, ju]
+    H[ju, iu] = block[iu, ju].conj()
+    H[np.arange(m), np.arange(m)] = block.diagonal().real
+    return H
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_blocks(1))
+def test_loop_gather_and_scatter_round_trip(blocks):
+    # the loop's PSD step scatters its coordinates into a matrix and gathers
+    # the projection back; a matrix that is left as it is must come back
+    H = _hermitian_from(blocks[0])
+    m = H.shape[0]
+    maps = qbp.admm._coordinate_maps(m)
+    gather, _, src, _ = maps
+    # the same index maps with unit weights, whose round trip is exact
+    unit = (gather, np.ones(m * m), src, hermitian_coordinates(m)[2])
+    x = np.zeros(m * m + 1)
+    exact, back = np.full_like(H, np.nan), np.full_like(H, np.nan)
+    qbp.admm._gather(H, unit, x[:-1])
+    qbp.admm._scatter(x, unit, exact.reshape(-1).view(np.float64))
+    qbp.admm._gather(H, maps, x[:-1])
+    qbp.admm._scatter(x, maps, back.reshape(-1).view(np.float64))
+    # the index maps alone round-trip every bit, signed zeros included
+    assert _same_bits(exact, H)
+    # the sqrt(2) weights cost at most one unit in the last place, and
+    # nothing on the diagonal or at zeros
+    assert np.array_equal(back, back.conj().T)
+    parts, want = back.view(np.float64), H.view(np.float64)
+    assert np.all(np.abs(parts - want) <= np.spacing(np.abs(want)))
+    assert _same_bits(back.diagonal().copy(), H.diagonal().copy())
+    assert np.all(back[H == 0.0] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_loop_coordinates_are_isometric(m, seed):
+    # plain dot products of the loop's coordinates are Frobenius products,
+    # which the stopping test and the Anderson fit rely on
+    rng = np.random.default_rng(seed)
+    A, B = random_hermitian(m, rng), random_hermitian(m, rng)
+    maps = qbp.admm._coordinate_maps(m)
+    a = qbp.admm._gather(A, maps, np.empty(m * m))
+    b = qbp.admm._gather(B, maps, np.empty(m * m))
+    want = np.trace(A @ B).real
+    assert abs(a @ b - want) <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(B)
+    assert a @ a == pytest.approx(np.linalg.norm(A) ** 2, rel=1e-14)
+
+
+def test_x1_steps_project_in_place():
+    rng = np.random.default_rng(22)
+    system, _ = consistent_system(3, 5, rng)
+    for step in (AffineProjector(system), _PenalizedStep(system, 1e-2)):
+        x = realvec(10.0 * random_hermitian(4, rng))
+        before = x.copy()
+        assert step(x) is x
+        assert x[0] == 1.0 and not np.array_equal(x, before)
 
 
 def test_repeated_solves_are_bit_identical():
@@ -564,8 +658,8 @@ def test_nonfinite_iterate_stops_as_diverged(monkeypatch):
 
 
 def test_iterate_invariants_hold_during_solves(monkeypatch):
-    # every X1 and X2 the loop produces is checked as it is made: both exactly
-    # Hermitian, X2 in the PSD cone, X1 exactly affine-feasible or, for the
+    # every X1 and X2 the loop produces is checked as it is made, X1 on the
+    # matrix its coordinates scatter to: both exactly Hermitian, X2 in the PSD cone, X1 exactly affine-feasible or, for the
     # budget program, within the residual budget with its corner pinned
     epsilon = 1e-3
     seen = {"psd": 0, "affine": 0, "budget": 0}
@@ -580,22 +674,24 @@ def test_iterate_invariants_hold_during_solves(monkeypatch):
         seen["psd"] += 1
         return X2
 
-    def checked_affine(self, M):
-        X1 = affine_call(self, M)
+    def checked_affine(self, x):
+        x1 = affine_call(self, x)
+        X1 = unrealvec(x1)
         hermitian(X1)
         viol = np.max(np.abs(measure_lifted(system, X1) - system.y))
         scale = 1.0 + float(np.max(np.abs(system.y)))
         assert viol <= 1e-6 * scale and abs(X1[0, 0] - 1.0) <= 1e-6
         seen["affine"] += 1
-        return X1
+        return x1
 
-    def checked_budget(self, M):
-        X1 = budget_call(self, M)
+    def checked_budget(self, x):
+        x1 = budget_call(self, x)
+        X1 = unrealvec(x1)
         hermitian(X1)
         assert X1[0, 0] == 1.0
         assert data_residual(system, X1) <= epsilon
         seen["budget"] += 1
-        return X1
+        return x1
 
     affine_call = AffineProjector.__call__
     budget_call = _PenalizedStep.__call__
@@ -633,11 +729,14 @@ def test_debug_log_counts_extrapolations(caplog):
     accepted, rejected, restarts = _anderson_counts(caplog)
     assert accepted > 0 and restarts > 0
     assert accepted + rejected < result.iterations
-    # the same line times the operator and factorization setup and the loop
+    # the same line times the operator and factorization setup and the loop,
+    # and gives the loop's cost per iteration
     last = [r.getMessage() for r in caplog.records][-1]
-    setup_s, loop_s = map(float, re.search(
-        r"; setup (\d+\.\d+) s, loop (\d+\.\d+) s$", last).groups())
+    setup_s, loop_s, us_per_iter = map(float, re.search(
+        r"; setup (\d+\.\d+) s, loop (\d+\.\d+) s, (\d+\.\d) us per iteration$",
+        last).groups())
     assert setup_s > 0.0 and loop_s > setup_s
+    assert us_per_iter == pytest.approx(1e6 * loop_s / result.iterations, rel=0.01, abs=0.1)
 
 
 def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
@@ -651,9 +750,9 @@ def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
         calls["psd"] += 1
         return project_psd(M)
 
-    def counted_x1(self, M):
+    def counted_x1(self, x):
         calls["x1"] += 1
-        return affine_call(self, M)
+        return affine_call(self, x)
 
     affine_call = AffineProjector.__call__
     monkeypatch.setattr(qbp.admm, "ANDERSON_SAFEGUARD_D", 0.0)
@@ -786,7 +885,7 @@ def test_denoising_meets_the_budget_exactly(make, lam, epsilon):
 def test_budget_projection_property(n, N, seed, epsilon, spread):
     rng = np.random.default_rng(seed)
     system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
-    step = _PenalizedStep(system, epsilon)
+    step = _on_matrices(_PenalizedStep(system, epsilon))
     X = step(spread * random_hermitian(n + 1, rng))
     assert np.array_equal(X, X.conj().T)
     assert X[0, 0] == 1.0
@@ -799,16 +898,16 @@ def test_budget_projection_at_zero_budget_is_affine():
     for seed in range(20):
         system, _ = consistent_system(3, 5 + seed % 7, rng, real=seed % 2 == 0)
         M = random_hermitian(4, rng)
-        got = _PenalizedStep(system, 0.0)(M)
-        assert np.max(np.abs(got - AffineProjector(system)(M))) <= 1e-8
+        got = _on_matrices(_PenalizedStep(system, 0.0))(M)
+        assert np.max(np.abs(got - _on_matrices(AffineProjector(system))(M))) <= 1e-8
     # ||y|| = 0 must not zero the infeasibility tolerance: a consistent
     # all-zero system has a least-squares floor of rounding size only
     rng = np.random.default_rng(14)
     for seed in range(20):
         system, _ = zero_valued_system(4, 6, rng, real=seed % 2 == 0)
         M = 10.0 * random_hermitian(5, rng)
-        got = _PenalizedStep(system, 0.0)(M)
-        assert np.max(np.abs(got - AffineProjector(system)(M))) <= 1e-8
+        got = _on_matrices(_PenalizedStep(system, 0.0))(M)
+        assert np.max(np.abs(got - _on_matrices(AffineProjector(system))(M))) <= 1e-8
 
 
 def test_affine_projector_is_the_budget_step_at_zero_budget():
@@ -828,7 +927,7 @@ def test_zero_valued_systems_keep_the_budget_margin(epsilon):
     rng = np.random.default_rng(16)
     for seed in range(20):
         system, _ = zero_valued_system(4, 6, rng, real=seed % 2 == 0)
-        step = _PenalizedStep(system, epsilon)
+        step = _on_matrices(_PenalizedStep(system, epsilon))
         for _ in range(3):
             X = step(10.0 * random_hermitian(5, rng))
             assert data_residual(system, X) <= epsilon

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -138,10 +139,12 @@ def test_parallel_jobs_match_serial():
 def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     class FakePool:
         # records the pool size asked for and runs at most two trials in
-        # this process, so a large request starts no process and stays cheap
+        # this process, so a large request starts no process and stays cheap;
+        # workers are spawned, not forked, with one BLAS thread each
         sizes = []
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             self.sizes.append(max_workers)
 
         def __enter__(self):
@@ -151,6 +154,8 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                assert os.environ[name] == "1"
             return map(fn, *(it[:2] for it in iterables))
 
     monkeypatch.setattr(qbp.montecarlo, "ProcessPoolExecutor", FakePool)
@@ -162,6 +167,15 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: None)
     run_monte_carlo(_tiny_spec(trials=1000), jobs=1000)
     assert FakePool.sizes == [2, 4, 1]
+
+
+def test_parallel_run_restores_the_environment(monkeypatch):
+    # the workers' thread settings are set around the pool's start only
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert len(run_monte_carlo(_tiny_spec(trials=2), jobs=2)) == 2
+    assert dict(os.environ) == before
 
 
 def test_progress_callback_fires_per_trial():
