@@ -29,6 +29,13 @@ rows, forward and back.  Only :func:`project_psd` sees a complex matrix: one
 scatter writes its argument, one gather reads the projection back, and one
 more scatter writes the returned matrix at the end.
 
+The penalty rho balances the residuals that the stopping test reads, as in
+OSQP (Stellato et al. 2020, Math. Prog. Comp.): the loop stops once the
+primal residual r <= eps_pri and the dual residual s <= eps_dual, and rho is
+doubled or halved whenever r / eps_pri and s / eps_dual differ by more than
+RHO_BALANCE (:func:`update_rho`, fed r * eps_dual and s * eps_pri).  With
+eps_abs = eps_rel = 0 both products are 0, so rho stays at RHO0.
+
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
 and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
 (SIAM J. Numer. Anal.), with the safeguard of Zhang, O'Donoghue & Boyd 2020
@@ -116,16 +123,15 @@ ANDERSON_SAFEGUARD_D = 1e6
 ANDERSON_SAFEGUARD_EPS = 1e-6
 ANDERSON_REG = 1e-10
 
-# Residual balancing (Boyd et al. 2011, section 3.4.1): rho starts at RHO0 and
-# is multiplied or divided by RHO_FACTOR whenever one residual norm exceeds
-# RHO_BALANCE times the other, unless that would leave [RHO_MIN, RHO_MAX].
-# Under Anderson acceleration the residual ratio swings by about an order of
-# magnitude from one iteration to the next, and every change of rho empties
-# the memory.  With Boyd's band of 10 those swings made rho flip 11-35 times
-# per holes-preset solve, at iterations that rounding decides, so a mere
-# relabelling of the unknowns moved the iteration count between 554 and 1085
-# (80 relabellings); a band of 20 leaves rho fixed after the first 16
-# iterations there and keeps the count within 604-945 at the same median.
+# Residual balancing on the residuals scaled by their tolerances (see the
+# module docstring and :func:`update_rho`): rho starts at RHO0 and moves by a
+# factor RHO_FACTOR within [RHO_MIN, RHO_MAX] whenever r / eps_pri and
+# s / eps_dual differ by more than RHO_BALANCE.  Every change of rho empties
+# the Anderson memory.  Against a band of 20, over ten relabellings of each
+# benchmark workload, a band of 10 took 9-12% more iterations on the table
+# and 30% more on the phantom (28% fewer on the holes preset), and a band of
+# 40 took 0.6% more on the table, 8% more on the phantom and the same on the
+# holes preset.
 RHO0 = 1.0
 RHO_BALANCE = 20.0
 RHO_FACTOR = 2.0
@@ -142,6 +148,16 @@ class InfeasibleProjectionError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of the ADMM loop.
+
+    A run converges once the primal residual is at most
+    eps_pri = n * eps_abs + eps_rel * max(||(X1 + X2) / 2||, ||Z||) and the
+    dual residual at most eps_dual = n * eps_abs + eps_rel * ||(Y1 + Y2) / 2||
+    (Frobenius norms, n the signal length), or stops after ``max_iters``
+    iterations.  The same two tolerances steer rho (:func:`update_rho`), so
+    with eps_abs = eps_rel = 0 rho stays at RHO0.
+    """
+
     eps_abs: float = 1e-3
     eps_rel: float = 1e-3
     max_iters: int = 10000
@@ -382,7 +398,15 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None, work=None) -> np.
 
 
 def update_rho(rho: float, r_norm: float, s_norm: float) -> float:
-    """Rebalance the penalty; skipped when it would leave [RHO_MIN, RHO_MAX]."""
+    """Rebalance the penalty; skipped when it would leave [RHO_MIN, RHO_MAX].
+
+    rho is multiplied by RHO_FACTOR when ``r_norm`` exceeds RHO_BALANCE times
+    ``s_norm`` and divided by it in the opposite case.  The loop passes the
+    residuals cross-multiplied by the stopping tolerances, r * eps_dual and
+    s * eps_pri, so it compares r / eps_pri with s / eps_dual without a
+    division.  With eps_abs = eps_rel = 0 both arguments are 0 and rho stays
+    where it is, at RHO0.
+    """
     if r_norm > RHO_BALANCE * s_norm:
         new = rho * RHO_FACTOR
     elif s_norm > RHO_BALANCE * r_norm:
@@ -499,7 +523,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     cols = head = 0
     have_prev = extrapolated = False
     f0 = 0.0
-    accepted = rejected = restarts = 0
+    accepted = rejected = restarts = rho_changes = 0
 
     # traces grow per iteration, so a huge max_iters reserves no memory up front
     residuals, objective = [], []
@@ -561,7 +585,8 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
             iterations = it
             break
 
-        new_rho = update_rho(rho, r_norm, s_norm)
+        new_rho = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri)
+        rho_changes += new_rho != rho
 
         u_flat, g_flat, f = flats[iu], flats[ig], W[fk]
         np.subtract(g_flat, u_flat, out=f)
@@ -620,6 +645,10 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         " loop %.4f s, %.1f us per iteration",
         termination, iterations, accepted, rejected, restarts, setup_s,
         loop_s, 1e6 * loop_s / iterations,
+    )
+    logger.debug(
+        "final r=%.3e eps_pri=%.3e s=%.3e eps_dual=%.3e rho=%.3e after %d rho changes",
+        r_norm, eps_pri, s_norm, eps_dual, rho, rho_changes,
     )
     # the answer is a view of a state or work buffer; one scatter writes it
     # out as an exactly Hermitian matrix

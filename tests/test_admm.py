@@ -553,6 +553,8 @@ def test_update_rho_balances_residuals():
     assert update_rho(1.0, 1.0, 0.02) == 2.0
     assert update_rho(1.0, 0.02, 1.0) == 0.5
     assert update_rho(1.0, 1.0, 0.1) == 1.0
+    # zero tolerances scale both residuals to zero
+    assert update_rho(1.0, 0.0, 0.0) == 1.0
 
 
 def test_update_rho_respects_bounds():
@@ -646,6 +648,19 @@ def test_max_iters_termination():
     assert not result.converged
     assert result.iterations == 7
     assert result.residuals.shape == (7, 3)
+    # rho balances the residuals scaled by the tolerances: zero tolerances
+    # scale both to zero, so rho never moves off its start
+    assert np.all(result.residuals[:, 2] == qbp.admm.RHO0)
+    assert result.rho_final == qbp.admm.RHO0
+
+
+def test_rho_balances_scaled_residuals_on_slow_table_trial():
+    # at lam = 50 eps_dual is far above eps_pri; balancing the raw residuals
+    # held rho at 8 and this trial took 4484 iterations
+    system, _ = general_quadratic(20, 25, 3, "binary", trial_seed(0, 30))
+    result = solve(system, 50.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
+    assert result.converged
+    assert result.iterations < 1500
 
 
 def test_nonfinite_iterate_stops_as_diverged(monkeypatch):
@@ -731,12 +746,30 @@ def test_debug_log_counts_extrapolations(caplog):
     assert accepted + rejected < result.iterations
     # the same line times the operator and factorization setup and the loop,
     # and gives the loop's cost per iteration
-    last = [r.getMessage() for r in caplog.records][-1]
+    last = [r.getMessage() for r in caplog.records if r.getMessage().startswith("terminated")][-1]
     setup_s, loop_s, us_per_iter = map(float, re.search(
         r"; setup (\d+\.\d+) s, loop (\d+\.\d+) s, (\d+\.\d) us per iteration$",
         last).groups())
     assert setup_s > 0.0 and loop_s > setup_s
     assert us_per_iter == pytest.approx(1e6 * loop_s / result.iterations, rel=0.01, abs=0.1)
+
+
+def test_debug_log_reports_final_residuals_against_tolerances(caplog):
+    caplog.set_level(logging.DEBUG, logger="qbp.admm")
+    system, _ = general_quadratic(20, 25, 3, "binary", trial_seed(0, 0))
+    result = solve(system, 50.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
+    assert result.converged
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[-2].startswith("terminated")
+    found = re.fullmatch(
+        r"final r=(\S+) eps_pri=(\S+) s=(\S+) eps_dual=(\S+) rho=(\S+)"
+        r" after (\d+) rho changes", messages[-1])
+    r, eps_pri, s, eps_dual, rho = map(float, found.groups()[:5])
+    changes = int(found.group(6))
+    assert r <= eps_pri and s <= eps_dual
+    assert rho == pytest.approx(result.rho_final, rel=1e-3)
+    rhos = result.residuals[:, 2]
+    assert changes == np.count_nonzero(np.diff(rhos)) and changes > 0
 
 
 def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
