@@ -51,11 +51,13 @@ D = ANDERSON_SAFEGUARD_D and eps = ANDERSON_SAFEGUARD_EPS.  A rejected point
 is discarded, and the loop continues from the plain step it was made from
 with an empty memory.  A change of rho changes T, so it also empties the
 memory.  Every evaluation of T, a discarded one too, counts as an iteration.
-The loop allocates its state, workspace and Anderson buffers once per solve.
-The X1 step overwrites its argument and :func:`update_z` into the
-consensus state buffer, with its temporaries in the workspace, so an
-iteration allocates only what :func:`project_psd` returns and vectors of
-the length of the measurement count or the Anderson memory.
+The loop allocates its state, workspace and Anderson buffers once per solve
+and keeps no history: it returns where it stopped, the last iteration's
+residuals and rho.  The X1 step overwrites its argument and
+:func:`update_z` into the consensus state buffer, with its temporaries in
+the workspace, so an iteration allocates only what :func:`project_psd`
+returns and vectors of the length of the measurement count or the Anderson
+memory.
 """
 
 from __future__ import annotations
@@ -172,30 +174,30 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Final iterate plus per-iteration telemetry.
+    """Where a solve stopped: the returned matrix and the loop's final state.
 
     ``Z`` is the consensus iterate for :func:`solve` and, for
     :func:`solve_denoising`, the last budget copy X1, which meets the
     residual budget exactly where the consensus iterate meets it only up to
-    the primal residual.  ``residuals`` has one row per iteration with
-    columns (primal norm, dual norm, rho).  ``objective`` has one entry per
-    iteration, Tr(M) + lam * ||M||_1 at that iteration's candidate for the
-    returned matrix: its consensus iterate for :func:`solve`, its budget
-    copy X1 for :func:`solve_denoising`.  So ``objective[-1]`` is the
-    objective of the returned ``Z``.  ``data_residual`` is the sum of
-    squared measurement residuals at the returned ``Z``.
+    the primal residual.  ``termination`` is ``"converged"``,
+    ``"max_iters"`` or ``"diverged"`` (a residual went non-finite) after
+    ``iterations`` iterations.
 
-    ``termination`` is ``"converged"``, ``"max_iters"`` or ``"diverged"`` (a
-    residual went non-finite).
+    ``primal_residual`` and ``dual_residual`` are the r and s of the last
+    iteration, which the stopping test compared with eps_pri and eps_dual
+    (:class:`SolverConfig`), and ``rho_final`` is the penalty after it.
+    ``objective`` is Tr(Z) + lam * sum |Z_ij| and ``data_residual`` the sum
+    of squared measurement residuals, both at the returned ``Z``.
     """
 
     Z: np.ndarray
     iterations: int
     termination: str
-    residuals: np.ndarray
-    objective: np.ndarray
     lam: float
     rho_final: float
+    primal_residual: float
+    dual_residual: float
+    objective: float
     data_residual: float
 
     @property
@@ -339,20 +341,15 @@ def project_psd(M) -> np.ndarray:
     return P
 
 
-def _shrink_scale(x: np.ndarray, q: float) -> np.ndarray:
-    """Entrywise factors max(|x| - q, 0) / |x| of the soft threshold (0 at x = 0)."""
+def soft_threshold(x: np.ndarray, q: float) -> np.ndarray:
+    """Complex soft threshold of an array: 0 where |x| <= q, else shrink |x| by q."""
     mag = np.abs(x)
     scale = mag - q
     np.maximum(scale, 0.0, out=scale)
     # |x| = 0 with q = 0 must give 0, not 0/0: the floor changes no other
     # quotient, since every nonzero magnitude is at least the floor
     scale /= np.maximum(mag, _SMALLEST_SUBNORMAL)
-    return scale
-
-
-def soft_threshold(x: np.ndarray, q: float) -> np.ndarray:
-    """Complex soft threshold of an array: 0 where |x| <= q, else shrink |x| by q."""
-    return x * _shrink_scale(x, q)
+    return x * scale
 
 
 def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None, work=None) -> np.ndarray:
@@ -470,7 +467,6 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     start = time.perf_counter()
     m = system.n + 1
     d = m * m
-    k = (d - m) // 2
     # the PSD step alone sees a matrix, scattered into M and gathered back
     maps = _coordinate_maps(m)
     M = np.empty((m, m), dtype=complex)
@@ -496,12 +492,6 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     X2, H, diffs = work[0], work[1:3], work[3:]
     shrink_work = diffs[:2].reshape(-1)
     sq = np.empty(5)
-    # the magnitudes of the answer's entries, one per diagonal coordinate and
-    # one per upper-triangle pair, and their weights in ||M||_1: a pair's
-    # norm is sqrt(2) |M_ij|, and the entry counts twice
-    mag = np.empty(m + k)
-    l1_weights = np.full(m + k, _SQRT2)
-    l1_weights[:m] = 1.0
     # the shifts of (Y1, Y2) in the step arguments: the coordinates of I,
     # and -0.0, which adds to every float, signed zeros included, without
     # changing it
@@ -525,8 +515,6 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     f0 = 0.0
     accepted = rejected = restarts = rho_changes = 0
 
-    # traces grow per iteration, so a huge max_iters reserves no memory up front
-    residuals, objective = [], []
     termination = "max_iters"
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
@@ -565,20 +553,13 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         eps_pri = dim * config.eps_abs + config.eps_rel * max(xbar_norm, math.sqrt(Z @ Z))
         eps_dual = dim * config.eps_abs + config.eps_rel * ybar_norm
 
-        residuals.append((r_norm, s_norm, rho))
-        answer = X1 if return_x1 else Z
-        np.abs(answer[:m], out=mag[:m])
-        np.hypot(answer[m:m + k], answer[m + k:], out=mag[m:])
-        objective.append(answer[:m].sum() + lam * (mag @ l1_weights))
         if not (math.isfinite(r_norm) and math.isfinite(s_norm)):
             termination = "diverged"
             iterations = it
             break
         if chatty and it % 100 == 0:
             logger.debug(
-                "iter %d: r=%.3e s=%.3e rho=%.3e obj=%.6f",
-                it, r_norm, s_norm, rho, objective[-1],
-            )
+                "iter %d: r=%.3e s=%.3e rho=%.3e", it, r_norm, s_norm, rho)
 
         if r_norm <= eps_pri and s_norm <= eps_dual:
             termination = "converged"
@@ -650,13 +631,12 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         "final r=%.3e eps_pri=%.3e s=%.3e eps_dual=%.3e rho=%.3e after %d rho changes",
         r_norm, eps_pri, s_norm, eps_dual, rho, rho_changes,
     )
-    # the answer is a view of a state or work buffer; one scatter writes it
-    # out as an exactly Hermitian matrix
-    padded[1, :d] = answer
+    # the answer is a view of a state or work buffer that the last iteration
+    # wrote; one scatter writes it out as an exactly Hermitian matrix
+    padded[1, :d] = X1 if return_x1 else Z
     Z = np.empty((m, m), dtype=complex)
     _scatter(padded[1], maps, _flat(Z))
-    return (Z, iterations, termination, np.array(residuals),
-            np.array(objective), rho)
+    return Z, iterations, termination, r_norm, s_norm, rho
 
 
 def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
@@ -667,10 +647,12 @@ def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
     start = time.perf_counter()
     step = make_step(system)
     setup_s = time.perf_counter() - start
-    Z, iterations, termination, res, obj, rho = _admm(
+    Z, iterations, termination, r_norm, s_norm, rho = _admm(
         system, lam, config, step, setup_s, return_x1)
     return SolverResult(Z=Z, iterations=iterations, termination=termination,
-                        residuals=res, objective=obj, lam=lam, rho_final=rho,
+                        lam=lam, rho_final=rho, primal_residual=r_norm,
+                        dual_residual=s_norm,
+                        objective=float(Z.trace().real + lam * np.abs(Z).sum()),
                         data_residual=data_residual(system, Z))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbp.model import DimensionMismatchError, QuadraticSystem
+from qbp.model import DimensionMismatchError, QuadraticSystem, _require_integer
 from qbp.admm import soft_threshold
 
 __all__ = [
@@ -102,6 +102,7 @@ def basis_pursuit(A, y):
 def hard_threshold(x, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries; ties go to the lowest index."""
     x = np.asarray(x)
+    _require_integer("k", k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k >= x.size:
@@ -166,6 +167,8 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     the relative decrease stalls.  Returns ``(x, iterations, objective)``
     for the best iterate seen.
     """
+    _require_integer("k", k)
+    _require_integer("max_iters", max_iters)
     if k < 1:
         raise ValueError("k must be positive")
     if max_iters < 1:

@@ -185,6 +185,10 @@ def _cmd_solve(args) -> int:
     report = build_report(system, result, x_true, args.tol, is_phase_invariant(system))
     with _writing(args.output) as (stream,):
         write_json(report_to_dict(report, mode="qbp" if args.epsilon is None else "qbpd",
+                                  primal_residual=result.primal_residual,
+                                  dual_residual=result.dual_residual,
+                                  rho_final=result.rho_final,
+                                  objective=result.objective,
                                   data_residual=result.data_residual, wall_time_s=wall),
                    stream)
     logger.info("solve finished: %s after %d iterations (%.2fs)",

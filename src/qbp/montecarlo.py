@@ -234,6 +234,7 @@ def _map_in_workers(pool, fn, *iterables):
 def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
                     progress=None) -> list[TrialRecord]:
     """All trials of an experiment; ``jobs > 1`` runs trials in processes."""
+    _require_integer("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     records: list[TrialRecord] = []

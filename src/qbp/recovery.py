@@ -15,6 +15,7 @@ import numpy as np
 from qbp.model import (
     DimensionMismatchError,
     QuadraticSystem,
+    _require_integer,
     _require_nonnegative,
     is_phase_invariant,
     lift,
@@ -239,6 +240,8 @@ def sample_rip(system: QuadraticSystem, k: int, samples: int = 200,
     Draws random Hermitian matrices with at most ``k`` nonzero entries and
     records the worst squared-norm ratio defect and its l1 analogue.
     """
+    for name, value in (("k", k), ("samples", samples), ("seed", seed)):
+        _require_integer(name, value)
     m = system.n + 1
     if not 1 <= k <= m * m:
         raise ValueError(f"k must be in [1, {m * m}]")

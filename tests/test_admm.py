@@ -41,7 +41,6 @@ from support import (
     consistent_system,
     random_hermitian,
     realvec,
-    reference_shrink_scale,
     reference_soft_threshold,
     reference_update_z,
     unitary_sensing_system,
@@ -193,7 +192,6 @@ def _same_bits(a, b):
 @given(_complex_blocks(1), _THRESHOLD)
 def test_shrink_kernels_match_the_masked_reference_bit_for_bit(blocks, q):
     x = blocks[0]
-    assert _same_bits(qbp.admm._shrink_scale(x, q), reference_shrink_scale(x, q))
     assert _same_bits(soft_threshold(x, q), reference_soft_threshold(x, q))
     assert _same_bits(soft_threshold(x.real, q), reference_soft_threshold(x.real, q))
 
@@ -544,9 +542,10 @@ def test_repeated_solves_are_bit_identical():
     last = runs()
     for results in (again, last):
         for a, b in zip(first, results):
-            assert a.iterations == b.iterations
-            for field in ("Z", "residuals", "objective"):
-                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+            assert a.Z.tobytes() == b.Z.tobytes()
+            for field in ("iterations", "rho_final", "primal_residual",
+                          "dual_residual", "objective", "data_residual"):
+                assert getattr(a, field) == getattr(b, field)
 
 
 def test_update_rho_balances_residuals():
@@ -633,25 +632,27 @@ def test_solve_table_regime_converges():
 def test_result_telemetry_shapes():
     result = solve(_single_equation(4.0), 0.5, TIGHT)
     assert isinstance(result, SolverResult)
-    assert result.residuals.shape == (result.iterations, 3)
-    assert result.objective.shape == (result.iterations,)
+    for field in ("rho_final", "primal_residual", "dual_residual", "objective",
+                  "data_residual"):
+        value = getattr(result, field)
+        assert type(value) is float and math.isfinite(value), field
     assert result.termination == "converged"
     assert result.lam == 0.5
     assert result.rho_final > 0.0
-    assert result.data_residual is not None and result.data_residual < 1e-6
+    assert result.data_residual < 1e-6
 
 
-def test_max_iters_termination():
+def test_max_iters_termination(caplog):
+    caplog.set_level(logging.DEBUG, logger="qbp.admm")
     system, _ = pure_phase(5, 15, 2, "gaussian", seed=3)
     result = solve(system, 1.0, SolverConfig(eps_abs=0.0, eps_rel=0.0, max_iters=7))
     assert result.termination == "max_iters"
     assert not result.converged
     assert result.iterations == 7
-    assert result.residuals.shape == (7, 3)
     # rho balances the residuals scaled by the tolerances: zero tolerances
     # scale both to zero, so rho never moves off its start
-    assert np.all(result.residuals[:, 2] == qbp.admm.RHO0)
     assert result.rho_final == qbp.admm.RHO0
+    assert caplog.records[-1].getMessage().endswith("after 0 rho changes")
 
 
 def test_rho_balances_scaled_residuals_on_slow_table_trial():
@@ -669,7 +670,7 @@ def test_nonfinite_iterate_stops_as_diverged(monkeypatch):
     assert result.termination == "diverged"
     assert not result.converged
     assert result.iterations == 1
-    assert result.residuals.shape == (1, 3)
+    assert not math.isfinite(result.primal_residual)
 
 
 def test_iterate_invariants_hold_during_solves(monkeypatch):
@@ -754,7 +755,15 @@ def test_debug_log_counts_extrapolations(caplog):
     assert us_per_iter == pytest.approx(1e6 * loop_s / result.iterations, rel=0.01, abs=0.1)
 
 
-def test_debug_log_reports_final_residuals_against_tolerances(caplog):
+def test_debug_log_reports_final_residuals_against_tolerances(monkeypatch, caplog):
+    changed = []
+
+    def counted_update_rho(rho, r_norm, s_norm):
+        new = update_rho(rho, r_norm, s_norm)
+        changed.append(new != rho)
+        return new
+
+    monkeypatch.setattr(qbp.admm, "update_rho", counted_update_rho)
     caplog.set_level(logging.DEBUG, logger="qbp.admm")
     system, _ = general_quadratic(20, 25, 3, "binary", trial_seed(0, 0))
     result = solve(system, 50.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
@@ -767,9 +776,11 @@ def test_debug_log_reports_final_residuals_against_tolerances(caplog):
     r, eps_pri, s, eps_dual, rho = map(float, found.groups()[:5])
     changes = int(found.group(6))
     assert r <= eps_pri and s <= eps_dual
+    # the log prints four significant digits of the values the result holds
+    assert r == pytest.approx(result.primal_residual, rel=1e-3)
+    assert s == pytest.approx(result.dual_residual, rel=1e-3)
     assert rho == pytest.approx(result.rho_final, rel=1e-3)
-    rhos = result.residuals[:, 2]
-    assert changes == np.count_nonzero(np.diff(rhos)) and changes > 0
+    assert changes == sum(changed) and changes > 0
 
 
 def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):
@@ -827,16 +838,17 @@ def test_objective_describes_the_returned_matrix(denoise):
     # exactly Hermitian: extrapolation combines Hermitian iterates with real weights
     assert np.array_equal(Z, Z.conj().T)
     want = Z.trace().real + result.lam * np.abs(Z).sum()
-    assert result.objective[-1] == pytest.approx(want, rel=1e-14)
+    assert result.objective == pytest.approx(want, rel=1e-14)
 
 
 def test_objective_settles_at_convergence():
+    # the objective at the benchmark tolerance is within 1% of a far tighter solve's
     system, _ = general_quadratic(20, 25, 3, "binary", seed=123)
-    result = solve(system, 50.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5,
-                                              max_iters=30000))
-    assert result.converged
-    tail = result.objective[-max(1, result.iterations // 10):]
-    assert (tail.max() - tail.min()) / abs(result.objective[-1]) < 0.01
+    results = [solve(system, 50.0, SolverConfig(eps_abs=tol, eps_rel=tol, max_iters=30000))
+               for tol in (1e-5, 1e-8)]
+    assert all(r.converged for r in results)
+    loose, tight = (r.objective for r in results)
+    assert abs(loose - tight) <= 0.01 * abs(tight)
 
 
 def test_data_residual_zero_at_exact_lift():

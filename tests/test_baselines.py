@@ -121,6 +121,22 @@ def test_hard_threshold_edge_cases():
         assert np.count_nonzero(out) == min(k, np.count_nonzero(x))
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_hard_threshold_k_must_be_an_integer(bad):
+    # a bool ran as k=1 and a float raised a TypeError from the slice
+    with pytest.raises(ValueError, match="k must be an integer"):
+        hard_threshold(np.array([3.0, 0.0, -2.0]), bad)
+
+
+@pytest.mark.parametrize("name", ["k", "max_iters"])
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_iht_counts_must_be_integers(name, bad):
+    system, _ = general_quadratic(4, 8, 1, "binary", seed=0)
+    counts = {"k": 1, "max_iters": 5, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        iterative_hard_thresholding(system, **counts)
+
+
 def test_iht_config_validation():
     system, _ = general_quadratic(4, 8, 1, "binary", seed=0)
     with pytest.raises(ValueError):

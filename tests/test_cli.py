@@ -25,8 +25,8 @@ from support import unitary_sensing_system, zero_valued_system
 
 # the full key sets of the documents the commands write
 REPORT_KEYS = {"x_hat", "rank_ratio", "feasibility_residual", "sparsity", "iterations",
-               "termination", "lambda", "success", "error", "mode", "data_residual",
-               "wall_time_s"}
+               "termination", "lambda", "success", "error", "mode", "primal_residual",
+               "dual_residual", "rho_final", "objective", "data_residual", "wall_time_s"}
 DIAGNOSE_KEYS = {
     "coherence": {"mu", "bound", "cardinality", "rank_ratio", "certified",
                   "skipped_columns"},
@@ -127,6 +127,10 @@ def test_solve_without_truth_reports_structure(tmp_path, capsys):
     assert report["mode"] == "qbp"
     assert set(report) == REPORT_KEYS
     assert len(report["x_hat"]) == 20
+    # the loop's final state: converged means both residuals met their tolerances
+    assert report["termination"] == "converged"
+    assert 0.0 <= report["primal_residual"] and 0.0 <= report["dual_residual"]
+    assert report["rho_final"] > 0.0 and report["objective"] > 0.0
 
 
 def test_solve_scores_a_general_instance_without_phase_alignment(tmp_path, capsys):

@@ -294,6 +294,13 @@ def test_spec_validation():
             run_monte_carlo(_tiny_spec(), jobs=jobs)
 
 
+@pytest.mark.parametrize("bad", [2.0, 1.5, True])
+def test_run_monte_carlo_jobs_must_be_an_integer(bad):
+    # jobs=1.5 and jobs=True ran before
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        run_monte_carlo(_tiny_spec(), jobs=bad)
+
+
 @pytest.mark.parametrize("field", ["n", "N", "k", "trials", "seed", "iht_max_iters"])
 @pytest.mark.parametrize("bad", [4.0, 2.5, True])
 def test_spec_integer_fields_reject_floats_and_bools(field, bad):

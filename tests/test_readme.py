@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qbp
-from qbp.cli import _build_parser
+from qbp.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -84,6 +85,17 @@ def test_readme_has_call_forms():
 def test_readme_call_form_lists_the_parameters(span, target, names):
     params = [p for p in inspect.signature(target).parameters if p != "self"]
     assert names == params, f"README shows `{span}`; the signature is {params}"
+
+
+def test_readme_lists_the_solve_report_keys(tmp_path, capsys):
+    # the keys of the "The report ... carries ..." sentence, less the
+    # parenthesized remarks, are those that qbp solve writes
+    sentence = re.search(r"The report .*? carries (.*?)\.\s", README, re.DOTALL).group(1)
+    documented = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence)))
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "-n", "4", "-N", "10", "-k", "1", "-o", str(inst)]) == 0
+    assert main(["solve", str(inst)]) == 0
+    assert documented == set(json.loads(capsys.readouterr().out))
 
 
 def _entry_point_names():

@@ -279,6 +279,16 @@ def test_sample_rip_validates_arguments():
         sample_rip(system, k=2, samples=0)
 
 
+@pytest.mark.parametrize("name", ["k", "samples", "seed"])
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_sample_rip_counts_must_be_integers(name, bad):
+    # k=2.5 was reported as k=2.5 and k=True ran as k=1
+    system, _ = pure_phase(3, 6, 1, "gaussian", seed=0)
+    counts = {"k": 2, "samples": 5, "seed": 0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        sample_rip(system, **counts)
+
+
 def test_build_report_phase_invariant_path():
     system, x = pure_phase(6, 24, 2, "gaussian", seed=1)
     result = solve(system, 5.0, SolverConfig(eps_abs=1e-6, eps_rel=1e-6,
