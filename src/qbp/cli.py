@@ -42,6 +42,7 @@ from qbp.serialize import (
     load_system,
     read_json,
     report_to_dict,
+    result_to_dict,
     save_system,
     vector_from_pairs,
     vector_to_pairs,
@@ -184,13 +185,8 @@ def _cmd_solve(args) -> int:
     result, wall = _timed_solve(args, system)
     report = build_report(system, result, x_true, args.tol, is_phase_invariant(system))
     with _writing(args.output) as (stream,):
-        write_json(report_to_dict(report, mode="qbp" if args.epsilon is None else "qbpd",
-                                  primal_residual=result.primal_residual,
-                                  dual_residual=result.dual_residual,
-                                  rho_final=result.rho_final,
-                                  objective=result.objective,
-                                  data_residual=result.data_residual, wall_time_s=wall),
-                   stream)
+        write_json(report_to_dict(report, result, wall_time_s=wall,
+                                  mode="qbp" if args.epsilon is None else "qbpd"), stream)
     logger.info("solve finished: %s after %d iterations (%.2fs)",
                 result.termination, result.iterations, wall)
     return 0
@@ -242,11 +238,7 @@ def _cmd_diagnose(args) -> int:
         write_json({
             "coherence": dataclasses.asdict(cert),
             "rip": dataclasses.asdict(rip),
-            "solve": {
-                "lambda": args.lam,
-                "iterations": result.iterations,
-                "termination": result.termination,
-            },
+            "solve": result_to_dict(result),
         }, stream)
     return 0
 

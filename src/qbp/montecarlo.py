@@ -181,7 +181,7 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
                 result = solve(system, spec.lam if method == "qbp" else 0.0, spec.config)
             report = build_report(system, result, x_true, spec.tol, phase_invariant)
             success, error = report.success, report.error
-            iterations, rank_ratio = report.iterations, report.rank_ratio
+            iterations, rank_ratio = result.iterations, report.rank_ratio
             note = "" if result.termination == "converged" else result.termination
             Z = result.Z
     except _SOLVER_ERRORS as exc:

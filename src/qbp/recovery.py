@@ -44,6 +44,11 @@ ZERO_RTOL = 1e-6
 # matrix within RANK_RTOL of the first.
 RANK_RTOL = 1e-3
 
+# mutual_coherence forms the column Gram in blocks of rows holding at most
+# this many entries, so its temporaries stay small however many columns the
+# operator has.
+_GRAM_ENTRIES = 1 << 18
+
 
 class DegenerateMatrixError(ValueError):
     """The solved matrix has no usable rank-one component."""
@@ -133,17 +138,26 @@ def mutual_coherence(B):
     Identically zero columns carry no information and are skipped; the
     return value is ``(mu, skipped)`` with ``skipped`` the number of zero
     columns dropped.  Raises if fewer than two nonzero columns remain.
+    The normalized Gram is formed one block of rows at a time, so memory
+    grows with the number of columns, not its square.
     """
     B = np.asarray(B, dtype=complex)
     norms = np.linalg.norm(B, axis=0)
     keep = norms > 0.0
     skipped = int(np.sum(~keep))
-    cols = B[:, keep]
-    if cols.shape[1] < 2:
+    cols, norms = B[:, keep], norms[keep]
+    p = cols.shape[1]
+    if p < 2:
         raise ValueError("coherence needs at least two nonzero columns")
-    G = np.abs(cols.conj().T @ cols) / np.outer(norms[keep], norms[keep])
-    np.fill_diagonal(G, 0.0)
-    return float(G.max()), skipped
+    rows = max(1, _GRAM_ENTRIES // p)
+    mu = 0.0
+    for lo in range(0, p, rows):
+        G = np.abs(cols[:, lo:lo + rows].conj().T @ cols)
+        G /= np.outer(norms[lo:lo + rows], norms)
+        own = np.arange(G.shape[0])
+        G[own, lo + own] = 0.0
+        mu = max(mu, float(G.max()))
+    return mu, skipped
 
 
 @dataclass(frozen=True)
@@ -262,15 +276,13 @@ def sample_rip(system: QuadraticSystem, k: int, samples: int = 200,
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Everything a caller needs to judge one solve."""
+    """The candidate recovered from a solve's matrix and its scores; where the
+    solve stopped stays in its :class:`~qbp.admm.SolverResult`."""
 
     x_hat: np.ndarray
     rank_ratio: float
     feasibility_residual: float
     sparsity: int
-    iterations: int
-    termination: str
-    lam: float
     success: bool | None = None
     error: float | None = None
 
@@ -303,9 +315,6 @@ def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3
         rank_ratio=rank_ratio,
         feasibility_residual=feas,
         sparsity=sparsity,
-        iterations=result.iterations,
-        termination=result.termination,
-        lam=result.lam,
         success=success,
         error=error,
     )

@@ -1,4 +1,4 @@
-"""JSON interchange for instances, signals, and recovery reports.
+"""JSON interchange for instances, signals, solves and recovery reports.
 
 Complex scalars travel as two-element ``[real, imag]`` arrays.  An instance
 document holds the dimension and the measurement list; malformed documents
@@ -27,6 +27,7 @@ __all__ = [
     "write_json",
     "vector_to_pairs",
     "vector_from_pairs",
+    "result_to_dict",
     "report_to_dict",
 ]
 
@@ -165,10 +166,19 @@ def save_system(system: QuadraticSystem, stream) -> None:
     write_json(system_to_dict(system), stream)
 
 
-def report_to_dict(report, **extra) -> dict:
-    """JSON form of a recovery report, with optional extra metadata merged in."""
+def result_to_dict(result) -> dict:
+    """JSON form of a solve's final state: every ``SolverResult`` field but the
+    matrix ``Z``, with ``lam`` written as ``lambda`` (its command-line name)."""
+    out = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+           if f.name != "Z"}
+    out["lambda"] = out.pop("lam")
+    return out
+
+
+def report_to_dict(report, result, **extra) -> dict:
+    """JSON form of a recovery report merged with its solve's and ``extra``."""
     out = dataclasses.asdict(report)
     out["x_hat"] = vector_to_pairs(report.x_hat)
-    out["lambda"] = out.pop("lam")
+    out.update(result_to_dict(result))
     out.update(extra)
     return out

@@ -257,3 +257,14 @@ def reference_iht_gradient(system, x):
     lin = system.c + np.einsum("nij,j->ni", q, x)
     lin_conj = system.b + np.einsum("nji,j->ni", q.conj(), x)
     return r.conj() @ lin + r @ lin_conj
+
+
+def reference_mutual_coherence(B):
+    """``(mu, skipped)`` from the full Gram of the nonzero columns of B."""
+    B = np.asarray(B, dtype=complex)
+    norms = np.linalg.norm(B, axis=0)
+    keep = norms > 0.0
+    cols = B[:, keep]
+    G = np.abs(cols.conj().T @ cols) / np.outer(norms[keep], norms[keep])
+    np.fill_diagonal(G, 0.0)
+    return float(G.max()), int(np.sum(~keep))

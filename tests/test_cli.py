@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: pipelines, exit codes, file formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import qbp.cli
 import qbp.montecarlo
+from qbp.admm import SolverResult
 from qbp.cli import main
 from qbp.model import (
     DimensionMismatchError,
@@ -31,7 +33,8 @@ DIAGNOSE_KEYS = {
     "coherence": {"mu", "bound", "cardinality", "rank_ratio", "certified",
                   "skipped_columns"},
     "rip": {"k", "samples", "epsilon", "epsilon_l1"},
-    "solve": {"lambda", "iterations", "termination"},
+    "solve": {"iterations", "termination", "lambda", "rho_final", "primal_residual",
+              "dual_residual", "objective", "data_residual"},
 }
 
 
@@ -481,6 +484,19 @@ def test_diagnose_flags_orthonormal_sensing(tmp_path):
     assert doc["rip"]["k"] == 4
     assert doc["rip"]["epsilon"] < 1e-6
     assert doc["solve"]["termination"] == "converged"
+    assert doc["solve"]["lambda"] == 0.5
+
+
+def test_every_solver_result_field_reaches_both_reports(tmp_path, capsys):
+    # derived from the dataclass, so a field added to SolverResult is checked
+    # in both documents without editing this test
+    fields = {f.name for f in dataclasses.fields(SolverResult)} - {"Z", "lam"} | {"lambda"}
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "-n", "4", "-N", "10", "-k", "1", "-o", str(inst)]) == 0
+    assert main(["solve", str(inst)]) == 0
+    assert fields <= set(json.loads(capsys.readouterr().out))
+    assert main(["diagnose", str(inst), "--rip-samples", "5"]) == 0
+    assert fields <= set(json.loads(capsys.readouterr().out)["solve"])
 
 
 def test_phantom_pipeline(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qbp.admm import SolverResult
 from qbp.recovery import RecoveryReport
 from qbp.serialize import (
     InstanceFormatError,
@@ -154,23 +155,29 @@ def test_vector_from_pairs_validation():
         vector_from_pairs([[1.0, 0.0], [2.0]])
 
 
+def _result(**fields):
+    base = dict(Z=np.eye(3, dtype=complex), iterations=42, termination="converged",
+                lam=5.0, rho_final=2.0, primal_residual=1e-6, dual_residual=2e-6,
+                objective=7.0, data_residual=1e-12)
+    return SolverResult(**{**base, **fields})
+
+
 def test_report_to_dict_merges_extras():
     report = RecoveryReport(
         x_hat=np.array([1.0 + 0.0j, 0.0]),
         rank_ratio=1e-8,
         feasibility_residual=1e-9,
         sparsity=1,
-        iterations=42,
-        termination="converged",
-        lam=5.0,
         success=True,
         error=1e-7,
     )
-    out = report_to_dict(report, mode="qbp", data_residual=None)
+    out = report_to_dict(report, _result(), mode="qbp", data_residual=None)
     assert out["x_hat"] == [[1.0, 0.0], [0.0, 0.0]]
     assert out["lambda"] == 5.0
+    assert out["termination"] == "converged"
     assert out["mode"] == "qbp"
-    assert out["data_residual"] is None
+    assert out["data_residual"] is None  # extras win over the solve's fields
+    assert "Z" not in out and "lam" not in out
     assert json.dumps(out)  # everything JSON-serializable
 
 
@@ -180,13 +187,11 @@ def test_report_to_dict_allows_missing_truth():
         rank_ratio=0.0,
         feasibility_residual=0.0,
         sparsity=0,
-        iterations=1,
-        termination="converged",
-        lam=0.0,
     )
-    out = report_to_dict(report)
+    out = report_to_dict(report, _result(iterations=1, lam=0.0))
     assert out["success"] is None
     assert out["error"] is None
+    assert out["lambda"] == 0.0
 
 
 def test_write_json_writes_non_finite_numbers_as_null():
