@@ -21,13 +21,15 @@ the measurement rows: the budget step (:class:`_PenalizedStep`) reads those of
 
 The loop holds every Hermitian matrix as its (n+1)^2 weighted coordinates
 (:func:`~qbp.model.hermitian_coordinates`): the diagonal, then sqrt(2) times
-the real and the imaginary parts of the upper triangle.  Plain dot products
-of coordinates are Frobenius products, so the stopping test and the
-Anderson fit read them directly.  The X1 step maps coordinates to
-coordinates: it pins the corner and applies one matrix V^T with orthonormal
-rows, forward and back.  Only :func:`project_psd` sees a complex matrix: one
-scatter writes its argument, one gather reads the projection back, and one
-more scatter writes the returned matrix at the end.
+each upper-triangle entry as its real and imaginary parts side by side.
+Plain dot products of coordinates are Frobenius products, so the stopping
+test and the Anderson fit read them directly, and the off-diagonal part,
+viewed as complex numbers, is sqrt(2) times the upper triangle, so
+:func:`update_z` shrinks it with :func:`soft_threshold`.  The X1 step maps
+coordinates to coordinates: it pins the corner and applies one matrix V^T
+with orthonormal rows, forward and back.  Only :func:`project_psd` sees a
+complex matrix: one scatter writes its argument, one gather reads the
+projection back, and one more scatter writes the returned matrix at the end.
 
 The penalty rho balances the residuals that the stopping test reads, as in
 OSQP (Stellato et al. 2020, Math. Prog. Comp.): the loop stops once the
@@ -54,10 +56,10 @@ memory.  Every evaluation of T, a discarded one too, counts as an iteration.
 The loop allocates its state, workspace and Anderson buffers once per solve
 and keeps no history: it returns where it stopped, the last iteration's
 residuals and rho.  The X1 step overwrites its argument and
-:func:`update_z` into the consensus state buffer, with its temporaries in
-the workspace, so an iteration allocates only what :func:`project_psd`
-returns and vectors of the length of the measurement count or the Anderson
-memory.
+:func:`update_z` writes into the consensus state buffer, so an iteration
+allocates only what :func:`project_psd` returns, the temporaries of
+:func:`update_z`, and vectors of the length of the measurement count or the
+Anderson memory.
 """
 
 from __future__ import annotations
@@ -341,56 +343,41 @@ def project_psd(M) -> np.ndarray:
     return P
 
 
-def soft_threshold(x: np.ndarray, q: float) -> np.ndarray:
-    """Complex soft threshold of an array: 0 where |x| <= q, else shrink |x| by q."""
+def soft_threshold(x: np.ndarray, q: float, out=None) -> np.ndarray:
+    """Complex soft threshold of an array: 0 where |x| <= q, else shrink |x| by q.
+
+    Written to ``out``, a new array by default; ``out=x`` shrinks in place.
+    """
     mag = np.abs(x)
     scale = mag - q
     np.maximum(scale, 0.0, out=scale)
     # |x| = 0 with q = 0 must give 0, not 0/0: the floor changes no other
     # quotient, since every nonzero magnitude is at least the floor
-    scale /= np.maximum(mag, _SMALLEST_SUBNORMAL)
-    return x * scale
+    scale /= np.maximum(mag, _SMALLEST_SUBNORMAL, out=mag)
+    return np.multiply(x, scale, out=out)
 
 
-def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None, work=None) -> np.ndarray:
+def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     """Consensus update: shrink the dual-corrected primal average.
 
     The arguments are weighted coordinates of Hermitian (n+1) x (n+1)
     matrices (:func:`~qbp.model.hermitian_coordinates`).  The average is
-    soft-thresholded as a matrix at q = lam / (2 rho): each diagonal
-    coordinate at q, and each (Re, Im) pair of an upper-triangle entry, whose
-    norm is sqrt(2) times the entry's magnitude, at sqrt(2) q, with the
-    magnitude from ``hypot``.  Exact zeros stay zero.  The average is written
-    to ``out`` (a new array by default), shrunk in place and returned;
-    ``work``, a float buffer of at least (n+1)^2 + n + 1 entries, holds the
-    temporaries, which are allocated when it is None.
+    written to ``out`` (a new array by default) and soft-thresholded in place
+    as a matrix at q = lam / (2 rho): :func:`soft_threshold` shrinks the
+    diagonal coordinates at q and the off-diagonal ones, viewed as complex
+    numbers sqrt(2) times the upper-triangle entries, at sqrt(2) q.  Exact
+    zeros stay zero.
     """
-    d = X1.size
-    m = math.isqrt(d)
-    k = (d - m) // 2
-    if work is None:
-        work = np.empty(d + m)
+    m = math.isqrt(X1.size)
     V = np.add(X1, X2, out=out)
-    W = np.add(Y1, Y2, out=work[:d])
+    W = Y1 + Y2
     W /= rho
     V += W
     V *= 0.5
     q = 0.5 * lam / rho
-    # magnitudes and factors max(|x| - q, 0) / |x|: the diagonal's m, then
-    # one per upper-triangle pair
-    mag, scale = work[:m + k], work[m + k:d + m]
-    np.abs(V[:m], out=mag[:m])
-    np.hypot(V[m:m + k], V[m + k:], out=mag[m:])
-    np.subtract(mag[:m], q, out=scale[:m])
-    np.subtract(mag[m:], _SQRT2 * q, out=scale[m:])
-    np.maximum(scale, 0.0, out=scale)
-    # |x| = 0 with q = 0 must give 0, not 0/0: the floor changes no other
-    # quotient, since every nonzero magnitude is at least the floor
-    np.maximum(mag, _SMALLEST_SUBNORMAL, out=mag)
-    scale /= mag
-    V[:m] *= scale[:m]
-    pairs = V[m:].reshape(2, k)
-    np.multiply(pairs, scale[m:], out=pairs)
+    soft_threshold(V[:m], q, out=V[:m])
+    upper = V[m:].view(complex)
+    soft_threshold(upper, _SQRT2 * q, out=upper)
     return V
 
 
@@ -427,17 +414,6 @@ def _sqnorm(A: np.ndarray) -> float:
     return float(f @ f)
 
 
-def _coordinate_maps(m: int):
-    """The loop's maps between an m x m Hermitian matrix and its weighted coordinates.
-
-    Returns ``(gather, weights, src, unweigh)``: the first two read the
-    coordinates (:func:`_gather`), the last two write them back with the
-    weights divided out (:func:`_scatter`).
-    """
-    gather, src, coef, weights = hermitian_coordinates(m)
-    return gather, weights, src, coef / np.append(weights, 1.0)[src]
-
-
 # The index maps are in range, and a take with mode "clip" into ``out`` skips
 # the bounds-checked copy that the default mode makes.
 
@@ -468,7 +444,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     m = system.n + 1
     d = m * m
     # the PSD step alone sees a matrix, scattered into M and gathered back
-    maps = _coordinate_maps(m)
+    maps = hermitian_coordinates(m)
     M = np.empty((m, m), dtype=complex)
     M_flat = _flat(M)
     # the state u = (Z, Y1, Y2) and its image g = T(u) under one ADMM step live
@@ -485,12 +461,11 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     # one workspace for the solve: the X1 and X2 arguments (each followed by
     # the scatter's zero slot), X2, the relaxed copies H1 and H2, and the
     # five vectors whose squared norms the stopping test reads, reduced in
-    # one batched dot; the first two of those are free while update_z runs
+    # one batched dot
     padded = np.zeros((2, d + 1))
     args = padded[:, :d]
     work = np.empty((8, d))
     X2, H, diffs = work[0], work[1:3], work[3:]
-    shrink_work = diffs[:2].reshape(-1)
     sq = np.empty(5)
     # the shifts of (Y1, Y2) in the step arguments: the coordinates of I,
     # and -0.0, which adds to every float, signed zeros included, without
@@ -535,7 +510,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         np.multiply(X1, ALPHA, out=H[0])
         np.multiply(X2, ALPHA, out=H[1])
         H += base
-        update_z(H[0], H[1], Y[0], Y[1], rho, lam, out=Z, work=shrink_work)
+        update_z(H[0], H[1], Y[0], Y[1], rho, lam, out=Z)
         H -= Z
         H *= rho
         np.add(Y, H, out=Y_out)

@@ -3,8 +3,8 @@
 Subcommands: ``generate`` random instances, ``solve`` one instance,
 ``montecarlo`` repeated trials to CSV, ``diagnose`` recoverability of an
 instance, ``phantom`` the image-recovery pipeline.  Exit codes: 0 success,
-1 usage or input error, 2 solver failure.  Set ``QBP_LOG=debug|info`` for
-solver progress on stderr.
+1 usage or input error, 2 solver failure.  ``QBP_LOG=debug|info|warning|error``
+(any case) sets the level of solver progress logged on stderr.
 """
 
 from __future__ import annotations
@@ -350,22 +350,22 @@ def _build_parser() -> _Parser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("QBP_LOG", "").strip().upper()
-    if level_name:
-        level = getattr(logging, level_name, logging.WARNING)
-        logging.basicConfig(
-            level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-        )
+    value = os.environ.get("QBP_LOG", "").strip()
+    if value.upper() not in ("", "DEBUG", "INFO", "WARNING", "ERROR"):
+        raise ValueError(f"QBP_LOG must be debug, info, warning or error, got {value!r}")
+    if value:
+        logging.basicConfig(level=value.upper(), stream=sys.stderr,
+                            format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _configure_logging()
         return args.func(args)
     except _SOLVER_ERRORS as exc:
         print(f"qbp: solver error: {exc}", file=sys.stderr)

@@ -247,34 +247,34 @@ def is_phase_invariant(system: QuadraticSystem) -> bool:
 def hermitian_coordinates(m: int):
     """Read-only index maps between an m x m complex matrix and its coordinates.
 
-    The coordinates are the real diagonal, then the real and the imaginary
-    parts of the strict upper triangle, row-major.  Times ``weights`` (1 on
-    the diagonal, sqrt(2) off it) they are isometric: the dot product of the
-    weighted coordinates of two Hermitian matrices is Tr(X1 X2).  Returns
-    ``(gather, src, coef, weights)``:
+    The coordinates are the real diagonal, then each entry of the strict
+    upper triangle, row-major, as its real and imaginary parts side by side,
+    so they read as m real numbers followed by m(m-1)/2 complex ones.  Times
+    ``weights`` (1 on the diagonal, sqrt(2) off it) they are isometric: the
+    dot product of the weighted coordinates of two Hermitian matrices is
+    Tr(X1 X2).  Returns ``(gather, weights, src, unweigh)``:
 
-    - ``gather[j]`` is the position of coordinate j in the matrix's flat
-      float64 view;
-    - a coordinate vector x padded with one zero slot (x[m*m] = 0) is written
-      back as ``flat[k] = coef[k] * x[src[k]]``: the lower triangle reads the
-      upper one with the sign of its imaginary part flipped, and the
-      imaginary diagonal reads the zero slot;
-    - ``weights`` holds those scale factors.
+    - the weighted coordinates of a matrix are ``flat[gather] * weights``,
+      ``flat`` the matrix's flat float64 view;
+    - a weighted coordinate vector x padded with one zero slot (x[m*m] = 0)
+      is written back as ``flat[k] = unweigh[k] * x[src[k]]``: the lower
+      triangle reads the upper one with the sign of its imaginary part
+      flipped, and the imaginary diagonal reads the zero slot.
     """
     iu, ju = np.triu_indices(m, k=1)
     diag = np.arange(m) * (2 * m + 2)
     upper = 2 * (iu * m + ju)
     lower = 2 * (ju * m + iu)
-    gather = np.concatenate([diag, upper, upper + 1])
+    gather = np.concatenate([diag, np.stack([upper, upper + 1], axis=1).ravel()])
     src = np.full(2 * m * m, m * m)
     src[gather] = np.arange(m * m)
     src[lower] = src[upper]
     src[lower + 1] = src[upper + 1]
-    coef = np.ones(2 * m * m)
-    coef[lower + 1] = -1.0
     weights = np.full(m * m, np.sqrt(2.0))
     weights[:m] = 1.0
-    maps = gather, src, coef, weights
+    unweigh = 1.0 / np.append(weights, 1.0)[src]
+    unweigh[lower + 1] *= -1.0
+    maps = gather, weights, src, unweigh
     for arr in maps:
         arr.flags.writeable = False
     return maps
@@ -296,11 +296,11 @@ def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
 
     The complex row r_i with r_i . v = Tr(Phi_i X), v the weighted
     coordinates of X (:func:`hermitian_coordinates`), holds the
-    diagonal of Phi_i, then (Phi[j, k] + Phi[k, j]) / sqrt(2) and
-    1j * (Phi[k, j] - Phi[j, k]) / sqrt(2) over the strict upper triangle,
-    row-major.  The rows of the measurements ``which`` (all by default) put
-    their real parts in ``re_out`` and their imaginary parts in ``im_out``,
-    either of which may be None.
+    diagonal of Phi_i, then over the strict upper triangle, row-major, the
+    pairs (Phi[j, k] + Phi[k, j]) / sqrt(2), 1j * (Phi[k, j] - Phi[j, k]) /
+    sqrt(2) side by side.  The rows of the measurements ``which`` (all by
+    default) put their real parts in ``re_out`` and their imaginary parts in
+    ``im_out``, either of which may be None.
     """
     N, m = phis.shape[:2]
     which = np.arange(N) if which is None else np.asarray(which)
@@ -310,11 +310,9 @@ def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
     for lo in range(0, which.size, block):
         part = phis[which[lo:lo + block]]
         upper, lower = part[:, iu, ju], part[:, ju, iu]
-        rows = np.concatenate([
-            part[:, diag, diag],
-            (upper + lower) / np.sqrt(2.0),
-            1j * (lower - upper) / np.sqrt(2.0),
-        ], axis=1)
+        pairs = np.stack([(upper + lower) / np.sqrt(2.0),
+                          1j * (lower - upper) / np.sqrt(2.0)], axis=2)
+        rows = np.concatenate([part[:, diag, diag], pairs.reshape(len(part), -1)], axis=1)
         if re_out is not None:
             re_out[lo:lo + block] = rows.real
         if im_out is not None:

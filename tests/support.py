@@ -45,12 +45,13 @@ def realvec(X) -> np.ndarray:
     """Isometric real coordinates of a Hermitian matrix.
 
     Layout: the m diagonal entries (real), then sqrt(2)*Re X[i, j] and
-    sqrt(2)*Im X[i, j] over the strict upper triangle, row-major.  The map
-    preserves inner products, so least squares on these coordinates agrees
-    with Frobenius geometry on matrices.
+    sqrt(2)*Im X[i, j] side by side for each entry of the strict upper
+    triangle, row-major, so ``realvec(X)[m:].view(complex)`` is sqrt(2)
+    times the upper triangle.  The map preserves inner products, so least
+    squares on these coordinates agrees with Frobenius geometry on matrices.
     """
     X = np.ascontiguousarray(X, dtype=complex)
-    gather, _, _, weights = hermitian_coordinates(X.shape[0])
+    gather, weights, _, _ = hermitian_coordinates(X.shape[0])
     return _flat(X)[gather] * weights
 
 
@@ -60,11 +61,11 @@ def unrealvec(v) -> np.ndarray:
     m = int(round(np.sqrt(v.size)))
     if m * m != v.size:
         raise DimensionMismatchError(f"coordinate vector of size {v.size} is not square")
-    _, src, coef, weights = hermitian_coordinates(m)
+    _, _, src, unweigh = hermitian_coordinates(m)
     x = np.zeros(m * m + 1)
-    np.divide(v, weights, out=x[:-1])
+    x[:-1] = v
     X = np.empty((m, m), dtype=complex)
-    np.multiply(x[src], coef, out=_flat(X))
+    np.multiply(x[src], unweigh, out=_flat(X))
     return X
 
 
@@ -232,16 +233,10 @@ def reference_update_z(x1, x2, y1, y2, rho, lam):
     v += w
     v *= 0.5
     m = math.isqrt(v.size)
-    k = (v.size - m) // 2
     q = 0.5 * lam / rho
-    v[:m] *= reference_shrink_scale(v[:m], q)
-    re, im = v[m:m + k], v[m + k:]
-    mag = np.hypot(re, im)
-    scale = mag - math.sqrt(2.0) * q
-    np.maximum(scale, 0.0, out=scale)
-    np.divide(scale, mag, out=scale, where=mag > math.sqrt(2.0) * q)
-    re *= scale
-    im *= scale
+    v[:m] = reference_soft_threshold(v[:m], q)
+    upper = v[m:].view(complex)
+    upper[:] = reference_soft_threshold(upper, math.sqrt(2.0) * q)
     return v
 
 

@@ -211,8 +211,7 @@ def test_update_z_matches_the_reference_bit_for_bit(blocks, lam, rho):
     assert _same_bits(update_z(*x, rho, lam), want)
     # writing into given buffers gives the same bits, and the out buffer back
     out = np.full_like(x[0], np.nan)
-    work = np.full(x[0].size + blocks.shape[-1], np.nan)
-    assert update_z(*x, rho, lam, out=out, work=work) is out
+    assert update_z(*x, rho, lam, out=out) is out
     assert _same_bits(out, want)
 
 
@@ -479,10 +478,10 @@ def test_loop_gather_and_scatter_round_trip(blocks):
     # the projection back; a matrix that is left as it is must come back
     H = _hermitian_from(blocks[0])
     m = H.shape[0]
-    maps = qbp.admm._coordinate_maps(m)
-    gather, _, src, _ = maps
+    maps = hermitian_coordinates(m)
+    gather, _, src, unweigh = maps
     # the same index maps with unit weights, whose round trip is exact
-    unit = (gather, np.ones(m * m), src, hermitian_coordinates(m)[2])
+    unit = (gather, np.ones(m * m), src, np.sign(unweigh))
     x = np.zeros(m * m + 1)
     exact, back = np.full_like(H, np.nan), np.full_like(H, np.nan)
     qbp.admm._gather(H, unit, x[:-1])
@@ -507,7 +506,7 @@ def test_loop_coordinates_are_isometric(m, seed):
     # which the stopping test and the Anderson fit rely on
     rng = np.random.default_rng(seed)
     A, B = random_hermitian(m, rng), random_hermitian(m, rng)
-    maps = qbp.admm._coordinate_maps(m)
+    maps = hermitian_coordinates(m)
     a = qbp.admm._gather(A, maps, np.empty(m * m))
     b = qbp.admm._gather(B, maps, np.empty(m * m))
     want = np.trace(A @ B).real

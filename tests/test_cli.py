@@ -53,6 +53,24 @@ def test_help_exits_zero(capsys):
     assert "generate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_unknown_log_level_is_input_error(value, tmp_path, capsys, monkeypatch):
+    # a logging attribute that is not a level, and a word that is neither
+    monkeypatch.setenv("QBP_LOG", value)
+    assert main(["generate", "-o", str(tmp_path / "inst.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qbp: error: QBP_LOG") and repr(value) in err
+    assert "Traceback" not in err
+
+
+def test_log_level_is_read_in_any_case(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(qbp.cli.logging, "basicConfig", lambda **kw: calls.append(kw))
+    monkeypatch.setenv("QBP_LOG", " Debug ")
+    assert main(["generate", "-o", str(tmp_path / "inst.json")]) == 0
+    assert [kw["level"] for kw in calls] == ["DEBUG"]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
     assert "error" in capsys.readouterr().err

@@ -320,6 +320,18 @@ def test_realvec_is_isometric():
         assert np.isclose(v1 @ v2, np.trace(H1 @ H2).real, rtol=1e-10, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_off_diagonal_coordinates_view_as_the_scaled_upper_triangle(m, seed):
+    # each upper-triangle entry's (Re, Im) pair sits side by side, so the
+    # off-diagonal coordinates read as complex numbers are sqrt(2) X[j, k]
+    X = random_hermitian(m, np.random.default_rng(seed))
+    got = realvec(X)[m:].view(complex)
+    want = np.sqrt(2.0) * X[np.triu_indices(m, k=1)]
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.all(np.abs(g - w) <= np.spacing(np.abs(w)))
+
+
 def test_unrealvec_rejects_non_square_lengths():
     with pytest.raises(DimensionMismatchError):
         unrealvec(np.zeros(5))
@@ -402,10 +414,12 @@ def _complex_row_operator(system):
     m = system.n + 1
     iu, ju = np.triu_indices(m, k=1)
     upper, lower = phis[:, iu, ju], phis[:, ju, iu]
+    pairs = np.empty(upper.shape + (2,), dtype=complex)
+    pairs[..., 0] = (upper + lower) / np.sqrt(2.0)
+    pairs[..., 1] = 1j * (lower - upper) / np.sqrt(2.0)
     rows = np.concatenate([
         phis[:, np.arange(m), np.arange(m)],
-        (upper + lower) / np.sqrt(2.0),
-        1j * (lower - upper) / np.sqrt(2.0),
+        pairs.reshape(len(phis), -1),
     ], axis=1)
     B = np.concatenate([rows.real, rows.imag], axis=0)
     rhs = np.concatenate([system.y.real, system.y.imag])
