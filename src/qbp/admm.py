@@ -74,8 +74,10 @@ import numpy as np
 from qbp.model import (
     QuadraticSystem,
     _flat,
+    _gather,
     _require_integer,
     _require_nonnegative,
+    _scatter,
     constraint_system,
     hermitian_coordinates,
     measure_lifted,
@@ -323,21 +325,16 @@ def project_psd(M) -> np.ndarray:
     """Nearest positive-semidefinite matrix to a Hermitian ``M`` in Frobenius norm.
 
     ``M`` must be Hermitian: ``eigh`` reads one triangle only.  A PSD ``M`` is
-    returned itself.  Otherwise the projection is rebuilt from whichever
-    eigen-part is smaller, ``M - V_neg diag(w_neg) V_neg^H`` or
-    ``V_pos diag(w_pos) V_pos^H``, and symmetrized once, so the result is
-    exactly Hermitian with an exactly real diagonal.
+    returned itself.  Otherwise the projection is rebuilt from the part it
+    keeps, ``V_pos diag(w_pos) V_pos^H``, and symmetrized once, so the result
+    is exactly Hermitian with an exactly real diagonal.
     """
     w, V = np.linalg.eigh(M)
     neg = int(np.searchsorted(w, 0.0))
     if neg == 0:
         return M
-    if 2 * neg < w.size:
-        Vn = V[:, :neg]
-        P = M - (Vn * w[:neg]) @ Vn.conj().T
-    else:
-        Vp = V[:, neg:]
-        P = (Vp * w[neg:]) @ Vp.conj().T
+    Vp = V[:, neg:]
+    P = (Vp * w[neg:]) @ Vp.conj().T
     P += P.conj().T
     P *= 0.5
     return P
@@ -414,30 +411,6 @@ def _sqnorm(A: np.ndarray) -> float:
     return float(f @ f)
 
 
-# The index maps are in range, and a take with mode "clip" into ``out`` skips
-# the bounds-checked copy that the default mode makes.
-
-def _gather(P: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
-    """Write the weighted coordinates of the Hermitian, C-contiguous ``P`` to ``out``."""
-    _flat(P).take(maps[0], out=out, mode="clip")
-    out *= maps[1]
-    return out
-
-
-def _scatter(x: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
-    """Write the Hermitian matrix with weighted coordinates ``x[:-1]`` to ``out``.
-
-    ``out`` is the flat float64 view of a C-contiguous complex matrix, and
-    ``x`` ends in one zero slot, which the imaginary diagonal reads, so the
-    matrix is exactly Hermitian.  Each off-diagonal part comes back from
-    :func:`_gather` within one unit in the last place (the weight sqrt(2)
-    is not a binary fraction); the diagonal comes back exactly.
-    """
-    x.take(maps[2], out=out, mode="clip")
-    out *= maps[3]
-    return out
-
-
 def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
           setup_s: float, return_x1: bool):
     start = time.perf_counter()
@@ -458,14 +431,14 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     rho = RHO0
     dim = float(system.n)
 
-    # one workspace for the solve: the X1 and X2 arguments (each followed by
-    # the scatter's zero slot), X2, the relaxed copies H1 and H2, and the
-    # five vectors whose squared norms the stopping test reads, reduced in
-    # one batched dot
+    # one workspace for the solve: the pair of X1 and X2 arguments (each
+    # followed by the scatter's zero slot), which the steps overwrite with
+    # X1 and X2, the relaxed copies H1 and H2, and the five vectors whose
+    # squared norms the stopping test reads, reduced in one batched dot
     padded = np.zeros((2, d + 1))
-    args = padded[:, :d]
-    work = np.empty((8, d))
-    X2, H, diffs = work[0], work[1:3], work[3:]
+    X = padded[:, :d]
+    work = np.empty((7, d))
+    H, diffs = work[:2], work[2:]
     sq = np.empty(5)
     # the shifts of (Y1, Y2) in the step arguments: the coordinates of I,
     # and -0.0, which adds to every float, signed zeros included, without
@@ -498,27 +471,25 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         ig = 3 - iu - ip if iu != ip else (iu + 1) % 3
         Z, Y_out = bufs[ig, 0], bufs[ig, 1:]
         # X1 from Z_prev - (Y1 + I) / rho, X2 from Z_prev - Y2 / rho
-        np.add(Y, shift, out=args)
-        args /= rho
-        np.subtract(Z_prev, args, out=args)
-        X1 = x1_step(args[0])
+        np.add(Y, shift, out=X)
+        X /= rho
+        np.subtract(Z_prev, X, out=X)
+        x1_step(X[0])
         _scatter(padded[1], maps, M_flat)
-        _gather(project_psd(M), maps, X2)
+        _gather(project_psd(M), maps, X[1])
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = diffs[0]
         np.multiply(Z_prev, 1.0 - ALPHA, out=base)
-        np.multiply(X1, ALPHA, out=H[0])
-        np.multiply(X2, ALPHA, out=H[1])
+        np.multiply(X, ALPHA, out=H)
         H += base
         update_z(H[0], H[1], Y[0], Y[1], rho, lam, out=Z)
         H -= Z
         H *= rho
         np.add(Y, H, out=Y_out)
 
-        np.subtract(X1, Z, out=diffs[0])
-        np.subtract(X2, Z, out=diffs[1])
+        np.subtract(X, Z, out=diffs[:2])
         np.subtract(Z, Z_prev, out=diffs[2])
-        np.add(X1, X2, out=diffs[3])
+        np.add(X[0], X[1], out=diffs[3])
         np.add(Y_out[0], Y_out[1], out=diffs[4])
         np.einsum("ij,ij->i", diffs, diffs, out=sq)
         r_norm = math.sqrt(sq[0] + sq[1])
@@ -608,7 +579,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     )
     # the answer is a view of a state or work buffer that the last iteration
     # wrote; one scatter writes it out as an exactly Hermitian matrix
-    padded[1, :d] = X1 if return_x1 else Z
+    X[1] = X[0] if return_x1 else Z
     Z = np.empty((m, m), dtype=complex)
     _scatter(padded[1], maps, _flat(Z))
     return Z, iterations, termination, r_norm, s_norm, rho

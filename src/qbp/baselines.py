@@ -165,7 +165,8 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     search from ``IHT_STEP0`` and halves the step until the objective
     strictly decreases; the run stops when no step down to 1e-20 helps or
     the relative decrease stalls.  Returns ``(x, iterations, objective)``
-    for the best iterate seen.
+    for the last iterate, which is the best one seen: a step is taken only
+    when it strictly lowers the objective.
     """
     _require_integer("k", k)
     _require_integer("max_iters", max_iters)
@@ -175,7 +176,6 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
         raise ValueError("max_iters must be at least 1")
     x = np.zeros(system.n, dtype=complex)
     g = iht_objective(system, x)
-    best_x, best_g = x, g
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
@@ -194,8 +194,6 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
         x, g_new = cand
         rel = (g - g_new) / max(g, 1e-300)
         g = g_new
-        if g < best_g:
-            best_x, best_g = x, g
         if rel < IHT_STALL_TOL:
             break
-    return best_x, iterations, best_g
+    return x, iterations, g

@@ -10,9 +10,10 @@ A system holds its data once, as two read-only arrays: the stack ``phis`` of
 the N matrices Phi and the values ``y``.  The blocks a, b, c and Q are read
 from the stack, and a single measurement is a view of one of its rows.  The
 module also holds the lifting map, the real coordinates of a Hermitian
-matrix (:func:`hermitian_coordinates`) and the matrix forms of the induced
-linear operator on Hermitian matrices that the solver and the diagnostics
-are built on.
+matrix (:func:`hermitian_coordinates`, read by ``_gather`` and written by
+``_scatter``) and the matrix forms of the induced linear operator on
+Hermitian matrices that the solver and the diagnostics are built on, whose
+rows are the gathered Hermitian and skew-Hermitian parts of each Phi.
 """
 
 from __future__ import annotations
@@ -285,38 +286,52 @@ def _flat(A: np.ndarray) -> np.ndarray:
     return A.reshape(-1).view(np.float64)
 
 
-# The coordinate rows are built for blocks of measurements whose complex rows
-# hold at most this many entries, so the temporaries stay small however
-# large the system is.
-_ROW_BLOCK = 1 << 15
+# The index maps are in range, and a take with mode "clip" into ``out`` skips
+# the bounds-checked copy that the default mode makes.
+
+def _gather(P: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
+    """Write the weighted coordinates of the Hermitian, C-contiguous ``P`` to ``out``."""
+    _flat(P).take(maps[0], out=out, mode="clip")
+    out *= maps[1]
+    return out
 
 
-def _fill_rows(phis: np.ndarray, re_out=None, im_out=None, which=None) -> None:
-    """Write the real and imaginary parts of the coordinate rows of ``phis``.
+def _scatter(x: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
+    """Write the Hermitian matrix with weighted coordinates ``x[:-1]`` to ``out``.
 
-    The complex row r_i with r_i . v = Tr(Phi_i X), v the weighted
-    coordinates of X (:func:`hermitian_coordinates`), holds the
-    diagonal of Phi_i, then over the strict upper triangle, row-major, the
-    pairs (Phi[j, k] + Phi[k, j]) / sqrt(2), 1j * (Phi[k, j] - Phi[j, k]) /
-    sqrt(2) side by side.  The rows of the measurements ``which`` (all by
-    default) put their real parts in ``re_out`` and their imaginary parts in
-    ``im_out``, either of which may be None.
+    ``out`` is the flat float64 view of a C-contiguous complex matrix, and
+    ``x`` ends in one zero slot, which the imaginary diagonal reads, so the
+    matrix is exactly Hermitian.  Each off-diagonal part comes back from
+    :func:`_gather` within one unit in the last place (the weight sqrt(2)
+    is not a binary fraction); the diagonal comes back exactly.
     """
+    x.take(maps[2], out=out, mode="clip")
+    out *= maps[3]
+    return out
+
+
+def _operator_rows(system: QuadraticSystem, imag_rows: np.ndarray):
+    """The coordinate rows of the measurements and their right-hand side.
+
+    For Hermitian X, Re Tr(Phi X) is the Frobenius product of X with the
+    Hermitian part (Phi + Phi^H) / 2 and Im Tr(Phi X) that with the
+    skew-Hermitian part (Phi - Phi^H) / 2i, so in weighted coordinates each
+    is the dot product with the gathered part.  Row i holds the first for
+    measurement i; the second follows the N real rows, in measurement
+    order, for each measurement selected by the boolean mask ``imag_rows``.
+    """
+    phis, y = system.phis, system.y
     N, m = phis.shape[:2]
-    which = np.arange(N) if which is None else np.asarray(which)
-    iu, ju = np.triu_indices(m, k=1)
-    diag = np.arange(m)
-    block = max(1, _ROW_BLOCK // (m * m))
-    for lo in range(0, which.size, block):
-        part = phis[which[lo:lo + block]]
-        upper, lower = part[:, iu, ju], part[:, ju, iu]
-        pairs = np.stack([(upper + lower) / np.sqrt(2.0),
-                          1j * (lower - upper) / np.sqrt(2.0)], axis=2)
-        rows = np.concatenate([part[:, diag, diag], pairs.reshape(len(part), -1)], axis=1)
-        if re_out is not None:
-            re_out[lo:lo + block] = rows.real
-        if im_out is not None:
-            im_out[lo:lo + block] = rows.imag
+    maps = hermitian_coordinates(m)
+    A = np.empty((N + np.count_nonzero(imag_rows), m * m))
+    k = N
+    for i, phi in enumerate(phis):
+        phi_h = phi.conj().T
+        _gather(0.5 * (phi + phi_h), maps, A[i])
+        if imag_rows[i]:
+            _gather(-0.5j * (phi - phi_h), maps, A[k])
+            k += 1
+    return A, np.concatenate([y.real, y.imag[imag_rows]])
 
 
 def real_measurement_matrix(system: QuadraticSystem):
@@ -328,30 +343,19 @@ def real_measurement_matrix(system: QuadraticSystem):
     imaginary parts, so B v = rhs exactly encodes Tr(Phi_i X) = y_i for the
     Hermitian X with coordinates v.
     """
-    phis = system.phis
-    N, m = phis.shape[:2]
-    B = np.empty((2 * N, m * m))
-    _fill_rows(phis, B[:N], B[N:])
-    rhs = np.concatenate([system.y.real, system.y.imag])
-    return B, rhs
+    return _operator_rows(system, np.ones(system.num_measurements, dtype=bool))
 
 
 def constraint_system(system: QuadraticSystem):
     """Measurement constraints in real coordinates.
 
-    Identically zero rows with zero right-hand side (the imaginary parts of
-    real-valued measurements with Hermitian coefficients) are dropped.  The
-    unit corner X[0, 0] = 1 is not a row: the solver's X1 step pins it.  The
-    rows are written straight into the returned matrix.
+    The rows of :func:`real_measurement_matrix` without the identically zero
+    imaginary rows with zero right-hand side (those of real-valued
+    measurements with Hermitian coefficients).  The unit corner X[0, 0] = 1
+    is not a row: the solver's X1 step pins it.
     """
-    phis, y = system.phis, system.y
-    N, m = phis.shape[:2]
+    phis = system.phis
     # an imaginary row is identically zero exactly when its Phi is Hermitian
     re, im = phis.real, phis.imag
     hermitian = ((re == re.transpose(0, 2, 1)) & (im == -im.transpose(0, 2, 1))).all(axis=(1, 2))
-    imag_rows = np.flatnonzero((y.imag != 0.0) | ~hermitian)
-    A = np.empty((N + imag_rows.size, m * m))
-    _fill_rows(phis, re_out=A[:N])
-    _fill_rows(phis, im_out=A[N:], which=imag_rows)
-    b = np.concatenate([y.real, y.imag[imag_rows]])
-    return A, b
+    return _operator_rows(system, (system.y.imag != 0.0) | ~hermitian)
