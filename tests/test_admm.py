@@ -1,5 +1,6 @@
 """Projection kernels, shrinkage, penalty adaptation, and the full solver."""
 
+import hashlib
 import logging
 import math
 import re
@@ -34,15 +35,22 @@ from qbp.model import (
     real_measurement_matrix,
 )
 from qbp.recovery import extract_phase_signal
-from qbp.generators import fourier_sparse_image, general_quadratic, pure_phase
+from qbp.generators import (
+    fourier_sparse_image,
+    general_quadratic,
+    phantom_instance,
+    pure_phase,
+)
 from qbp.montecarlo import trial_seed
 
 from support import (
+    cgauss,
     consistent_system,
     random_hermitian,
     realvec,
     reference_soft_threshold,
     reference_update_z,
+    system_from_phis,
     unitary_sensing_system,
     unrealvec,
     zero_valued_system,
@@ -377,6 +385,14 @@ def _realvec_budget(system, epsilon):
     return project
 
 
+def _condition(system):
+    """s_max / s_min of the constraint rows over the singular values kept, or 1."""
+    A1 = constraint_system(system)[0][:, 1:]
+    s = np.linalg.svd(A1, compute_uv=False)
+    s = s[s > s.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps]
+    return s[0] / s[-1] if s.size else 1.0
+
+
 def _gram_tol(system, base):
     """``base``, or the rounding of a Gram factor where that is larger.
 
@@ -384,11 +400,7 @@ def _gram_tol(system, base):
     matrix over its nonzero singular values, so a projection built from it
     agrees with the pseudoinverse to about eps * cond^2 at best.
     """
-    A1 = constraint_system(system)[0][:, 1:]
-    s = np.linalg.svd(A1, compute_uv=False)
-    s = s[s > s.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps]
-    cond = s[0] / s[-1] if s.size else 1.0
-    return max(base, 100.0 * np.finfo(float).eps * cond * cond)
+    return max(base, 100.0 * np.finfo(float).eps * _condition(system) ** 2)
 
 
 def _assert_hermitian_step_output(X):
@@ -451,6 +463,173 @@ def test_affine_limit_of_the_budget_step_is_the_equality_step():
         budget, equality = _PenalizedStep(system, 0.0), AffineProjector(system)
         for name in ("_Vt", "_target"):
             assert getattr(budget, name).tobytes() == getattr(equality, name).tobytes()
+
+
+def _magnitude_phis(sensing, offsets=None):
+    """Phi_i = a_i a_i^H on the signal block, zero border, optional corner offsets."""
+    N, n = sensing.shape
+    phis = np.zeros((N, n + 1, n + 1), dtype=complex)
+    for phi, a in zip(phis, sensing):
+        phi[1:, 1:] = hermitianize(np.outer(a, a.conj()))
+    if offsets is not None:
+        phis[:, 0, 0] = offsets
+    return phis
+
+
+def _dense_and_factored(make):
+    """The X1 step ``make()`` builds, once with a dense V^T and once factored."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", math.inf)
+        dense = make()
+        mp.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
+        factored = make()
+    assert dense._Vt is not None and factored._Vt is None
+    return dense, factored
+
+
+# The factored X1 step agrees with the dense one to within this many units
+# of eps * cond * scale (cond of the constraint rows, scale the largest of 1,
+# |x| and |y|): the largest ratio seen over 9000 random calls of all three
+# branches was 4.3.
+FACTORED_ROUNDING = 64.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans(),
+       st.lists(st.integers(0, 29), max_size=4), st.floats(0.1, 10.0))
+def test_factored_x1_step_matches_the_dense_step(n, N, seed, real, offset, repeats,
+                                                 spread):
+    # magnitudes of real or complex sensing vectors, some repeated so that
+    # the Gram matrix is rank-deficient, with a free corner or none: the
+    # operator applied through the vectors must project like the dense V^T
+    # in the affine limit (both row builders) and at a binding budget
+    rng = np.random.default_rng(seed)
+    sensing = rng.standard_normal((N, n)) if real else cgauss(rng, (N, n))
+    sensing = np.concatenate([sensing, sensing[[i % N for i in repeats]]])
+    offsets = rng.standard_normal(len(sensing)) if offset else None
+    system = system_from_phis(_magnitude_phis(sensing, offsets), cgauss(rng, n))
+    M = spread * random_hermitian(n + 1, rng)
+    x = realvec(M)
+    border = slice(n + 1, 3 * n + 1)
+    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(system.y))))
+    tol = FACTORED_ROUNDING * np.finfo(float).eps * _condition(system) * scale
+    epsilon = 0.5 * data_residual(system, M)
+    for make in (lambda: AffineProjector(system), lambda: _PenalizedStep(system, 0.0),
+                 lambda: _PenalizedStep(system, epsilon)):
+        dense, factored = _dense_and_factored(make)
+        want, got = dense(x.copy()), factored(x.copy())
+        assert np.max(np.abs(got - want)) <= tol
+        assert _same_bits(got[border], x[border])
+
+
+def test_factored_step_keeps_the_dense_path_off_magnitudes():
+    # detection fails on a bordered system, a rank-two signal block, a
+    # negative one and a zero one: each keeps the dense V^T at any size
+    rng = np.random.default_rng(30)
+    n, N = 3, 8
+    x = cgauss(rng, n)
+    bordered, _ = general_quadratic(n, N, 2, "binary", 4)
+    cases = [bordered]
+    for bad in ("rank two", "negative", "zero"):
+        phis = _magnitude_phis(cgauss(rng, (N, n)))
+        a, b = cgauss(rng, n), cgauss(rng, n)
+        phis[2, 1:, 1:] = {
+            "rank two": hermitianize(np.outer(a, a.conj()) + np.outer(b, b.conj())),
+            "negative": -hermitianize(np.outer(a, a.conj())),
+            "zero": np.zeros((n, n)),
+        }[bad]
+        cases.append(system_from_phis(phis, x))
+    for system in cases:
+        assert qbp.admm._magnitude_vectors(system.phis) is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
+            for step in (AffineProjector(system), _PenalizedStep(system, 1e-3)):
+                assert step._Vt is not None
+
+
+def test_factored_step_is_taken_only_above_the_size_cut():
+    # the holes preset (60 magnitudes, m = 17) stays dense and the phantom
+    # (128 magnitudes, m = 65) is factored
+    holes, _ = pure_phase(16, 60, 3, "binary", 0)
+    assert AffineProjector(holes)._Vt is not None
+    assert _PenalizedStep(holes, 1e-3)._Vt is not None
+    phantom, _ = phantom_instance(8, 10, 128, 0)
+    assert AffineProjector(phantom)._Vt is None
+
+
+def _dense_call(self, x):
+    """The X1 step with V^T applied as one dense matrix, forward and back."""
+    x[0] = 1.0
+    v = x[1:]
+    Vt = self._Vt
+    c = Vt @ v
+    radius = self._radius
+    if radius is None:
+        c -= self._target
+        v -= c @ Vt
+    else:
+        t = self._s * c - self._h
+        r2 = t * t
+        phi = float(r2.sum()) + self._floor
+        if phi > radius * radius:
+            s2r2 = self._s2 * r2
+            mu = self._mu
+            for _ in range(qbp.admm.SECULAR_MAX_STEPS):
+                q = 1.0 / (1.0 + mu * self._s2)
+                q2 = q * q
+                phi = float(r2 @ q2) + self._floor
+                gap = math.sqrt(phi) / radius - 1.0
+                if abs(gap) <= qbp.admm.SECULAR_RTOL:
+                    break
+                slope = 2.0 * float(s2r2 @ (q2 * q))
+                mu = max(mu + 2.0 * phi * gap / slope, 0.0)
+            else:
+                q = 1.0 / (1.0 + mu * self._s2)
+            self._mu = mu
+            v += (-mu * q * self._s * t) @ Vt
+    return x
+
+
+def test_dense_x1_path_is_bit_identical_to_the_dense_matrix_step(monkeypatch):
+    # the table's first twelve solves and the holes preset take the dense
+    # path, whose forward and back maps must be the plain products with V^T
+    table = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=30000)
+    solves = [(general_quadratic(20, 25, 3, "binary", trial_seed(0, i))[0],
+               lambda s: solve(s, 50.0, table)) for i in range(12)]
+    holes, _ = pure_phase(16, 60, 3, "binary", 0)
+    solves.append((holes, lambda s: solve_denoising(s, 100.0, 0.0012, table)))
+
+    def digests():
+        return [(r.iterations, hashlib.sha256(r.Z.tobytes()).hexdigest())
+                for r in (run(system) for system, run in solves)]
+
+    got = digests()
+    monkeypatch.setattr(_PenalizedStep, "__call__", _dense_call)
+    assert got == digests()
+
+
+def test_border_stays_exactly_zero_on_magnitude_solves(monkeypatch):
+    # magnitude measurements never touch the lifted border, and neither does
+    # the loop: every PSD argument and every returned Z keeps it exactly zero
+    seen = []
+
+    def checked_psd(M):
+        seen.append(max(np.max(np.abs(M[0, 1:])), np.max(np.abs(M[1:, 0]))))
+        return project_psd(M)
+
+    monkeypatch.setattr(qbp.admm, "project_psd", checked_psd)
+    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
+    system, _ = pure_phase(6, 24, 2, "gaussian", 7)
+    phantom, _ = phantom_instance(3, 2, 18, 1)
+    runs = [solve(system, 1.0, cfg), solve_denoising(system, 1.0, 1e-3, cfg),
+            solve(phantom, 1.0, cfg)]
+    monkeypatch.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
+    runs += [solve(phantom, 1.0, cfg), solve_denoising(phantom, 1.0, 1e-3, cfg)]
+    assert len(seen) == sum(r.iterations for r in runs)
+    assert max(seen) == 0.0
+    for r in runs:
+        assert not np.any(r.Z[0, 1:]) and not np.any(r.Z[1:, 0])
 
 
 def test_hermitian_maps_are_read_only():

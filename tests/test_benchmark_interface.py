@@ -3,9 +3,9 @@
 The harness wraps qbp functions by module, class and attribute name and
 calls the solvers with fixed signatures, so a rename or a signature change in
 qbp breaks it without failing any other test.  Its traced run also reads the
-system's ``phis`` and the x1 step's arrays through ``vars``.  Every check runs
-in a subprocess: the harness's ``import_qbp`` evicts ``qbp`` from
-``sys.modules``.
+system's ``phis`` and the x1 step's arrays through ``vars``.  Every check that
+imports the harness runs in a subprocess: the harness's ``import_qbp`` evicts
+``qbp`` from ``sys.modules``.
 """
 
 import json
@@ -15,6 +15,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import qbp.admm
+from qbp.generators import pure_phase
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,3 +67,26 @@ def test_traced_run_passes_its_gates(workload):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("step, rows", [
+    (qbp.admm.AffineProjector, "constraint_system"),
+    (lambda system: qbp.admm._PenalizedStep(system, 1e-3), "real_measurement_matrix"),
+])
+def test_factored_steps_still_build_the_traced_rows(monkeypatch, step, rows):
+    # the harness traces the row builders on every workload, phantom-s8
+    # included, whose magnitude measurements take the factored X1 step: that
+    # step must still factor its Gram matrix from the rows, through the names
+    # the harness wraps
+    calls = []
+    build = getattr(qbp.admm, rows)
+
+    def counted(system):
+        calls.append(system)
+        return build(system)
+
+    monkeypatch.setattr(qbp.admm, rows, counted)
+    monkeypatch.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
+    system, _ = pure_phase(5, 12, 2, "binary", 0)
+    assert step(system)._Vt is None
+    assert calls == [system]
