@@ -83,6 +83,7 @@ from qbp.model import (
     _scatter,
     constraint_system,
     hermitian_coordinates,
+    is_phase_invariant,
     measure_lifted,
     real_measurement_matrix,
 )
@@ -294,7 +295,7 @@ class _PenalizedStep:
         s = np.sqrt(w)
         vectors = None
         if w.size * A1.shape[1] > FACTORED_MIN_ENTRIES:
-            vectors = _magnitude_vectors(system.phis)
+            vectors = _magnitude_vectors(system)
         if vectors is None:
             self._Vt = (U / s).T @ A1
         else:
@@ -409,17 +410,19 @@ class AffineProjector(_PenalizedStep):
         self._build(system, 0.0, *constraint_system(system))
 
 
-def _magnitude_vectors(phis: np.ndarray):
+def _magnitude_vectors(system: QuadraticSystem):
     """The vectors a_i of magnitude measurements, as the columns of an (n, N) array.
 
-    Returns None unless every Phi_i has a zero border row and column (its
-    corner is free) and a signal block Q_i = a_i a_i^H: a_i is Q_i's column
-    at its largest diagonal entry j over sqrt(Q_i[j, j]), which must be
-    positive, and |Q_i - a_i a_i^H| <= MAGNITUDE_RTOL * Q_i[j, j] entrywise.
+    Returns None unless the system is phase-invariant (every Phi_i has a zero
+    border row and column; its corner is free) and every signal block is
+    Q_i = a_i a_i^H: a_i is Q_i's column at its largest diagonal entry j over
+    sqrt(Q_i[j, j]), which must be positive, and
+    |Q_i - a_i a_i^H| <= MAGNITUDE_RTOL * Q_i[j, j] entrywise.
     The temporaries are those of one measurement.
     """
-    if np.any(phis[:, 0, 1:]) or np.any(phis[:, 1:, 0]):
+    if not is_phase_invariant(system):
         return None
+    phis = system.phis
     N, m = phis.shape[:2]
     vectors = np.empty((m - 1, N), dtype=complex)
     for i, phi in enumerate(phis):

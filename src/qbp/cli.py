@@ -21,7 +21,7 @@ import numpy as np
 
 from qbp.admm import SolverConfig, solve, solve_denoising
 from qbp.generators import SIGNALS, fourier_basis, phantom_instance
-from qbp.model import _require_nonnegative, is_phase_invariant
+from qbp.model import _require_nonnegative
 from qbp.montecarlo import (
     _SOLVER_ERRORS,
     ENSEMBLES,
@@ -183,7 +183,7 @@ def _cmd_solve(args) -> int:
     # a bad truth file is an input error, found before the solve
     x_true = _read_truth(args.truth, system.n) if args.truth else None
     result, wall = _timed_solve(args, system)
-    report = build_report(system, result, x_true, args.tol, is_phase_invariant(system))
+    report = build_report(system, result, x_true, args.tol)
     with _writing(args.output) as (stream,):
         write_json(report_to_dict(report, result, wall_time_s=wall,
                                   mode="qbp" if args.epsilon is None else "qbpd"), stream)

@@ -162,28 +162,25 @@ _SOLVER_ERRORS = (
 
 def _run_method(spec: ExperimentSpec, method: str, system, x_true,
                 index: int) -> TrialRecord:
-    # a system without linear terms fixes its signal only up to a global phase
-    phase_invariant = is_phase_invariant(system)
     rank_ratio, note, Z = float("nan"), "", None
     start = time.perf_counter()
     try:
-        if method in ("bp", "iht"):
-            if method == "bp":
-                x_hat, iterations = basis_pursuit(*linearize(system))
-            else:
-                x_hat, iterations, _ = iterative_hard_thresholding(
-                    system, spec.k, spec.iht_max_iters)
-            success, error = judge_success(x_hat, x_true, spec.tol, phase_invariant)
+        if method == "bp":
+            x_hat, iterations = basis_pursuit(*linearize(system))
+        elif method == "iht":
+            x_hat, iterations, _ = iterative_hard_thresholding(
+                system, spec.k, spec.iht_max_iters)
         else:
             if method == "qbpd":
                 result = solve_denoising(system, spec.lam, spec.epsilon, spec.config)
             else:
                 result = solve(system, spec.lam if method == "qbp" else 0.0, spec.config)
-            report = build_report(system, result, x_true, spec.tol, phase_invariant)
-            success, error = report.success, report.error
-            iterations, rank_ratio = result.iterations, report.rank_ratio
+            report = build_report(system, result)
+            x_hat, rank_ratio = report.x_hat, report.rank_ratio
+            iterations, Z = result.iterations, result.Z
             note = "" if result.termination == "converged" else result.termination
-            Z = result.Z
+        # a system without linear terms fixes its signal only up to a global phase
+        success, error = judge_success(x_hat, x_true, spec.tol, is_phase_invariant(system))
     except _SOLVER_ERRORS as exc:
         success, error, iterations, note = False, float("inf"), 0, type(exc).__name__
     return TrialRecord(
@@ -233,19 +230,23 @@ def _map_in_workers(pool, fn, *iterables):
 
 def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
                     progress=None) -> list[TrialRecord]:
-    """All trials of an experiment; ``jobs > 1`` runs trials in processes."""
+    """All trials of an experiment, in up to ``jobs`` processes.
+
+    The trials run in this process when only one worker would start: one
+    job, one trial, one CPU or an unknown CPU count.
+    """
     _require_integer("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     records: list[TrialRecord] = []
     workers = min(jobs, spec.trials, os.cpu_count() or 1)
-    if jobs > 1:
+    if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
     else:
         pool = nullcontext()
     with pool:
         args = run_trial, [spec] * spec.trials, range(spec.trials)
-        batches = _map_in_workers(pool, *args) if jobs > 1 else map(*args)
+        batches = _map_in_workers(pool, *args) if workers > 1 else map(*args)
         for index, batch in enumerate(batches):
             records.extend(batch)
             if progress is not None:

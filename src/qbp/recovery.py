@@ -166,7 +166,8 @@ class CoherenceCertificate:
 
     ``certified`` holds when every matricized column is informative (none
     skipped), the matrix is numerically rank one, and its support size stays
-    strictly below ``bound = (1 + 1/mu) / 2``.
+    strictly below ``bound = (1 + 1/mu) / 2``.  The zero matrix has no
+    rank-one component: its ``rank_ratio`` is inf and it is never certified.
     """
 
     mu: float
@@ -195,7 +196,11 @@ def certify_coherence(system: QuadraticSystem, Z) -> CoherenceCertificate:
     bound = np.inf if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
     cardinality = _support_size(Z)
     s = np.linalg.svd(Z, compute_uv=False)
-    rank_ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0.0 else 0.0
+    # a matrix with no positive singular value has no rank-one component
+    if s[0] <= 0.0:
+        rank_ratio = np.inf
+    else:
+        rank_ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
     # a skipped column is an entry no measurement sees; the sparsity bound
     # says nothing about those, so they void the certificate
     certified = skipped == 0 and rank_ratio <= RANK_RTOL and cardinality < bound
@@ -288,17 +293,21 @@ class RecoveryReport:
 
 
 def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3,
-                 phase_invariant: bool = True) -> RecoveryReport:
+                 phase_invariant: bool | None = None) -> RecoveryReport:
     """Assemble the recovery report for a solver result.
 
     ``feasibility_residual`` is the measurement residual of the lifted
     extracted candidate, relative to ||y||; ``sparsity`` counts candidate
     entries above ``ZERO_RTOL`` times the largest magnitude.
-    Systems with zero linear terms are extracted from the signal block (the
-    border is unconstrained there); all others from the corner-normalized
-    rank-one factor.
+    The system's phase rule (:func:`~qbp.model.is_phase_invariant`) decides
+    both the extraction and the scoring: systems with zero linear terms are
+    extracted from the signal block (the border is unconstrained there) and
+    scored up to a global phase; all others are extracted from the
+    corner-normalized rank-one factor and scored as they stand.  An explicit
+    ``phase_invariant`` overrides the rule for scoring only.
     """
-    if is_phase_invariant(system):
+    rule = is_phase_invariant(system)
+    if rule:
         x_hat, rank_ratio = extract_phase_signal(result.Z)
     else:
         x_hat, rank_ratio = extract_signal(result.Z)
@@ -309,6 +318,8 @@ def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3
     success = None
     error = None
     if x_true is not None:
+        if phase_invariant is None:
+            phase_invariant = rule
         success, error = judge_success(x_hat, x_true, tol, phase_invariant)
     return RecoveryReport(
         x_hat=x_hat,

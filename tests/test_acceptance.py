@@ -23,7 +23,6 @@ from qbp.generators import general_quadratic, pure_phase
 from qbp.model import (
     constraint_system,
     evaluate,
-    is_phase_invariant,
     lift,
     measure_lifted,
     real_measurement_matrix,
@@ -35,13 +34,7 @@ from qbp.montecarlo import (
     summarize,
     trial_seed,
 )
-from qbp.recovery import (
-    build_report,
-    certify_coherence,
-    extract_phase_signal,
-    extract_signal,
-    judge_success,
-)
+from qbp.recovery import build_report, certify_coherence
 
 from support import (
     cgauss,
@@ -129,9 +122,7 @@ def test_criterion_3_certificate_soundness():
         cert = certify_coherence(system, result.Z)
         if cert.certified:
             fired += 1
-            x_hat, _ = extract_signal(result.Z)
-            ok, _ = judge_success(x_hat, x, 1e-6, phase_invariant=True)
-            failures += not ok
+            failures += not build_report(system, result, x, 1e-6, True).success
     for _ in range(150):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, min(2, n) + 1))
@@ -143,12 +134,7 @@ def test_criterion_3_certificate_soundness():
         cert = certify_coherence(system, result.Z)
         if cert.certified:
             fired += 1
-            if is_phase_invariant(system):
-                x_hat, _ = extract_phase_signal(result.Z)
-            else:
-                x_hat, _ = extract_signal(result.Z)
-            ok, _ = judge_success(x_hat, x, 1e-6, phase_invariant=True)
-            failures += not ok
+            failures += not build_report(system, result, x, 1e-6, True).success
     passed = failures == 0 and fired >= 1
     details = (
         f"certificate fired on {fired}/200 instances,"
@@ -251,7 +237,7 @@ def test_criterion_7_phase_retrieval_recovery():
     for seed in range(25):
         system, x = pure_phase(8, 40, 2, "gaussian", seed)
         result = solve(system, 10.0, BENCH_CONFIG)
-        report = build_report(system, result, x, tol=1e-2, phase_invariant=True)
+        report = build_report(system, result, x, tol=1e-2)
         wins += bool(report.success)
     rate = wins / 25.0
     passed = rate >= 0.80

@@ -541,7 +541,7 @@ def test_factored_step_keeps_the_dense_path_off_magnitudes():
         }[bad]
         cases.append(system_from_phis(phis, x))
     for system in cases:
-        assert qbp.admm._magnitude_vectors(system.phis) is None
+        assert qbp.admm._magnitude_vectors(system) is None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
             for step in (AffineProjector(system), _PenalizedStep(system, 1e-3)):

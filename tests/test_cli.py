@@ -528,3 +528,16 @@ def test_phantom_pipeline(tmp_path, capsys):
     status = capsys.readouterr().out
     assert "pixel error" in status
     assert "rank ratio" in status
+
+
+def test_phantom_residual_budget(tmp_path, capsys):
+    # --epsilon runs the image pipeline through the residual-budget program
+    out = tmp_path / "pixels.csv"
+    assert main(["phantom", "--side", "3", "-k", "2", "--epsilon", "1e-4",
+                 "-o", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 9
+    assert max(float(row["abs_error"]) for row in rows) < 1e-3
+    status = capsys.readouterr().out
+    assert "converged" in status
+    assert "pixel error" in status

@@ -162,11 +162,13 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: 4)
     records = run_monte_carlo(_tiny_spec(trials=2), jobs=64)
     assert len(records) == 2
-    # nor more workers than CPUs, and one when the CPU count is unknown
+    # nor more workers than CPUs; with the CPU count unknown only one worker
+    # would start, so the trials run in this process and no pool starts
     run_monte_carlo(_tiny_spec(trials=1000), jobs=1000)
     monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: None)
-    run_monte_carlo(_tiny_spec(trials=1000), jobs=1000)
-    assert FakePool.sizes == [2, 4, 1]
+    records = run_monte_carlo(_tiny_spec(trials=2), jobs=1000)
+    assert len(records) == 2
+    assert FakePool.sizes == [2, 4]
 
 
 def test_parallel_run_restores_the_environment(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,6 +265,16 @@ def test_certificate_counts_unseen_entries():
     assert not cert.certified
 
 
+def test_certificate_refuses_the_zero_matrix():
+    # no positive singular value means no rank-one component, so there is
+    # nothing to certify however small its support
+    system = unitary_sensing_system(np.array([1.0, 0.0, 0.0]), "dft")
+    cert = certify_coherence(system, np.zeros((4, 4)))
+    assert cert.rank_ratio == math.inf
+    assert cert.cardinality == 0
+    assert not cert.certified
+
+
 def test_certificate_cardinality_uses_zero_tolerance():
     x = np.array([0.0, 3.0], dtype=complex)
     system = unitary_sensing_system(x, "dft")
@@ -350,6 +361,23 @@ def test_build_report_corner_path():
     report = build_report(system, result, x, tol=1e-3, phase_invariant=False)
     assert report.success
     assert np.allclose(report.x_hat, x, atol=1e-3)
+
+
+def test_build_report_scores_by_the_systems_phase_rule():
+    # linear terms fix the global phase, so without a flag a phase-rotated
+    # lift is an error of |exp(0.3i) - 1|; a magnitude-only system cannot see
+    # the phase, so the same rotation still scores as a success
+    theta = 0.3
+    system, x = general_quadratic(4, 12, 2, "binary", 0)
+    rotated = SimpleNamespace(Z=lift(np.exp(1j * theta) * x))
+    report = build_report(system, rotated, x)
+    assert not report.success
+    assert report.error == pytest.approx(2.0 * math.sin(theta / 2.0), rel=1e-9)
+    assert build_report(system, rotated, x, phase_invariant=True).success
+    system, x = pure_phase(4, 12, 2, "gaussian", 0)
+    report = build_report(system, SimpleNamespace(Z=lift(np.exp(1j * theta) * x)), x)
+    assert report.success
+    assert report.error < 1e-12
 
 
 def test_build_report_without_truth():
