@@ -56,6 +56,10 @@ D = ANDERSON_SAFEGUARD_D and eps = ANDERSON_SAFEGUARD_EPS.  A rejected point
 is discarded, and the loop continues from the plain step it was made from
 with an empty memory.  A change of rho changes T, so it also empties the
 memory.  Every evaluation of T, a discarded one too, counts as an iteration.
+The loop names its three state buffers: u, the last plain image g_prev (u
+itself after a plain step) and g, the one that is neither, into which T(u)
+is written; a rejected point sets u = g_prev.  The X1 and X2 steps start
+from Z - (Y1 + I) / rho and Z - Y2 / rho.
 The loop allocates its state, workspace and Anderson buffers once per solve
 and keeps no history: it returns where it stopped, the last iteration's
 residuals and rho.  The X1 step overwrites its argument and
@@ -269,10 +273,12 @@ class _PenalizedStep:
         """Factor the rows (A, b), check the budget against their floor, set up V^T.
 
         Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps them.
-        V^T is formed as a dense matrix unless it would hold more than
-        FACTORED_MIN_ENTRIES entries and every measurement is a magnitude
-        (:func:`_magnitude_vectors`); then only U diag(1/s) is kept, and
-        :meth:`_forward` and :meth:`_back` apply V^T through the vectors.
+        V^T is a dense matrix, and the instance's ``_forward`` and ``_back``
+        are its products V^T v and k^T V^T.  Above FACTORED_MIN_ENTRIES
+        entries, when every measurement is a magnitude
+        (:func:`_magnitude_vectors`), ``_Vt`` is None, only U diag(1/s) is
+        kept, and the class's :meth:`_forward` and :meth:`_back` apply V^T
+        through the vectors.
         """
         _require_nonnegative("epsilon", epsilon)
         A1 = A[:, 1:]
@@ -281,7 +287,8 @@ class _PenalizedStep:
         keep = w > w.max(initial=0.0) * max(A1.shape) * np.finfo(float).eps
         w, U = w[keep], U[:, keep]
         h = U.T @ g
-        floor = _sqnorm(g - U @ h)
+        perp = g - U @ h
+        floor = float(perp @ perp)
         scale = max(float(np.linalg.norm(system.y)), 1.0)
         if math.sqrt(floor) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale:
             message = f"inconsistent measurements: least-squares floor {floor:.3e}"
@@ -297,7 +304,8 @@ class _PenalizedStep:
         if w.size * A1.shape[1] > FACTORED_MIN_ENTRIES:
             vectors = _magnitude_vectors(system)
         if vectors is None:
-            self._Vt = (U / s).T @ A1
+            self._Vt = Vt = (U / s).T @ A1
+            self._forward, self._back = Vt.__matmul__, Vt.__rmatmul__
         else:
             self._Vt = None
             self._factor(vectors, U[:system.num_measurements] / s)
@@ -334,9 +342,7 @@ class _PenalizedStep:
         self._out = np.zeros((n + 1) ** 2 - 1)
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
-        """V^T v for the coordinates v of a matrix without its corner."""
-        if self._Vt is not None:
-            return self._Vt @ v
+        """V^T v for the coordinates v of a matrix without its corner, via the vectors."""
         # in v the signal block's diagonal comes first, then the border's n
         # pairs, then the block's upper-triangle pairs in the order that
         # hermitian_coordinates(n) gives them
@@ -352,9 +358,7 @@ class _PenalizedStep:
         return (sums[0::2] + sums[1::2]) @ self._W
 
     def _back(self, k: np.ndarray) -> np.ndarray:
-        """The coordinates k^T V^T, with no corner; a work buffer when factored."""
-        if self._Vt is not None:
-            return k @ self._Vt
+        """The coordinates k^T V^T, with no corner, via the vectors; a work buffer."""
         n = self._A.shape[0]
         Aw = np.multiply(self._A, self._W @ k, out=self._T)
         dq = _gather(np.matmul(Aw, self._Ah, out=self._XQ), self._maps, self._dq)
@@ -522,31 +526,24 @@ def data_residual(system: QuadraticSystem, X) -> float:
     return float(np.vdot(diff, diff).real)
 
 
-def _sqnorm(A: np.ndarray) -> float:
-    """Squared Frobenius norm of a contiguous array, as one real dot product."""
-    f = _flat(A)
-    return float(f @ f)
-
-
-def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
-          setup_s: float, return_x1: bool):
+def _admm(m: int, lam: float, config: SolverConfig, x1_step, setup_s: float,
+          return_x1: bool):
     start = time.perf_counter()
-    m = system.n + 1
     d = m * m
     # the PSD step alone sees a matrix, scattered into M and gathered back
     maps = hermitian_coordinates(m)
     M = np.empty((m, m), dtype=complex)
     M_flat = _flat(M)
-    # the state u = (Z, Y1, Y2) and its image g = T(u) under one ADMM step live
-    # in three (3, d) buffers of coordinates, swapped rather than copied: u,
-    # the last plain image g_prev (which may be u itself) and the one being
-    # written
-    bufs = np.zeros((3, 3, d))
-    bufs[0, 0, :m] = 1.0
-    flats = [b.reshape(-1) for b in bufs]
-    iu = ip = 0
+    # the coordinates of I: the first Z, and added to Y1 in X1's argument
+    eye = np.zeros(d)
+    eye[:m] = 1.0
+    # u = (Z, Y1, Y2), g_prev and g = T(u) are (3, d) arrays of coordinates
+    # in three buffers, rotated rather than copied
+    bufs = list(np.zeros((3, 3, d)))
+    u = g_prev = bufs[0]
+    u[0] = eye
     rho = RHO0
-    dim = float(system.n)
+    dim = float(m - 1)
 
     # one workspace for the solve: the pair of X1 and X2 arguments (each
     # followed by the scatter's zero slot), which the steps overwrite with
@@ -557,22 +554,15 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     work = np.empty((7, d))
     H, diffs = work[:2], work[2:]
     sq = np.empty(5)
-    # the shifts of (Y1, Y2) in the step arguments: the coordinates of I,
-    # and -0.0, which adds to every float, signed zeros included, without
-    # changing it
-    shift = np.full((2, d), -0.0)
-    shift[0] = 0.0
-    shift[0, :m] = 1.0
 
     # Anderson memory: a ring of differences of residuals f = g - u (rows of
     # W, followed by the rows fk and fp holding f and the previous f) and of
     # images g, plus the Gram matrix of the f differences and the identity
     # of its ridge term
-    size_d = flats[0].size
-    W = np.empty((ANDERSON_MEMORY + 2, size_d))
+    W = np.empty((ANDERSON_MEMORY + 2, 3 * d))
     dF = W[:ANDERSON_MEMORY]
     fk, fp = ANDERSON_MEMORY, ANDERSON_MEMORY + 1
-    dG = np.empty((ANDERSON_MEMORY, size_d))
+    dG = np.empty((ANDERSON_MEMORY, 3 * d))
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
     ridge = np.eye(ANDERSON_MEMORY)
     cols = head = 0
@@ -584,11 +574,16 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
     iterations = config.max_iters
     chatty = logger.isEnabledFor(logging.DEBUG)
     for it in range(1, config.max_iters + 1):
-        Z_prev, Y = bufs[iu, 0], bufs[iu, 1:]
-        ig = 3 - iu - ip if iu != ip else (iu + 1) % 3
-        Z, Y_out = bufs[ig, 0], bufs[ig, 1:]
+        # a loop, not a generator expression, so that u and g_prev stay fast
+        # locals rather than closure cells
+        for g in bufs:
+            if g is not u and g is not g_prev:
+                break
+        Z_prev, Y = u[0], u[1:]
+        Z, Y_out = g[0], g[1:]
         # X1 from Z_prev - (Y1 + I) / rho, X2 from Z_prev - Y2 / rho
-        np.add(Y, shift, out=X)
+        np.add(Y[0], eye, out=X[0])
+        X[1] = Y[1]
         X /= rho
         np.subtract(Z_prev, X, out=X)
         x1_step(X[0])
@@ -632,7 +627,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         new_rho = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri)
         rho_changes += new_rho != rho
 
-        u_flat, g_flat, f = flats[iu], flats[ig], W[fk]
+        u_flat, g_flat, f = u.reshape(-1), g.reshape(-1), W[fk]
         np.subtract(g_flat, u_flat, out=f)
         f_norm = math.sqrt(float(f @ f))
         if it == 1:
@@ -642,7 +637,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
             # discard the extrapolated point and its image; continue from the
             # plain image it was extrapolated from, with an empty memory
             rejected += 1
-            iu = ip
+            u = g_prev
             cols = head = 0
             have_prev = extrapolated = False
             rho = new_rho
@@ -656,7 +651,7 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         elif have_prev:
             j = head
             np.subtract(f, W[fp], out=dF[j])
-            np.subtract(g_flat, flats[ip], out=dG[j])
+            np.subtract(g_flat, g_prev.reshape(-1), out=dG[j])
             cols = min(cols + 1, ANDERSON_MEMORY)
             head = (head + 1) % ANDERSON_MEMORY
             # one pass over dF against the strided pair (dF[j], f) gives the
@@ -677,10 +672,9 @@ def _admm(system: QuadraticSystem, lam: float, config: SolverConfig, x1_step,
         have_prev = new_rho == rho
         rho = new_rho
         fk, fp = fp, fk
-        if extrapolated:
-            ip = ig
-        else:
-            iu = ip = ig
+        g_prev = g
+        if not extrapolated:
+            u = g
 
     loop_s = time.perf_counter() - start
     logger.debug(
@@ -711,7 +705,7 @@ def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
     step = make_step(system)
     setup_s = time.perf_counter() - start
     Z, iterations, termination, r_norm, s_norm, rho = _admm(
-        system, lam, config, step, setup_s, return_x1)
+        system.n + 1, lam, config, step, setup_s, return_x1)
     return SolverResult(Z=Z, iterations=iterations, termination=termination,
                         lam=lam, rho_final=rho, primal_residual=r_norm,
                         dual_residual=s_norm,

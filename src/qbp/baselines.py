@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from qbp.model import DimensionMismatchError, QuadraticSystem, _require_integer
-from qbp.admm import soft_threshold
+from qbp.admm import INFEASIBLE_RTOL, soft_threshold
 
 __all__ = [
     "InfeasibleLinearSystemError",
@@ -23,10 +23,9 @@ __all__ = [
     "iterative_hard_thresholding",
 ]
 
-# Basis pursuit: the least-squares gap (relative to max(1, ||y||)) above which
-# the linearized constraints count as inconsistent, the iteration cap and the
-# initial ADMM penalty.
-BP_INFEASIBLE_RTOL = 1e-6
+# Basis pursuit: the iteration cap and the initial ADMM penalty.  The
+# linearized constraints count as inconsistent once their least-squares gap
+# exceeds INFEASIBLE_RTOL * max(||y||, 1), the lifted X1 step's test.
 BP_MAX_ITERS = 10000
 BP_RHO0 = 1.0
 
@@ -65,7 +64,7 @@ def basis_pursuit(A, y):
     pinv = np.linalg.pinv(A)
     x0 = pinv @ y
     gap = np.linalg.norm(A @ x0 - y)
-    if gap > BP_INFEASIBLE_RTOL * max(1.0, np.linalg.norm(y)):
+    if gap > INFEASIBLE_RTOL * max(1.0, np.linalg.norm(y)):
         raise InfeasibleLinearSystemError(
             f"linearized constraints are inconsistent: least-squares gap {gap:.3e}"
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import logging
 import os
@@ -253,13 +254,14 @@ def _cmd_phantom(args) -> int:
     truth_img = (basis @ x_true).real.reshape(side, side)
     aligned = align_phase(report.x_hat, x_true)
     recon_img = (basis @ aligned).real.reshape(side, side)
-    rows = ["row,col,truth,recovered,abs_error"]
-    for r in range(side):
-        for c in range(side):
-            t, v = float(truth_img[r, c]), float(recon_img[r, c])
-            rows.append(f"{r},{c},{t!r},{v!r},{abs(t - v)!r}")
     with _writing(args.out) as (stream,):
-        stream.write("\n".join(rows) + "\n")
+        writer = csv.writer(stream)
+        writer.writerow(("row", "col", "truth", "recovered", "abs_error"))
+        # csv writes a float as str, its shortest round-trip form
+        for r in range(side):
+            for c in range(side):
+                t, v = float(truth_img[r, c]), float(recon_img[r, c])
+                writer.writerow((r, c, t, v, abs(t - v)))
     err = np.abs(truth_img - recon_img)
     print(
         f"phantom side={side} k={args.k} N={N}: {result.termination}"

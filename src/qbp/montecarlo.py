@@ -180,7 +180,8 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
             iterations, Z = result.iterations, result.Z
             note = "" if result.termination == "converged" else result.termination
         # a system without linear terms fixes its signal only up to a global phase
-        success, error = judge_success(x_hat, x_true, spec.tol, is_phase_invariant(system))
+        success, error = judge_success(x_hat, x_true, spec.tol,
+                                       phase_invariant=is_phase_invariant(system))
     except _SOLVER_ERRORS as exc:
         success, error, iterations, note = False, float("inf"), 0, type(exc).__name__
     return TrialRecord(

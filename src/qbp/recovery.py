@@ -97,8 +97,8 @@ def extract_phase_signal(Z):
     return np.sqrt(top) * vecs[:, -1], rank_ratio
 
 
-def judge_success(x_hat, x_true, tol: float = 1e-3, phase_invariant: bool = True):
-    """Relative recovery error, optionally minimized over a global phase.
+def judge_success(x_hat, x_true, tol: float = 1e-3, *, phase_invariant: bool):
+    """Relative recovery error, minimized over a global phase if ``phase_invariant``.
 
     Returns ``(success, error)`` with ``error = min_theta ||exp(i theta) *
     x_hat - x_true|| / ||x_true||`` when phase-invariant (the plain error of
@@ -320,7 +320,7 @@ def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3
     if x_true is not None:
         if phase_invariant is None:
             phase_invariant = rule
-        success, error = judge_success(x_hat, x_true, tol, phase_invariant)
+        success, error = judge_success(x_hat, x_true, tol, phase_invariant=phase_invariant)
     return RecoveryReport(
         x_hat=x_hat,
         rank_ratio=rank_ratio,

@@ -933,6 +933,28 @@ def test_debug_log_counts_extrapolations(caplog):
     assert us_per_iter == pytest.approx(1e6 * loop_s / result.iterations, rel=0.01, abs=0.1)
 
 
+def test_a_rejected_point_is_not_stepped_from_again(monkeypatch, caplog):
+    # with D = 0 the safeguard rejects every extrapolation, and the next step
+    # starts from the plain image the point was extrapolated from: at a fixed
+    # rho (eps = 0) no X1 argument repeats the one before it
+    monkeypatch.setattr(qbp.admm, "ANDERSON_SAFEGUARD_D", 0.0)
+    step = AffineProjector.__call__
+    args = []
+
+    def recorded(self, x):
+        args.append(x.tobytes())
+        return step(self, x)
+
+    monkeypatch.setattr(AffineProjector, "__call__", recorded)
+    caplog.set_level(logging.DEBUG, logger="qbp.admm")
+    system, _ = pure_phase(16, 60, 3, "binary", 0)
+    solve(system, 1.0, SolverConfig(eps_abs=0.0, eps_rel=0.0, max_iters=60))
+    accepted, rejected, _ = _anderson_counts(caplog)
+    assert accepted == 0 and rejected >= 10
+    assert len(args) == 60
+    assert all(a != b for a, b in zip(args, args[1:]))
+
+
 def test_debug_log_reports_final_residuals_against_tolerances(monkeypatch, caplog):
     changed = []
 

@@ -530,6 +530,21 @@ def test_phantom_pipeline(tmp_path, capsys):
     assert "rank ratio" in status
 
 
+def test_csv_outputs_share_one_line_terminator(tmp_path):
+    # montecarlo and phantom both write through csv.writer, so their files
+    # end every line the same way
+    records, pixels = tmp_path / "records.csv", tmp_path / "pixels.csv"
+    assert main(["montecarlo", "--ensemble", "general", "-n", "4", "-N", "8", "-k", "1",
+                 "--methods", "iht", "--trials", "2", "-o", str(records)]) == 0
+    assert main(["phantom", "--side", "2", "-k", "1", "-o", str(pixels)]) == 0
+    endings = set()
+    for path in (records, pixels):
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 2
+        endings |= {line[len(line.rstrip(b"\r\n")):] for line in lines}
+    assert len(endings) == 1, endings
+
+
 def test_phantom_residual_budget(tmp_path, capsys):
     # --epsilon runs the image pipeline through the residual-budget program
     out = tmp_path / "pixels.csv"

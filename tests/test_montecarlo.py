@@ -103,9 +103,9 @@ def test_trials_are_scored_under_the_systems_phase_rule(ensemble):
     candidates = [build_report(system, result).x_hat,
                   iterative_hard_thresholding(system, spec.k, spec.iht_max_iters)[0]]
     for record, x_hat in zip(records, candidates):
-        assert record.error == judge_success(x_hat, x, spec.tol, rule)[1]
+        assert record.error == judge_success(x_hat, x, spec.tol, phase_invariant=rule)[1]
     # the other rule would score at least one of the two differently
-    assert any(record.error != judge_success(x_hat, x, spec.tol, not rule)[1]
+    assert any(record.error != judge_success(x_hat, x, spec.tol, phase_invariant=not rule)[1]
                for record, x_hat in zip(records, candidates))
 
 

@@ -13,7 +13,8 @@ import pytest
 import qbp
 from qbp.cli import _build_parser, main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _commands():
@@ -138,3 +139,26 @@ def test_key_entry_points_name_what_the_modules_hold():
     missing = [f"qbp.{module}: `{name}`" for module, name in names
                if not _resolves(module, name)]
     assert not missing, f"README lists names its modules do not hold: {missing}"
+
+
+# Traced ADMM iterations of each committed benchmark record at relabel seed 3;
+# the solver's arithmetic fixes them, so a change of count is a change of
+# iterates
+RECORDED_ITERATIONS = {"phantom-s8": 3048, "holes-qbpd": 5712, "table-n20": 8535}
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED_ITERATIONS))
+def test_bench_record_matches_the_readme(workload):
+    record = json.loads((ROOT / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
+    assert record["workload"] == workload
+    traced = record["traced"]
+    assert traced["seed"] == 3 and traced["correct"] and not traced["gates"]
+    assert traced["counts"]["admm.iterations"] == RECORDED_ITERATIONS[workload]
+    assert all(run["correct"] for run in record["runs"])
+    # the README quotes each workload's median solve time to three digits
+    paragraph = re.search(r"The committed performance record.*?\n\n", README,
+                          re.DOTALL).group(0)
+    quoted = dict((name, value) for value, name in re.findall(
+        r"([\d.]+) s on ([\w-]+)", re.sub(r"\s+", " ", paragraph)))
+    median = record["end_to_end"]["solve_s_p50"]["median"]
+    assert quoted[workload] == f"{median:.3g}"

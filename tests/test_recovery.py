@@ -96,7 +96,7 @@ def test_extract_phase_signal_degenerate_inputs():
 def test_judge_success_exact_and_phase_flip():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    ok, err = judge_success(x, x)
+    ok, err = judge_success(x, x, phase_invariant=True)
     assert ok and err < 1e-12
     ok, err = judge_success(-x, x, phase_invariant=True)
     assert ok and err < 1e-7
@@ -109,15 +109,15 @@ def test_judge_success_known_error():
     x[2] = 1.0
     x_hat = x.copy()
     x_hat[0] += 0.1
-    ok, err = judge_success(x_hat, x, tol=0.05)
+    ok, err = judge_success(x_hat, x, tol=0.05, phase_invariant=True)
     assert not ok
     assert np.isclose(err, 0.1)
 
 
 def test_judge_success_zero_truth():
-    ok, err = judge_success(np.zeros(3), np.zeros(3))
+    ok, err = judge_success(np.zeros(3), np.zeros(3), phase_invariant=True)
     assert ok and err == 0.0
-    ok, err = judge_success(np.ones(3), np.zeros(3))
+    ok, err = judge_success(np.ones(3), np.zeros(3), phase_invariant=True)
     assert not ok and err == np.inf
 
 
@@ -125,9 +125,9 @@ def test_judge_success_phase_symmetry():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x_hat = x + 0.01 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    _, base = judge_success(x_hat, x)
+    _, base = judge_success(x_hat, x, phase_invariant=True)
     for theta in (0.3, 1.7, -2.2):
-        _, rotated = judge_success(np.exp(1j * theta) * x_hat, x)
+        _, rotated = judge_success(np.exp(1j * theta) * x_hat, x, phase_invariant=True)
         assert np.isclose(rotated, base, rtol=1e-10)
 
 
@@ -140,7 +140,8 @@ def test_judge_success_reads_small_phase_invariant_errors(delta):
     rng = np.random.default_rng(6)
     x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for theta in rng.uniform(-np.pi, np.pi, 20):
-        _, err = judge_success(np.exp(1j * theta) * x * (1.0 + delta), x)
+        _, err = judge_success(np.exp(1j * theta) * x * (1.0 + delta), x,
+                               phase_invariant=True)
         assert err == pytest.approx(delta, rel=1e-5)
 
 
@@ -148,12 +149,12 @@ def test_judge_success_reads_small_phase_invariant_errors(delta):
 def test_judge_success_rejects_a_bad_threshold(tol):
     x = np.ones(3)
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        judge_success(x, x, tol)
+        judge_success(x, x, tol, phase_invariant=True)
 
 
 def test_judge_success_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
-        judge_success(np.zeros(3), np.zeros(4))
+        judge_success(np.zeros(3), np.zeros(4), phase_invariant=True)
 
 
 def test_align_phase():
@@ -228,7 +229,7 @@ def test_certificate_fires_on_unitary_sensing():
     assert cert.cardinality == 4  # (k + 1)^2 with k = 1
     assert cert.certified
     x_hat, _ = extract_signal(result.Z)
-    ok, err = judge_success(x_hat, x, tol=1e-6)
+    ok, err = judge_success(x_hat, x, tol=1e-6, phase_invariant=False)
     assert ok, f"certified instance must recover the plant, error {err:.2e}"
 
 
