@@ -30,9 +30,9 @@ coordinates to coordinates: it pins the corner and applies one operator V^T
 with orthonormal rows, forward and back, as a dense matrix or, for large
 systems of magnitude measurements, through the measurement vectors on the
 signal block (the PhaseLift form of Candes, Strohmer & Voroninski 2013).
-Only :func:`project_psd` and that factored X1 step see a complex matrix: one
-scatter writes the PSD step's argument, one gather reads the projection
-back, and one more scatter writes the returned matrix at the end.
+Only :func:`project_psd` and that factored X1 step see a complex matrix, each
+scattered from coordinates and gathered back by the one map of the lift, and
+one more scatter writes the returned matrix at the end.
 
 The penalty rho balances the residuals that the stopping test reads, as in
 OSQP (Stellato et al. 2020, Math. Prog. Comp.): the loop stops once the
@@ -322,36 +322,31 @@ class _PenalizedStep:
 
             V^T v = W^T Re diag(A^H X_Q A)   and   k^T V^T = coords(A diag(W k) A^H),
 
-        with X_Q the signal block of X and A = [a_1 .. a_N].  The imaginary
-        rows the row builder kept are zero for a magnitude and contribute to
-        neither.  The work buffers are allocated here, once per solve.
+        with X_Q = X[1:, 1:] and A = [a_1 .. a_N]: both maps go through the
+        lift's coordinates and multiply on signal-block views of (n+1)-square
+        matrices, and the imaginary rows the row builder kept are zero for a
+        magnitude.  The work buffers are allocated here, once per solve.
         """
         n, N = vectors.shape
+        m = n + 1
         self._A = vectors
         self._Ah = vectors.conj().T.copy()
         self._W = W
-        self._maps = hermitian_coordinates(n)
-        # the signal block's coordinates with the scatter's zero slot, its
-        # matrix (also A diag(W k) A^H), the products T = X_Q A and
-        # A diag(W k), the gathered A diag(W k) A^H and the returned
-        # coordinates, zero on the border
-        self._q = np.zeros(n * n + 1)
-        self._XQ = np.empty((n, n), dtype=complex)
+        self._maps = hermitian_coordinates(m)
+        # coordinates with the scatter's zero slot, which _forward scatters
+        # and _back gathers into, their matrix, A diag(W k) A^H (zero outside
+        # the signal block), and the products X_Q A and A diag(W k)
+        self._x = np.zeros(m * m + 1)
+        self._X = np.empty((m, m), dtype=complex)
+        self._D = np.zeros((m, m), dtype=complex)
         self._T = np.empty((n, N), dtype=complex)
-        self._dq = np.empty(n * n)
-        self._out = np.zeros((n + 1) ** 2 - 1)
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
         """V^T v for the coordinates v of a matrix without its corner, via the vectors."""
-        # in v the signal block's diagonal comes first, then the border's n
-        # pairs, then the block's upper-triangle pairs in the order that
-        # hermitian_coordinates(n) gives them
-        n = self._A.shape[0]
-        q = self._q
-        q[:n] = v[:n]
-        q[n:-1] = v[3 * n:]
-        _scatter(q, self._maps, _flat(self._XQ))
-        np.matmul(self._XQ, self._A, out=self._T)
+        x = self._x
+        x[1:-1] = v
+        _scatter(x, self._maps, _flat(self._X))
+        np.matmul(self._X[1:, 1:], self._A, out=self._T)
         # Re(a_i^H X_Q a_i) = the column sums of Re(conj(A) * T), summed over
         # the real views' columns and then over each (Re, Im) pair
         sums = np.einsum("ij,ij->j", self._A.view(np.float64), self._T.view(np.float64))
@@ -359,13 +354,9 @@ class _PenalizedStep:
 
     def _back(self, k: np.ndarray) -> np.ndarray:
         """The coordinates k^T V^T, with no corner, via the vectors; a work buffer."""
-        n = self._A.shape[0]
         Aw = np.multiply(self._A, self._W @ k, out=self._T)
-        dq = _gather(np.matmul(Aw, self._Ah, out=self._XQ), self._maps, self._dq)
-        out = self._out
-        out[:n] = dq[:n]
-        out[3 * n:] = dq[n:]
-        return out
+        np.matmul(Aw, self._Ah, out=self._D[1:, 1:])
+        return _gather(self._D, self._maps, self._x[:-1])[1:]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x[0] = 1.0

@@ -204,5 +204,7 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
 
 def phantom_instance(side: int, k: int, N: int, seed: int = 0):
     """Magnitude measurements of the truncated phantom's Fourier coefficients."""
+    if N < 1:
+        raise ValueError("N must be positive")
     x = truncate_fourier(phantom_image(side), k)
     return _fourier_magnitudes(np.random.default_rng(seed), side, N, x)

@@ -97,6 +97,11 @@ def extract_phase_signal(Z):
     return np.sqrt(top) * vecs[:, -1], rank_ratio
 
 
+def _extract(system: QuadraticSystem, Z):
+    """``(x_hat, rank_ratio)`` by the extraction :func:`build_report` picks."""
+    return (extract_phase_signal if is_phase_invariant(system) else extract_signal)(Z)
+
+
 def judge_success(x_hat, x_true, tol: float = 1e-3, *, phase_invariant: bool):
     """Relative recovery error, minimized over a global phase if ``phase_invariant``.
 
@@ -166,8 +171,9 @@ class CoherenceCertificate:
 
     ``certified`` holds when every matricized column is informative (none
     skipped), the matrix is numerically rank one, and its support size stays
-    strictly below ``bound = (1 + 1/mu) / 2``.  The zero matrix has no
-    rank-one component: its ``rank_ratio`` is inf and it is never certified.
+    strictly below ``bound = (1 + 1/mu) / 2``, with ``rank_ratio`` read as
+    :func:`build_report` reads it.  A matrix with no usable rank-one
+    component, the zero matrix say, has ``rank_ratio`` inf.
     """
 
     mu: float
@@ -195,12 +201,10 @@ def certify_coherence(system: QuadraticSystem, Z) -> CoherenceCertificate:
     mu, skipped = mutual_coherence(phis.reshape(phis.shape[0], -1))
     bound = np.inf if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
     cardinality = _support_size(Z)
-    s = np.linalg.svd(Z, compute_uv=False)
-    # a matrix with no positive singular value has no rank-one component
-    if s[0] <= 0.0:
+    try:
+        rank_ratio = _extract(system, Z)[1]
+    except DegenerateMatrixError:
         rank_ratio = np.inf
-    else:
-        rank_ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
     # a skipped column is an entry no measurement sees; the sparsity bound
     # says nothing about those, so they void the certificate
     certified = skipped == 0 and rank_ratio <= RANK_RTOL and cardinality < bound
@@ -306,11 +310,7 @@ def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3
     corner-normalized rank-one factor and scored as they stand.  An explicit
     ``phase_invariant`` overrides the rule for scoring only.
     """
-    rule = is_phase_invariant(system)
-    if rule:
-        x_hat, rank_ratio = extract_phase_signal(result.Z)
-    else:
-        x_hat, rank_ratio = extract_signal(result.Z)
+    x_hat, rank_ratio = _extract(system, result.Z)
     resid = np.linalg.norm(system.y - measure_lifted(system, lift(x_hat)))
     scale = np.linalg.norm(system.y)
     feas = float(resid / scale) if scale > 0.0 else float(resid)
@@ -319,7 +319,7 @@ def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3
     error = None
     if x_true is not None:
         if phase_invariant is None:
-            phase_invariant = rule
+            phase_invariant = is_phase_invariant(system)
         success, error = judge_success(x_hat, x_true, tol, phase_invariant=phase_invariant)
     return RecoveryReport(
         x_hat=x_hat,

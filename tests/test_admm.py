@@ -487,6 +487,14 @@ def _dense_and_factored(make):
     return dense, factored
 
 
+def _border(m):
+    """The border coordinates of an m x m lift, as a mask over hermitian_coordinates(m)."""
+    B = np.zeros((m, m), dtype=complex)
+    B[0, 1:] = 1.0 + 1.0j
+    B[1:, 0] = 1.0 - 1.0j
+    return realvec(B) != 0.0
+
+
 # The factored X1 step agrees with the dense one to within this many units
 # of eps * cond * scale (cond of the constraint rows, scale the largest of 1,
 # |x| and |y|): the largest ratio seen over 9000 random calls of all three
@@ -511,7 +519,7 @@ def test_factored_x1_step_matches_the_dense_step(n, N, seed, real, offset, repea
     system = system_from_phis(_magnitude_phis(sensing, offsets), cgauss(rng, n))
     M = spread * random_hermitian(n + 1, rng)
     x = realvec(M)
-    border = slice(n + 1, 3 * n + 1)
+    border = _border(n + 1)
     scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(system.y))))
     tol = FACTORED_ROUNDING * np.finfo(float).eps * _condition(system) * scale
     epsilon = 0.5 * data_residual(system, M)
@@ -556,6 +564,28 @@ def test_factored_step_is_taken_only_above_the_size_cut():
     assert _PenalizedStep(holes, 1e-3)._Vt is not None
     phantom, _ = phantom_instance(8, 10, 128, 0)
     assert AffineProjector(phantom)._Vt is None
+
+
+def test_factored_maps_touch_only_the_signal_block(monkeypatch):
+    # the factored step multiplies on signal-block views of its matrices:
+    # V^T v must not read v's border coordinates, and k^T V^T must leave
+    # them exactly zero
+    monkeypatch.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
+    rng = np.random.default_rng(31)
+    system, _ = pure_phase(5, 12, 2, "gaussian", 0)
+    m = system.n + 1
+    border = _border(m)[1:]
+    assert np.count_nonzero(border) == 2 * system.n
+    for step in (AffineProjector(system), _PenalizedStep(system, 1e-3)):
+        assert step._Vt is None
+        v = rng.standard_normal(m * m - 1)
+        want = step._forward(v).tobytes()
+        v[border] = rng.standard_normal(np.count_nonzero(border))
+        assert step._forward(v).tobytes() == want
+        k = rng.standard_normal(step._W.shape[1])
+        out = step._back(k)
+        assert out.shape == v.shape
+        assert np.all(out[border] == 0.0) and np.any(out[~border] != 0.0)
 
 
 def _dense_call(self, x):

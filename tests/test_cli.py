@@ -346,6 +346,13 @@ def test_phantom_has_no_success_threshold(capsys):
     assert "unrecognized arguments: --tol 5" in capsys.readouterr().err
 
 
+def test_phantom_rejects_a_negative_measurement_count(capsys):
+    assert main(["phantom", "--side", "2", "-k", "1", "-N", "-4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qbp: error: N must be positive\n"
+
+
 def test_fourier_ensemble_takes_a_square_n_and_its_signal(capsys):
     argv = ["generate", "--ensemble", "fourier", "-N", "12", "-k", "2"]
     for n in ("20", "7", "1"):

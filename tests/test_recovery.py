@@ -276,6 +276,18 @@ def test_certificate_refuses_the_zero_matrix():
     assert not cert.certified
 
 
+def test_certificate_reads_the_rank_ratio_of_the_report():
+    # a recovered magnitude solve: the report reads the signal block, whose
+    # rank ratio is tiny, and the certificate must read the same number, not
+    # that of the full matrix with its decoupled corner X00 = 1
+    system, x = pure_phase(8, 32, 2, "binary", 0)
+    result = solve(system, 1.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
+    report = build_report(system, result, x)
+    assert report.success and report.rank_ratio < 1e-4
+    cert = certify_coherence(system, result.Z)
+    assert cert.rank_ratio == report.rank_ratio
+
+
 def test_certificate_cardinality_uses_zero_tolerance():
     x = np.array([0.0, 3.0], dtype=complex)
     system = unitary_sensing_system(x, "dft")

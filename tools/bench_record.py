@@ -9,13 +9,18 @@ as a separate process, one after the other.  The file keeps the harness's
 environment stamp, every end-to-end metric per seed with its median and
 quartiles, and the traced run's per-layer metrics and exact counts.  The
 harness's own files are left as it writes them; this script edits none.
-Record in a fresh clone: the harness imports qbp afresh for every set-up, so
-with PYTHONDONTWRITEBYTECODE set a stale ``__pycache__`` lowers ``setup_s``.
+
+The harness runs with PYTHONDONTWRITEBYTECODE=1 and imports qbp afresh for
+every set-up, so a stale ``src/qbp/__pycache__`` would lower ``setup_s``:
+the script refuses a tree that holds one (record in a fresh clone).  A run
+that is not correct, or a traced run that lists a gate, stops it with a
+nonzero exit before any file is written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -34,8 +39,14 @@ def run(bench: dict, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """One harness run: its detail line (stamp and counts) and its result."""
     argv = [*bench["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
-    out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True,
+                         env=env).stdout
     detail, result = map(json.loads, out.splitlines()[-2:])
+    if not result["correct"] or detail["gates"]:
+        raise SystemExit(f"{workload} seed {seed} trace {trace} is not correct"
+                         f" (failures {detail['failures']}, gates {detail['gates']});"
+                         " no record written")
     return detail, result
 
 
@@ -50,7 +61,7 @@ def record(bench: dict, workload: str) -> dict:
     for seed in seeds:
         detail, result = run(bench, workload, seed, 0)
         runs.append((detail, result))
-        print(f"{workload} seed {seed}: correct {result['correct']}", file=sys.stderr)
+        print(f"{workload} seed {seed}: correct", file=sys.stderr)
     stamp = dict(runs[0][0]["stamp"])
     stamp.pop("seed")
     if len({d["stamp"]["source_sha256"] for d, _ in runs}) != 1:
@@ -61,8 +72,7 @@ def record(bench: dict, workload: str) -> dict:
         end_to_end[name] = {"unit": metric["unit"], "better": metric["better"],
                             **spread([r["metrics"][name]["value"] for _, r in runs])}
     detail, result = run(bench, workload, TRACE_SEED, 1)
-    print(f"{workload} traced seed {TRACE_SEED}: correct {result['correct']}",
-          file=sys.stderr)
+    print(f"{workload} traced seed {TRACE_SEED}: correct", file=sys.stderr)
     return {
         "workload": workload,
         "command": [*bench["command"], "--workload", workload, "--seed", "SEED",
@@ -93,8 +103,12 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown workloads {unknown}; BENCHMARK.json has {known}", file=sys.stderr)
         return 2
-    for workload in workloads:
-        doc = record(bench, workload)
+    if (ROOT / "src" / "qbp" / "__pycache__").exists():
+        print("src/qbp/__pycache__ exists and would lower setup_s; record in a fresh clone",
+              file=sys.stderr)
+        return 2
+    docs = [record(bench, workload) for workload in workloads]
+    for workload, doc in zip(workloads, docs):
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path.name}", file=sys.stderr)
