@@ -197,9 +197,7 @@ class SolverConfig:
     def __post_init__(self):
         _require_nonnegative("eps_abs", self.eps_abs)
         _require_nonnegative("eps_rel", self.eps_rel)
-        _require_integer("max_iters", self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _require_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)

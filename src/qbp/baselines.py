@@ -101,9 +101,7 @@ def basis_pursuit(A, y):
 def hard_threshold(x, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries; ties go to the lowest index."""
     x = np.asarray(x)
-    _require_integer("k", k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _require_integer("k", k, 0)
     if k >= x.size:
         return x.copy()
     order = np.argsort(-np.abs(x), kind="stable")
@@ -167,12 +165,8 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     for the last iterate, which is the best one seen: a step is taken only
     when it strictly lowers the objective.
     """
-    _require_integer("k", k)
-    _require_integer("max_iters", max_iters)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    _require_integer("k", k, 1)
+    _require_integer("max_iters", max_iters, 1)
     x = np.zeros(system.n, dtype=complex)
     g = iht_objective(system, x)
     iterations = 0

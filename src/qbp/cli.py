@@ -33,6 +33,7 @@ from qbp.montecarlo import (
     write_csv,
 )
 from qbp.recovery import (
+    SUCCESS_TOL,
     align_phase,
     build_report,
     certify_coherence,
@@ -301,7 +302,7 @@ def _build_parser() -> _Parser:
     slv.add_argument("--epsilon", type=float, default=None,
                      help="residual budget; solves the qbpd program")
     slv.add_argument("--truth", help="planted-signal JSON to score against (- for stdin)")
-    slv.add_argument("--tol", type=float, default=1e-3, help="success threshold")
+    slv.add_argument("--tol", type=float, default=SUCCESS_TOL, help="success threshold")
     slv.add_argument("-o", "--output", default="-", help="report path (default stdout)")
     _solver_options(slv)
     slv.set_defaults(func=_cmd_solve)
@@ -314,7 +315,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--epsilon", type=float, default=None,
                     help="residual budget for the qbpd method")
     mc.add_argument("--trials", type=int, default=100)
-    mc.add_argument("--tol", type=float, default=1e-3)
+    mc.add_argument("--tol", type=float, default=SUCCESS_TOL)
     mc.add_argument("--iht-max-iters", type=int, default=1000,
                     help="iteration budget for the iht method")
     mc.add_argument("--jobs", type=int, default=1)

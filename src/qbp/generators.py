@@ -2,9 +2,10 @@
 
 Every generator returns ``(system, x_true)`` with the measurement values
 computed from ``x_true`` through the same evaluation path the library uses,
-so generated instances are exactly consistent.  All randomness flows through
-one ``numpy`` generator seeded by the caller; a fixed seed reproduces the
-instance bit for bit.
+so generated instances are exactly consistent.  Each checks its counts and
+seed before it draws, by one rule that ``ExperimentSpec`` reuses.  All
+randomness flows through one ``numpy`` generator seeded by the caller; a
+fixed seed reproduces the instance bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from qbp.model import QuadraticSystem, evaluate, hermitianize
+from qbp.model import QuadraticSystem, _require_integer, evaluate, hermitianize
 
 __all__ = [
     "SIGNALS",
@@ -45,12 +46,25 @@ def _circular_normal(rng, shape=None):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _planted(rng, n: int, k: int, signal: str = "gaussian", real: bool = False):
-    """k-sparse x on a uniform support: unit values, or real or circular normal ones."""
+def _check_draw(n: int, N: int, k: int, signal: str, seed: int, image: bool = False) -> None:
+    """Refuse what no ensemble can draw; ``ExperimentSpec`` asks the same.
+
+    ``signal`` is one of ``SIGNALS``; n, N and k are integers of at least 1
+    and the seed one of at least 0; an ``image`` needs n = side^2 pixels with
+    side >= 2, which is checked before k <= n.
+    """
     if signal not in SIGNALS:
         raise ValueError(f"unknown signal kind {signal!r}")
-    if not 1 <= k <= n:
+    for name, value, minimum in (("n", n, 1), ("N", N, 1), ("k", k, 1), ("seed", seed, 0)):
+        _require_integer(name, value, minimum)
+    if image and (n < 4 or math.isqrt(n) ** 2 != n):
+        raise ValueError(f"an image needs n = side^2 with side >= 2, got n={n}")
+    if k > n:
         raise ValueError(f"k must be in [1, {n}]")
+
+
+def _planted(rng, n: int, k: int, signal: str, real: bool = False):
+    """k-sparse x on a uniform support: unit values, or real or circular normal ones."""
     support = np.sort(rng.choice(n, size=k, replace=False))
     x = np.zeros(n, dtype=complex)
     if signal == "binary":
@@ -69,6 +83,7 @@ def general_quadratic(n: int, N: int, k: int, signal: str = "binary",
     The signal support is uniform; ``signal`` picks unit or real Gaussian
     values.
     """
+    _check_draw(n, N, k, signal, seed)
     rng = np.random.default_rng(seed)
     x = _planted(rng, n, k, signal, real=True)
     phis = np.zeros((N, n + 1, n + 1), dtype=complex)
@@ -93,6 +108,7 @@ def _magnitude_system(sensing: np.ndarray, x):
 
 def pure_phase(n: int, N: int, k: int, signal: str = "gaussian", seed: int = 0):
     """Magnitude-only measurements y_i = |<a_i, x>|^2 with Gaussian a_i."""
+    _check_draw(n, N, k, signal, seed)
     rng = np.random.default_rng(seed)
     x = _planted(rng, n, k, signal)
     return _magnitude_system(_circular_normal(rng, (N, n)).conj(), x)
@@ -104,19 +120,10 @@ def fourier_basis(side: int) -> np.ndarray:
     ``fourier_basis(s) @ coeffs.ravel()`` equals ``np.fft.ifft2(coeffs).ravel()``
     for an (s, s) coefficient array.
     """
-    if side < 1:
-        raise ValueError("side must be positive")
+    _require_integer("side", side, 1)
     grid = np.arange(side)
     W1 = np.exp(2j * np.pi * np.outer(grid, grid) / side) / side
     return np.kron(W1, W1)
-
-
-def _image_side(n: int) -> int:
-    """The side of the square image whose n = side^2 pixels carry n unknowns."""
-    side = math.isqrt(max(n, 0))
-    if side < 2 or side * side != n:
-        raise ValueError(f"an image needs n = side^2 with side >= 2, got n={n}")
-    return side
 
 
 def fourier_sparse_image(n: int, N: int, k: int, signal: str = "gaussian",
@@ -128,9 +135,9 @@ def fourier_sparse_image(n: int, N: int, k: int, signal: str = "gaussian",
     Gaussian combination of the inverse-DFT rows, so the measurements probe
     the image the coefficients synthesize.
     """
-    side = _image_side(n)
+    _check_draw(n, N, k, signal, seed, image=True)
     rng = np.random.default_rng(seed)
-    return _fourier_magnitudes(rng, side, N, _planted(rng, n, k, signal))
+    return _fourier_magnitudes(rng, math.isqrt(n), N, _planted(rng, n, k, signal))
 
 
 def _fourier_magnitudes(rng, side: int, N: int, x):
@@ -149,8 +156,7 @@ _ELLIPSES = (
 
 def phantom_image(side: int) -> np.ndarray:
     """Deterministic piecewise-constant test image of nested ellipses."""
-    if side < 2:
-        raise ValueError("side must be at least 2")
+    _require_integer("side", side, 2)
     grid = (np.arange(side) - (side - 1) / 2.0) / (side / 2.0)
     v, u = np.meshgrid(grid, grid, indexing="ij")
     img = np.zeros((side, side))
@@ -172,7 +178,8 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
     side = image.shape[0]
     if image.shape != (side, side):
         raise ValueError("image must be square")
-    if not 1 <= k <= side * side:
+    _require_integer("k", k, 1)
+    if k > side * side:
         raise ValueError(f"k must be in [1, {side * side}]")
     C = np.fft.fft2(image)
     groups = []
@@ -204,7 +211,7 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
 
 def phantom_instance(side: int, k: int, N: int, seed: int = 0):
     """Magnitude measurements of the truncated phantom's Fourier coefficients."""
-    if N < 1:
-        raise ValueError("N must be positive")
+    _require_integer("N", N, 1)
+    _require_integer("seed", seed, 0)
     x = truncate_fourier(phantom_image(side), k)
     return _fourier_magnitudes(np.random.default_rng(seed), side, N, x)

@@ -66,11 +66,14 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def _require_integer(name: str, value) -> None:
-    # a float or a bool passes a range test but fails later as a count or a
-    # seed, so only integers are accepted (numpy's too; bool is not one)
+def _require_integer(name: str, value, minimum: int) -> None:
+    # the one rule for every count and seed: a float or a bool passes a range
+    # test but fails later as a count or a seed, so only integers are
+    # accepted (numpy's too; bool is not one), and none below ``minimum``
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 def _block(index):

@@ -31,14 +31,13 @@ from qbp.baselines import (
     linearize,
 )
 from qbp.generators import (
-    SIGNALS,
-    _image_side,
+    _check_draw,
     fourier_sparse_image,
     general_quadratic,
     pure_phase,
 )
 from qbp.model import _require_integer, _require_nonnegative, is_phase_invariant
-from qbp.recovery import DegenerateMatrixError, build_report, judge_success
+from qbp.recovery import SUCCESS_TOL, DegenerateMatrixError, build_report, judge_success
 
 __all__ = [
     "CSV_COLUMNS",
@@ -72,6 +71,11 @@ ENSEMBLES = ("general", "purephase", "fourier")
 class ExperimentSpec:
     """One experiment: an instance ensemble, the methods to run, and knobs.
 
+    A bad field fails when the spec is made, not inside a trial.  The draw
+    (n, N, k, signal, seed) is checked by the generators' own rule, so the
+    spec and its generator refuse the same input with the same message; the
+    spec itself checks the ensemble, the methods, the counts ``trials`` and
+    ``iht_max_iters`` and the nonnegative ``lam``, ``epsilon`` and ``tol``.
     ``solver`` holds the keyword arguments of :class:`SolverConfig`;
     ``config`` is the config built from them when the spec is made, so a bad
     key or value fails here and not inside a trial.
@@ -87,7 +91,7 @@ class ExperimentSpec:
     epsilon: float = 0.0
     trials: int = 100
     seed: int = 0
-    tol: float = 1e-3
+    tol: float = SUCCESS_TOL
     iht_max_iters: int = 1000
     solver: dict = field(default_factory=dict)
     config: SolverConfig = field(init=False, repr=False, compare=False)
@@ -95,25 +99,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.signal not in SIGNALS:
-            raise ValueError(f"unknown signal kind {self.signal!r}")
-        for name in ("n", "N", "k", "trials", "seed", "iht_max_iters"):
-            _require_integer(name, getattr(self, name))
-        if self.n < 1 or self.N < 1:
-            raise ValueError("n and N must be positive")
-        if self.ensemble == "fourier":
-            _image_side(self.n)
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"k must be in [1, {self.n}]")
+        _check_draw(self.n, self.N, self.k, self.signal, self.seed,
+                    image=self.ensemble == "fourier")
         bad = [m for m in self.methods if m not in _METHODS]
         if bad or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {_METHODS}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.iht_max_iters < 1:
-            raise ValueError("iht_max_iters must be at least 1")
+        for name in ("trials", "iht_max_iters"):
+            _require_integer(name, getattr(self, name), 1)
         for name in ("lam", "epsilon", "tol"):
             _require_nonnegative(name, getattr(self, name))
         object.__setattr__(self, "config", SolverConfig(**self.solver))
@@ -236,9 +228,7 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
     The trials run in this process when only one worker would start: one
     job, one trial, one CPU or an unknown CPU count.
     """
-    _require_integer("jobs", jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _require_integer("jobs", jobs, 1)
     records: list[TrialRecord] = []
     workers = min(jobs, spec.trials, os.cpu_count() or 1)
     if workers > 1:

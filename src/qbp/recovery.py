@@ -17,6 +17,7 @@ from qbp.model import (
     QuadraticSystem,
     _require_integer,
     _require_nonnegative,
+    hermitianize,
     is_phase_invariant,
     lift,
     measure_lifted,
@@ -39,6 +40,9 @@ __all__ = [
 
 # An entry counts as nonzero above ZERO_RTOL times the largest magnitude.
 ZERO_RTOL = 1e-6
+
+# The default success threshold on a candidate's relative recovery error.
+SUCCESS_TOL = 1e-3
 
 # The coherence certificate needs the second singular value of the solved
 # matrix within RANK_RTOL of the first.
@@ -89,7 +93,7 @@ def extract_phase_signal(Z):
     Z = np.asarray(Z, dtype=complex)
     if Z.shape[0] < 2:
         raise DegenerateMatrixError("matrix has no signal block")
-    vals, vecs = np.linalg.eigh(0.5 * (Z[1:, 1:] + Z[1:, 1:].conj().T))
+    vals, vecs = np.linalg.eigh(hermitianize(Z[1:, 1:]))
     top = float(vals[-1])
     if top <= 0.0:
         raise DegenerateMatrixError("signal block has no positive eigenvalue")
@@ -102,7 +106,7 @@ def _extract(system: QuadraticSystem, Z):
     return (extract_phase_signal if is_phase_invariant(system) else extract_signal)(Z)
 
 
-def judge_success(x_hat, x_true, tol: float = 1e-3, *, phase_invariant: bool):
+def judge_success(x_hat, x_true, tol: float = SUCCESS_TOL, *, phase_invariant: bool):
     """Relative recovery error, minimized over a global phase if ``phase_invariant``.
 
     Returns ``(success, error)`` with ``error = min_theta ||exp(i theta) *
@@ -263,13 +267,11 @@ def sample_rip(system: QuadraticSystem, k: int, samples: int = 200,
     Draws random Hermitian matrices with at most ``k`` nonzero entries and
     records the worst squared-norm ratio defect and its l1 analogue.
     """
-    for name, value in (("k", k), ("samples", samples), ("seed", seed)):
-        _require_integer(name, value)
+    for name, value, minimum in (("k", k, 1), ("samples", samples, 1), ("seed", seed, 0)):
+        _require_integer(name, value, minimum)
     m = system.n + 1
-    if not 1 <= k <= m * m:
+    if k > m * m:
         raise ValueError(f"k must be in [1, {m * m}]")
-    if samples < 1:
-        raise ValueError("samples must be positive")
     eps2 = 0.0
     eps1 = 0.0
     for child in np.random.SeedSequence(seed).spawn(samples):
@@ -296,7 +298,7 @@ class RecoveryReport:
     error: float | None = None
 
 
-def build_report(system: QuadraticSystem, result, x_true=None, tol: float = 1e-3,
+def build_report(system: QuadraticSystem, result, x_true=None, tol: float = SUCCESS_TOL,
                  phase_invariant: bool | None = None) -> RecoveryReport:
     """Assemble the recovery report for a solver result.
 

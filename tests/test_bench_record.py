@@ -23,11 +23,13 @@ def tool(tmp_path, monkeypatch):
     return module
 
 
-def _harness(correct, gates, seen):
-    """A stand-in for the harness that prints one run's two JSON lines."""
+def _harness(correct, gates, seen, traced_sha="0"):
+    """A stand-in for the harness that prints one run's two JSON lines; the
+    traced run's stamp reports the sources ``traced_sha``."""
     def fake_run(argv, **kwargs):
         seen.append(kwargs["env"].get("PYTHONDONTWRITEBYTECODE"))
-        detail = {"stamp": {"seed": 1, "source_sha256": "0"}, "counts": {},
+        sha = traced_sha if argv[argv.index("--trace") + 1] == "1" else "0"
+        detail = {"stamp": {"seed": 1, "source_sha256": sha}, "counts": {},
                   "failures": [] if correct else ["wrong answer"], "gates": gates}
         result = {"correct": correct and not gates, "attempted": 1, "failed": 0,
                   "metrics": {}}
@@ -43,6 +45,17 @@ def test_a_bad_run_writes_no_record(tool, tmp_path, monkeypatch, correct, gates)
         tool.main(["phantom-s8"])
     assert "no record written" in str(exc.value.code)
     assert seen and set(seen) == {"1"}
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_a_source_change_before_the_traced_run_writes_no_record(tool, tmp_path,
+                                                               monkeypatch):
+    seen = []
+    monkeypatch.setattr(subprocess, "run", _harness(True, [], seen, traced_sha="1"))
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["phantom-s8"])
+    assert "the sources changed during the runs" in str(exc.value.code)
+    assert len(seen) == len(tool.DEFAULT_SEEDS) + 1
     assert not list(tmp_path.glob("BENCH_*.json"))
 
 

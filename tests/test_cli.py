@@ -350,7 +350,20 @@ def test_phantom_rejects_a_negative_measurement_count(capsys):
     assert main(["phantom", "--side", "2", "-k", "1", "-N", "-4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "qbp: error: N must be positive\n"
+    assert captured.err == "qbp: error: N must be at least 1, got -4\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "phantom", "diagnose"])
+def test_a_negative_seed_is_input_error(tmp_path, capsys, command):
+    argv = {"generate": ["generate", "-n", "4", "-N", "8", "-k", "1"],
+            "phantom": ["phantom", "--side", "2", "-k", "1"],
+            "diagnose": ["diagnose", str(tmp_path / "instance.json")]}[command]
+    assert main(["generate", "-n", "2", "-N", "4", "-k", "1",
+                 "-o", str(tmp_path / "instance.json")]) == 0
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "-1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "qbp: error: seed must be at least 0, got -1\n"
+    assert not out.exists()
 
 
 def test_fourier_ensemble_takes_a_square_n_and_its_signal(capsys):

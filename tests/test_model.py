@@ -25,11 +25,13 @@ from qbp.model import (
 )
 
 from qbp.admm import SolverConfig, solve
-from qbp.baselines import iht_gradient
+from qbp.baselines import hard_threshold, iht_gradient, iterative_hard_thresholding
 from qbp.generators import (
-    fourier_sparse_image, general_quadratic, phantom_instance, pure_phase,
+    fourier_basis, fourier_sparse_image, general_quadratic, phantom_image,
+    phantom_instance, pure_phase, truncate_fourier,
 )
-from qbp.recovery import build_report
+from qbp.montecarlo import ExperimentSpec, run_monte_carlo
+from qbp.recovery import build_report, sample_rip
 
 from support import (
     cgauss,
@@ -556,3 +558,45 @@ def test_operator_rows_scatter_to_the_two_hermitian_parts(system):
     assert np.array_equal(A, np.concatenate([B[:N], B[N + kept]]))
     assert np.array_equal(b, np.concatenate([rhs[:N], rhs[N + kept]]))
 
+
+
+_SMALL = general_quadratic(3, 4, 1, seed=0)[0]
+
+# Every public count or seed argument: (callable, valid keyword arguments,
+# the argument, its minimum).  The bad value replaces the valid one.
+_COUNTS = [
+    (SolverConfig, {}, "max_iters", 1),
+    (run_monte_carlo, {"spec": ExperimentSpec(n=3, N=4, k=1, trials=1)}, "jobs", 1),
+    *[(sample_rip, {"system": _SMALL, "k": 2, "samples": 2, "seed": 0}, name, low)
+      for name, low in (("k", 1), ("samples", 1), ("seed", 0))],
+    (hard_threshold, {"x": np.ones(3), "k": 1}, "k", 0),
+    *[(iterative_hard_thresholding, {"system": _SMALL, "k": 1, "max_iters": 1}, name, 1)
+      for name in ("k", "max_iters")],
+    (fourier_basis, {"side": 2}, "side", 1),
+    (phantom_image, {"side": 2}, "side", 2),
+    (truncate_fourier, {"image": np.ones((2, 2)), "k": 1}, "k", 1),
+    *[(phantom_instance, {"side": 2, "k": 1, "N": 2, "seed": 0}, name, low)
+      for name, low in (("side", 2), ("k", 1), ("N", 1), ("seed", 0))],
+    *[(ExperimentSpec, {"n": 4, "N": 4, "k": 1}, name, low)
+      for name, low in (("n", 1), ("N", 1), ("k", 1), ("trials", 1), ("seed", 0),
+                        ("iht_max_iters", 1))],
+    *[(draw, {"n": 4, "N": 4, "k": 1, "seed": 0}, name, low)
+      for draw in (general_quadratic, pure_phase, fourier_sparse_image)
+      for name, low in (("n", 1), ("N", 1), ("k", 1), ("seed", 0))],
+]
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "below"])
+@pytest.mark.parametrize("call, valid, name, minimum", _COUNTS,
+                         ids=[f"{c[0].__name__}-{c[2]}" for c in _COUNTS])
+def test_every_count_and_seed_follows_one_rule(call, valid, name, minimum, bad):
+    # a count or seed must be an integer, not a bool or a float, and at least
+    # its minimum; the message names the argument
+    value, message = {
+        "bool": (True, f"{name} must be an integer, got True"),
+        "float": (2.0, f"{name} must be an integer, got 2.0"),
+        "below": (minimum - 1, f"{name} must be at least {minimum}, got {minimum - 1}"),
+    }[bad]
+    with pytest.raises(ValueError) as exc:
+        call(**{**valid, name: value})
+    assert str(exc.value) == message

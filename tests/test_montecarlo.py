@@ -270,12 +270,11 @@ def test_spec_validation():
             with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
                 _tiny_spec(**{name: value})
     # sizes and the IHT budget fail when the spec is made, not inside a trial
-    for sizes in ({"n": 0}, {"N": 0}):
-        with pytest.raises(ValueError, match="n and N must be positive"):
-            _tiny_spec(**sizes)
-    for k in (0, 5):
-        with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
-            _tiny_spec(k=k)
+    for name in ("n", "N", "k"):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+            _tiny_spec(**{name: 0})
+    with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
+        _tiny_spec(k=5)
     with pytest.raises(ValueError, match=r"k must be in \[1, 9\]"):
         _tiny_spec(ensemble="fourier", n=9, k=10)
     assert _tiny_spec(ensemble="fourier", n=9, k=9).k == 9
@@ -288,7 +287,7 @@ def test_spec_validation():
         _tiny_spec(solver={"eps_abs": -1.0})
     with pytest.raises(TypeError, match="bogus"):
         _tiny_spec(solver={"bogus": 1})
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         _tiny_spec(seed=-1)
     assert _tiny_spec().config == SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
     for jobs in (0, -3):

@@ -13,8 +13,9 @@ harness's own files are left as it writes them; this script edits none.
 The harness runs with PYTHONDONTWRITEBYTECODE=1 and imports qbp afresh for
 every set-up, so a stale ``src/qbp/__pycache__`` would lower ``setup_s``:
 the script refuses a tree that holds one (record in a fresh clone).  A run
-that is not correct, or a traced run that lists a gate, stops it with a
-nonzero exit before any file is written.
+that is not correct, a traced run that lists a gate, or a run whose stamp
+reports other sources than the first run's stops it with a nonzero exit
+before any file is written.
 """
 
 from __future__ import annotations
@@ -62,17 +63,19 @@ def record(bench: dict, workload: str) -> dict:
         detail, result = run(bench, workload, seed, 0)
         runs.append((detail, result))
         print(f"{workload} seed {seed}: correct", file=sys.stderr)
+    detail, result = run(bench, workload, TRACE_SEED, 1)
+    print(f"{workload} traced seed {TRACE_SEED}: correct", file=sys.stderr)
+    # the traced run reads the same sources as the untraced ones
+    if len({d["stamp"]["source_sha256"] for d, _ in [*runs, (detail, result)]}) != 1:
+        raise SystemExit(f"{workload}: the sources changed during the runs;"
+                         " no record written")
     stamp = dict(runs[0][0]["stamp"])
     stamp.pop("seed")
-    if len({d["stamp"]["source_sha256"] for d, _ in runs}) != 1:
-        raise SystemExit(f"{workload}: the sources changed during the runs")
     end_to_end = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
         end_to_end[name] = {"unit": metric["unit"], "better": metric["better"],
                             **spread([r["metrics"][name]["value"] for _, r in runs])}
-    detail, result = run(bench, workload, TRACE_SEED, 1)
-    print(f"{workload} traced seed {TRACE_SEED}: correct", file=sys.stderr)
     return {
         "workload": workload,
         "command": [*bench["command"], "--workload", workload, "--seed", "SEED",
