@@ -25,7 +25,7 @@ each upper-triangle entry as its real and imaginary parts side by side.
 Plain dot products of coordinates are Frobenius products, so the stopping
 test and the Anderson fit read them directly, and the off-diagonal part,
 viewed as complex numbers, is sqrt(2) times the upper triangle, so
-:func:`update_z` shrinks it with :func:`soft_threshold`.  The X1 step maps
+:func:`update_z` shrinks it as complex numbers.  The X1 step maps
 coordinates to coordinates: it pins the corner and applies one operator V^T
 with orthonormal rows, forward and back, as a dense matrix or, for large
 systems of magnitude measurements, through the measurement vectors on the
@@ -171,7 +171,6 @@ FACTORED_MIN_ENTRIES = 320_000
 MAGNITUDE_RTOL = 1e-12
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
-_SQRT2 = math.sqrt(2.0)
 
 
 class InfeasibleProjectionError(ValueError):
@@ -470,10 +469,12 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     The arguments are weighted coordinates of Hermitian (n+1) x (n+1)
     matrices (:func:`~qbp.model.hermitian_coordinates`).  The average is
     written to ``out`` (a new array by default) and soft-thresholded in place
-    as a matrix at q = lam / (2 rho): :func:`soft_threshold` shrinks the
-    diagonal coordinates at q and the off-diagonal ones, viewed as complex
-    numbers sqrt(2) times the upper-triangle entries, at sqrt(2) q.  Exact
-    zeros stay zero.
+    as a matrix at q = lam / (2 rho), which shrinks the diagonal coordinates
+    at q and the off-diagonal ones, viewed as complex numbers sqrt(2) times
+    the upper-triangle entries, at sqrt(2) q.  One magnitude-and-scale pass
+    over both reads the thresholds from the cached coordinate weights and
+    gives :func:`soft_threshold`'s bits.  Exact zeros stay zero.  At lam = 0
+    the average is returned as it is: a shrink at q = 0 is the identity.
     """
     m = math.isqrt(X1.size)
     V = np.add(X1, X2, out=out)
@@ -481,10 +482,20 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     W /= rho
     V += W
     V *= 0.5
-    q = 0.5 * lam / rho
-    soft_threshold(V[:m], q, out=V[:m])
+    if lam == 0.0:
+        return V
+    # the m real diagonal coordinates, then the m(m-1)/2 complex upper ones
+    c = m * (m + 1) // 2
     upper = V[m:].view(complex)
-    soft_threshold(upper, _SQRT2 * q, out=upper)
+    mag = np.empty(c)
+    np.abs(V[:m], out=mag[:m])
+    np.abs(upper, out=mag[m:])
+    scale = hermitian_coordinates(m)[1][:c] * (0.5 * lam / rho)
+    np.subtract(mag, scale, out=scale)
+    np.maximum(scale, 0.0, out=scale)
+    scale /= np.maximum(mag, _SMALLEST_SUBNORMAL, out=mag)
+    V[:m] *= scale[:m]
+    upper *= scale[m:]
     return V
 
 

@@ -99,42 +99,59 @@ def basis_pursuit(A, y):
 
 
 def hard_threshold(x, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries; ties go to the lowest index."""
+    """Keep the k largest-magnitude entries of x, or of each row of a 2-D x;
+    ties go to the lowest index."""
     x = np.asarray(x)
     _require_integer("k", k, 0)
-    if k >= x.size:
+    if k >= x.shape[-1]:
         return x.copy()
-    order = np.argsort(-np.abs(x), kind="stable")
-    out = np.zeros(x.shape, dtype=x.dtype)
-    keep = order[:k]
-    out[keep] = x[keep]
-    return out
+    rows = x.reshape(-1, x.shape[-1])
+    keep = np.arange(len(rows))[:, None], np.argsort(-np.abs(rows), axis=1,
+                                                     kind="stable")[:, :k]
+    out = np.zeros(rows.shape, dtype=x.dtype)
+    out[keep] = rows[keep]
+    return out.reshape(x.shape)
 
 
-def _sparse_residual(system: QuadraticSystem, x):
-    """Residuals Tr(Phi_i X) - y_i at X = lift(x), the support L of [1; x] and v.
-
-    Only the lifted block on L, which holds 0 and the support of x shifted
-    by one, is read: v = [1; x][L] holds the nonzero entries of [1; x], so
-    Tr(Phi_i X) = v^H Phi_i[L, L] v, the dot product of the block with the
-    outer product of conj(v) and v.
-    """
+def _lifted(system: QuadraticSystem, x) -> np.ndarray:
+    """The vector [1; x] whose outer product is lift(x)."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (system.n,):
         raise DimensionMismatchError(
             f"x has shape {x.shape}, system dimension is {system.n}"
         )
-    v = np.concatenate(([1.0], x))
+    return np.concatenate(([1.0], x))
+
+
+def _sparse_residual(system: QuadraticSystem, v, blocks: dict):
+    """Residuals Tr(Phi_i X) - y_i at X = v v^H, the support L of v and v[L].
+
+    Only the lifted block on L is read: with u = v[L], the nonzero entries
+    of v, Tr(Phi_i X) = u^H Phi_i[L, L] u, the dot product of the block with
+    the outer product of conj(u) and u.  ``blocks`` keeps each block read,
+    keyed by its support, for the next read of the same support.
+    """
     L = v.nonzero()[0]
     v = v[L]
-    block = system.phis[:, L[:, None], L]
-    r = block.reshape(block.shape[0], -1) @ np.outer(v.conj(), v).ravel() - system.y
+    key = L.tobytes()
+    block = blocks.get(key)
+    if block is None:
+        block = blocks[key] = system.phis[:, L[:, None], L].reshape(len(system.y), -1)
+    r = block @ (v.conj()[:, None] * v).ravel() - system.y
     return r, L, v
+
+
+def _gradient(system: QuadraticSystem, r, L, v) -> np.ndarray:
+    """:func:`iht_gradient` from the return of :func:`_sparse_residual`."""
+    phis = system.phis
+    lin = phis[:, 1:, L] @ v
+    lin_conj = (v.conj() @ phis[:, L, 1:]).conj()
+    return r.conj() @ lin + r @ lin_conj
 
 
 def iht_objective(system: QuadraticSystem, x) -> float:
     """Half the squared residual of the quadratic measurements at x."""
-    r, _, _ = _sparse_residual(system, x)
+    r, _, _ = _sparse_residual(system, _lifted(system, x), {})
     return 0.5 * float(np.vdot(r, r).real)
 
 
@@ -147,46 +164,54 @@ def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
     the rows 1: of Phi_i [1; x] and Phi_i^H [1; x], read from the columns and
     the rows on the support block L of :func:`_sparse_residual`.
     """
-    r, L, v = _sparse_residual(system, x)
-    phis = system.phis
-    lin = phis[:, 1:, L] @ v
-    lin_conj = (v.conj() @ phis[:, L, 1:]).conj()
-    return r.conj() @ lin + r @ lin_conj
+    return _gradient(system, *_sparse_residual(system, _lifted(system, x), {}))
 
 
 def iterative_hard_thresholding(system: QuadraticSystem, k: int,
                                 max_iters: int = 1000):
     """Projected gradient descent onto the k-sparse set with backtracking.
 
-    The run starts from the zero vector.  Each iteration restarts the line
-    search from ``IHT_STEP0`` and halves the step until the objective
-    strictly decreases; the run stops when no step down to 1e-20 helps or
-    the relative decrease stalls.  Returns ``(x, iterations, objective)``
-    for the last iterate, which is the best one seen: a step is taken only
-    when it strictly lowers the objective.
+    The run starts from the zero vector.  Each iteration tries the steps
+    ``IHT_STEP0 * IHT_SHRINK**j`` down to 1e-20 in turn and takes the first
+    one that strictly lowers the objective; the run stops when none does or
+    the relative decrease stalls.  The whole ladder of steps is
+    hard-thresholded at once, each step's residual reads the support block
+    kept for the run, and the taken step's residual feeds the next gradient,
+    so the iterates are those of trying one step at a time.  Returns
+    ``(x, iterations, objective)`` for the last iterate, which is the best
+    one seen: a step is taken only when it strictly lowers the objective.
     """
     _require_integer("k", k, 1)
     _require_integer("max_iters", max_iters, 1)
+    etas = []
+    eta = IHT_STEP0
+    while eta >= 1e-20:
+        etas.append(eta)
+        eta *= IHT_SHRINK
+    etas = np.array(etas)[:, None]
+    blocks = {}
+    # row j of the ladder is [1; hard_threshold(x - etas[j] * grad, k)]
+    ladder = np.ones((len(etas), system.n + 1), dtype=complex)
     x = np.zeros(system.n, dtype=complex)
-    g = iht_objective(system, x)
+    r, L, v = _sparse_residual(system, _lifted(system, x), blocks)
+    g = 0.5 * float(np.vdot(r, r).real)
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        grad = iht_gradient(system, x)
-        eta = IHT_STEP0
-        cand = None
-        while eta >= 1e-20:
-            trial = hard_threshold(x - eta * grad, k)
-            g_trial = iht_objective(system, trial)
+        grad = _gradient(system, r, L, v)
+        ladder[:, 1:] = hard_threshold(x - etas * grad, k)
+        for trial in ladder:
+            r_trial, L_trial, v_trial = _sparse_residual(system, trial, blocks)
+            g_trial = 0.5 * float(np.vdot(r_trial, r_trial).real)
             if g_trial < g:
-                cand = (trial, g_trial)
                 break
-            eta *= IHT_SHRINK
-        if cand is None:
+        else:
             break
-        x, g_new = cand
-        rel = (g - g_new) / max(g, 1e-300)
-        g = g_new
+        # the next iteration overwrites the ladder
+        x = trial[1:].copy()
+        r, L, v = r_trial, L_trial, v_trial
+        rel = (g - g_trial) / max(g, 1e-300)
+        g = g_trial
         if rel < IHT_STALL_TOL:
             break
     return x, iterations, g

@@ -34,6 +34,7 @@ from qbp.montecarlo import (
 )
 from qbp.recovery import (
     SUCCESS_TOL,
+    _check_rip_sampling,
     align_phase,
     build_report,
     certify_coherence,
@@ -232,9 +233,10 @@ def _cmd_diagnose(args) -> int:
     _keep_apart({"instance": args.instance}, {"--output": args.output})
     with _reading(args.instance) as stream:
         system = load_system(stream)
+    rip_k = args.rip_k if args.rip_k else min(4, (system.n + 1) ** 2)
+    _check_rip_sampling(system.n, rip_k, args.rip_samples, args.seed)
     result = solve(system, args.lam, _config_from(args))
     cert = certify_coherence(system, result.Z)
-    rip_k = args.rip_k if args.rip_k else min(4, (system.n + 1) ** 2)
     rip = sample_rip(system, rip_k, args.rip_samples, args.seed)
     with _writing(args.output) as (stream,):
         write_json({

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 
+from qbp.baselines import (
+    IHT_SHRINK,
+    IHT_STALL_TOL,
+    IHT_STEP0,
+    hard_threshold,
+    iht_gradient,
+    iht_objective,
+)
 from qbp.generators import fourier_basis, phantom_image, truncate_fourier
 from qbp.model import (
     DimensionMismatchError,
     QuadraticMeasurement,
     QuadraticSystem,
     _flat,
+    _require_integer,
     evaluate,
     hermitian_coordinates,
     hermitianize,
@@ -226,12 +235,15 @@ def reference_soft_threshold(x, q):
 
 
 def reference_update_z(x1, x2, y1, y2, rho, lam):
-    """The consensus step on weighted coordinates, with masked divides."""
+    """The consensus step on weighted coordinates, with masked divides; at
+    lam = 0 the average itself, whose zeros keep their signs."""
     v = x1 + x2
     w = y1 + y2
     w /= rho
     v += w
     v *= 0.5
+    if lam == 0.0:
+        return v
     m = math.isqrt(v.size)
     q = 0.5 * lam / rho
     v[:m] = reference_soft_threshold(v[:m], q)
@@ -252,6 +264,39 @@ def reference_iht_gradient(system, x):
     lin = system.c + np.einsum("nij,j->ni", q, x)
     lin_conj = system.b + np.einsum("nji,j->ni", q.conj(), x)
     return r.conj() @ lin + r @ lin_conj
+
+
+def reference_iht(system, k, max_iters=1000):
+    """Iterative hard thresholding with a sequential line search: each
+    iteration recomputes the gradient at x, then thresholds and evaluates one
+    step at a time, IHT_STEP0 halved by IHT_SHRINK, until the objective
+    strictly decreases.  :func:`qbp.baselines.iterative_hard_thresholding`
+    must return the same bytes."""
+    _require_integer("k", k, 1)
+    _require_integer("max_iters", max_iters, 1)
+    x = np.zeros(system.n, dtype=complex)
+    g = iht_objective(system, x)
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        iterations = it
+        grad = iht_gradient(system, x)
+        eta = IHT_STEP0
+        cand = None
+        while eta >= 1e-20:
+            trial = hard_threshold(x - eta * grad, k)
+            g_trial = iht_objective(system, trial)
+            if g_trial < g:
+                cand = (trial, g_trial)
+                break
+            eta *= IHT_SHRINK
+        if cand is None:
+            break
+        x, g_new = cand
+        rel = (g - g_new) / max(g, 1e-300)
+        g = g_new
+        if rel < IHT_STALL_TOL:
+            break
+    return x, iterations, g
 
 
 def reference_mutual_coherence(B):

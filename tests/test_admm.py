@@ -224,6 +224,48 @@ def test_update_z_matches_the_reference_bit_for_bit(blocks, lam, rho):
 
 
 @settings(max_examples=200, deadline=None)
+@given(_complex_blocks(4), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+       st.integers(0, 2**32 - 1))
+def test_update_z_at_zero_lambda_is_the_average_bit_for_bit(blocks, rho, seed):
+    x = _coordinates(blocks)
+    # a zero of one sign in all four inputs averages to that zero
+    rng = np.random.default_rng(seed)
+    shared = rng.random(x.shape[1]) < 0.3
+    x[:, shared] = rng.choice([-0.0, 0.0], size=int(shared.sum()))
+    x1, x2, y1, y2 = x
+    want = x1 + x2
+    want += (y1 + y2) / rho
+    want *= 0.5
+    assert _same_bits(update_z(x1, x2, y1, y2, rho, 0.0), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_blocks(1), st.floats(1e-3, 10.0), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+       st.integers(0, 2**32 - 1))
+def test_update_z_shrinks_as_the_two_soft_thresholds_bit_for_bit(blocks, lam, rho, seed):
+    # the one pass over the coordinates is soft_threshold on the diagonal at
+    # q and on the complex upper part at sqrt(2) q
+    v = _coordinates(blocks)[0]
+    m = blocks.shape[-1]
+    q = 0.5 * lam / rho
+    upper = v[m:].view(complex)
+    rng = np.random.default_rng(seed)
+    # entries exactly at their threshold
+    at = rng.random(m) < 0.3
+    v[:m][at] = rng.choice([-q, q], size=int(at.sum()))
+    t = math.sqrt(2.0) * q
+    at = rng.random(upper.size) < 0.3
+    upper[at] = rng.choice([t, -t, 1j * t, -1j * t], size=int(at.sum()))
+    want = v.copy()
+    soft_threshold(want[:m], q, out=want[:m])
+    want_upper = want[m:].view(complex)
+    soft_threshold(want_upper, t, out=want_upper)
+    # v + v - 0, halved, is v itself, signed zeros included
+    neg0 = np.full_like(v, -0.0)
+    assert _same_bits(update_z(v, v, neg0, neg0, rho, lam), want)
+
+
+@settings(max_examples=200, deadline=None)
 @given(_complex_blocks(4), st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
        st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
 def test_update_z_is_the_matrix_soft_threshold(blocks, lam, rho):

@@ -16,12 +16,14 @@ from qbp.baselines import (
     linearize,
 )
 from qbp.model import DimensionMismatchError, QuadraticMeasurement, QuadraticSystem
-from qbp.generators import general_quadratic
+from qbp.generators import general_quadratic, pure_phase
 from qbp.montecarlo import trial_seed
 
+import support
 from support import (
     cgauss,
     random_system,
+    reference_iht,
     reference_iht_gradient,
     reference_iht_objective,
 )
@@ -239,13 +241,58 @@ def test_iht_runs_as_with_the_dense_reference(monkeypatch):
     systems = [general_quadratic(20, 25, 3, "binary", trial_seed(0, i))[0]
                for i in range(20)]
     got = [iterative_hard_thresholding(s, 3, max_iters=40) for s in systems]
-    monkeypatch.setattr(qbp.baselines, "iht_objective", reference_iht_objective)
-    monkeypatch.setattr(qbp.baselines, "iht_gradient", reference_iht_gradient)
+    monkeypatch.setattr(support, "iht_objective", reference_iht_objective)
+    monkeypatch.setattr(support, "iht_gradient", reference_iht_gradient)
     for system, (x, iterations, best) in zip(systems, got):
-        x_ref, iterations_ref, best_ref = iterative_hard_thresholding(system, 3, max_iters=40)
+        x_ref, iterations_ref, best_ref = reference_iht(system, 3, max_iters=40)
         assert np.array_equal(np.flatnonzero(x), np.flatnonzero(x_ref))
         assert iterations == iterations_ref
         assert np.max(np.abs(x - x_ref)) <= 1e-12
         # the residual norms agree to rounding on the scale of the data
         gap = abs(np.sqrt(2.0 * best) - np.sqrt(2.0 * best_ref))
         assert gap <= 1e-12 * np.linalg.norm(system.y)
+
+
+def test_hard_threshold_thresholds_each_row_as_one():
+    rng = np.random.default_rng(4)
+    X = cgauss(rng, (9, 7))
+    X[2] = X[1]
+    X[3, :4] = [1.0, -1.0, 1.0j, 0.0]
+    X[4] = 0.0
+    for k in (0, 1, 3, 7, 9):
+        rows = hard_threshold(X, k)
+        assert rows.tobytes() == np.stack([hard_threshold(x, k) for x in X]).tobytes()
+
+
+def _iht_oracle_cases():
+    for seed in range(20):
+        yield (f"general-{seed}",
+               general_quadratic(20, 25, 3, "binary", trial_seed(0, seed))[0], 3, 40)
+    for seed in range(3):
+        yield f"gaussian-{seed}", general_quadratic(20, 25, 3, "gaussian", seed)[0], 3, 200
+        yield f"pure-phase-{seed}", pure_phase(16, 60, 3, "binary", seed)[0], 3, 40
+    for k in (6, 9):
+        yield f"k={k}>=n", general_quadratic(6, 12, 2, "binary", seed=0)[0], k, 300
+    yield "stall", random_system(6, 10, np.random.default_rng(0)), 2, 2000
+
+
+_IHT_ORACLE = {name: case for name, *case in _iht_oracle_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(_IHT_ORACLE))
+def test_iht_takes_the_iterates_of_the_sequential_line_search(name):
+    # thresholding the whole ladder at once on kept support blocks changes
+    # no bit of the sequential search's x, iteration count or objective
+    system, k, max_iters = _IHT_ORACLE[name]
+    x, iterations, objective = iterative_hard_thresholding(system, k, max_iters)
+    x_ref, iterations_ref, objective_ref = reference_iht(system, k, max_iters)
+    assert x.tobytes() == x_ref.tobytes()
+    assert iterations == iterations_ref
+    assert np.float64(objective).tobytes() == np.float64(objective_ref).tobytes()
+    if name == "stall":
+        # the relative decrease fell below IHT_STALL_TOL well before max_iters
+        assert 1 < iterations < 100 and objective > 0.0
+    if name.startswith("pure-phase"):
+        # the gradient of a magnitude system vanishes at zero: no step
+        # decreases, and the run stops at its first iteration
+        assert iterations == 1 and not x.any()

@@ -1,4 +1,5 @@
-"""The performance-record tool refuses a stale tree and a bad run."""
+"""The performance-record tool refuses a stale tree and a bad run; the
+comparison tool reads two sets of records."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+COMPARE = TOOL.parent / "bench_compare.py"
 
 
 @pytest.fixture
@@ -66,3 +68,40 @@ def test_a_tree_with_bytecode_is_refused(tool, tmp_path, monkeypatch):
     assert tool.main(["phantom-s8"]) == 2
     assert not seen
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def _synthetic_record(bench, medians):
+    """A record whose every end-to-end metric has the given median and the
+    quartiles median -/+ 1."""
+    return {"end_to_end": {m["name"]: {"median": medians.get(m["name"], 1.0),
+                                       "q1": medians.get(m["name"], 1.0) - 1.0,
+                                       "q3": medians.get(m["name"], 1.0) + 1.0}
+                           for m in bench["end_to_end"]}}
+
+
+def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("bench_compare", COMPARE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    bench = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in bench["workloads"]]
+    before, after = tmp_path / "before", tmp_path / "after"
+    for directory, medians in ((before, {"trials_per_s": 10.0, "solve_s_p50": 4.0}),
+                               (after, {"trials_per_s": 12.0, "solve_s_p50": 4.5})):
+        directory.mkdir()
+        for workload in workloads:
+            (directory / f"BENCH_{workload}.json").write_text(
+                json.dumps(_synthetic_record(bench, medians)))
+    assert module.main([str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
+    assert len(rows) == len(workloads) * len(bench["end_to_end"])
+    for workload in workloads:
+        # higher is better and 12 is above the quartiles [9, 11]
+        assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "better", "yes"]
+        # lower is better and 4.5 is inside [3, 5]
+        assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "worse", "no"]
+        assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "same", "no"]
+    (after / f"BENCH_{workloads[0]}.json").unlink()
+    assert module.main([str(before), str(after)]) == 2
+    assert module.main([str(before)]) == 2

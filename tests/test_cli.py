@@ -366,6 +366,26 @@ def test_a_negative_seed_is_input_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", "-1", "seed must be at least 0, got -1"),
+    ("--rip-samples", "0", "samples must be at least 1, got 0"),
+    ("--rip-k", "10", "k must be in [1, 9]"),
+])
+def test_diagnose_checks_its_sampling_before_it_solves(tmp_path, capsys, monkeypatch,
+                                                       option, value, message):
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "-n", "2", "-N", "4", "-k", "1", "-o", str(inst)]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("diagnose solved before it checked its arguments")
+
+    monkeypatch.setattr(qbp.cli, "solve", no_solve)
+    out = tmp_path / "out"
+    assert main(["diagnose", str(inst), option, value, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"qbp: error: {message}\n"
+    assert not out.exists()
+
+
 def test_fourier_ensemble_takes_a_square_n_and_its_signal(capsys):
     argv = ["generate", "--ensemble", "fourier", "-N", "12", "-k", "2"]
     for n in ("20", "7", "1"):

@@ -162,3 +162,7 @@ def test_bench_record_matches_the_readme(workload):
         r"([\d.]+) s on ([\w-]+)", re.sub(r"\s+", " ", paragraph)))
     median = record["end_to_end"]["solve_s_p50"]["median"]
     assert quoted[workload] == f"{median:.3g}"
+    # and the table's median throughput, trials per second, to three digits
+    if workload == "table-n20":
+        rate = re.search(r"([\d.]+) trials per second", re.sub(r"\s+", " ", paragraph))
+        assert rate.group(1) == f"{record['end_to_end']['trials_per_s']['median']:.3g}"
