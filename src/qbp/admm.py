@@ -25,7 +25,8 @@ each upper-triangle entry as its real and imaginary parts side by side.
 Plain dot products of coordinates are Frobenius products, so the stopping
 test and the Anderson fit read them directly, and the off-diagonal part,
 viewed as complex numbers, is sqrt(2) times the upper triangle, so
-:func:`update_z` shrinks it as complex numbers.  The X1 step maps
+:func:`update_z` shrinks the matrix at q with :func:`soft_threshold`, the
+diagonal at q and the upper part at sqrt(2) q.  The X1 step maps
 coordinates to coordinates: it pins the corner and applies one operator V^T
 with orthonormal rows, forward and back, as a dense matrix or, for large
 systems of magnitude measurements, through the measurement vectors on the
@@ -469,14 +470,12 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     The arguments are weighted coordinates of Hermitian (n+1) x (n+1)
     matrices (:func:`~qbp.model.hermitian_coordinates`).  The average is
     written to ``out`` (a new array by default) and soft-thresholded in place
-    as a matrix at q = lam / (2 rho), which shrinks the diagonal coordinates
-    at q and the off-diagonal ones, viewed as complex numbers sqrt(2) times
-    the upper-triangle entries, at sqrt(2) q.  One magnitude-and-scale pass
-    over both reads the thresholds from the cached coordinate weights and
-    gives :func:`soft_threshold`'s bits.  Exact zeros stay zero.  At lam = 0
-    the average is returned as it is: a shrink at q = 0 is the identity.
+    as a matrix at q = lam / (2 rho): :func:`soft_threshold` shrinks the
+    diagonal coordinates at q and the off-diagonal ones, viewed as complex
+    numbers sqrt(2) times the upper-triangle entries, at their weight sqrt(2)
+    times q.  Exact zeros stay zero.  At lam = 0 the average is returned as
+    it is: a shrink at q = 0 is the identity.
     """
-    m = math.isqrt(X1.size)
     V = np.add(X1, X2, out=out)
     W = Y1 + Y2
     W /= rho
@@ -484,18 +483,10 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     V *= 0.5
     if lam == 0.0:
         return V
-    # the m real diagonal coordinates, then the m(m-1)/2 complex upper ones
-    c = m * (m + 1) // 2
+    m, q = math.isqrt(V.size), 0.5 * lam / rho
+    soft_threshold(V[:m], q, out=V[:m])
     upper = V[m:].view(complex)
-    mag = np.empty(c)
-    np.abs(V[:m], out=mag[:m])
-    np.abs(upper, out=mag[m:])
-    scale = hermitian_coordinates(m)[1][:c] * (0.5 * lam / rho)
-    np.subtract(mag, scale, out=scale)
-    np.maximum(scale, 0.0, out=scale)
-    scale /= np.maximum(mag, _SMALLEST_SUBNORMAL, out=mag)
-    V[:m] *= scale[:m]
-    upper *= scale[m:]
+    soft_threshold(upper, hermitian_coordinates(m).weights[-1] * q, out=upper)
     return V
 
 
@@ -535,8 +526,7 @@ def _admm(m: int, lam: float, config: SolverConfig, x1_step, setup_s: float,
     M = np.empty((m, m), dtype=complex)
     M_flat = _flat(M)
     # the coordinates of I: the first Z, and added to Y1 in X1's argument
-    eye = np.zeros(d)
-    eye[:m] = 1.0
+    eye = _gather(np.eye(m, dtype=complex), maps, np.empty(d))
     # u = (Z, Y1, Y2), g_prev and g = T(u) are (3, d) arrays of coordinates
     # in three buffers, rotated rather than copied
     bufs = list(np.zeros((3, 3, d)))

@@ -23,11 +23,16 @@ __all__ = [
     "iterative_hard_thresholding",
 ]
 
-# Basis pursuit: the iteration cap and the initial ADMM penalty.  The
+# Basis pursuit: the iteration cap, the initial ADMM penalty, the absolute and
+# relative stopping tolerances, and rho's balancing band and factor.  The
 # linearized constraints count as inconsistent once their least-squares gap
 # exceeds INFEASIBLE_RTOL * max(||y||, 1), the lifted X1 step's test.
 BP_MAX_ITERS = 10000
 BP_RHO0 = 1.0
+BP_EPS_ABS = 1e-8
+BP_EPS_REL = 1e-6
+BP_RHO_BALANCE = 10.0
+BP_RHO_FACTOR = 2.0
 
 # IHT line search: each iteration tries IHT_STEP0, then shrinks the step by
 # IHT_SHRINK until the objective strictly decreases; a relative decrease below
@@ -82,19 +87,19 @@ def basis_pursuit(A, y):
         u = u + x - z
         r_norm = np.linalg.norm(x - z)
         s_norm = rho * np.linalg.norm(z - z_prev)
-        eps_pri = np.sqrt(nvar) * 1e-8 + 1e-6 * max(
+        eps_pri = np.sqrt(nvar) * BP_EPS_ABS + BP_EPS_REL * max(
             np.linalg.norm(x), np.linalg.norm(z)
         )
-        eps_dual = np.sqrt(nvar) * 1e-8 + 1e-6 * rho * np.linalg.norm(u)
+        eps_dual = np.sqrt(nvar) * BP_EPS_ABS + BP_EPS_REL * rho * np.linalg.norm(u)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             iterations = it
             break
-        if r_norm > 10.0 * s_norm:
-            rho *= 2.0
-            u /= 2.0
-        elif s_norm > 10.0 * r_norm:
-            rho /= 2.0
-            u *= 2.0
+        if r_norm > BP_RHO_BALANCE * s_norm:
+            rho *= BP_RHO_FACTOR
+            u /= BP_RHO_FACTOR
+        elif s_norm > BP_RHO_BALANCE * r_norm:
+            rho /= BP_RHO_FACTOR
+            u *= BP_RHO_FACTOR
     return x, iterations
 
 

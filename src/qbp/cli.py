@@ -233,7 +233,7 @@ def _cmd_diagnose(args) -> int:
     _keep_apart({"instance": args.instance}, {"--output": args.output})
     with _reading(args.instance) as stream:
         system = load_system(stream)
-    rip_k = args.rip_k if args.rip_k else min(4, (system.n + 1) ** 2)
+    rip_k = min(4, (system.n + 1) ** 2) if args.rip_k is None else args.rip_k
     _check_rip_sampling(system.n, rip_k, args.rip_samples, args.seed)
     result = solve(system, args.lam, _config_from(args))
     cert = certify_coherence(system, result.Z)
@@ -249,7 +249,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_phantom(args) -> int:
     side = args.side
-    N = args.N if args.N else 2 * side * side
+    N = 2 * side * side if args.N is None else args.N
     system, x_true = phantom_instance(side, args.k, N, args.seed)
     result, wall = _timed_solve(args, system)
     report = build_report(system, result)
@@ -328,8 +328,8 @@ def _build_parser() -> _Parser:
     diag = sub.add_parser("diagnose", help="recoverability diagnostics for an instance")
     diag.add_argument("instance", nargs="?", default="-", help="instance path (default stdin)")
     diag.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    diag.add_argument("--rip-k", type=int, default=0,
-                      help="sparsity level for isometry sampling")
+    diag.add_argument("--rip-k", type=int, default=None,
+                      help="sparsity level for isometry sampling (default min(4, (n+1)^2))")
     diag.add_argument("--rip-samples", type=int, default=200)
     diag.add_argument("--seed", type=int, default=0)
     diag.add_argument("-o", "--output", default="-", help="report path (default stdout)")
@@ -340,7 +340,7 @@ def _build_parser() -> _Parser:
     ph.add_argument("--side", type=int, default=8)
     ph.add_argument("-k", "--k", type=int, default=10,
                     help="kept Fourier coefficients")
-    ph.add_argument("-N", "--N", type=int, default=0,
+    ph.add_argument("-N", "--N", type=int, default=None,
                     help="measurements (default 2 * side^2)")
     ph.add_argument("--lambda", dest="lam", type=float, default=1.0,
                     help="l1 weight")

@@ -175,9 +175,9 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
     coefficient array.
     """
     image = np.asarray(image, dtype=float)
-    side = image.shape[0]
-    if image.shape != (side, side):
+    if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError("image must be square")
+    side = image.shape[0]
     _require_integer("k", k, 1)
     if k > side * side:
         raise ValueError(f"k must be in [1, {side * side}]")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -247,8 +248,11 @@ def is_phase_invariant(system: QuadraticSystem) -> bool:
     return not (np.any(system.bh) or np.any(system.c))
 
 
+HermitianMaps = namedtuple("HermitianMaps", "gather weights src unweigh")
+
+
 @lru_cache(maxsize=None)
-def hermitian_coordinates(m: int):
+def hermitian_coordinates(m: int) -> HermitianMaps:
     """Read-only index maps between an m x m complex matrix and its coordinates.
 
     The coordinates are the real diagonal, then each entry of the strict
@@ -256,7 +260,7 @@ def hermitian_coordinates(m: int):
     so they read as m real numbers followed by m(m-1)/2 complex ones.  Times
     ``weights`` (1 on the diagonal, sqrt(2) off it) they are isometric: the
     dot product of the weighted coordinates of two Hermitian matrices is
-    Tr(X1 X2).  Returns ``(gather, weights, src, unweigh)``:
+    Tr(X1 X2).  Returns the named tuple ``(gather, weights, src, unweigh)``:
 
     - the weighted coordinates of a matrix are ``flat[gather] * weights``,
       ``flat`` the matrix's flat float64 view;
@@ -278,7 +282,7 @@ def hermitian_coordinates(m: int):
     weights[:m] = 1.0
     unweigh = 1.0 / np.append(weights, 1.0)[src]
     unweigh[lower + 1] *= -1.0
-    maps = gather, weights, src, unweigh
+    maps = HermitianMaps(gather, weights, src, unweigh)
     for arr in maps:
         arr.flags.writeable = False
     return maps
@@ -292,14 +296,14 @@ def _flat(A: np.ndarray) -> np.ndarray:
 # The index maps are in range, and a take with mode "clip" into ``out`` skips
 # the bounds-checked copy that the default mode makes.
 
-def _gather(P: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
+def _gather(P: np.ndarray, maps: HermitianMaps, out: np.ndarray) -> np.ndarray:
     """Write the weighted coordinates of the Hermitian, C-contiguous ``P`` to ``out``."""
-    _flat(P).take(maps[0], out=out, mode="clip")
-    out *= maps[1]
+    _flat(P).take(maps.gather, out=out, mode="clip")
+    out *= maps.weights
     return out
 
 
-def _scatter(x: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
+def _scatter(x: np.ndarray, maps: HermitianMaps, out: np.ndarray) -> np.ndarray:
     """Write the Hermitian matrix with weighted coordinates ``x[:-1]`` to ``out``.
 
     ``out`` is the flat float64 view of a C-contiguous complex matrix, and
@@ -308,8 +312,8 @@ def _scatter(x: np.ndarray, maps, out: np.ndarray) -> np.ndarray:
     :func:`_gather` within one unit in the last place (the weight sqrt(2)
     is not a binary fraction); the diagonal comes back exactly.
     """
-    x.take(maps[2], out=out, mode="clip")
-    out *= maps[3]
+    x.take(maps.src, out=out, mode="clip")
+    out *= maps.unweigh
     return out
 
 

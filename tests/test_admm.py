@@ -206,7 +206,7 @@ def test_shrink_kernels_match_the_masked_reference_bit_for_bit(blocks, q):
 
 def _coordinates(blocks):
     """The unweighted coordinates of each block: every special value kept."""
-    gather = hermitian_coordinates(blocks.shape[-1])[0]
+    gather = hermitian_coordinates(blocks.shape[-1]).gather
     return blocks.reshape(blocks.shape[0], -1).view(np.float64)[:, gather]
 
 
@@ -243,8 +243,8 @@ def test_update_z_at_zero_lambda_is_the_average_bit_for_bit(blocks, rho, seed):
 @given(_complex_blocks(1), st.floats(1e-3, 10.0), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
        st.integers(0, 2**32 - 1))
 def test_update_z_shrinks_as_the_two_soft_thresholds_bit_for_bit(blocks, lam, rho, seed):
-    # the one pass over the coordinates is soft_threshold on the diagonal at
-    # q and on the complex upper part at sqrt(2) q
+    # the shrink is soft_threshold on the diagonal at q and on the complex
+    # upper part at sqrt(2) q, entries exactly at a threshold included
     v = _coordinates(blocks)[0]
     m = blocks.shape[-1]
     q = 0.5 * lam / rho
@@ -705,7 +705,9 @@ def test_border_stays_exactly_zero_on_magnitude_solves(monkeypatch):
 
 
 def test_hermitian_maps_are_read_only():
-    for arr in hermitian_coordinates(4):
+    maps = hermitian_coordinates(4)
+    assert maps._fields == ("gather", "weights", "src", "unweigh")
+    for arr in maps:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -730,9 +732,8 @@ def test_loop_gather_and_scatter_round_trip(blocks):
     H = _hermitian_from(blocks[0])
     m = H.shape[0]
     maps = hermitian_coordinates(m)
-    gather, _, src, unweigh = maps
     # the same index maps with unit weights, whose round trip is exact
-    unit = (gather, np.ones(m * m), src, np.sign(unweigh))
+    unit = maps._replace(weights=np.ones(m * m), unweigh=np.sign(maps.unweigh))
     x = np.zeros(m * m + 1)
     exact, back = np.full_like(H, np.nan), np.full_like(H, np.nan)
     qbp.admm._gather(H, unit, x[:-1])

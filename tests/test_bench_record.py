@@ -1,8 +1,10 @@
-"""The performance-record tool refuses a stale tree and a bad run; the
-comparison tool reads two sets of records."""
+"""The performance-record tool refuses a stale tree and a bad run and
+records two trees seed by seed; the comparison tool reads two sets of
+records."""
 
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,14 +15,21 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 COMPARE = TOOL.parent / "bench_compare.py"
 
 
+BENCH = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def tool(tmp_path, monkeypatch):
     """The tool's module, rooted at a scratch tree with the repository's BENCHMARK.json."""
-    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    (tmp_path / "BENCHMARK.json").write_text(
-        (TOOL.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    module = _load(TOOL)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCH))
     monkeypatch.setattr(module, "ROOT", tmp_path)
     return module
 
@@ -70,38 +79,128 @@ def test_a_tree_with_bytecode_is_refused(tool, tmp_path, monkeypatch):
     assert not list(tmp_path.glob("BENCH_*.json"))
 
 
+@pytest.mark.parametrize("stale", ["before", "after"])
+def test_a_pair_with_bytecode_in_either_tree_is_refused(tool, tmp_path, monkeypatch, stale):
+    trees = [tmp_path / "before", tmp_path / "after"]
+    (tmp_path / stale / "src" / "qbp" / "__pycache__").mkdir(parents=True)
+    seen = []
+    monkeypatch.setattr(subprocess, "run", _harness(True, [], seen))
+    assert tool.main(["--pair", *map(str, trees), "phantom-s8"]) == 2
+    assert not seen
+    assert not list(tmp_path.glob("**/BENCH_*.json"))
+
+
+def test_a_bad_run_in_a_pair_writes_no_record(tool, tmp_path, monkeypatch):
+    trees = [tmp_path / "before", tmp_path / "after"]
+    for tree in trees:
+        tree.mkdir()
+    seen = []
+    monkeypatch.setattr(subprocess, "run", _harness(False, [], seen))
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--pair", *map(str, trees), "phantom-s8"])
+    assert "no record written" in str(exc.value.code)
+    assert not list(tmp_path.glob("**/BENCH_*.json"))
+
+
+# The drifting harness: each run is DRIFT slower than the one before it, and
+# the tree named "after" is 5% faster than "before" at the same moment.
+DRIFT = 0.01
+GAIN = 0.95
+
+
+def _drifting_harness(calls):
+    def fake_run(argv, cwd, **kwargs):
+        value = (1.0 + DRIFT * len(calls)) * (GAIN if Path(cwd).name == "after" else 1.0)
+        calls.append((Path(cwd).name, argv[argv.index("--seed") + 1]))
+        detail = {"stamp": {"seed": 1, "source_sha256": Path(cwd).name}, "counts": {},
+                  "failures": [], "gates": []}
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {m["name"]: {"value": value} for m in BENCH["end_to_end"]}}
+        return SimpleNamespace(stdout=json.dumps(detail) + "\n" + json.dumps(result) + "\n")
+    return fake_run
+
+
+def test_a_paired_record_recovers_a_change_that_block_records_mistake_for_drift(
+        tool, tmp_path, monkeypatch):
+    compare = _load(COMPARE).compare
+    trees = [tmp_path / "before", tmp_path / "after"]
+    for tree in trees:
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    seeds = len(tool.DEFAULT_SEEDS)
+
+    def ratio(records):
+        row = next(r for r in compare(BENCH, *records) if r[0] == "solve_s_p50")
+        return row[3], row[6], row[7]
+
+    calls = []
+    monkeypatch.setattr(subprocess, "run", _drifting_harness(calls))
+    assert tool.main(["--pair", *map(str, trees), "phantom-s8"]) == 0
+    paired = [json.loads((t / "BENCH_phantom-s8.json").read_text()) for t in trees]
+    # each seed runs in both trees back to back, the first tree alternating
+    assert calls[:4] == [("before", "1"), ("after", "1"), ("after", "2"), ("before", "2")]
+    assert len(calls) == 2 * (seeds + 1)
+    for doc, first, then in zip(paired, ("first", "second"), ("second", "first")):
+        orders = [run["order"] for run in doc["runs"]] + [doc["traced"]["order"]]
+        assert orders[::2] == [first] * (seeds // 2 + 1)
+        assert orders[1::2] == [then] * (seeds // 2)
+    medians, seed_ratio, better = ratio(paired)
+    assert seed_ratio == pytest.approx(GAIN, rel=1e-3)
+    assert better == seeds
+
+    # the same two trees recorded one after the other: the after tree's runs
+    # come seeds + 1 runs later, and the ratio carries that drift
+    calls.clear()
+    for tree in trees:
+        monkeypatch.setattr(tool, "ROOT", tree)
+        assert tool.main(["phantom-s8"]) == 0
+    block = [json.loads((t / "BENCH_phantom-s8.json").read_text()) for t in trees]
+    assert all("order" not in run for doc in block for run in doc["runs"])
+    medians, seed_ratio, better = ratio(block)
+    drifted = GAIN * statistics.median(
+        (1.0 + DRIFT * (seeds + 1 + i)) / (1.0 + DRIFT * i) for i in range(seeds))
+    assert seed_ratio == pytest.approx(drifted, rel=1e-12)
+    assert seed_ratio > 1.0 and better == 0
+    assert medians == pytest.approx(seed_ratio, rel=1e-2)
+
+
 def _synthetic_record(bench, medians):
-    """A record whose every end-to-end metric has the given median and the
-    quartiles median -/+ 1."""
-    return {"end_to_end": {m["name"]: {"median": medians.get(m["name"], 1.0),
-                                       "q1": medians.get(m["name"], 1.0) - 1.0,
-                                       "q3": medians.get(m["name"], 1.0) + 1.0}
-                           for m in bench["end_to_end"]}}
+    """A record of seeds 1-3 whose every end-to-end metric has the values
+    median - 1, median and median + 1, and so the quartiles median -/+ 1."""
+    seeds = [1, 2, 3]
+    end_to_end = {}
+    for m in bench["end_to_end"]:
+        median = medians.get(m["name"], 1.0)
+        end_to_end[m["name"]] = {"values": [median - 1.0, median, median + 1.0],
+                                 "median": median, "q1": median - 1.0, "q3": median + 1.0}
+    return {"seeds": seeds, "end_to_end": end_to_end}
 
 
 def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("bench_compare", COMPARE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    bench = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [w["name"] for w in bench["workloads"]]
+    module = _load(COMPARE)
+    workloads = [w["name"] for w in BENCH["workloads"]]
     before, after = tmp_path / "before", tmp_path / "after"
     for directory, medians in ((before, {"trials_per_s": 10.0, "solve_s_p50": 4.0}),
                                (after, {"trials_per_s": 12.0, "solve_s_p50": 4.5})):
         directory.mkdir()
         for workload in workloads:
             (directory / f"BENCH_{workload}.json").write_text(
-                json.dumps(_synthetic_record(bench, medians)))
+                json.dumps(_synthetic_record(BENCH, medians)))
     assert module.main([str(before), str(after)]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
-    assert len(rows) == len(workloads) * len(bench["end_to_end"])
+    assert len(rows) == len(workloads) * len(BENCH["end_to_end"])
     for workload in workloads:
-        # higher is better and 12 is above the quartiles [9, 11]
-        assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "better", "yes"]
-        # lower is better and 4.5 is inside [3, 5]
-        assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "worse", "no"]
-        assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "same", "no"]
+        # higher is better and 12 is above the quartiles [9, 11]; seed by
+        # seed, 11/9, 12/10 and 13/11, all better
+        assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "better", "yes",
+                                                  "1.2000", "3/3"]
+        # lower is better and 4.5 is inside [3, 5]; 3.5/3, 4.5/4 and 5.5/5
+        assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "worse", "no",
+                                                 "1.1250", "0/3"]
+        # the seed whose before value is 0 has no ratio
+        assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "same", "no",
+                                                 "1.0000", "0/3"]
     (after / f"BENCH_{workloads[0]}.json").unlink()
     assert module.main([str(before), str(after)]) == 2
     assert module.main([str(before)]) == 2

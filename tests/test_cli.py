@@ -353,6 +353,14 @@ def test_phantom_rejects_a_negative_measurement_count(capsys):
     assert captured.err == "qbp: error: N must be at least 1, got -4\n"
 
 
+def test_phantom_rejects_a_zero_measurement_count(capsys):
+    # 0 is a bad count like any other, not a request for the default 2 * side^2
+    assert main(["phantom", "--side", "2", "-k", "1", "-N", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qbp: error: N must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("command", ["generate", "phantom", "diagnose"])
 def test_a_negative_seed_is_input_error(tmp_path, capsys, command):
     argv = {"generate": ["generate", "-n", "4", "-N", "8", "-k", "1"],
@@ -370,6 +378,8 @@ def test_a_negative_seed_is_input_error(tmp_path, capsys, command):
     ("--seed", "-1", "seed must be at least 0, got -1"),
     ("--rip-samples", "0", "samples must be at least 1, got 0"),
     ("--rip-k", "10", "k must be in [1, 9]"),
+    # 0 is a bad k, not a request for the default
+    ("--rip-k", "0", "k must be at least 1, got 0"),
 ])
 def test_diagnose_checks_its_sampling_before_it_solves(tmp_path, capsys, monkeypatch,
                                                        option, value, message):

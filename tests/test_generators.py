@@ -214,6 +214,14 @@ def test_truncate_fourier_validation():
         truncate_fourier(np.zeros((3, 4)), 2)
 
 
+@pytest.mark.parametrize("image", [np.float64(1.0), np.zeros(4), np.zeros((3, 4)),
+                                   np.zeros((2, 2, 2)), np.zeros((0, 0, 1))])
+def test_truncate_fourier_rejects_every_non_square_input(image):
+    # a 0-d image has no shape[0]; it is refused like any other non-square one
+    with pytest.raises(ValueError, match="image must be square"):
+        truncate_fourier(image, 1)
+
+
 def test_phantom_instance_consistency():
     side, k = 4, 3
     system, x = phantom_instance(side, k, 24, seed=6)

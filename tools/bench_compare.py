@@ -7,13 +7,18 @@ Each directory holds the ``BENCH_<workload>.json`` files that
 metric of ``BENCHMARK.json`` one line gives the before and after medians,
 their ratio, whether the after median moved in the metric's ``better``
 direction (``better``, ``worse`` or ``same``) and whether it falls outside
-the before quartiles.  A workload whose record is missing from either
-directory stops the script with exit status 2.
+the before quartiles; then, seed by seed over the seeds both records hold,
+the median of the after / before ratios (over the seeds with a nonzero
+before value) and the count of seeds whose value moved in the ``better``
+direction.  The per-seed columns are what a pair recorded with
+``bench_record.py --pair`` is read by.  A workload whose record is missing
+from either directory stops the script with exit status 2.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -21,18 +26,24 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
-    """Rows ``(metric, before median, after median, ratio, moved, outside)``."""
+    """Rows ``(metric, before median, after median, ratio, moved, outside,
+    per-seed median ratio, seeds better, seeds compared)``."""
     rows = []
     for metric in bench["end_to_end"]:
         name = metric["name"]
+        sign = -1.0 if metric["better"] == "lower" else 1.0
         old, new = before["end_to_end"][name], after["end_to_end"][name]
         ratio = new["median"] / old["median"] if old["median"] else float("nan")
-        gain = new["median"] - old["median"]
-        if metric["better"] == "lower":
-            gain = -gain
+        gain = sign * (new["median"] - old["median"])
         moved = "better" if gain > 0 else "worse" if gain < 0 else "same"
         outside = not old["q1"] <= new["median"] <= old["q3"]
-        rows.append((name, old["median"], new["median"], ratio, moved, outside))
+        olds = dict(zip(before["seeds"], old["values"]))
+        pairs = [(olds[s], v) for s, v in zip(after["seeds"], new["values"]) if s in olds]
+        ratios = [b / a for a, b in pairs if a]
+        seed_ratio = statistics.median(ratios) if ratios else float("nan")
+        better = sum(sign * (b - a) > 0 for a, b in pairs)
+        rows.append((name, old["median"], new["median"], ratio, moved, outside,
+                     seed_ratio, better, len(pairs)))
     return rows
 
 
@@ -43,7 +54,7 @@ def main(argv: list[str]) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     dirs = [Path(arg) for arg in argv]
     print(f"{'workload':<12} {'metric':<14} {'before':>11} {'after':>11} {'ratio':>7}"
-          "  moved   outside-quartiles")
+          "  moved   outside-quartiles  seed-ratio  seeds-better")
     for workload in (w["name"] for w in bench["workloads"]):
         paths = [d / f"BENCH_{workload}.json" for d in dirs]
         missing = [str(p) for p in paths if not p.is_file()]
@@ -51,9 +62,11 @@ def main(argv: list[str]) -> int:
             print(f"no record {missing}", file=sys.stderr)
             return 2
         before, after = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
-        for name, old, new, ratio, moved, outside in compare(bench, before, after):
+        for (name, old, new, ratio, moved, outside, seed_ratio, better,
+             seeds) in compare(bench, before, after):
             print(f"{workload:<12} {name:<14} {old:>11.5g} {new:>11.5g} {ratio:>7.4f}"
-                  f"  {moved:<7} {'yes' if outside else 'no'}")
+                  f"  {moved:<7} {'yes' if outside else 'no':<17}  {seed_ratio:>10.4f}"
+                  f"  {better}/{seeds}")
     return 0
 
 

@@ -1,25 +1,34 @@
-"""Record the benchmark's metrics over relabel seeds as a root ``BENCH_<workload>.json``.
+"""Record the benchmark's metrics over relabel seeds as root ``BENCH_<workload>.json`` files.
 
     python3 tools/bench_record.py [WORKLOAD ...]
+    python3 tools/bench_record.py --pair BEFORE_TREE AFTER_TREE [WORKLOAD ...]
 
 Run from anywhere; the workloads default to every one in ``BENCHMARK.json``.
 For each workload the harness that ``BENCHMARK.json`` names runs once per
 seed, untraced, for its ``run_seconds``, and once traced at TRACE_SEED, each
-as a separate process, one after the other.  The file keeps the harness's
-environment stamp, every end-to-end metric per seed with its median and
-quartiles, and the traced run's per-layer metrics and exact counts.  The
-harness's own files are left as it writes them; this script edits none.
+as a separate process, one after the other, in this repository, and the
+record goes to its root.  With ``--pair`` every run is made in both trees,
+back to back, with this repository's ``BENCHMARK.json``: the tree that goes
+first alternates from one seed to the next (BEFORE_TREE at the first), so a
+drift of the machine's speed falls on both trees of a seed alike, where a
+tree recorded after the other would carry it into every seed.  Each tree's
+record goes to its own root, and each run's entry says whether it went
+``first`` or ``second``.  The file keeps the harness's environment stamp,
+every end-to-end metric per seed with its median and quartiles, and the
+traced run's per-layer metrics and exact counts.  The harness's own files
+are left as it writes them; this script edits none.
 
 The harness runs with PYTHONDONTWRITEBYTECODE=1 and imports qbp afresh for
 every set-up, so a stale ``src/qbp/__pycache__`` would lower ``setup_s``:
 the script refuses a tree that holds one (record in a fresh clone).  A run
 that is not correct, a traced run that lists a gate, or a run whose stamp
-reports other sources than the first run's stops it with a nonzero exit
-before any file is written.
+reports other sources than the first run of its tree stops it with a
+nonzero exit before any file is written.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import statistics
@@ -36,12 +45,12 @@ DEFAULT_SEEDS = range(1, 11)
 TRACE_SEED = 3
 
 
-def run(bench: dict, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
-    """One harness run: its detail line (stamp and counts) and its result."""
+def run(bench: dict, tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
+    """One harness run in ``tree``: its detail line (stamp and counts) and its result."""
     argv = [*bench["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True,
+    out = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True,
                          env=env).stdout
     detail, result = map(json.loads, out.splitlines()[-2:])
     if not result["correct"] or detail["gates"]:
@@ -56,26 +65,38 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def record(bench: dict, workload: str) -> dict:
+def record(bench: dict, workload: str, trees: list[Path]) -> list[dict]:
+    """One record per tree; the trees run each seed back to back, the first
+    of them rotating from seed to seed, the traced run last."""
     seeds = list(SEEDS.get(workload, DEFAULT_SEEDS))
-    runs = []
-    for seed in seeds:
-        detail, result = run(bench, workload, seed, 0)
-        runs.append((detail, result))
-        print(f"{workload} seed {seed}: correct", file=sys.stderr)
-    detail, result = run(bench, workload, TRACE_SEED, 1)
-    print(f"{workload} traced seed {TRACE_SEED}: correct", file=sys.stderr)
+    runs = [[] for _ in trees]
+    for i, (seed, trace) in enumerate([*((seed, 0) for seed in seeds), (TRACE_SEED, 1)]):
+        first = i % len(trees)
+        for place, t in enumerate([*range(first, len(trees)), *range(first)]):
+            detail, result = run(bench, trees[t], workload, seed, trace)
+            runs[t].append((detail, result, ("first", "second")[place]))
+            print(f"{workload} seed {seed} trace {trace} in {trees[t]}: correct",
+                  file=sys.stderr)
+    return [_document(bench, workload, seeds, tree_runs, len(trees) > 1)
+            for tree_runs in runs]
+
+
+def _document(bench: dict, workload: str, seeds: list[int], runs: list[tuple],
+              paired: bool) -> dict:
+    """The record of one tree's runs, the traced one last; ``paired`` adds
+    each run's place in its pair."""
     # the traced run reads the same sources as the untraced ones
-    if len({d["stamp"]["source_sha256"] for d, _ in [*runs, (detail, result)]}) != 1:
+    if len({d["stamp"]["source_sha256"] for d, _, _ in runs}) != 1:
         raise SystemExit(f"{workload}: the sources changed during the runs;"
                          " no record written")
+    *runs, (detail, result, place) = runs
     stamp = dict(runs[0][0]["stamp"])
     stamp.pop("seed")
     end_to_end = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
         end_to_end[name] = {"unit": metric["unit"], "better": metric["better"],
-                            **spread([r["metrics"][name]["value"] for _, r in runs])}
+                            **spread([r["metrics"][name]["value"] for _, r, _ in runs])}
     return {
         "workload": workload,
         "command": [*bench["command"], "--workload", workload, "--seed", "SEED",
@@ -83,11 +104,13 @@ def record(bench: dict, workload: str) -> dict:
         "stamp": stamp,
         "seeds": seeds,
         "runs": [{"seed": seed, "correct": r["correct"], "attempted": r["attempted"],
-                  "failed": r["failed"], "counts": d["counts"]}
-                 for seed, (d, r) in zip(seeds, runs)],
+                  "failed": r["failed"], "counts": d["counts"],
+                  **({"order": p} if paired else {})}
+                 for seed, (d, r, p) in zip(seeds, runs)],
         "end_to_end": end_to_end,
         "traced": {
             "seed": TRACE_SEED,
+            **({"order": place} if paired else {}),
             "correct": result["correct"],
             "attempted": result["attempted"],
             "failed": result["failed"],
@@ -99,22 +122,30 @@ def record(bench: dict, workload: str) -> dict:
 
 
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
+    parser.add_argument("--pair", nargs=2, type=Path, metavar=("BEFORE_TREE", "AFTER_TREE"),
+                        help="record both trees seed by seed, each into its own root")
+    args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     known = [w["name"] for w in bench["workloads"]]
-    workloads = argv or known
+    workloads = args.workloads or known
     unknown = sorted(set(workloads) - set(known))
     if unknown:
         print(f"unknown workloads {unknown}; BENCHMARK.json has {known}", file=sys.stderr)
         return 2
-    if (ROOT / "src" / "qbp" / "__pycache__").exists():
-        print("src/qbp/__pycache__ exists and would lower setup_s; record in a fresh clone",
-              file=sys.stderr)
-        return 2
-    docs = [record(bench, workload) for workload in workloads]
-    for workload, doc in zip(workloads, docs):
-        path = ROOT / f"BENCH_{workload}.json"
-        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {path.name}", file=sys.stderr)
+    trees = args.pair or [ROOT]
+    for tree in trees:
+        if (tree / "src" / "qbp" / "__pycache__").exists():
+            print(f"{tree}/src/qbp/__pycache__ exists and would lower setup_s;"
+                  " record in a fresh clone", file=sys.stderr)
+            return 2
+    docs = [record(bench, workload, trees) for workload in workloads]
+    for workload, tree_docs in zip(workloads, docs):
+        for tree, doc in zip(trees, tree_docs):
+            path = tree / f"BENCH_{workload}.json"
+            path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+            print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
