@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbp.model import DimensionMismatchError, QuadraticSystem, _require_integer
-from qbp.admm import INFEASIBLE_RTOL, soft_threshold
+from qbp.model import (DimensionMismatchError, QuadraticSystem, _as_complex,
+                       _require_integer)
+from qbp.admm import INFEASIBLE_RTOL, RHO0, soft_threshold, update_rho
 
 __all__ = [
     "InfeasibleLinearSystemError",
@@ -23,16 +24,13 @@ __all__ = [
     "iterative_hard_thresholding",
 ]
 
-# Basis pursuit: the iteration cap, the initial ADMM penalty, the absolute and
-# relative stopping tolerances, and rho's balancing band and factor.  The
-# linearized constraints count as inconsistent once their least-squares gap
-# exceeds INFEASIBLE_RTOL * max(||y||, 1), the lifted X1 step's test.
+# Basis pursuit: the iteration cap and the absolute and relative stopping
+# tolerances; rho starts at RHO0 and moves by update_rho, as in the lifted loop.
+# The linearized constraints count as inconsistent once their least-squares
+# gap exceeds INFEASIBLE_RTOL * max(||y||, 1), the lifted X1 step's test.
 BP_MAX_ITERS = 10000
-BP_RHO0 = 1.0
 BP_EPS_ABS = 1e-8
 BP_EPS_REL = 1e-6
-BP_RHO_BALANCE = 10.0
-BP_RHO_FACTOR = 2.0
 
 # IHT line search: each iteration tries IHT_STEP0, then shrinks the step by
 # IHT_SHRINK until the objective strictly decreases; a relative decrease below
@@ -61,14 +59,17 @@ def basis_pursuit(A, y):
 
     Returns ``(x, iterations)``.  ``x`` is an exact projection onto the
     constraint set, so its equality residual is at the level of the
-    pseudoinverse.  Raises :class:`InfeasibleLinearSystemError` when no
-    solution exists.
+    pseudoinverse.  Raises :class:`DimensionMismatchError` unless A is 2-D
+    with one row per entry of y, :class:`NonFiniteValueError` on a non-finite
+    entry and :class:`InfeasibleLinearSystemError` when no solution exists.
     """
     A = np.asarray(A, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"A: expected a 2-D array, got shape {A.shape}")
+    A = _as_complex(A, A.shape, "A")
+    y = _as_complex(y, A.shape[:1], "y")
     pinv = np.linalg.pinv(A)
-    x0 = pinv @ y
-    gap = np.linalg.norm(A @ x0 - y)
+    gap = np.linalg.norm(A @ (pinv @ y) - y)
     if gap > INFEASIBLE_RTOL * max(1.0, np.linalg.norm(y)):
         raise InfeasibleLinearSystemError(
             f"linearized constraints are inconsistent: least-squares gap {gap:.3e}"
@@ -77,9 +78,8 @@ def basis_pursuit(A, y):
     x = np.zeros(nvar, dtype=complex)
     z = np.zeros(nvar, dtype=complex)
     u = np.zeros(nvar, dtype=complex)
-    rho = BP_RHO0
-    iterations = BP_MAX_ITERS
-    for it in range(1, BP_MAX_ITERS + 1):
+    rho = RHO0
+    for iterations in range(1, BP_MAX_ITERS + 1):
         x = z - u
         x = x - pinv @ (A @ x - y)
         z_prev = z
@@ -92,14 +92,10 @@ def basis_pursuit(A, y):
         )
         eps_dual = np.sqrt(nvar) * BP_EPS_ABS + BP_EPS_REL * rho * np.linalg.norm(u)
         if r_norm <= eps_pri and s_norm <= eps_dual:
-            iterations = it
             break
-        if r_norm > BP_RHO_BALANCE * s_norm:
-            rho *= BP_RHO_FACTOR
-            u /= BP_RHO_FACTOR
-        elif s_norm > BP_RHO_BALANCE * r_norm:
-            rho /= BP_RHO_FACTOR
-            u *= BP_RHO_FACTOR
+        new = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri)
+        u *= rho / new
+        rho = new
     return x, iterations
 
 
@@ -107,6 +103,8 @@ def hard_threshold(x, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of x, or of each row of a 2-D x;
     ties go to the lowest index."""
     x = np.asarray(x)
+    if x.ndim == 0:
+        raise ValueError("x must have at least one dimension")
     _require_integer("k", k, 0)
     if k >= x.shape[-1]:
         return x.copy()

@@ -24,6 +24,7 @@ from qbp.admm import SolverConfig, solve, solve_denoising
 from qbp.generators import SIGNALS, fourier_basis, phantom_instance
 from qbp.model import _require_nonnegative
 from qbp.montecarlo import (
+    _METHODS,
     _SOLVER_ERRORS,
     ENSEMBLES,
     ExperimentSpec,
@@ -312,7 +313,7 @@ def _build_parser() -> _Parser:
     mc = sub.add_parser("montecarlo", help="run repeated trials and write CSV records")
     _instance_options(mc)
     mc.add_argument("--methods", default="qbp,qbp0,bp,iht",
-                    help="comma list from qbp,qbp0,qbpd,bp,iht")
+                    help="comma list from " + ",".join(_METHODS))
     mc.add_argument("--lambda", dest="lam", type=float, default=50.0)
     mc.add_argument("--epsilon", type=float, default=None,
                     help="residual budget for the qbpd method")

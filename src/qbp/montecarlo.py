@@ -104,6 +104,8 @@ class ExperimentSpec:
         bad = [m for m in self.methods if m not in _METHODS]
         if bad or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must name each method once, got {self.methods}")
         for name in ("trials", "iht_max_iters"):
             _require_integer(name, getattr(self, name), 1)
         for name in ("lam", "epsilon", "tol"):

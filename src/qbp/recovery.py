@@ -68,6 +68,8 @@ def extract_signal(Z):
     returned so callers can report it.
     """
     Z = np.asarray(Z, dtype=complex)
+    if Z.shape[0] < 2:
+        raise DegenerateMatrixError("matrix has no signal block")
     U, s, Vh = np.linalg.svd(Z)
     if s[0] <= 0.0:
         raise DegenerateMatrixError("matrix is zero; nothing to extract")

@@ -15,7 +15,13 @@ from qbp.baselines import (
     iterative_hard_thresholding,
     linearize,
 )
-from qbp.model import DimensionMismatchError, QuadraticMeasurement, QuadraticSystem
+from qbp.admm import RHO0
+from qbp.model import (
+    DimensionMismatchError,
+    NonFiniteValueError,
+    QuadraticMeasurement,
+    QuadraticSystem,
+)
 from qbp.generators import general_quadratic, pure_phase
 from qbp.montecarlo import trial_seed
 
@@ -87,6 +93,73 @@ def test_basis_pursuit_rejects_contradictions():
     with pytest.raises(InfeasibleLinearSystemError):
         basis_pursuit(np.array([[1.0], [1.0]], dtype=complex),
                       np.array([1.0, 2.0], dtype=complex))
+
+
+def _two_sparse_draw(seed, N):
+    """A complex Gaussian N x 20 system and a 2-sparse complex x: ``(A, x, Ax)``."""
+    rng = np.random.default_rng(seed)
+    A = cgauss(rng, (N, 20))
+    x = np.zeros(20, dtype=complex)
+    x[rng.choice(20, 2, replace=False)] = cgauss(rng, 2)
+    return A, x, A @ x
+
+
+def test_basis_pursuit_stops_before_the_cap_on_a_hard_draw():
+    # with a band of 10 on the raw residuals this instance ran to
+    # BP_MAX_ITERS at relative error 0.35; the scaled rule stops in about 140
+    A, x_true, y = _two_sparse_draw(26, 6)
+    x, iterations = basis_pursuit(A, y)
+    assert iterations < qbp.baselines.BP_MAX_ITERS
+    assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) <= 1e-3
+
+
+def test_basis_pursuit_moves_rho_by_update_rho(monkeypatch):
+    # bp holds no balancing rule of its own: rho starts at RHO0, takes what
+    # update_rho returns, and update_rho sees the residuals cross-multiplied
+    # by the stopping tolerances, as in the lifted loop
+    calls = []
+
+    def halve_once(rho, r_scaled, s_scaled):
+        calls.append((rho, r_scaled, s_scaled))
+        return rho / 2 if len(calls) == 1 else rho
+
+    monkeypatch.setattr(qbp.baselines, "update_rho", halve_once)
+    A, _, y = _two_sparse_draw(0, 10)
+    _, iterations = basis_pursuit(A, y)
+    assert len(calls) == iterations - 1
+    assert [c[0] for c in calls] == [RHO0] + [RHO0 / 2] * (iterations - 2)
+    # the first iteration from zero: x = pinv y, z = S(x, 1 / RHO0), u = x - z
+    x = np.linalg.pinv(A) @ y
+    z = qbp.baselines.soft_threshold(x, 1.0 / RHO0)
+    u = x - z
+    floor = np.sqrt(20) * qbp.baselines.BP_EPS_ABS
+    eps_pri = floor + qbp.baselines.BP_EPS_REL * max(np.linalg.norm(x), np.linalg.norm(z))
+    eps_dual = floor + qbp.baselines.BP_EPS_REL * RHO0 * np.linalg.norm(u)
+    _, r_scaled, s_scaled = calls[0]
+    assert np.isclose(r_scaled, np.linalg.norm(x - z) * eps_dual, rtol=1e-12)
+    assert np.isclose(s_scaled, RHO0 * np.linalg.norm(z) * eps_pri, rtol=1e-12)
+
+
+def test_basis_pursuit_refuses_a_non_finite_entry():
+    # a NaN gap passed the infeasibility test and ran all BP_MAX_ITERS
+    with pytest.raises(NonFiniteValueError, match="y: non-finite entries"):
+        basis_pursuit(np.array([[1.0, 1.0]]), np.array([np.nan]))
+
+
+def test_basis_pursuit_refuses_a_y_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError, match=r"y: expected shape \(2,\), got \(3,\)"):
+        basis_pursuit(np.eye(2), np.zeros(3))
+
+
+def test_basis_pursuit_refuses_an_A_that_is_not_2d():
+    with pytest.raises(DimensionMismatchError, match="A: expected a 2-D array"):
+        basis_pursuit(np.ones(2), np.zeros(1))
+
+
+def test_hard_threshold_refuses_a_0d_input():
+    # x.shape[-1] raised IndexError
+    with pytest.raises(ValueError, match="x must have at least one dimension"):
+        hard_threshold(np.array(3.0), 1)
 
 
 def test_hard_threshold_matches_subset_search():

@@ -532,6 +532,23 @@ def test_montecarlo_writes_csv_and_summary(tmp_path, capsys):
     assert methods == {"qbp", "bp", "iht"}
 
 
+def test_montecarlo_refuses_a_method_named_twice(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main([
+        "montecarlo", "-n", "4", "-N", "10", "-k", "1", "--trials", "2",
+        "--methods", "qbp,qbp,iht", "-o", str(out),
+    ]) == 1
+    assert "methods must name each method once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_montecarlo_help_lists_every_method(capsys, monkeypatch):
+    # wide enough that argparse keeps the help on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["montecarlo", "--help"]) == 0
+    assert "comma list from " + ",".join(qbp.montecarlo._METHODS) in capsys.readouterr().out
+
+
 def test_diagnose_flags_orthonormal_sensing(tmp_path):
     x = np.array([0.0, 2.0, 0.0], dtype=complex)
     system = unitary_sensing_system(x, kind="dft")

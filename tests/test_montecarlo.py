@@ -256,6 +256,9 @@ def test_spec_validation():
         _tiny_spec(methods=("qbp", "sorcery"))
     with pytest.raises(ValueError):
         _tiny_spec(methods=())
+    # a method named twice ran twice per trial and summed into one summary line
+    with pytest.raises(ValueError, match="methods must name each method once"):
+        _tiny_spec(methods=("qbp", "qbp", "iht"))
     with pytest.raises(ValueError):
         _tiny_spec(trials=0)
     # the Fourier ensemble draws a square image: n = side^2 with side >= 2

@@ -85,6 +85,13 @@ def test_extract_phase_signal_rank_ratio_is_never_negative_zero():
     assert rank_ratio == 0.0 and math.copysign(1.0, rank_ratio) == 1.0
 
 
+@pytest.mark.parametrize("extract", [extract_signal, extract_phase_signal])
+def test_extraction_refuses_a_matrix_with_no_signal_block(extract):
+    # extract_signal returned an empty candidate with rank ratio 0.0 here
+    with pytest.raises(DegenerateMatrixError, match="matrix has no signal block"):
+        extract(np.ones((1, 1)))
+
+
 def test_extract_phase_signal_degenerate_inputs():
     with pytest.raises(DegenerateMatrixError):
         extract_phase_signal(np.array([[1.0]]))
