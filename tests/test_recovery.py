@@ -93,8 +93,6 @@ def test_extraction_refuses_a_matrix_with_no_signal_block(extract):
 
 
 def test_extract_phase_signal_degenerate_inputs():
-    with pytest.raises(DegenerateMatrixError):
-        extract_phase_signal(np.array([[1.0]]))
     Z = np.diag([1.0, -1.0, -2.0]).astype(complex)
     with pytest.raises(DegenerateMatrixError):
         extract_phase_signal(Z)
