@@ -144,11 +144,20 @@ def _sparse_residual(system: QuadraticSystem, v, blocks: dict):
     return r, L, v
 
 
-def _gradient(system: QuadraticSystem, r, L, v) -> np.ndarray:
-    """:func:`iht_gradient` from the return of :func:`_sparse_residual`."""
-    phis = system.phis
-    lin = phis[:, 1:, L] @ v
-    lin_conj = (v.conj() @ phis[:, L, 1:]).conj()
+def _gradient(system: QuadraticSystem, r, L, v, blocks: dict) -> np.ndarray:
+    """:func:`iht_gradient` from the return of :func:`_sparse_residual`.
+
+    ``blocks`` keeps the columns and rows 1: on each support read, as
+    :func:`_sparse_residual` keeps its blocks, under the support and "border".
+    """
+    key = (L.tobytes(), "border")
+    border = blocks.get(key)
+    if border is None:
+        phis = system.phis
+        border = blocks[key] = phis[:, 1:, L], phis[:, L, 1:]
+    cols, rows = border
+    lin = cols @ v
+    lin_conj = (v.conj() @ rows).conj()
     return r.conj() @ lin + r @ lin_conj
 
 
@@ -167,7 +176,7 @@ def iht_gradient(system: QuadraticSystem, x) -> np.ndarray:
     the rows 1: of Phi_i [1; x] and Phi_i^H [1; x], read from the columns and
     the rows on the support block L of :func:`_sparse_residual`.
     """
-    return _gradient(system, *_sparse_residual(system, _lifted(system, x), {}))
+    return _gradient(system, *_sparse_residual(system, _lifted(system, x), {}), {})
 
 
 def iterative_hard_thresholding(system: QuadraticSystem, k: int,
@@ -178,9 +187,10 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     ``IHT_STEP0 * IHT_SHRINK**j`` down to 1e-20 in turn and takes the first
     one that strictly lowers the objective; the run stops when none does or
     the relative decrease stalls.  The whole ladder of steps is
-    hard-thresholded at once, each step's residual reads the support block
-    kept for the run, and the taken step's residual feeds the next gradient,
-    so the iterates are those of trying one step at a time.  Returns
+    hard-thresholded at once, each step's residual and each gradient read
+    the support blocks kept for the run, and the taken step's residual feeds
+    the next gradient, so the iterates are those of trying one step at a
+    time.  Returns
     ``(x, iterations, objective)`` for the last iterate, which is the best
     one seen: a step is taken only when it strictly lowers the objective.
     """
@@ -201,7 +211,7 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        grad = _gradient(system, r, L, v)
+        grad = _gradient(system, r, L, v, blocks)
         ladder[:, 1:] = hard_threshold(x - etas * grad, k)
         for trial in ladder:
             r_trial, L_trial, v_trial = _sparse_residual(system, trial, blocks)

@@ -58,6 +58,16 @@ class DegenerateMatrixError(ValueError):
     """The solved matrix has no usable rank-one component."""
 
 
+def _lifted_matrix(Z) -> np.ndarray:
+    """Z as a complex square matrix with a signal block, or the error saying why not."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise DimensionMismatchError(f"Z has shape {Z.shape}; a square matrix is needed")
+    if Z.shape[0] < 2:
+        raise DegenerateMatrixError("matrix has no signal block")
+    return Z
+
+
 def extract_signal(Z):
     """Candidate vector from the leading rank-one component of Z.
 
@@ -65,11 +75,10 @@ def extract_signal(Z):
     second to the largest singular value.  The rank-one factor is scaled so
     its corner entry is one and the remaining entries form the candidate.
     A large ``rank_ratio`` means the candidate is unreliable; it is still
-    returned so callers can report it.
+    returned so callers can report it.  Z must be a square 2-D matrix
+    (:class:`~qbp.model.DimensionMismatchError` otherwise).
     """
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape[0] < 2:
-        raise DegenerateMatrixError("matrix has no signal block")
+    Z = _lifted_matrix(Z)
     U, s, Vh = np.linalg.svd(Z)
     if s[0] <= 0.0:
         raise DegenerateMatrixError("matrix is zero; nothing to extract")
@@ -90,11 +99,10 @@ def extract_phase_signal(Z):
     candidate then lives in the trailing block alone: this returns
     ``(x_hat, rank_ratio)`` with ``x_hat = sqrt(lambda_1) * v_1`` from the
     block's leading eigenpair and ``rank_ratio = lambda_2 / lambda_1``.  The
-    global phase of ``x_hat`` is arbitrary.
+    global phase of ``x_hat`` is arbitrary.  Z must be a square 2-D matrix
+    (:class:`~qbp.model.DimensionMismatchError` otherwise).
     """
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape[0] < 2:
-        raise DegenerateMatrixError("matrix has no signal block")
+    Z = _lifted_matrix(Z)
     vals, vecs = np.linalg.eigh(hermitianize(Z[1:, 1:]))
     top = float(vals[-1])
     if top <= 0.0:

@@ -112,8 +112,8 @@ def _drifting_harness(calls):
     def fake_run(argv, cwd, **kwargs):
         value = (1.0 + DRIFT * len(calls)) * (GAIN if Path(cwd).name == "after" else 1.0)
         calls.append((Path(cwd).name, argv[argv.index("--seed") + 1]))
-        detail = {"stamp": {"seed": 1, "source_sha256": Path(cwd).name}, "counts": {},
-                  "failures": [], "gates": []}
+        detail = {"stamp": {"seed": 1, "source_sha256": Path(cwd).name, "nproc": 2},
+                  "counts": {}, "failures": [], "gates": []}
         result = {"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {m["name"]: {"value": value} for m in BENCH["end_to_end"]}}
         return SimpleNamespace(stdout=json.dumps(detail) + "\n" + json.dumps(result) + "\n")
@@ -164,16 +164,23 @@ def test_a_paired_record_recovers_a_change_that_block_records_mistake_for_drift(
     assert medians == pytest.approx(seed_ratio, rel=1e-2)
 
 
-def _synthetic_record(bench, medians):
-    """A record of seeds 1-3 whose every end-to-end metric has the values
-    median - 1, median and median + 1, and so the quartiles median -/+ 1."""
+def test_a_record_keeps_the_harness_cpu_count(tool, tmp_path, monkeypatch):
+    monkeypatch.setattr(subprocess, "run", _drifting_harness([]))
+    assert tool.main(["phantom-s8"]) == 0
+    assert json.loads((tmp_path / "BENCH_phantom-s8.json").read_text())["stamp"]["nproc"] == 2
+
+
+def _synthetic_record(bench, medians, cpus=2):
+    """A record of seeds 1-3 on ``cpus`` CPUs whose every end-to-end metric
+    has the values median - 1, median and median + 1, and so the quartiles
+    median -/+ 1."""
     seeds = [1, 2, 3]
     end_to_end = {}
     for m in bench["end_to_end"]:
         median = medians.get(m["name"], 1.0)
         end_to_end[m["name"]] = {"values": [median - 1.0, median, median + 1.0],
                                  "median": median, "q1": median - 1.0, "q3": median + 1.0}
-    return {"seeds": seeds, "end_to_end": end_to_end}
+    return {"stamp": {"nproc": cpus}, "seeds": seeds, "end_to_end": end_to_end}
 
 
 def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
@@ -187,7 +194,9 @@ def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
             (directory / f"BENCH_{workload}.json").write_text(
                 json.dumps(_synthetic_record(BENCH, medians)))
     assert module.main([str(before), str(after)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr()
+    assert "warning" not in out.err
+    lines = out.out.splitlines()
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
     assert len(rows) == len(workloads) * len(BENCH["end_to_end"])
     for workload in workloads:
@@ -204,3 +213,19 @@ def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
     (after / f"BENCH_{workloads[0]}.json").unlink()
     assert module.main([str(before), str(after)]) == 2
     assert module.main([str(before)]) == 2
+
+
+def test_the_comparison_warns_when_the_records_ran_on_different_cpu_counts(tmp_path,
+                                                                          capsys):
+    module = _load(COMPARE)
+    workloads = [w["name"] for w in BENCH["workloads"]]
+    for name, cpus in (("before", 2), ("after", 1)):
+        (tmp_path / name).mkdir()
+        for workload in workloads:
+            (tmp_path / name / f"BENCH_{workload}.json").write_text(
+                json.dumps(_synthetic_record(BENCH, {}, cpus=cpus if workload ==
+                                             workloads[0] else 2)))
+    assert module.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == [f"warning: {workloads[0]}: the records ran on 2 and 1 usable CPUs;"
+                        " the overlapped steps of large lifts need two"]

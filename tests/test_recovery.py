@@ -92,6 +92,16 @@ def test_extraction_refuses_a_matrix_with_no_signal_block(extract):
         extract(np.ones((1, 1)))
 
 
+@pytest.mark.parametrize("extract", [extract_signal, extract_phase_signal])
+@pytest.mark.parametrize("Z", [np.array(2.0), np.ones(3), np.ones((3, 2))],
+                         ids=["0-d", "1-d", "3x2"])
+def test_extraction_refuses_a_matrix_that_is_not_square(extract, Z):
+    # a 0-d or 1-D Z raised IndexError or LinAlgError, and extract_signal
+    # returned [1, 1] with rank ratio 0.0 for the 3 x 2 matrix of ones
+    with pytest.raises(DimensionMismatchError, match="a square matrix is needed"):
+        extract(Z)
+
+
 def test_extract_phase_signal_degenerate_inputs():
     Z = np.diag([1.0, -1.0, -2.0]).astype(complex)
     with pytest.raises(DegenerateMatrixError):

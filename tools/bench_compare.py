@@ -11,8 +11,12 @@ the before quartiles; then, seed by seed over the seeds both records hold,
 the median of the after / before ratios (over the seeds with a nonzero
 before value) and the count of seeds whose value moved in the ``better``
 direction.  The per-seed columns are what a pair recorded with
-``bench_record.py --pair`` is read by.  A workload whose record is missing
-from either directory stops the script with exit status 2.
+``bench_record.py --pair`` is read by.  Two records whose harness could use
+different numbers of CPUs (the stamps' ``nproc``) get a warning on stderr:
+on one CPU the solver runs the steps it overlaps on large lifts one after
+the other, so a record made there shows no gain from the overlap.  A
+workload whose record is missing from either directory stops the script
+with exit status 2.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def main(argv: list[str]) -> int:
             print(f"no record {missing}", file=sys.stderr)
             return 2
         before, after = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
+        cpus = [record["stamp"].get("nproc") for record in (before, after)]
+        if cpus[0] != cpus[1]:
+            print(f"warning: {workload}: the records ran on {cpus[0]} and {cpus[1]}"
+                  " usable CPUs; the overlapped steps of large lifts need two",
+                  file=sys.stderr)
         for (name, old, new, ratio, moved, outside, seed_ratio, better,
              seeds) in compare(bench, before, after):
             print(f"{workload:<12} {name:<14} {old:>11.5g} {new:>11.5g} {ratio:>7.4f}"

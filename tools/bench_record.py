@@ -15,8 +15,10 @@ tree recorded after the other would carry it into every seed.  Each tree's
 record goes to its own root, and each run's entry says whether it went
 ``first`` or ``second``.  The file keeps the harness's environment stamp,
 every end-to-end metric per seed with its median and quartiles, and the
-traced run's per-layer metrics and exact counts.  The harness's own files
-are left as it writes them; this script edits none.
+traced run's per-layer metrics and exact counts.  The stamp's ``nproc`` is
+the number of CPUs the harness could run on: the solver overlaps two steps
+of large lifts only on two or more.  The harness's own files are left as it
+writes them; this script edits none.
 
 The harness runs with PYTHONDONTWRITEBYTECODE=1 and imports qbp afresh for
 every set-up, so a stale ``src/qbp/__pycache__`` would lower ``setup_s``:
