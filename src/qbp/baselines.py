@@ -147,8 +147,9 @@ def _sparse_residual(system: QuadraticSystem, v, blocks: dict):
 def _gradient(system: QuadraticSystem, r, L, v, blocks: dict) -> np.ndarray:
     """:func:`iht_gradient` from the return of :func:`_sparse_residual`.
 
-    ``blocks`` keeps the columns and rows 1: on each support read, as
-    :func:`_sparse_residual` keeps its blocks, under the support and "border".
+    ``blocks`` keeps ``phis[:, 1:, L]`` and ``phis[:, L, 1:]`` for each
+    support read, keyed by the support and "border", beside the blocks of
+    :func:`_sparse_residual`.
     """
     key = (L.tobytes(), "border")
     border = blocks.get(key)
@@ -190,9 +191,9 @@ def iterative_hard_thresholding(system: QuadraticSystem, k: int,
     hard-thresholded at once, each step's residual and each gradient read
     the support blocks kept for the run, and the taken step's residual feeds
     the next gradient, so the iterates are those of trying one step at a
-    time.  Returns
-    ``(x, iterations, objective)`` for the last iterate, which is the best
-    one seen: a step is taken only when it strictly lowers the objective.
+    time.  Returns ``(x, iterations, objective)`` for the last iterate,
+    which is the best one seen: a step is taken only when it strictly lowers
+    the objective.
     """
     _require_integer("k", k, 1)
     _require_integer("max_iters", max_iters, 1)
