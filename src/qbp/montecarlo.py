@@ -11,16 +11,15 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
 from qbp.admm import (
     InfeasibleProjectionError,
     SolverConfig,
+    _share_cpus,
     solve,
     solve_denoising,
 )
@@ -228,13 +227,20 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
     """All trials of an experiment, in up to ``jobs`` processes.
 
     The trials run in this process when only one worker would start: one
-    job, one trial, one CPU or an unknown CPU count.
+    job, one trial, one CPU or an unknown CPU count.  Each worker knows how
+    many share the CPUs, so a solve overlaps its X1 step only with two usable
+    CPUs per worker (:mod:`qbp.admm`).
     """
     _require_integer("jobs", jobs, 1)
     records: list[TrialRecord] = []
     workers = min(jobs, spec.trials, os.cpu_count() or 1)
     if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+        # loaded here, so that `import qbp` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"),
+                                   initializer=_share_cpus, initargs=(workers,))
     else:
         pool = nullcontext()
     with pool:

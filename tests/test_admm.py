@@ -1362,3 +1362,19 @@ def test_a_single_usable_cpu_runs_the_loop_serially(monkeypatch):
     phantom, _ = phantom_instance(3, 2, 18, 1)
     assert solve(phantom, 1.0, SolverConfig(max_iters=50)).iterations > 0
     assert on_caller and set(on_caller) == {True}
+
+
+def test_a_pool_worker_without_two_cpus_of_its_own_runs_the_loop_serially(monkeypatch):
+    # a Monte Carlo pool of two workers on two CPUs: each worker's lift-65
+    # solve keeps the X1 step on its calling thread
+    on_caller = _overlapped(monkeypatch, True)
+    monkeypatch.setattr(qbp.admm, "_sharing_processes", qbp.admm._sharing_processes)
+    qbp.admm._share_cpus(2)
+
+    def refused(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    phantom, _ = phantom_instance(8, 10, 128, 0)
+    assert solve(phantom, 1.0, SolverConfig(max_iters=5)).iterations == 5
+    assert on_caller and set(on_caller) == {True}

@@ -1,14 +1,18 @@
 """Batch experiment runner: seeding, per-trial records, CSV output."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qbp.admm
 import qbp.montecarlo
 from qbp.admm import InfeasibleProjectionError, SolverConfig, solve
 from qbp.baselines import iterative_hard_thresholding
@@ -140,11 +144,13 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     class FakePool:
         # records the pool size asked for and runs at most two trials in
         # this process, so a large request starts no process and stays cheap;
-        # workers are spawned, not forked, with one BLAS thread each
+        # workers are spawned, not forked, with one BLAS thread each, and
+        # each learns how many workers share the CPUs
         sizes = []
 
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             assert mp_context.get_start_method() == "spawn"
+            assert initializer is qbp.admm._share_cpus and initargs == (max_workers,)
             self.sizes.append(max_workers)
 
         def __enter__(self):
@@ -158,7 +164,7 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
                 assert os.environ[name] == "1"
             return map(fn, *(it[:2] for it in iterables))
 
-    monkeypatch.setattr(qbp.montecarlo, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: 4)
     records = run_monte_carlo(_tiny_spec(trials=2), jobs=64)
     assert len(records) == 2
@@ -169,6 +175,17 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     records = run_monte_carlo(_tiny_spec(trials=2), jobs=1000)
     assert len(records) == 2
     assert FakePool.sizes == [2, 4]
+
+
+def test_importing_qbp_loads_no_process_pool():
+    # the pool's modules load only when a run starts worker processes
+    code = ("import sys, qbp; print(sorted(m for m in ('multiprocessing',"
+            " 'concurrent.futures.process') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parallel_run_restores_the_environment(monkeypatch):
