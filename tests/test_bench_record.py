@@ -202,17 +202,49 @@ def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
     for workload in workloads:
         # higher is better and 12 is above the quartiles [9, 11]; seed by
         # seed, 11/9, 12/10 and 13/11, all better
+        # a 2 gain equals the before quartiles' spread, so it is no verdict
         assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "better", "yes",
-                                                  "1.2000", "3/3"]
+                                                  "1.2000", "3/3", "-"]
         # lower is better and 4.5 is inside [3, 5]; 3.5/3, 4.5/4 and 5.5/5
+        # 12.5% worse, within the 0.25 bound
         assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "worse", "no",
-                                                 "1.1250", "0/3"]
+                                                 "1.1250", "0/3", "-"]
         # the seed whose before value is 0 has no ratio
         assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "same", "no",
-                                                 "1.0000", "0/3"]
+                                                 "1.0000", "0/3", "-"]
     (after / f"BENCH_{workloads[0]}.json").unlink()
     assert module.main([str(before), str(after)]) == 2
     assert module.main([str(before)]) == 2
+
+
+def test_the_comparison_gives_a_verdict_per_metric():
+    compare = _load(COMPARE).compare
+    bounds = {m["name"]: m["bound"] for m in BENCH["end_to_end"]}
+    before = _synthetic_record(BENCH, {"solve_s_p50": 10.0, "trials_per_s": 10.0,
+                                       "peak_rss_mb": 10.0, "setup_s": 10.0})
+    after = _synthetic_record(BENCH, {
+        # every seed faster, and by 3, more than the before quartiles' spread of 2
+        "solve_s_p50": 7.0,
+        # worse by more than the bound's share of the before median
+        "trials_per_s": 10.0 * (1.0 - bounds["trials_per_s"]) - 0.5,
+        # every seed better, but by no more than the spread
+        "peak_rss_mb": 8.0,
+        # worse, but within the bound
+        "setup_s": 10.0 * (1.0 + bounds["setup_s"]) - 0.5,
+    })
+    verdicts = {row[0]: row[-1] for row in compare(BENCH, before, after)}
+    assert verdicts["solve_s_p50"] == "gain"
+    assert verdicts["trials_per_s"] == "regression"
+    assert verdicts["peak_rss_mb"] == verdicts["setup_s"] == "-"
+    # eight seeds in ten moving the better way are no gain
+    ten = {"seeds": list(range(10)), "stamp": {}}
+    old = {"values": [10.0] * 10, "median": 10.0, "q1": 10.0, "q3": 10.0}
+    new = {"values": [5.0] * 8 + [11.0] * 2, "median": 5.0, "q1": 5.0, "q3": 5.0}
+    rows = compare({"end_to_end": [{"name": "solve_s_p50", "better": "lower",
+                                    "bound": 0.25}]},
+                   {**ten, "end_to_end": {"solve_s_p50": old}},
+                   {**ten, "end_to_end": {"solve_s_p50": new}})
+    assert rows[0][-3:] == (8, 10, "-")
 
 
 def test_the_comparison_warns_when_the_records_ran_on_different_cpu_counts(tmp_path,

@@ -11,7 +11,11 @@ the before quartiles; then, seed by seed over the seeds both records hold,
 the median of the after / before ratios (over the seeds with a nonzero
 before value) and the count of seeds whose value moved in the ``better``
 direction.  The per-seed columns are what a pair recorded with
-``bench_record.py --pair`` is read by.  Two records whose harness could use
+``bench_record.py --pair`` is read by.  The last column is the verdict:
+``gain`` when at least nine seeds in ten moved the better way and the
+medians differ by more than the before quartiles' spread, ``regression``
+when the after median is worse than the before by more than the metric's
+``BENCHMARK.json`` bound (a fraction of the before median), else ``-``.  Two records whose harness could use
 different numbers of CPUs (the stamps' ``nproc``) get a warning on stderr:
 on one CPU the solver runs the steps it overlaps on large lifts one after
 the other, so a record made there shows no gain from the overlap.  A
@@ -31,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
     """Rows ``(metric, before median, after median, ratio, moved, outside,
-    per-seed median ratio, seeds better, seeds compared)``."""
+    per-seed median ratio, seeds better, seeds compared, verdict)``."""
     rows = []
     for metric in bench["end_to_end"]:
         name = metric["name"]
@@ -46,8 +50,14 @@ def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
         ratios = [b / a for a, b in pairs if a]
         seed_ratio = statistics.median(ratios) if ratios else float("nan")
         better = sum(sign * (b - a) > 0 for a, b in pairs)
+        if pairs and 10 * better >= 9 * len(pairs) and gain > old["q3"] - old["q1"]:
+            verdict = "gain"
+        elif -gain > metric["bound"] * abs(old["median"]):
+            verdict = "regression"
+        else:
+            verdict = "-"
         rows.append((name, old["median"], new["median"], ratio, moved, outside,
-                     seed_ratio, better, len(pairs)))
+                     seed_ratio, better, len(pairs), verdict))
     return rows
 
 
@@ -58,7 +68,7 @@ def main(argv: list[str]) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     dirs = [Path(arg) for arg in argv]
     print(f"{'workload':<12} {'metric':<14} {'before':>11} {'after':>11} {'ratio':>7}"
-          "  moved   outside-quartiles  seed-ratio  seeds-better")
+          "  moved   outside-quartiles  seed-ratio  seeds-better  verdict")
     for workload in (w["name"] for w in bench["workloads"]):
         paths = [d / f"BENCH_{workload}.json" for d in dirs]
         missing = [str(p) for p in paths if not p.is_file()]
@@ -72,10 +82,10 @@ def main(argv: list[str]) -> int:
                   " usable CPUs; the overlapped steps of large lifts need two",
                   file=sys.stderr)
         for (name, old, new, ratio, moved, outside, seed_ratio, better,
-             seeds) in compare(bench, before, after):
+             seeds, verdict) in compare(bench, before, after):
             print(f"{workload:<12} {name:<14} {old:>11.5g} {new:>11.5g} {ratio:>7.4f}"
                   f"  {moved:<7} {'yes' if outside else 'no':<17}  {seed_ratio:>10.4f}"
-                  f"  {better}/{seeds}")
+                  f"  {f'{better}/{seeds}':<12}  {verdict}")
     return 0
 
 
