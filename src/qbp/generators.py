@@ -181,32 +181,24 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
     _require_integer("k", k, 1)
     if k > side * side:
         raise ValueError(f"k must be in [1, {side * side}]")
-    C = np.fft.fft2(image)
+    C = np.fft.fft2(image).ravel()
     groups = []
-    seen = set()
-    for p in range(side):
-        for q in range(side):
-            if (p, q) in seen:
-                continue
-            pc, qc = (-p) % side, (-q) % side
-            if (pc, qc) == (p, q):
-                members = ((p, q),)
-            else:
-                members = ((p, q), (pc, qc))
-            seen.update(members)
-            energy = sum(abs(C[i, j]) ** 2 for i, j in members)
-            groups.append((energy, members))
+    for i in range(side * side):
+        # the row-major index of the reflection of i's (row, column)
+        mate = ((-(i // side)) % side) * side + (-i) % side
+        if mate >= i:  # a group is led by its smaller index
+            members = (i,) if mate == i else (i, mate)
+            groups.append((sum(abs(C[j]) ** 2 for j in members), members))
     groups.sort(key=lambda g: -g[0])
-    out = np.zeros((side, side), dtype=complex)
+    out = np.zeros(side * side, dtype=complex)
     budget = k
     for energy, members in groups:
         if len(members) <= budget and energy > 0.0:
-            for i, j in members:
-                out[i, j] = C[i, j]
+            out[list(members)] = C[list(members)]
             budget -= len(members)
         if budget == 0:
             break
-    return out.ravel()
+    return out
 
 
 def phantom_instance(side: int, k: int, N: int, seed: int = 0):

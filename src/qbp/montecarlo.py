@@ -20,6 +20,7 @@ from qbp.admm import (
     InfeasibleProjectionError,
     SolverConfig,
     _share_cpus,
+    _usable_cpus,
     solve,
     solve_denoising,
 )
@@ -227,13 +228,14 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
     """All trials of an experiment, in up to ``jobs`` processes.
 
     The trials run in this process when only one worker would start: one
-    job, one trial, one CPU or an unknown CPU count.  Each worker knows how
-    many share the CPUs, so a solve overlaps its X1 step only with two usable
-    CPUs per worker (:mod:`qbp.admm`).
+    job, one trial, or one usable CPU (the process's CPU affinity, as
+    :mod:`qbp.admm` counts it; one when the count is unknown).  Each worker
+    knows how many share the CPUs, so a solve overlaps its X1 step only with
+    two usable CPUs per worker (:mod:`qbp.admm`).
     """
     _require_integer("jobs", jobs, 1)
     records: list[TrialRecord] = []
-    workers = min(jobs, spec.trials, os.cpu_count() or 1)
+    workers = min(jobs, spec.trials, _usable_cpus())
     if workers > 1:
         # loaded here, so that `import qbp` loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor

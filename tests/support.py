@@ -210,6 +210,53 @@ def reference_fourier_sparse_image(n, N, k, signal="gaussian", seed=0):
     return _reference_magnitude(cgauss(rng, (N, n)) @ fourier_basis(side), x)
 
 
+# The conjugate-symmetric truncation as a visited-set walk over (row, column)
+# pairs; qbp.generators.truncate_fourier pairs indices arithmetically and must
+# reproduce it byte for byte.
+
+def reference_truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
+    """Best k-term DFT approximation that keeps conjugate symmetry.
+
+    Coefficients are grouped with their reflection (q -> -q mod side); groups
+    are taken in decreasing energy while they fit the remaining budget, so a
+    real image stays real after truncation.  Returns the vectorized k-sparse
+    coefficient array.
+    """
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 2 or image.shape[0] != image.shape[1]:
+        raise ValueError("image must be square")
+    side = image.shape[0]
+    _require_integer("k", k, 1)
+    if k > side * side:
+        raise ValueError(f"k must be in [1, {side * side}]")
+    C = np.fft.fft2(image)
+    groups = []
+    seen = set()
+    for p in range(side):
+        for q in range(side):
+            if (p, q) in seen:
+                continue
+            pc, qc = (-p) % side, (-q) % side
+            if (pc, qc) == (p, q):
+                members = ((p, q),)
+            else:
+                members = ((p, q), (pc, qc))
+            seen.update(members)
+            energy = sum(abs(C[i, j]) ** 2 for i, j in members)
+            groups.append((energy, members))
+    groups.sort(key=lambda g: -g[0])
+    out = np.zeros((side, side), dtype=complex)
+    budget = k
+    for energy, members in groups:
+        if len(members) <= budget and energy > 0.0:
+            for i, j in members:
+                out[i, j] = C[i, j]
+            budget -= len(members)
+        if budget == 0:
+            break
+    return out.ravel()
+
+
 def reference_phantom_instance(side, k, N, seed=0):
     x = truncate_fourier(phantom_image(side), k)
     rng = np.random.default_rng(seed)

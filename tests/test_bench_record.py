@@ -1,10 +1,9 @@
-"""The performance-record tool refuses a stale tree and a bad run and
-records two trees seed by seed; the comparison tool reads two sets of
-records."""
+"""The performance-record tool records two trees seed by seed and refuses
+one tree named twice, a stale tree and a bad run; the comparison tool reads
+the two halves of a pair."""
 
 import importlib.util
 import json
-import statistics
 import subprocess
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,15 +47,23 @@ def _harness(correct, gates, seen, traced_sha="0"):
     return fake_run
 
 
+def _pair(tmp_path):
+    """Two empty trees, BEFORE and AFTER, under ``tmp_path``."""
+    trees = [tmp_path / "before", tmp_path / "after"]
+    for tree in trees:
+        tree.mkdir()
+    return [str(tree) for tree in trees]
+
+
 @pytest.mark.parametrize("correct, gates", [(False, []), (True, ["psd calls 1 != 2"])])
 def test_a_bad_run_writes_no_record(tool, tmp_path, monkeypatch, correct, gates):
     seen = []
     monkeypatch.setattr(subprocess, "run", _harness(correct, gates, seen))
     with pytest.raises(SystemExit) as exc:
-        tool.main(["phantom-s8"])
+        tool.main([*_pair(tmp_path), "phantom-s8"])
     assert "no record written" in str(exc.value.code)
     assert seen and set(seen) == {"1"}
-    assert not list(tmp_path.glob("BENCH_*.json"))
+    assert not list(tmp_path.glob("**/BENCH_*.json"))
 
 
 def test_a_source_change_before_the_traced_run_writes_no_record(tool, tmp_path,
@@ -64,19 +71,10 @@ def test_a_source_change_before_the_traced_run_writes_no_record(tool, tmp_path,
     seen = []
     monkeypatch.setattr(subprocess, "run", _harness(True, [], seen, traced_sha="1"))
     with pytest.raises(SystemExit) as exc:
-        tool.main(["phantom-s8"])
+        tool.main([*_pair(tmp_path), "phantom-s8"])
     assert "the sources changed during the runs" in str(exc.value.code)
-    assert len(seen) == len(tool.DEFAULT_SEEDS) + 1
-    assert not list(tmp_path.glob("BENCH_*.json"))
-
-
-def test_a_tree_with_bytecode_is_refused(tool, tmp_path, monkeypatch):
-    (tmp_path / "src" / "qbp" / "__pycache__").mkdir(parents=True)
-    seen = []
-    monkeypatch.setattr(subprocess, "run", _harness(True, [], seen))
-    assert tool.main(["phantom-s8"]) == 2
-    assert not seen
-    assert not list(tmp_path.glob("BENCH_*.json"))
+    assert len(seen) == 2 * (len(tool.DEFAULT_SEEDS) + 1)
+    assert not list(tmp_path.glob("**/BENCH_*.json"))
 
 
 @pytest.mark.parametrize("stale", ["before", "after"])
@@ -85,20 +83,47 @@ def test_a_pair_with_bytecode_in_either_tree_is_refused(tool, tmp_path, monkeypa
     (tmp_path / stale / "src" / "qbp" / "__pycache__").mkdir(parents=True)
     seen = []
     monkeypatch.setattr(subprocess, "run", _harness(True, [], seen))
-    assert tool.main(["--pair", *map(str, trees), "phantom-s8"]) == 2
+    assert tool.main([*map(str, trees), "phantom-s8"]) == 2
     assert not seen
     assert not list(tmp_path.glob("**/BENCH_*.json"))
 
 
 def test_a_bad_run_in_a_pair_writes_no_record(tool, tmp_path, monkeypatch):
-    trees = [tmp_path / "before", tmp_path / "after"]
-    for tree in trees:
-        tree.mkdir()
+    # the before tree's first run is correct, the after tree's is not: neither
+    # tree gets a record
     seen = []
-    monkeypatch.setattr(subprocess, "run", _harness(False, [], seen))
+    good, bad = _harness(True, [], seen), _harness(False, [], seen)
+    monkeypatch.setattr(subprocess, "run", lambda argv, cwd, **kwargs: (
+        bad if Path(cwd).name == "after" else good)(argv, **kwargs))
     with pytest.raises(SystemExit) as exc:
-        tool.main(["--pair", *map(str, trees), "phantom-s8"])
+        tool.main([*_pair(tmp_path), "phantom-s8"])
     assert "no record written" in str(exc.value.code)
+    assert seen == ["1", "1"]
+    assert not list(tmp_path.glob("**/BENCH_*.json"))
+
+
+def test_one_tree_named_twice_is_refused(tool, tmp_path, monkeypatch, capsys):
+    # its after record would overwrite its before record
+    tree = tmp_path / "tree"
+    (tree / "sub").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tree)
+    seen = []
+    monkeypatch.setattr(subprocess, "run", _harness(True, [], seen))
+    for other in (tree, tree / "sub" / "..", tmp_path / "link"):
+        assert tool.main([str(tree), str(other), "phantom-s8"]) == 2
+        assert "are one tree" in capsys.readouterr().err
+    assert not seen
+    assert not list(tmp_path.glob("**/BENCH_*.json"))
+
+
+def test_the_recorder_takes_only_a_pair(tool, tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(subprocess, "run", _harness(True, [], seen))
+    for argv in (["phantom-s8"], [], ["--pair", *_pair(tmp_path), "phantom-s8"]):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(argv)
+        assert exc.value.code == 2
+    assert not seen
     assert not list(tmp_path.glob("**/BENCH_*.json"))
 
 
@@ -120,23 +145,16 @@ def _drifting_harness(calls):
     return fake_run
 
 
-def test_a_paired_record_recovers_a_change_that_block_records_mistake_for_drift(
-        tool, tmp_path, monkeypatch):
+def test_a_paired_record_recovers_a_change_under_drift(tool, tmp_path, monkeypatch):
+    # the machine slows by 21% over the record, four times the change, and
+    # each seed's two runs, back to back, still read the change
     compare = _load(COMPARE).compare
-    trees = [tmp_path / "before", tmp_path / "after"]
-    for tree in trees:
-        tree.mkdir()
-        (tree / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    trees = _pair(tmp_path)
     seeds = len(tool.DEFAULT_SEEDS)
-
-    def ratio(records):
-        row = next(r for r in compare(BENCH, *records) if r[0] == "solve_s_p50")
-        return row[3], row[6], row[7]
-
     calls = []
     monkeypatch.setattr(subprocess, "run", _drifting_harness(calls))
-    assert tool.main(["--pair", *map(str, trees), "phantom-s8"]) == 0
-    paired = [json.loads((t / "BENCH_phantom-s8.json").read_text()) for t in trees]
+    assert tool.main([*trees, "phantom-s8"]) == 0
+    paired = [json.loads((Path(t) / "BENCH_phantom-s8.json").read_text()) for t in trees]
     # each seed runs in both trees back to back, the first tree alternating
     assert calls[:4] == [("before", "1"), ("after", "1"), ("after", "2"), ("before", "2")]
     assert len(calls) == 2 * (seeds + 1)
@@ -144,30 +162,22 @@ def test_a_paired_record_recovers_a_change_that_block_records_mistake_for_drift(
         orders = [run["order"] for run in doc["runs"]] + [doc["traced"]["order"]]
         assert orders[::2] == [first] * (seeds // 2 + 1)
         assert orders[1::2] == [then] * (seeds // 2)
-    medians, seed_ratio, better = ratio(paired)
+    row = next(r for r in compare(BENCH, *paired) if r[0] == "solve_s_p50")
+    seed_ratio, better, compared = row[4:7]
     assert seed_ratio == pytest.approx(GAIN, rel=1e-3)
-    assert better == seeds
-
-    # the same two trees recorded one after the other: the after tree's runs
-    # come seeds + 1 runs later, and the ratio carries that drift
-    calls.clear()
-    for tree in trees:
-        monkeypatch.setattr(tool, "ROOT", tree)
-        assert tool.main(["phantom-s8"]) == 0
-    block = [json.loads((t / "BENCH_phantom-s8.json").read_text()) for t in trees]
-    assert all("order" not in run for doc in block for run in doc["runs"])
-    medians, seed_ratio, better = ratio(block)
-    drifted = GAIN * statistics.median(
-        (1.0 + DRIFT * (seeds + 1 + i)) / (1.0 + DRIFT * i) for i in range(seeds))
-    assert seed_ratio == pytest.approx(drifted, rel=1e-12)
-    assert seed_ratio > 1.0 and better == 0
-    assert medians == pytest.approx(seed_ratio, rel=1e-2)
+    assert better == compared == seeds
 
 
 def test_a_record_keeps_the_harness_cpu_count(tool, tmp_path, monkeypatch):
+    trees = _pair(tmp_path)
     monkeypatch.setattr(subprocess, "run", _drifting_harness([]))
-    assert tool.main(["phantom-s8"]) == 0
-    assert json.loads((tmp_path / "BENCH_phantom-s8.json").read_text())["stamp"]["nproc"] == 2
+    assert tool.main([*trees, "phantom-s8"]) == 0
+    for tree in trees:
+        doc = json.loads((Path(tree) / "BENCH_phantom-s8.json").read_text())
+        assert doc["stamp"]["nproc"] == 2
+        # and every run's place in its pair
+        assert all(run["order"] in ("first", "second")
+                   for run in [*doc["runs"], doc["traced"]])
 
 
 def _synthetic_record(bench, medians, cpus=2):
@@ -183,38 +193,55 @@ def _synthetic_record(bench, medians, cpus=2):
     return {"stamp": {"nproc": cpus}, "seeds": seeds, "end_to_end": end_to_end}
 
 
-def test_the_comparison_reads_direction_and_quartiles(tmp_path, capsys):
+def _write_records(directory, records):
+    directory.mkdir()
+    for workload, record in records.items():
+        (directory / f"BENCH_{workload}.json").write_text(json.dumps(record))
+
+
+def test_the_comparison_prints_the_claim_columns(tmp_path, capsys):
     module = _load(COMPARE)
     workloads = [w["name"] for w in BENCH["workloads"]]
     before, after = tmp_path / "before", tmp_path / "after"
     for directory, medians in ((before, {"trials_per_s": 10.0, "solve_s_p50": 4.0}),
                                (after, {"trials_per_s": 12.0, "solve_s_p50": 4.5})):
-        directory.mkdir()
-        for workload in workloads:
-            (directory / f"BENCH_{workload}.json").write_text(
-                json.dumps(_synthetic_record(BENCH, medians)))
+        _write_records(directory, {w: _synthetic_record(BENCH, medians) for w in workloads})
     assert module.main([str(before), str(after)]) == 0
     out = capsys.readouterr()
     assert "warning" not in out.err
     lines = out.out.splitlines()
+    assert lines[0].split() == ["workload", "metric", "before", "after", "ratio",
+                                "seed-ratio", "seeds-better", "verdict"]
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
     assert len(rows) == len(workloads) * len(BENCH["end_to_end"])
     for workload in workloads:
-        # higher is better and 12 is above the quartiles [9, 11]; seed by
-        # seed, 11/9, 12/10 and 13/11, all better
+        # higher is better; seed by seed, 11/9, 12/10 and 13/11, all better;
         # a 2 gain equals the before quartiles' spread, so it is no verdict
-        assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "better", "yes",
-                                                  "1.2000", "3/3", "-"]
-        # lower is better and 4.5 is inside [3, 5]; 3.5/3, 4.5/4 and 5.5/5
-        # 12.5% worse, within the 0.25 bound
-        assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "worse", "no",
-                                                 "1.1250", "0/3", "-"]
+        assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "1.2000", "3/3", "-"]
+        # lower is better; 3.5/3, 4.5/4 and 5.5/5: 12.5% worse, within the
+        # 0.25 bound
+        assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "1.1250", "0/3", "-"]
         # the seed whose before value is 0 has no ratio
-        assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "same", "no",
-                                                 "1.0000", "0/3", "-"]
+        assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "1.0000", "0/3", "-"]
     (after / f"BENCH_{workloads[0]}.json").unlink()
     assert module.main([str(before), str(after)]) == 2
     assert module.main([str(before)]) == 2
+
+
+@pytest.mark.parametrize("seeds", [[1, 2, 4], [3, 2, 1], [1, 2]])
+def test_the_comparison_refuses_records_of_different_seeds(tmp_path, capsys, seeds):
+    # the halves of one pair hold the same seeds in the same order, and the
+    # per-seed columns pair their values by position
+    module = _load(COMPARE)
+    workloads = [w["name"] for w in BENCH["workloads"]]
+    _write_records(tmp_path / "before",
+                   {w: _synthetic_record(BENCH, {}) for w in workloads})
+    _write_records(tmp_path / "after", {w: {**_synthetic_record(BENCH, {}), "seeds": seeds}
+                                        for w in workloads})
+    assert module.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 2
+    out = capsys.readouterr()
+    assert "not one pair" in out.err
+    assert len(out.out.splitlines()) == 1
 
 
 def test_the_comparison_gives_a_verdict_per_metric():
@@ -252,11 +279,8 @@ def test_the_comparison_warns_when_the_records_ran_on_different_cpu_counts(tmp_p
     module = _load(COMPARE)
     workloads = [w["name"] for w in BENCH["workloads"]]
     for name, cpus in (("before", 2), ("after", 1)):
-        (tmp_path / name).mkdir()
-        for workload in workloads:
-            (tmp_path / name / f"BENCH_{workload}.json").write_text(
-                json.dumps(_synthetic_record(BENCH, {}, cpus=cpus if workload ==
-                                             workloads[0] else 2)))
+        _write_records(tmp_path / name, {w: _synthetic_record(
+            BENCH, {}, cpus=cpus if w == workloads[0] else 2) for w in workloads})
     assert module.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
     assert warnings == [f"warning: {workloads[0]}: the records ran on 2 and 1 usable CPUs;"

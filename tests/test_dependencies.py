@@ -1,11 +1,13 @@
-"""The package imports nothing beyond the standard library and numpy, and
-its root binds nothing but its submodules."""
+"""The package imports nothing beyond the standard library and numpy, its
+root binds nothing but its submodules, and the tools import only the
+standard library."""
 
 import ast
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qbp"
+TOOLS = PACKAGE.parent.parent / "tools"
 
 
 def _imported_modules(path):
@@ -24,6 +26,15 @@ def test_package_imports_only_stdlib_and_numpy():
     found = {(path.name, name) for path in sources for name in _imported_modules(path)}
     assert {name for _, name in found} >= {"numpy", "qbp"}
     assert sorted(pair for pair in found if pair[1] not in allowed) == []
+
+
+def test_tools_import_only_the_standard_library():
+    # so a fresh clone records and reads a pair with nothing installed
+    sources = sorted(TOOLS.glob("*.py"))
+    assert sources
+    found = {(path.name, name) for path in sources for name in _imported_modules(path)}
+    assert {name for _, name in found} >= {"json", "subprocess"}
+    assert sorted(pair for pair in found if pair[1] not in sys.stdlib_module_names) == []
 
 
 def _bound_names(tree):

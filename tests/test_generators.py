@@ -26,6 +26,7 @@ from support import (
     reference_general_quadratic,
     reference_phantom_instance,
     reference_pure_phase,
+    reference_truncate_fourier,
 )
 
 # Each generator against its per-measurement reference.  The first three
@@ -202,6 +203,28 @@ def test_truncate_fourier_keeps_dominant_terms():
     assert np.count_nonzero(one) == 1
     full = truncate_fourier(img, 64).reshape(8, 8)
     assert np.allclose(np.fft.ifft2(full).real, img, atol=1e-10)
+
+
+def _truncation_images(side):
+    """The phantom, Gaussian, rounded-Gaussian, constant, zero, checkerboard
+    and mod-3 images of one side: ties of energy, zero groups and the
+    self-conjugate coefficients of even sides all occur."""
+    gaussian = np.random.default_rng(side).standard_normal((side, side))
+    rows, cols = np.indices((side, side))
+    return [phantom_image(side), gaussian, np.round(gaussian), np.ones((side, side)),
+            np.zeros((side, side)), ((rows + cols) % 2).astype(float),
+            ((rows * side + cols) % 3).astype(float)]
+
+
+def test_truncate_fourier_matches_the_visited_set_walk():
+    cases = 0
+    for side in range(2, 17):
+        for image in _truncation_images(side):
+            for k in range(1, side * side + 1):
+                got, want = truncate_fourier(image, k), reference_truncate_fourier(image, k)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (side, k)
+                cases += 1
+    assert cases == 10465
 
 
 def test_truncate_fourier_validation():

@@ -165,16 +165,29 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
             return map(fn, *(it[:2] for it in iterables))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(qbp.montecarlo, "_usable_cpus", lambda: 4)
     records = run_monte_carlo(_tiny_spec(trials=2), jobs=64)
     assert len(records) == 2
-    # nor more workers than CPUs; with the CPU count unknown only one worker
-    # would start, so the trials run in this process and no pool starts
+    # nor more workers than usable CPUs; with one (the count when it is
+    # unknown) only one worker would start, so the trials run in this
+    # process and no pool starts
     run_monte_carlo(_tiny_spec(trials=1000), jobs=1000)
-    monkeypatch.setattr(qbp.montecarlo.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(qbp.montecarlo, "_usable_cpus", lambda: 1)
     records = run_monte_carlo(_tiny_spec(trials=2), jobs=1000)
     assert len(records) == 2
     assert FakePool.sizes == [2, 4]
+
+
+def test_a_process_pinned_to_one_cpu_starts_no_pool(monkeypatch):
+    # two CPUs on the host, one of them usable by this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started on one usable CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    records = run_monte_carlo(_tiny_spec(trials=2), jobs=2)
+    assert [r.trial for r in records] == [0, 1]
 
 
 def test_importing_qbp_loads_no_process_pool():

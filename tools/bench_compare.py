@@ -1,26 +1,22 @@
-"""Compare two sets of performance records, metric by metric.
+"""Compare the two halves of a paired record, metric by metric.
 
     python3 tools/bench_compare.py BEFORE_DIR AFTER_DIR
 
 Each directory holds the ``BENCH_<workload>.json`` files that
-``tools/bench_record.py`` writes.  For every workload and every end-to-end
-metric of ``BENCHMARK.json`` one line gives the before and after medians,
-their ratio, whether the after median moved in the metric's ``better``
-direction (``better``, ``worse`` or ``same``) and whether it falls outside
-the before quartiles; then, seed by seed over the seeds both records hold,
-the median of the after / before ratios (over the seeds with a nonzero
-before value) and the count of seeds whose value moved in the ``better``
-direction.  The per-seed columns are what a pair recorded with
-``bench_record.py --pair`` is read by.  The last column is the verdict:
+``tools/bench_record.py`` wrote for one tree of a pair.  For every workload
+and every end-to-end metric of ``BENCHMARK.json`` one line gives the before
+and after medians, their ratio, the median of the per-seed after / before
+ratios (over the seeds with a nonzero before value), the seeds that moved in
+the metric's ``better`` direction out of those compared, and the verdict:
 ``gain`` when at least nine seeds in ten moved the better way and the
 medians differ by more than the before quartiles' spread, ``regression``
 when the after median is worse than the before by more than the metric's
-``BENCHMARK.json`` bound (a fraction of the before median), else ``-``.  Two records whose harness could use
-different numbers of CPUs (the stamps' ``nproc``) get a warning on stderr:
-on one CPU the solver runs the steps it overlaps on large lifts one after
-the other, so a record made there shows no gain from the overlap.  A
-workload whose record is missing from either directory stops the script
-with exit status 2.
+``BENCHMARK.json`` bound (a fraction of the before median), else ``-``.
+Records whose seeds differ are not the halves of one pair, and a workload
+missing from either directory has no pair: both stop the script with exit
+status 2.  Records whose harness could use different numbers of CPUs (the
+stamps' ``nproc``) get a warning on stderr: on one CPU the solver runs the
+steps it overlaps on large lifts one after the other.
 """
 
 from __future__ import annotations
@@ -34,8 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
-    """Rows ``(metric, before median, after median, ratio, moved, outside,
-    per-seed median ratio, seeds better, seeds compared, verdict)``."""
+    """Rows ``(metric, before median, after median, ratio, per-seed median
+    ratio, seeds better, seeds compared, verdict)`` of two records of the
+    same seeds."""
     rows = []
     for metric in bench["end_to_end"]:
         name = metric["name"]
@@ -43,10 +40,7 @@ def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
         old, new = before["end_to_end"][name], after["end_to_end"][name]
         ratio = new["median"] / old["median"] if old["median"] else float("nan")
         gain = sign * (new["median"] - old["median"])
-        moved = "better" if gain > 0 else "worse" if gain < 0 else "same"
-        outside = not old["q1"] <= new["median"] <= old["q3"]
-        olds = dict(zip(before["seeds"], old["values"]))
-        pairs = [(olds[s], v) for s, v in zip(after["seeds"], new["values"]) if s in olds]
+        pairs = list(zip(old["values"], new["values"]))
         ratios = [b / a for a, b in pairs if a]
         seed_ratio = statistics.median(ratios) if ratios else float("nan")
         better = sum(sign * (b - a) > 0 for a, b in pairs)
@@ -56,8 +50,8 @@ def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
             verdict = "regression"
         else:
             verdict = "-"
-        rows.append((name, old["median"], new["median"], ratio, moved, outside,
-                     seed_ratio, better, len(pairs), verdict))
+        rows.append((name, old["median"], new["median"], ratio, seed_ratio, better,
+                     len(pairs), verdict))
     return rows
 
 
@@ -68,7 +62,7 @@ def main(argv: list[str]) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     dirs = [Path(arg) for arg in argv]
     print(f"{'workload':<12} {'metric':<14} {'before':>11} {'after':>11} {'ratio':>7}"
-          "  moved   outside-quartiles  seed-ratio  seeds-better  verdict")
+          "  seed-ratio  seeds-better  verdict")
     for workload in (w["name"] for w in bench["workloads"]):
         paths = [d / f"BENCH_{workload}.json" for d in dirs]
         missing = [str(p) for p in paths if not p.is_file()]
@@ -76,16 +70,19 @@ def main(argv: list[str]) -> int:
             print(f"no record {missing}", file=sys.stderr)
             return 2
         before, after = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
+        if before["seeds"] != after["seeds"]:
+            print(f"{workload}: the records' seeds differ; they are not one pair",
+                  file=sys.stderr)
+            return 2
         cpus = [record["stamp"].get("nproc") for record in (before, after)]
         if cpus[0] != cpus[1]:
             print(f"warning: {workload}: the records ran on {cpus[0]} and {cpus[1]}"
                   " usable CPUs; the overlapped steps of large lifts need two",
                   file=sys.stderr)
-        for (name, old, new, ratio, moved, outside, seed_ratio, better,
-             seeds, verdict) in compare(bench, before, after):
+        for name, old, new, ratio, seed_ratio, better, seeds, verdict in compare(
+                bench, before, after):
             print(f"{workload:<12} {name:<14} {old:>11.5g} {new:>11.5g} {ratio:>7.4f}"
-                  f"  {moved:<7} {'yes' if outside else 'no':<17}  {seed_ratio:>10.4f}"
-                  f"  {f'{better}/{seeds}':<12}  {verdict}")
+                  f"  {seed_ratio:>10.4f}  {f'{better}/{seeds}':<12}  {verdict}")
     return 0
 
 

@@ -1,31 +1,28 @@
-"""Record the benchmark's metrics over relabel seeds as root ``BENCH_<workload>.json`` files.
+"""Record the benchmark's metrics for two trees as their root ``BENCH_<workload>.json`` files.
 
-    python3 tools/bench_record.py [WORKLOAD ...]
-    python3 tools/bench_record.py --pair BEFORE_TREE AFTER_TREE [WORKLOAD ...]
+    python3 tools/bench_record.py BEFORE_TREE AFTER_TREE [WORKLOAD ...]
 
-Run from anywhere; the workloads default to every one in ``BENCHMARK.json``.
-For each workload the harness that ``BENCHMARK.json`` names runs once per
+Run from anywhere; the workloads default to every one in this repository's
+``BENCHMARK.json``.  For each workload the harness it names runs once per
 seed, untraced, for its ``run_seconds``, and once traced at TRACE_SEED, each
-as a separate process, one after the other, in this repository, and the
-record goes to its root.  With ``--pair`` every run is made in both trees,
-back to back, with this repository's ``BENCHMARK.json``: the tree that goes
-first alternates from one seed to the next (BEFORE_TREE at the first), so a
-drift of the machine's speed falls on both trees of a seed alike, where a
-tree recorded after the other would carry it into every seed.  Each tree's
-record goes to its own root, and each run's entry says whether it went
-``first`` or ``second``.  The file keeps the harness's environment stamp,
-every end-to-end metric per seed with its median and quartiles, and the
-traced run's per-layer metrics and exact counts.  The stamp's ``nproc`` is
-the number of CPUs the harness could run on: the solver overlaps two steps
-of large lifts only on two or more.  The harness's own files are left as it
-writes them; this script edits none.
+as a separate process, in both trees back to back.  The tree that goes
+first alternates from seed to seed (BEFORE_TREE at the first), so a drift of
+the machine's speed falls on both trees of a seed alike.  Each tree's record
+goes to its root: the harness's environment stamp, every end-to-end metric
+per seed with its median and quartiles, each run's ``order`` (``first`` or
+``second``), and the traced run's per-layer metrics and exact counts.  The
+stamp's ``nproc`` is the number of CPUs the harness could run on: the solver
+overlaps two steps of large lifts only on two or more.  The harness's own
+files are left as it writes them.
 
+Two paths that resolve to one tree are refused, since its after record would
+overwrite its before record: an A/A pair is two fresh clones of one commit.
 The harness runs with PYTHONDONTWRITEBYTECODE=1 and imports qbp afresh for
-every set-up, so a stale ``src/qbp/__pycache__`` would lower ``setup_s``:
-the script refuses a tree that holds one (record in a fresh clone).  A run
-that is not correct, a traced run that lists a gate, or a run whose stamp
-reports other sources than the first run of its tree stops it with a
-nonzero exit before any file is written.
+every set-up, so a stale ``src/qbp/__pycache__`` would lower ``setup_s``: a
+tree that holds one is refused (record in a fresh clone).  A run that is not
+correct, a traced run that lists a gate, or a run whose stamp reports other
+sources than the first run of its tree stops the script with a nonzero exit
+before any file is written.
 """
 
 from __future__ import annotations
@@ -68,30 +65,26 @@ def spread(values: list[float]) -> dict:
 
 
 def record(bench: dict, workload: str, trees: list[Path]) -> list[dict]:
-    """One record per tree; the trees run each seed back to back, the first
-    of them rotating from seed to seed, the traced run last."""
+    """The records of the two trees, which run each seed back to back, the
+    first of them alternating from seed to seed, the traced run last."""
     seeds = list(SEEDS.get(workload, DEFAULT_SEEDS))
-    runs = [[] for _ in trees]
+    runs = ([], [])
     for i, (seed, trace) in enumerate([*((seed, 0) for seed in seeds), (TRACE_SEED, 1)]):
-        first = i % len(trees)
-        for place, t in enumerate([*range(first, len(trees)), *range(first)]):
+        for order, t in zip(("first", "second"), (i % 2, 1 - i % 2)):
             detail, result = run(bench, trees[t], workload, seed, trace)
-            runs[t].append((detail, result, ("first", "second")[place]))
+            runs[t].append((detail, result, order))
             print(f"{workload} seed {seed} trace {trace} in {trees[t]}: correct",
                   file=sys.stderr)
-    return [_document(bench, workload, seeds, tree_runs, len(trees) > 1)
-            for tree_runs in runs]
+    return [_document(bench, workload, seeds, tree_runs) for tree_runs in runs]
 
 
-def _document(bench: dict, workload: str, seeds: list[int], runs: list[tuple],
-              paired: bool) -> dict:
-    """The record of one tree's runs, the traced one last; ``paired`` adds
-    each run's place in its pair."""
+def _document(bench: dict, workload: str, seeds: list[int], runs: list[tuple]) -> dict:
+    """The record of one tree's runs, the traced one last."""
     # the traced run reads the same sources as the untraced ones
     if len({d["stamp"]["source_sha256"] for d, _, _ in runs}) != 1:
         raise SystemExit(f"{workload}: the sources changed during the runs;"
                          " no record written")
-    *runs, (detail, result, place) = runs
+    *runs, (detail, result, order) = runs
     stamp = dict(runs[0][0]["stamp"])
     stamp.pop("seed")
     end_to_end = {}
@@ -106,13 +99,12 @@ def _document(bench: dict, workload: str, seeds: list[int], runs: list[tuple],
         "stamp": stamp,
         "seeds": seeds,
         "runs": [{"seed": seed, "correct": r["correct"], "attempted": r["attempted"],
-                  "failed": r["failed"], "counts": d["counts"],
-                  **({"order": p} if paired else {})}
-                 for seed, (d, r, p) in zip(seeds, runs)],
+                  "failed": r["failed"], "counts": d["counts"], "order": o}
+                 for seed, (d, r, o) in zip(seeds, runs)],
         "end_to_end": end_to_end,
         "traced": {
             "seed": TRACE_SEED,
-            **({"order": place} if paired else {}),
+            "order": order,
             "correct": result["correct"],
             "attempted": result["attempted"],
             "failed": result["failed"],
@@ -125,9 +117,9 @@ def _document(bench: dict, workload: str, seeds: list[int], runs: list[tuple],
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("before", type=Path, metavar="BEFORE_TREE")
+    parser.add_argument("after", type=Path, metavar="AFTER_TREE")
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
-    parser.add_argument("--pair", nargs=2, type=Path, metavar=("BEFORE_TREE", "AFTER_TREE"),
-                        help="record both trees seed by seed, each into its own root")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     known = [w["name"] for w in bench["workloads"]]
@@ -136,7 +128,11 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown workloads {unknown}; BENCHMARK.json has {known}", file=sys.stderr)
         return 2
-    trees = args.pair or [ROOT]
+    trees = [args.before, args.after]
+    if trees[0].resolve() == trees[1].resolve():
+        print(f"{trees[0]} and {trees[1]} are one tree; record two clones",
+              file=sys.stderr)
+        return 2
     for tree in trees:
         if (tree / "src" / "qbp" / "__pycache__").exists():
             print(f"{tree}/src/qbp/__pycache__ exists and would lower setup_s;"
