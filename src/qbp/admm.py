@@ -39,8 +39,8 @@ The penalty rho balances the residuals that the stopping test reads, as in
 OSQP (Stellato et al. 2020, Math. Prog. Comp.): the loop stops once the
 primal residual r <= eps_pri and the dual residual s <= eps_dual, and rho is
 doubled or halved whenever r / eps_pri and s / eps_dual differ by more than
-RHO_BALANCE (:func:`update_rho`, fed r * eps_dual and s * eps_pri).  With
-eps_abs = eps_rel = 0 both products are 0, so rho stays at RHO0.
+RHO_BALANCE (:func:`update_rho`, fed r * eps_dual and s * eps_pri), at most
+RHO_MAX_CHANGES times.  With eps_abs = eps_rel = 0 rho stays at RHO0.
 
 One over-relaxed ADMM step at fixed rho is a map T of the state (Z, Y1, Y2),
 and the loop Anderson-accelerates it: type II, as in Walker & Ni 2011
@@ -156,18 +156,19 @@ ANDERSON_REG = 1e-10
 
 # Residual balancing on the residuals scaled by their tolerances (see the
 # module docstring and :func:`update_rho`): rho starts at RHO0 and moves by a
-# factor RHO_FACTOR within [RHO_MIN, RHO_MAX] whenever r / eps_pri and
-# s / eps_dual differ by more than RHO_BALANCE.  Every change of rho empties
-# the Anderson memory.  Against a band of 20, over ten relabellings of each
-# benchmark workload, a band of 10 took 9-12% more iterations on the table
-# and 30% more on the phantom (28% fewer on the holes preset), and a band of
-# 40 took 0.6% more on the table, 8% more on the phantom and the same on the
-# holes preset.
+# factor RHO_FACTOR, at most RHO_MAX_CHANGES times per run, whenever
+# r / eps_pri and s / eps_dual differ by more than RHO_BALANCE.  Every change
+# empties the Anderson memory.  Against a band of 20, over ten relabellings of
+# each benchmark workload, bands of 10 / 40 took 9-12% / 0.6% more iterations
+# on the table, 30% / 8% more on the phantom and 28% fewer / the same on the
+# holes preset.  A rho that ends fixed keeps ADMM's convergence proof (Boyd et
+# al. 2011, 3.4.1); the budget ends runs where rho flip-flops while the
+# residuals grow.  Of 10, 20 and 30 it is the smallest that worsened no row of
+# a sweep over data scales (10 lost a recovery at 1e4, 30 kept the flip-flops).
 RHO0 = 1.0
 RHO_BALANCE = 20.0
 RHO_FACTOR = 2.0
-RHO_MIN = 1e-8
-RHO_MAX = 1e8
+RHO_MAX_CHANGES = 20
 
 # The X1 step applies V^T through the measurement vectors (see
 # :class:`_PenalizedStep`) once the dense V^T would hold more entries than
@@ -198,6 +199,9 @@ MAGNITUDE_RTOL = 1e-12
 #     m                17       21       26       33       41        50         65
 #     general     160/186  184/203  216/217  393/312  676/501  1062/718  1951/1312
 #     pure_phase  118/171  170/196  197/217  315/306  534/464   591/484  1517/1184
+# End to end at m = 33, pure_phase / general_quadratic(32, 64, 3, "binary"),
+# seeds 0-9 at 1e-5: median s 0.336/0.303, 0.413/0.321 with the second CPU
+# free, 0.438/0.720, 0.451/0.736 busy (as at m = 41 and 65); it stays 33.
 OVERLAP_MIN_LIFT = 33
 
 # The number of processes that share this process's usable CPUs: 1, or the
@@ -523,25 +527,21 @@ def update_z(X1, X2, Y1, Y2, rho: float, lam: float, out=None) -> np.ndarray:
     return V
 
 
-def update_rho(rho: float, r_norm: float, s_norm: float) -> float:
-    """Rebalance the penalty; skipped when it would leave [RHO_MIN, RHO_MAX].
+def update_rho(rho: float, r_norm: float, s_norm: float, changes: int) -> float:
+    """Rebalance the penalty unless the run has changed it RHO_MAX_CHANGES times.
 
-    rho is multiplied by RHO_FACTOR when ``r_norm`` exceeds RHO_BALANCE times
-    ``s_norm`` and divided by it in the opposite case.  The loop passes the
-    residuals cross-multiplied by the stopping tolerances, r * eps_dual and
-    s * eps_pri, so it compares r / eps_pri with s / eps_dual without a
-    division.  With eps_abs = eps_rel = 0 both arguments are 0 and rho stays
-    where it is, at RHO0.
+    ``changes`` is the run's count so far.  Below the budget rho is multiplied
+    by RHO_FACTOR when ``r_norm`` exceeds RHO_BALANCE times ``s_norm`` and
+    divided by it in the opposite case.  The loops pass r * eps_dual and
+    s * eps_pri, so the rule compares r / eps_pri with s / eps_dual without a
+    division; with eps_abs = eps_rel = 0 both are 0 and rho stays at RHO0.
     """
-    if r_norm > RHO_BALANCE * s_norm:
-        new = rho * RHO_FACTOR
-    elif s_norm > RHO_BALANCE * r_norm:
-        new = rho / RHO_FACTOR
-    else:
-        return rho
-    if new < RHO_MIN or new > RHO_MAX:
-        return rho
-    return new
+    if changes < RHO_MAX_CHANGES:
+        if r_norm > RHO_BALANCE * s_norm:
+            return rho * RHO_FACTOR
+        if s_norm > RHO_BALANCE * r_norm:
+            return rho / RHO_FACTOR
+    return rho
 
 
 def data_residual(system: QuadraticSystem, X) -> float:
@@ -650,7 +650,7 @@ def _admm(m: int, lam: float, config: SolverConfig, x1, pool, setup_s: float,
             iterations = it
             break
 
-        new_rho = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri)
+        new_rho = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri, rho_changes)
         rho_changes += new_rho != rho
 
         u_flat, g_flat, f = u.reshape(-1), g.reshape(-1), W[fk]

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 # Basis pursuit: the iteration cap and the absolute and relative stopping
-# tolerances; rho starts at RHO0 and moves by update_rho, as in the lifted loop.
+# tolerances; rho moves from RHO0 by update_rho and its budget, as in _admm.
 # The linearized constraints count as inconsistent once their least-squares
 # gap exceeds INFEASIBLE_RTOL * max(||y||, 1), the lifted X1 step's test.
 BP_MAX_ITERS = 10000
@@ -78,7 +78,7 @@ def basis_pursuit(A, y):
     x = np.zeros(nvar, dtype=complex)
     z = np.zeros(nvar, dtype=complex)
     u = np.zeros(nvar, dtype=complex)
-    rho = RHO0
+    rho, changes = RHO0, 0
     for iterations in range(1, BP_MAX_ITERS + 1):
         x = z - u
         x = x - pinv @ (A @ x - y)
@@ -93,7 +93,8 @@ def basis_pursuit(A, y):
         eps_dual = np.sqrt(nvar) * BP_EPS_ABS + BP_EPS_REL * rho * np.linalg.norm(u)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             break
-        new = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri)
+        new = update_rho(rho, r_norm * eps_dual, s_norm * eps_pri, changes)
+        changes += new != rho
         u *= rho / new
         rho = new
     return x, iterations

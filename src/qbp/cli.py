@@ -214,7 +214,7 @@ def _cmd_montecarlo(args) -> int:
         seed=args.seed,
         tol=args.tol,
         iht_max_iters=args.iht_max_iters,
-        solver=dataclasses.asdict(_config_from(args)),
+        solver=_config_from(args),
     )
     records = run_monte_carlo(spec, jobs=args.jobs)
     with _writing(args.out) as (stream,):

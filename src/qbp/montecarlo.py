@@ -76,9 +76,8 @@ class ExperimentSpec:
     spec and its generator refuse the same input with the same message; the
     spec itself checks the ensemble, the methods, the counts ``trials`` and
     ``iht_max_iters`` and the nonnegative ``lam``, ``epsilon`` and ``tol``.
-    ``solver`` holds the keyword arguments of :class:`SolverConfig`;
-    ``config`` is the config built from them when the spec is made, so a bad
-    key or value fails here and not inside a trial.
+    ``solver`` is the :class:`SolverConfig` of the lifted trials; a mapping
+    of its keyword arguments is converted when the spec is made.
     """
 
     n: int
@@ -93,8 +92,7 @@ class ExperimentSpec:
     seed: int = 0
     tol: float = SUCCESS_TOL
     iht_max_iters: int = 1000
-    solver: dict = field(default_factory=dict)
-    config: SolverConfig = field(init=False, repr=False, compare=False)
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.ensemble not in ENSEMBLES:
@@ -110,7 +108,8 @@ class ExperimentSpec:
             _require_integer(name, getattr(self, name), 1)
         for name in ("lam", "epsilon", "tol"):
             _require_nonnegative(name, getattr(self, name))
-        object.__setattr__(self, "config", SolverConfig(**self.solver))
+        if not isinstance(self.solver, SolverConfig):
+            object.__setattr__(self, "solver", SolverConfig(**self.solver))
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,9 @@ def _run_method(spec: ExperimentSpec, method: str, system, x_true,
                 system, spec.k, spec.iht_max_iters)
         else:
             if method == "qbpd":
-                result = solve_denoising(system, spec.lam, spec.epsilon, spec.config)
+                result = solve_denoising(system, spec.lam, spec.epsilon, spec.solver)
             else:
-                result = solve(system, spec.lam if method == "qbp" else 0.0, spec.config)
+                result = solve(system, spec.lam if method == "qbp" else 0.0, spec.solver)
             report = build_report(system, result)
             x_hat, rank_ratio = report.x_hat, report.rank_ratio
             iterations, Z = result.iterations, result.Z

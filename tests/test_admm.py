@@ -803,16 +803,41 @@ def test_repeated_solves_are_bit_identical():
 
 
 def test_update_rho_balances_residuals():
-    assert update_rho(1.0, 1.0, 0.02) == 2.0
-    assert update_rho(1.0, 0.02, 1.0) == 0.5
-    assert update_rho(1.0, 1.0, 0.1) == 1.0
+    assert update_rho(1.0, 1.0, 0.02, 0) == 2.0
+    assert update_rho(1.0, 0.02, 1.0, 0) == 0.5
+    assert update_rho(1.0, 1.0, 0.1, 0) == 1.0
     # zero tolerances scale both residuals to zero
-    assert update_rho(1.0, 0.0, 0.0) == 1.0
+    assert update_rho(1.0, 0.0, 0.0, 0) == 1.0
 
 
-def test_update_rho_respects_bounds():
-    assert update_rho(6e7, 1.0, 1e-9) == 6e7
-    assert update_rho(1.5e-8, 1e-9, 1.0) == 1.5e-8
+def test_update_rho_stops_after_its_change_budget():
+    # the rule balances while the run has changed rho fewer than
+    # RHO_MAX_CHANGES times and leaves it alone from then on, so rho stays
+    # within RHO0 * RHO_FACTOR ** +-RHO_MAX_CHANGES without a clamp
+    budget = qbp.admm.RHO_MAX_CHANGES
+    for changes in range(budget):
+        assert update_rho(3.0, 1.0, 0.02, changes) == 6.0
+        assert update_rho(3.0, 0.02, 1.0, changes) == 1.5
+    for changes in (budget, budget + 1, 10 * budget):
+        assert update_rho(3.0, 1.0, 0.02, changes) == 3.0
+        assert update_rho(3.0, 0.02, 1.0, changes) == 3.0
+    # no bound on rho itself: the budget alone limits how far it moves
+    assert update_rho(6e7, 1.0, 1e-9, 0) == 1.2e8
+    assert update_rho(1.5e-8, 1e-9, 1.0, 0) == 7.5e-9
+
+
+def test_small_scale_pure_phase_solve_converges_within_the_rho_budget(caplog):
+    # at 1/100 of the generator's scale rho flip-flopped between two values,
+    # 28 changes in all, and this solve took 4511 iterations to reach an
+    # error of 0.11; with the budget it converges in about 130
+    system, _ = pure_phase(20, 60, 2, "gaussian", 5)
+    system = system.with_values(1e-2 * system.y)
+    caplog.set_level(logging.DEBUG, logger="qbp.admm")
+    result = solve(system, 1.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
+    assert result.converged
+    assert result.iterations < 500
+    found = re.search(r"after (\d+) rho changes$", caplog.records[-1].getMessage())
+    assert int(found.group(1)) <= qbp.admm.RHO_MAX_CHANGES
 
 
 def test_solver_config_validation():
@@ -1033,9 +1058,11 @@ def test_a_rejected_point_is_not_stepped_from_again(monkeypatch, caplog):
 
 def test_debug_log_reports_final_residuals_against_tolerances(monkeypatch, caplog):
     changed = []
+    passed = []
 
-    def counted_update_rho(rho, r_norm, s_norm):
-        new = update_rho(rho, r_norm, s_norm)
+    def counted_update_rho(rho, r_norm, s_norm, changes):
+        new = update_rho(rho, r_norm, s_norm, changes)
+        passed.append(changes)
         changed.append(new != rho)
         return new
 
@@ -1057,6 +1084,8 @@ def test_debug_log_reports_final_residuals_against_tolerances(monkeypatch, caplo
     assert s == pytest.approx(result.dual_residual, rel=1e-3)
     assert rho == pytest.approx(result.rho_final, rel=1e-3)
     assert changes == sum(changed) and changes > 0
+    # each call sees the count of the changes before it
+    assert passed == [sum(changed[:i]) for i in range(len(changed))]
 
 
 def test_rejected_extrapolations_fall_back_to_plain_steps(monkeypatch, caplog):

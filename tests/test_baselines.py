@@ -113,14 +113,26 @@ def test_basis_pursuit_stops_before_the_cap_on_a_hard_draw():
     assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) <= 1e-3
 
 
+@pytest.mark.parametrize("seed, N", [(160, 6), (191, 10)])
+def test_basis_pursuit_stops_once_rho_stops_flip_flopping(seed, N):
+    # these draws ran to BP_MAX_ITERS with rho toggling between two values,
+    # 436 and 2201 changes; draw 191 ended 4.8e-2 from the truth while its
+    # primal residual grew.  The rule's change budget fixes rho in time
+    A, x_true, y = _two_sparse_draw(seed, N)
+    x, iterations = basis_pursuit(A, y)
+    assert iterations < qbp.baselines.BP_MAX_ITERS
+    if seed == 191:
+        assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) <= 1e-3
+
+
 def test_basis_pursuit_moves_rho_by_update_rho(monkeypatch):
     # bp holds no balancing rule of its own: rho starts at RHO0, takes what
     # update_rho returns, and update_rho sees the residuals cross-multiplied
     # by the stopping tolerances, as in the lifted loop
     calls = []
 
-    def halve_once(rho, r_scaled, s_scaled):
-        calls.append((rho, r_scaled, s_scaled))
+    def halve_once(rho, r_scaled, s_scaled, changes):
+        calls.append((rho, r_scaled, s_scaled, changes))
         return rho / 2 if len(calls) == 1 else rho
 
     monkeypatch.setattr(qbp.baselines, "update_rho", halve_once)
@@ -128,6 +140,8 @@ def test_basis_pursuit_moves_rho_by_update_rho(monkeypatch):
     _, iterations = basis_pursuit(A, y)
     assert len(calls) == iterations - 1
     assert [c[0] for c in calls] == [RHO0] + [RHO0 / 2] * (iterations - 2)
+    # and the run's count of changes, which the one halving moved to 1
+    assert [c[3] for c in calls] == [0] + [1] * (iterations - 2)
     # the first iteration from zero: x = pinv y, z = S(x, 1 / RHO0), u = x - z
     x = np.linalg.pinv(A) @ y
     z = qbp.baselines.soft_threshold(x, 1.0 / RHO0)
@@ -135,7 +149,7 @@ def test_basis_pursuit_moves_rho_by_update_rho(monkeypatch):
     floor = np.sqrt(20) * qbp.baselines.BP_EPS_ABS
     eps_pri = floor + qbp.baselines.BP_EPS_REL * max(np.linalg.norm(x), np.linalg.norm(z))
     eps_dual = floor + qbp.baselines.BP_EPS_REL * RHO0 * np.linalg.norm(u)
-    _, r_scaled, s_scaled = calls[0]
+    _, r_scaled, s_scaled, _ = calls[0]
     assert np.isclose(r_scaled, np.linalg.norm(x - z) * eps_dual, rtol=1e-12)
     assert np.isclose(s_scaled, RHO0 * np.linalg.norm(z) * eps_pri, rtol=1e-12)
 

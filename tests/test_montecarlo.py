@@ -103,7 +103,7 @@ def test_trials_are_scored_under_the_systems_phase_rule(ensemble):
     system, x = make_instance(spec, trial_seed(spec.seed, 0))
     rule = is_phase_invariant(system)
     assert rule == (ensemble == "purephase")
-    result = solve(system, spec.lam, SolverConfig(**spec.solver))
+    result = solve(system, spec.lam, spec.solver)
     candidates = [build_report(system, result).x_hat,
                   iterative_hard_thresholding(system, spec.k, spec.iht_max_iters)[0]]
     for record, x_hat in zip(records, candidates):
@@ -322,10 +322,37 @@ def test_spec_validation():
         _tiny_spec(solver={"bogus": 1})
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         _tiny_spec(seed=-1)
-    assert _tiny_spec().config == SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
+    assert _tiny_spec().solver == SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_monte_carlo(_tiny_spec(), jobs=jobs)
+
+
+def test_spec_holds_one_frozen_solver_config(monkeypatch):
+    # a mapping is converted when the spec is made: the spec compares and
+    # hashes as one made from the equal config, and a later edit of the
+    # mapping does not reach it
+    settings = {"eps_abs": 1e-5, "eps_rel": 1e-5, "max_iters": 20000}
+    config = SolverConfig(**settings)
+    from_dict, from_config = _tiny_spec(solver=settings), _tiny_spec(solver=config)
+    settings["max_iters"] = 7
+    assert from_dict.solver == config
+    assert from_dict == from_config and hash(from_dict) == hash(from_config)
+    assert hash(ExperimentSpec(n=4, N=8, k=1)) == hash(ExperimentSpec(n=4, N=8, k=1))
+    assert ExperimentSpec(n=4, N=8, k=1).solver == SolverConfig()
+    # every lifted trial runs with the spec's own config
+    seen = []
+
+    def spy(solver):
+        def run(*args):
+            seen.append(args[-1])
+            return solver(*args)
+        return run
+
+    monkeypatch.setattr(qbp.montecarlo, "solve", spy(solve))
+    monkeypatch.setattr(qbp.montecarlo, "solve_denoising", spy(qbp.admm.solve_denoising))
+    run_trial(_tiny_spec(solver=config, methods=("qbp", "qbp0", "qbpd"), epsilon=1e-3), 0)
+    assert len(seen) == 3 and all(c is config for c in seen)
 
 
 @pytest.mark.parametrize("bad", [2.0, 1.5, True])
