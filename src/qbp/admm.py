@@ -70,27 +70,16 @@ allocates only what :func:`project_psd` returns, the temporaries of
 Anderson memory.
 
 Given (Z, Y1, Y2) the two primal copies are independent (the consensus form
-of Boyd et al. 2011, section 7), so from lift size OVERLAP_MIN_LIFT on, with
-two or more usable CPUs for each process that shares them, the X1 step runs
-on a one-thread executor: the loop submits it once X2's argument is
-scattered, so the step runs while the calling thread projects X2 with
-:func:`project_psd` and gathers it back (``eigh`` and the X1 step's matrix
-products release the interpreter lock), and waits for it before the
-relaxation.  The worker processes of a Monte Carlo pool share the CPUs and
-so, on a machine with fewer than two CPUs per worker, run it serially.  The
-two steps read and write separate buffers and run the same operations in the
-same order as one after the other, so every iterate is bit-identical to the
-serial loop's.  The executor lives for one solve (:func:`_x1_steps`).
+of Boyd et al. 2011, section 7), but the loop runs the X1 step and then the
+PSD step on the calling thread: run on a second thread, the X1 step won or
+lost with the load on the machine's other CPUs, which the process cannot see.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,26 +176,6 @@ RHO_MAX_CHANGES = 20
 #     fourier image   6/28  14/46  34/72 109/135       -       - 485/291
 FACTORED_MIN_ENTRIES = 320_000
 MAGNITUDE_RTOL = 1e-12
-
-# From this lift size m = n + 1 on, and with at least two usable CPUs per
-# process sharing them, the X1 step runs on a one-thread executor while the
-# loop projects X2 (see the module docstring).  Microseconds per iteration,
-# serial / overlapped, of solves run to 200 iterations on systems with N = 2n
-# (best of 15 interleaved rounds, one BLAS thread, the 2-core machine above;
-# a second run read within 10%); the X1 step is dense except on pure_phase at
-# m = 65, where it is factored:
-#
-#     m                17       21       26       33       41        50         65
-#     general     160/186  184/203  216/217  393/312  676/501  1062/718  1951/1312
-#     pure_phase  118/171  170/196  197/217  315/306  534/464   591/484  1517/1184
-# End to end at m = 33, pure_phase / general_quadratic(32, 64, 3, "binary"),
-# seeds 0-9 at 1e-5: median s 0.336/0.303, 0.413/0.321 with the second CPU
-# free, 0.438/0.720, 0.451/0.736 busy (as at m = 41 and 65); it stays 33.
-OVERLAP_MIN_LIFT = 33
-
-# The number of processes that share this process's usable CPUs: 1, or the
-# size of the Monte Carlo pool whose worker this is (:func:`_share_cpus`).
-_sharing_processes = 1
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -550,7 +519,7 @@ def data_residual(system: QuadraticSystem, X) -> float:
     return float(np.vdot(diff, diff).real)
 
 
-def _admm(m: int, lam: float, config: SolverConfig, x1, pool, setup_s: float,
+def _admm(m: int, lam: float, config: SolverConfig, x1, setup_s: float,
           return_x1: bool):
     start = time.perf_counter()
     d = m * m
@@ -609,12 +578,9 @@ def _admm(m: int, lam: float, config: SolverConfig, x1, pool, setup_s: float,
         X[1] = Y[1]
         X /= rho
         np.subtract(Z_prev, X, out=X)
+        x1(X[0])
         _scatter(padded[1], maps, M_flat)
-        # an executor's thread runs the X1 step while this one is inside eigh
-        pending = x1(X[0]) if pool is None else pool.submit(x1, X[0])
         _gather(project_psd(M), maps, X[1])
-        if pool is not None:
-            pending.result()
         # the relaxed copies feed the Z and dual steps; the residuals use X1, X2
         base = diffs[0]
         np.multiply(Z_prev, 1.0 - ALPHA, out=base)
@@ -722,38 +688,6 @@ def _admm(m: int, lam: float, config: SolverConfig, x1, pool, setup_s: float,
     return Z, iterations, termination, r_norm, s_norm, rho
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _share_cpus(processes: int) -> None:
-    """Tell the loop that ``processes`` processes share this one's usable CPUs.
-
-    The initializer of a Monte Carlo pool's worker processes.
-    """
-    global _sharing_processes
-    _sharing_processes = processes
-
-
-def _x1_steps(m: int):
-    """The executor of the X1 step at lift size ``m``, as a context manager.
-
-    Its ``with`` block gets None, and the loop runs the step on the calling
-    thread, below OVERLAP_MIN_LIFT or with fewer than two usable CPUs per
-    process that shares them (:func:`_share_cpus`).  Otherwise it gets a
-    one-thread executor that lives for the block alone: the loop submits the
-    step after scattering X2's argument, the future's ``result()`` waits for
-    it and re-raises on the caller what it raised, and leaving the block joins
-    the thread, also when the caller raised.
-    """
-    if m < OVERLAP_MIN_LIFT or _usable_cpus() < 2 * _sharing_processes:
-        return nullcontext()
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="qbp-x1")
-
-
 def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
            make_step, return_x1: bool = False) -> SolverResult:
     """Build the X1 step from ``system``, run the loop and assemble the result."""
@@ -762,10 +696,8 @@ def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
     start = time.perf_counter()
     step = make_step(system)
     setup_s = time.perf_counter() - start
-    m = system.n + 1
-    with _x1_steps(m) as pool:
-        Z, iterations, termination, r_norm, s_norm, rho = _admm(
-            m, lam, config, step, pool, setup_s, return_x1)
+    Z, iterations, termination, r_norm, s_norm, rho = _admm(
+        system.n + 1, lam, config, step, setup_s, return_x1)
     return SolverResult(Z=Z, iterations=iterations, termination=termination,
                         lam=lam, rho_final=rho, primal_residual=r_norm,
                         dual_residual=s_norm,

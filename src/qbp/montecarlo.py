@@ -19,8 +19,6 @@ import numpy as np
 from qbp.admm import (
     InfeasibleProjectionError,
     SolverConfig,
-    _share_cpus,
-    _usable_cpus,
     solve,
     solve_denoising,
 )
@@ -222,15 +220,23 @@ def _map_in_workers(pool, fn, *iterables):
                 os.environ[name] = value
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
                     progress=None) -> list[TrialRecord]:
     """All trials of an experiment, in up to ``jobs`` processes.
 
-    The trials run in this process when only one worker would start: one
-    job, one trial, or one usable CPU (the process's CPU affinity, as
-    :mod:`qbp.admm` counts it; one when the count is unknown).  Each worker
-    knows how many share the CPUs, so a solve overlaps its X1 step only with
-    two usable CPUs per worker (:mod:`qbp.admm`).
+    No more workers start than there are trials or usable CPUs (the
+    process's CPU affinity; one when the count is unknown), and the trials
+    run in this process when only one would start.  An exception raised
+    while the results are read, by ``progress`` or by a trial, cancels the
+    trials not yet started, so it reaches the caller once the running ones
+    end.
     """
     _require_integer("jobs", jobs, 1)
     records: list[TrialRecord] = []
@@ -240,17 +246,22 @@ def run_monte_carlo(spec: ExperimentSpec, jobs: int = 1,
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"),
-                                   initializer=_share_cpus, initargs=(workers,))
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
     else:
         pool = nullcontext()
     with pool:
         args = run_trial, [spec] * spec.trials, range(spec.trials)
         batches = _map_in_workers(pool, *args) if workers > 1 else map(*args)
-        for index, batch in enumerate(batches):
-            records.extend(batch)
-            if progress is not None:
-                progress(index)
+        try:
+            for index, batch in enumerate(batches):
+                records.extend(batch)
+                if progress is not None:
+                    progress(index)
+        except BaseException:
+            # leaving the pool waits for every submitted trial
+            if workers > 1:
+                pool.shutdown(cancel_futures=True)
+            raise
     return records
 
 

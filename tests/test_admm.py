@@ -5,7 +5,6 @@ import logging
 import math
 import os
 import re
-import sys
 import threading
 
 import numpy as np
@@ -1293,112 +1292,10 @@ def test_denoising_at_zero_budget_solves_zero_valued_systems():
     assert np.max(np.abs(exact.Z - noisy.Z)) <= 1e-4
 
 
-def _result_bytes(result):
-    """Every field of a SolverResult, the matrix as bytes."""
-    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
-                 for v in vars(result).values())
-
-
-def _overlapped(monkeypatch, on: bool):
-    """Overlap the X1 step at every lift size (``on``) or at none, with two
-    CPUs reported; returns the list that records, per X1 call, whether it
-    ran on the calling thread."""
-    monkeypatch.setattr(qbp.admm, "OVERLAP_MIN_LIFT", 0 if on else math.inf)
+def test_a_large_lift_solve_starts_no_thread(monkeypatch):
+    # the X1 step runs on the calling thread at every lift size, also at
+    # m = 65 with two usable CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    on_caller = []
-    call = _PenalizedStep.__call__
-
-    def recorded(self, x):
-        on_caller.append(threading.current_thread() is threading.main_thread())
-        return call(self, x)
-
-    monkeypatch.setattr(_PenalizedStep, "__call__", recorded)
-    return on_caller
-
-
-def _overlap_solves(systems, factored):
-    cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=5000)
-    with pytest.MonkeyPatch.context() as mp:
-        if factored:
-            mp.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
-        return [_result_bytes(r) for system in systems for r in (
-            solve(system, 1.0, cfg), solve_denoising(system, 1.0, 1e-3, cfg))]
-
-
-@pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
-def test_the_overlapped_x1_step_gives_byte_identical_results(monkeypatch, factored):
-    # the X1 step and the PSD step keep separate buffers, so running the
-    # first on a second thread changes no iterate; on a magnitude system
-    # with FACTORED_MIN_ENTRIES = 0 the factored step runs on that thread
-    systems = [pure_phase(6, 24, 2, "gaussian", 7)[0]]
-    if not factored:
-        systems.append(general_quadratic(8, 14, 2, "binary", 3)[0])
-    runs = {}
-    before = threading.active_count()
-    # a short switch interval interleaves the two threads' bytecode finely
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for on in (False, True):
-            on_caller = _overlapped(monkeypatch, on)
-            runs[on] = _overlap_solves(systems, factored)
-            assert on_caller and set(on_caller) == {not on}
-            # no thread outlives a solve
-            assert threading.active_count() == before
-    finally:
-        sys.setswitchinterval(interval)
-    assert runs[True] == runs[False]
-
-
-def _failing_after(calls, fn):
-    count = [0]
-
-    def failing(*args):
-        count[0] += 1
-        if count[0] == calls:
-            raise RuntimeError("step failed")
-        return fn(*args)
-
-    return failing
-
-
-@pytest.mark.parametrize("where", ["x1", "psd"])
-def test_a_failure_on_either_thread_reaches_the_caller_and_joins_the_worker(
-        monkeypatch, where):
-    # an exception in the X1 step is re-raised on the caller's thread after
-    # the PSD step; one in the PSD step stops and joins the worker
-    _overlapped(monkeypatch, True)
-    if where == "x1":
-        monkeypatch.setattr(_PenalizedStep, "__call__",
-                            _failing_after(4, _PenalizedStep.__call__))
-    else:
-        monkeypatch.setattr(qbp.admm, "project_psd", _failing_after(4, project_psd))
-    system, _ = pure_phase(6, 24, 2, "gaussian", 7)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="step failed"):
-        solve(system, 1.0, TIGHT)
-    assert threading.active_count() == before
-
-
-def test_a_single_usable_cpu_runs_the_loop_serially(monkeypatch):
-    on_caller = _overlapped(monkeypatch, True)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-    def refused(self):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", refused)
-    phantom, _ = phantom_instance(3, 2, 18, 1)
-    assert solve(phantom, 1.0, SolverConfig(max_iters=50)).iterations > 0
-    assert on_caller and set(on_caller) == {True}
-
-
-def test_a_pool_worker_without_two_cpus_of_its_own_runs_the_loop_serially(monkeypatch):
-    # a Monte Carlo pool of two workers on two CPUs: each worker's lift-65
-    # solve keeps the X1 step on its calling thread
-    on_caller = _overlapped(monkeypatch, True)
-    monkeypatch.setattr(qbp.admm, "_sharing_processes", qbp.admm._sharing_processes)
-    qbp.admm._share_cpus(2)
 
     def refused(self):
         raise AssertionError("a thread was started")
@@ -1406,4 +1303,3 @@ def test_a_pool_worker_without_two_cpus_of_its_own_runs_the_loop_serially(monkey
     monkeypatch.setattr(threading.Thread, "start", refused)
     phantom, _ = phantom_instance(8, 10, 128, 0)
     assert solve(phantom, 1.0, SolverConfig(max_iters=5)).iterations == 5
-    assert on_caller and set(on_caller) == {True}

@@ -180,17 +180,16 @@ def test_a_record_keeps_the_harness_cpu_count(tool, tmp_path, monkeypatch):
                    for run in [*doc["runs"], doc["traced"]])
 
 
-def _synthetic_record(bench, medians, cpus=2):
-    """A record of seeds 1-3 on ``cpus`` CPUs whose every end-to-end metric
-    has the values median - 1, median and median + 1, and so the quartiles
-    median -/+ 1."""
+def _synthetic_record(bench, medians):
+    """A record of seeds 1-3 whose every end-to-end metric has the values
+    median - 1, median and median + 1, and so the quartiles median -/+ 1."""
     seeds = [1, 2, 3]
     end_to_end = {}
     for m in bench["end_to_end"]:
         median = medians.get(m["name"], 1.0)
         end_to_end[m["name"]] = {"values": [median - 1.0, median, median + 1.0],
                                  "median": median, "q1": median - 1.0, "q3": median + 1.0}
-    return {"stamp": {"nproc": cpus}, "seeds": seeds, "end_to_end": end_to_end}
+    return {"stamp": {}, "seeds": seeds, "end_to_end": end_to_end}
 
 
 def _write_records(directory, records):
@@ -207,9 +206,7 @@ def test_the_comparison_prints_the_claim_columns(tmp_path, capsys):
                                (after, {"trials_per_s": 12.0, "solve_s_p50": 4.5})):
         _write_records(directory, {w: _synthetic_record(BENCH, medians) for w in workloads})
     assert module.main([str(before), str(after)]) == 0
-    out = capsys.readouterr()
-    assert "warning" not in out.err
-    lines = out.out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["workload", "metric", "before", "after", "ratio",
                                 "seed-ratio", "seeds-better", "verdict"]
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
@@ -272,16 +269,3 @@ def test_the_comparison_gives_a_verdict_per_metric():
                    {**ten, "end_to_end": {"solve_s_p50": old}},
                    {**ten, "end_to_end": {"solve_s_p50": new}})
     assert rows[0][-3:] == (8, 10, "-")
-
-
-def test_the_comparison_warns_when_the_records_ran_on_different_cpu_counts(tmp_path,
-                                                                          capsys):
-    module = _load(COMPARE)
-    workloads = [w["name"] for w in BENCH["workloads"]]
-    for name, cpus in (("before", 2), ("after", 1)):
-        _write_records(tmp_path / name, {w: _synthetic_record(
-            BENCH, {}, cpus=cpus if w == workloads[0] else 2) for w in workloads})
-    assert module.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 0
-    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-    assert warnings == [f"warning: {workloads[0]}: the records ran on 2 and 1 usable CPUs;"
-                        " the overlapped steps of large lifts need two"]

@@ -144,13 +144,11 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     class FakePool:
         # records the pool size asked for and runs at most two trials in
         # this process, so a large request starts no process and stays cheap;
-        # workers are spawned, not forked, with one BLAS thread each, and
-        # each learns how many workers share the CPUs
+        # workers are spawned, not forked, with one BLAS thread each
         sizes = []
 
-        def __init__(self, max_workers, mp_context, initializer, initargs):
+        def __init__(self, max_workers, mp_context):
             assert mp_context.get_start_method() == "spawn"
-            assert initializer is qbp.admm._share_cpus and initargs == (max_workers,)
             self.sizes.append(max_workers)
 
         def __enter__(self):
@@ -178,6 +176,54 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     assert FakePool.sizes == [2, 4]
 
 
+def test_an_exception_cancels_the_trials_not_yet_started(monkeypatch):
+    class QueuedPool:
+        # runs a trial when its result is read; leaving it runs every trial
+        # still queued, as a real pool's shutdown(wait=True) does, unless
+        # they were cancelled
+        def __init__(self, max_workers, mp_context):
+            self.queued = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+            return False
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            if cancel_futures:
+                self.queued.clear()
+            while self.queued:
+                self.queued.pop(0)()
+
+        def map(self, fn, *iterables):
+            self.queued = [lambda args=args: fn(*args) for args in zip(*iterables)]
+
+            def results():
+                # closing the iterator cancels what is still queued, as
+                # Executor.map's does
+                try:
+                    while self.queued:
+                        yield self.queued.pop(0)()
+                finally:
+                    self.queued.clear()
+
+            return results()
+
+    ran = []
+
+    def stopped(index):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", QueuedPool)
+    monkeypatch.setattr(qbp.montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(qbp.montecarlo, "run_trial", lambda spec, index: ran.append(index) or [])
+    with pytest.raises(KeyboardInterrupt):
+        run_monte_carlo(_tiny_spec(trials=60), jobs=2, progress=stopped)
+    assert ran == [0]
+
+
 def test_a_process_pinned_to_one_cpu_starts_no_pool(monkeypatch):
     # two CPUs on the host, one of them usable by this process
     def no_pool(*args, **kwargs):
@@ -193,7 +239,7 @@ def test_a_process_pinned_to_one_cpu_starts_no_pool(monkeypatch):
 def test_importing_qbp_loads_no_process_pool():
     # the pool's modules load only when a run starts worker processes
     code = ("import sys, qbp; print(sorted(m for m in ('multiprocessing',"
-            " 'concurrent.futures.process') if m in sys.modules))")
+            " 'concurrent.futures', 'concurrent.futures.process') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           timeout=60)

@@ -14,9 +14,7 @@ when the after median is worse than the before by more than the metric's
 ``BENCHMARK.json`` bound (a fraction of the before median), else ``-``.
 Records whose seeds differ are not the halves of one pair, and a workload
 missing from either directory has no pair: both stop the script with exit
-status 2.  Records whose harness could use different numbers of CPUs (the
-stamps' ``nproc``) get a warning on stderr: on one CPU the solver runs the
-steps it overlaps on large lifts one after the other.
+status 2.
 """
 
 from __future__ import annotations
@@ -74,11 +72,6 @@ def main(argv: list[str]) -> int:
             print(f"{workload}: the records' seeds differ; they are not one pair",
                   file=sys.stderr)
             return 2
-        cpus = [record["stamp"].get("nproc") for record in (before, after)]
-        if cpus[0] != cpus[1]:
-            print(f"warning: {workload}: the records ran on {cpus[0]} and {cpus[1]}"
-                  " usable CPUs; the overlapped steps of large lifts need two",
-                  file=sys.stderr)
         for name, old, new, ratio, seed_ratio, better, seeds, verdict in compare(
                 bench, before, after):
             print(f"{workload:<12} {name:<14} {old:>11.5g} {new:>11.5g} {ratio:>7.4f}"

@@ -11,9 +11,7 @@ the machine's speed falls on both trees of a seed alike.  Each tree's record
 goes to its root: the harness's environment stamp, every end-to-end metric
 per seed with its median and quartiles, each run's ``order`` (``first`` or
 ``second``), and the traced run's per-layer metrics and exact counts.  The
-stamp's ``nproc`` is the number of CPUs the harness could run on: the solver
-overlaps two steps of large lifts only on two or more.  The harness's own
-files are left as it writes them.
+harness's own files are left as it writes them.
 
 Two paths that resolve to one tree are refused, since its after record would
 overwrite its before record: an A/A pair is two fresh clones of one commit.
