@@ -206,7 +206,7 @@ class SolverConfig:
         _require_integer("max_iters", self.max_iters, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverResult:
     """Where a solve stopped: the returned matrix and the loop's final state.
 

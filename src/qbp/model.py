@@ -317,7 +317,7 @@ def _scatter(x: np.ndarray, maps: HermitianMaps, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_rows(system: QuadraticSystem, imag_rows: np.ndarray):
+def _operator_rows(system: QuadraticSystem, every_imaginary: bool):
     """The coordinate rows of the measurements and their right-hand side.
 
     For Hermitian X, Re Tr(Phi X) is the Frobenius product of X with the
@@ -325,20 +325,23 @@ def _operator_rows(system: QuadraticSystem, imag_rows: np.ndarray):
     skew-Hermitian part (Phi - Phi^H) / 2i, so in weighted coordinates each
     is the dot product with the gathered part.  Row i holds the first for
     measurement i; the second follows the N real rows, in measurement
-    order, for each measurement selected by the boolean mask ``imag_rows``.
+    order, for every measurement when ``every_imaginary`` is set, else for
+    each whose y has an imaginary part or whose skew part is not
+    identically zero.
     """
     phis, y = system.phis, system.y
     N, m = phis.shape[:2]
     maps = hermitian_coordinates(m)
-    A = np.empty((N + np.count_nonzero(imag_rows), m * m))
-    k = N
+    A = np.empty((2 * N, m * m))
+    kept = []
     for i, phi in enumerate(phis):
         phi_h = phi.conj().T
         _gather(0.5 * (phi + phi_h), maps, A[i])
-        if imag_rows[i]:
-            _gather(-0.5j * (phi - phi_h), maps, A[k])
-            k += 1
-    return A, np.concatenate([y.real, y.imag[imag_rows]])
+        skew = phi - phi_h
+        if every_imaginary or y[i].imag or skew.any():
+            _gather(-0.5j * skew, maps, A[N + len(kept)])
+            kept.append(i)
+    return A[:N + len(kept)], np.concatenate([y.real, y.imag[kept]])
 
 
 def real_measurement_matrix(system: QuadraticSystem):
@@ -350,7 +353,7 @@ def real_measurement_matrix(system: QuadraticSystem):
     imaginary parts, so B v = rhs exactly encodes Tr(Phi_i X) = y_i for the
     Hermitian X with coordinates v.
     """
-    return _operator_rows(system, np.ones(system.num_measurements, dtype=bool))
+    return _operator_rows(system, True)
 
 
 def constraint_system(system: QuadraticSystem):
@@ -361,8 +364,4 @@ def constraint_system(system: QuadraticSystem):
     measurements with Hermitian coefficients).  The unit corner X[0, 0] = 1
     is not a row: the solver's X1 step pins it.
     """
-    phis = system.phis
-    # an imaginary row is identically zero exactly when its Phi is Hermitian
-    re, im = phis.real, phis.imag
-    hermitian = ((re == re.transpose(0, 2, 1)) & (im == -im.transpose(0, 2, 1))).all(axis=(1, 2))
-    return _operator_rows(system, (system.y.imag != 0.0) | ~hermitian)
+    return _operator_rows(system, False)

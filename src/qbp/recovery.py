@@ -301,7 +301,7 @@ def sample_rip(system: QuadraticSystem, k: int, samples: int = 200,
     return RipEstimate(k=k, samples=samples, epsilon=float(eps2), epsilon_l1=float(eps1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryReport:
     """The candidate recovered from a solve's matrix and its scores; where the
     solve stopped stays in its :class:`~qbp.admm.SolverResult`."""

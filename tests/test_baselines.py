@@ -7,6 +7,9 @@ import pytest
 
 import qbp.baselines
 from qbp.baselines import (
+    IHT_BLOCK,
+    IHT_SHRINK,
+    IHT_STEP0,
     InfeasibleLinearSystemError,
     basis_pursuit,
     hard_threshold,
@@ -361,17 +364,41 @@ def _iht_oracle_cases():
     for k in (6, 9):
         yield f"k={k}>=n", general_quadratic(6, 12, 2, "binary", seed=0)[0], k, 300
     yield "stall", random_system(6, 10, np.random.default_rng(0)), 2, 2000
+    # a table system scaled by 1000 takes steps of 2^-26 to 2^-28: every walk
+    # passes the first block of the ladder
+    system = general_quadratic(20, 25, 3, "binary", seed=0)[0]
+    yield ("past-first-block",
+           QuadraticSystem.from_arrays(1e3 * system.phis, 1e3 * system.y), 3, 40)
 
 
 _IHT_ORACLE = {name: case for name, *case in _iht_oracle_cases()}
+# the rungs of the step ladder, IHT_STEP0 halved down to 1e-20
+_IHT_RUNGS = sum(1 for j in range(200) if IHT_STEP0 * IHT_SHRINK**j >= 1e-20)
 
 
 @pytest.mark.parametrize("name", sorted(_IHT_ORACLE))
-def test_iht_takes_the_iterates_of_the_sequential_line_search(name):
-    # thresholding the whole ladder at once on kept support blocks changes
+def test_iht_takes_the_iterates_of_the_sequential_line_search(name, monkeypatch):
+    # thresholding the ladder block by block on kept support blocks changes
     # no bit of the sequential search's x, iteration count or objective
     system, k, max_iters = _IHT_ORACLE[name]
+    # the rungs each iteration walks: the objectives read after its gradient
+    walks = []
+    gradient, residual = qbp.baselines._gradient, qbp.baselines._sparse_residual
+
+    def counted_gradient(*args):
+        walks.append(0)
+        return gradient(*args)
+
+    def counted_residual(*args):
+        if walks:
+            walks[-1] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(qbp.baselines, "_gradient", counted_gradient)
+    monkeypatch.setattr(qbp.baselines, "_sparse_residual", counted_residual)
     x, iterations, objective = iterative_hard_thresholding(system, k, max_iters)
+    monkeypatch.undo()
+    assert len(walks) == iterations
     x_ref, iterations_ref, objective_ref = reference_iht(system, k, max_iters)
     assert x.tobytes() == x_ref.tobytes()
     assert iterations == iterations_ref
@@ -383,3 +410,11 @@ def test_iht_takes_the_iterates_of_the_sequential_line_search(name):
         # the gradient of a magnitude system vanishes at zero: no step
         # decreases, and the run stops at its first iteration
         assert iterations == 1 and not x.any()
+    if name == "past-first-block":
+        assert min(walks) > IHT_BLOCK and max(walks) < _IHT_RUNGS
+    if name == "gaussian-0":
+        # the run reaches the objective's rounding floor (about 1e-31),
+        # where no step lowers it: the last walk exhausts the ladder, whose
+        # last block is shorter than IHT_BLOCK
+        assert walks[-1] == _IHT_RUNGS and _IHT_RUNGS % IHT_BLOCK
+        assert iterations < max_iters and objective > 0.0

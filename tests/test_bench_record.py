@@ -180,16 +180,17 @@ def test_a_record_keeps_the_harness_cpu_count(tool, tmp_path, monkeypatch):
                    for run in [*doc["runs"], doc["traced"]])
 
 
-def _synthetic_record(bench, medians):
-    """A record of seeds 1-3 whose every end-to-end metric has the values
-    median - 1, median and median + 1, and so the quartiles median -/+ 1."""
-    seeds = [1, 2, 3]
+def _synthetic_record(bench, medians, seeds=3):
+    """A record of seeds 1 to ``seeds`` whose every end-to-end metric has
+    values evenly spaced from median - 1 to median + 1 (median - 1, median
+    and median + 1 for three seeds), and the quartiles median -/+ 1."""
     end_to_end = {}
     for m in bench["end_to_end"]:
         median = medians.get(m["name"], 1.0)
-        end_to_end[m["name"]] = {"values": [median - 1.0, median, median + 1.0],
-                                 "median": median, "q1": median - 1.0, "q3": median + 1.0}
-    return {"stamp": {}, "seeds": seeds, "end_to_end": end_to_end}
+        values = [median - 1.0 + 2.0 * j / (seeds - 1) for j in range(seeds)]
+        end_to_end[m["name"]] = {"values": values, "median": median,
+                                 "q1": median - 1.0, "q3": median + 1.0}
+    return {"stamp": {}, "seeds": list(range(1, seeds + 1)), "end_to_end": end_to_end}
 
 
 def _write_records(directory, records):
@@ -269,3 +270,16 @@ def test_the_comparison_gives_a_verdict_per_metric():
                    {**ten, "end_to_end": {"solve_s_p50": old}},
                    {**ten, "end_to_end": {"solve_s_p50": new}})
     assert rows[0][-3:] == (8, 10, "-")
+
+
+@pytest.mark.parametrize("drop, verdict", [(0.03, "-"), (0.08, "gain")])
+def test_an_rss_drop_within_a_layout_shift_is_no_gain(drop, verdict):
+    # every seed's peak RSS falls by more than the before quartiles' spread
+    # of 2 MB; only a drop beyond phantom-s8's 70-74 MB layout flip, about
+    # 6% of the median, reads as a gain
+    compare = _load(COMPARE).compare
+    before = _synthetic_record(BENCH, {"peak_rss_mb": 70.0}, seeds=10)
+    after = _synthetic_record(BENCH, {"peak_rss_mb": 70.0 * (1.0 - drop)}, seeds=10)
+    row = {row[0]: row for row in compare(BENCH, before, after)}["peak_rss_mb"]
+    assert 70.0 * drop > 2.0
+    assert row[-3:] == (10, 10, verdict)

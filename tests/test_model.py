@@ -550,14 +550,41 @@ def test_operator_rows_scatter_to_the_two_hermitian_parts(system):
             assert np.array_equal(got, got.conj().T)
             wv = want.view(np.float64)
             assert np.all(np.abs(got.view(np.float64) - wv) <= np.spacing(np.abs(wv)))
-    # the equality rows keep exactly the imaginary rows with Phi != Phi^H or
-    # Im y != 0, in measurement order
-    kept = np.flatnonzero([(phi != phi.conj().T).any() or v.imag != 0.0
-                           for phi, v in zip(phis, y)])
-    A, b = constraint_system(system)
-    assert np.array_equal(A, np.concatenate([B[:N], B[N + kept]]))
-    assert np.array_equal(b, np.concatenate([rhs[:N], rhs[N + kept]]))
 
+
+_ROW_CASES = ("hermitian, real y", "hermitian, complex y", "not hermitian")
+
+
+@st.composite
+def _row_rule_systems(draw):
+    """Systems holding each of the three row cases at least once, in a drawn order."""
+    m = draw(st.integers(1, 6))
+    extra = draw(st.lists(st.sampled_from(_ROW_CASES), max_size=4))
+    cases = draw(st.permutations(_ROW_CASES + tuple(extra)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phis = cgauss(rng, (len(cases), m, m))
+    y = cgauss(rng, len(cases))
+    for i, case in enumerate(cases):
+        if case != "not hermitian":
+            phis[i] = hermitianize(phis[i])
+        if case == "hermitian, real y":
+            y[i] = y[i].real
+    return QuadraticSystem.from_arrays(phis, y), cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_rule_systems())
+def test_equality_rows_drop_exactly_the_zero_imaginary_rows(drawn):
+    # the equality rows are the measurement rows, in order and bit for bit,
+    # without those that are zero on both sides: the imaginary rows of the
+    # Hermitian Phi with real y
+    system, cases = drawn
+    B, rhs = real_measurement_matrix(system)
+    zero = ~B.any(axis=1) & (rhs == 0.0)
+    assert zero.tolist() == [False] * len(cases) + [c == _ROW_CASES[0] for c in cases]
+    A, b = constraint_system(system)
+    assert A.shape == B[~zero].shape and A.tobytes() == B[~zero].tobytes()
+    assert b.shape == rhs[~zero].shape and b.tobytes() == rhs[~zero].tobytes()
 
 
 _SMALL = general_quadratic(3, 4, 1, seed=0)[0]

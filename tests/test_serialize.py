@@ -1,13 +1,15 @@
 """JSON interchange for instances, signals, and reports."""
 
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from qbp.admm import SolverResult
-from qbp.recovery import RecoveryReport
+from qbp.admm import SolverResult, solve
+from qbp.generators import general_quadratic
+from qbp.recovery import RecoveryReport, build_report
 from qbp.serialize import (
     InstanceFormatError,
     load_system,
@@ -204,3 +206,21 @@ def test_write_json_writes_non_finite_numbers_as_null():
 
     doc = json.loads(buf.getvalue(), parse_constant=reject)
     assert doc == {"a": [1.5, None, [None, {"b": None}]], "c": None, "d": 2}
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # field-wise equality would compare the arrays Z and x_hat and raise;
+    # identity keeps both records hashable and leaves their JSON forms alone
+    system, x = general_quadratic(6, 12, 2, "binary", seed=0)
+    results = [solve(system) for _ in range(2)]
+    reports = [build_report(system, result, x) for result in results]
+    for first, second in (results, reports):
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert len({first, second, first}) == 2
+    docs = [report_to_dict(report, result) for report, result in zip(reports, results)]
+    assert docs[0] == docs[1]
+    assert json.dumps(docs[0]) == json.dumps(docs[1])
+    assert set(docs[0]) == {f.name for f in dataclasses.fields(RecoveryReport)} | {
+        f.name for f in dataclasses.fields(SolverResult) if f.name not in ("Z", "lam")
+    } | {"lambda"}
