@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from qbp.model import QuadraticSystem, _require_integer, evaluate, hermitianize
+from qbp.model import (NonFiniteValueError, QuadraticSystem, _require_integer, evaluate,
+                       hermitianize)
 
 __all__ = [
     "SIGNALS",
@@ -172,11 +173,15 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
     Coefficients are grouped with their reflection (q -> -q mod side); groups
     are taken in decreasing energy while they fit the remaining budget, so a
     real image stays real after truncation.  Returns the vectorized k-sparse
-    coefficient array.
+    coefficient array.  The image must be real, square and finite.
     """
+    if np.iscomplexobj(image):
+        raise ValueError("image must be real")
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError("image must be square")
+    if not np.isfinite(image).all():
+        raise NonFiniteValueError("image: non-finite pixels")
     side = image.shape[0]
     _require_integer("k", k, 1)
     if k > side * side:

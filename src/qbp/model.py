@@ -8,12 +8,13 @@ matrix ``X = [1; x][1; x]^H``:
 
 A system holds its data once, as two read-only arrays: the stack ``phis`` of
 the N matrices Phi and the values ``y``.  The blocks a, b, c and Q are read
-from the stack, and a single measurement is a view of one of its rows.  The
-module also holds the lifting map, the real coordinates of a Hermitian
-matrix (:func:`hermitian_coordinates`, read by ``_gather`` and written by
-``_scatter``) and the matrix forms of the induced linear operator on
-Hermitian matrices that the solver and the diagnostics are built on, whose
-rows are the gathered Hermitian and skew-Hermitian parts of each Phi.
+from the stack.  A single measurement is a plain record (a, b, c, Q, y) that a
+system checks and writes into its stack.  The module also holds the lifting
+map, the real coordinates of a Hermitian matrix (:func:`hermitian_coordinates`,
+read by ``_gather`` and written by ``_scatter``) and the matrix forms of the
+induced linear operator on Hermitian matrices that the solver and the
+diagnostics are built on, whose rows are the gathered Hermitian and
+skew-Hermitian parts of each Phi.
 """
 
 from __future__ import annotations
@@ -77,85 +78,52 @@ def _require_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
+QuadraticMeasurement = namedtuple("QuadraticMeasurement", "a b c Q y")
+QuadraticMeasurement.__doc__ = """One equation a + b^H x + x^H c + x^H Q x = y, as a record.
+
+The record holds what it was given; ``QuadraticSystem(measurements)``
+checks its fields and writes them into the system's stack.  The JSON loader
+and perfbench's ``relabel`` build systems this way.
+"""
+
+
 def _block(index):
-    return property(lambda self: self._lifted[index])
-
-
-class _Blocks:
-    """Views of the blocks of Phi = [[a, b^H], [c, Q]] in ``_lifted``'s last two axes."""
-
-    a = _block(np.s_[..., 0, 0])
-    bh = _block(np.s_[..., 0, 1:])  # the border row b^H
-    c = _block(np.s_[..., 1:, 0])
-    Q = _block(np.s_[..., 1:, 1:])
-
-    @property
-    def n(self) -> int:
-        return self._lifted.shape[-1] - 1
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.bh.conj()
+    return property(lambda self: self.phis[index])
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticMeasurement(_Blocks):
-    """One equation a + b^H x + x^H c + x^H Q x = y; ``a`` and ``y`` are 0-d.
-
-    Kept, with ``QuadraticSystem(measurements)``, for perfbench's ``relabel``.
-    """
-
-    _lifted: np.ndarray
-    y: np.ndarray
-
-    def __init__(self, a, b, c, Q, y):
-        b = np.atleast_1d(np.asarray(b, dtype=complex))
-        n = b.shape[0]
-        phi = np.empty((n + 1, n + 1), dtype=complex)
-        phi[0, 0] = _as_complex(a, (), "a")
-        phi[0, 1:] = _as_complex(b, (n,), "b").conj()
-        phi[1:, 0] = _as_complex(c, (n,), "c")
-        phi[1:, 1:] = _as_complex(Q, (n, n), "Q")
-        y = _as_complex(y, (), "y").copy()
-        phi.flags.writeable = y.flags.writeable = False
-        object.__setattr__(self, "_lifted", phi)
-        object.__setattr__(self, "y", y)
-
-    @classmethod
-    def _view(cls, phi: np.ndarray, y: np.ndarray) -> QuadraticMeasurement:
-        out = object.__new__(cls)
-        object.__setattr__(out, "_lifted", phi)
-        object.__setattr__(out, "y", y)
-        return out
-
-    def phi(self) -> np.ndarray:
-        """Lifted coefficient matrix Phi with Tr(Phi X) = measurement value."""
-        return self._lifted
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticSystem(_Blocks):
+class QuadraticSystem:
     """A batch of quadratic measurements sharing one unknown x in C^n.
 
     ``phis`` stacks the lifted matrices, shape (N, n+1, n+1), and ``y`` the
-    values, shape (N,); both are read-only and are the only data held.
+    values, shape (N,); both are read-only and are the only data held.  The
+    blocks of Phi = [[a, b^H], [c, Q]] are views of ``phis``, stacked over
+    the measurements, and ``b`` is the conjugate of the border rows ``bh``.
     """
 
     phis: np.ndarray
     y: np.ndarray
 
+    a = _block(np.s_[:, 0, 0])
+    bh = _block(np.s_[:, 0, 1:])
+    c = _block(np.s_[:, 1:, 0])
+    Q = _block(np.s_[:, 1:, 1:])
+
     def __init__(self, measurements):
         measurements = tuple(measurements)
         if not measurements:
             raise ValueError("a system needs at least one measurement")
-        n = measurements[0].n
-        for i, meas in enumerate(measurements):
-            if meas.n != n:
-                raise DimensionMismatchError(
-                    f"measurement {i} has dimension {meas.n}, expected {n}"
-                )
-        self._hold(np.stack([m.phi() for m in measurements]),
-                   np.array([m.y for m in measurements]))
+        n = np.size(measurements[0].b)
+        phis = np.empty((len(measurements), n + 1, n + 1), dtype=complex)
+        y = np.empty(len(measurements), dtype=complex)
+        for i, (phi, m) in enumerate(zip(phis, measurements)):
+            at = f"measurement {i}"
+            phi[0, 0] = _as_complex(m.a, (), f"{at}.a")
+            phi[0, 1:] = _as_complex(m.b, (n,), f"{at}.b").conj()
+            phi[1:, 0] = _as_complex(m.c, (n,), f"{at}.c")
+            phi[1:, 1:] = _as_complex(m.Q, (n, n), f"{at}.Q")
+            y[i] = _as_complex(m.y, (), f"{at}.y")
+        self._hold(phis, y)
 
     @classmethod
     def from_arrays(cls, phis, y) -> QuadraticSystem:
@@ -185,8 +153,12 @@ class QuadraticSystem(_Blocks):
         object.__setattr__(self, "y", y)
 
     @property
-    def _lifted(self) -> np.ndarray:
-        return self.phis
+    def n(self) -> int:
+        return self.phis.shape[-1] - 1
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.bh.conj()
 
     @property
     def num_measurements(self) -> int:
@@ -194,9 +166,11 @@ class QuadraticSystem(_Blocks):
 
     @cached_property
     def measurements(self) -> tuple[QuadraticMeasurement, ...]:
-        """One measurement per row, each a view of this system's arrays."""
-        return tuple(QuadraticMeasurement._view(phi, self.y[i, ...])
-                     for i, phi in enumerate(self.phis))
+        """One record per row: ``a``, ``c``, ``Q`` and ``y`` are views of this
+        system's arrays and ``b`` a row of one conjugated copy of ``bh``."""
+        a, b, c, Q, y = self.a, self.b, self.c, self.Q, self.y
+        return tuple(QuadraticMeasurement(a[i, ...], b[i], c[i], Q[i], y[i, ...])
+                     for i in range(self.num_measurements))
 
 
 def hermitianize(M) -> np.ndarray:

@@ -75,7 +75,8 @@ class ExperimentSpec:
     spec itself checks the ensemble, the methods, the counts ``trials`` and
     ``iht_max_iters`` and the nonnegative ``lam``, ``epsilon`` and ``tol``.
     ``solver`` is the :class:`SolverConfig` of the lifted trials; a mapping
-    of its keyword arguments is converted when the spec is made.
+    of its keyword arguments is converted, and ``methods`` made a tuple, when
+    the spec is made, so the spec stays hashable and unchanged.
     """
 
     n: int
@@ -93,6 +94,7 @@ class ExperimentSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         _check_draw(self.n, self.N, self.k, self.signal, self.seed,

@@ -15,7 +15,7 @@ import numbers
 
 import numpy as np
 
-from qbp.model import QuadraticSystem
+from qbp.model import QuadraticMeasurement, QuadraticSystem
 
 __all__ = [
     "InstanceFormatError",
@@ -101,6 +101,7 @@ def system_from_dict(obj) -> QuadraticSystem:
     measurements = obj.get("measurements")
     if not isinstance(measurements, list) or not measurements:
         raise InstanceFormatError("measurements", "expected a non-empty list")
+    records = []
     for i, item in enumerate(measurements):
         loc = f"measurements[{i}]"
         if not isinstance(item, dict):
@@ -108,22 +109,14 @@ def system_from_dict(obj) -> QuadraticSystem:
         missing = {"a", "b", "c", "Q", "y"} - set(item)
         if missing:
             raise InstanceFormatError(loc, f"missing fields {sorted(missing)}")
-        a = _pair(item["a"], f"{loc}.a")
-        b = _pair_list(item["b"], n, f"{loc}.b")
-        c = _pair_list(item["c"], n, f"{loc}.c")
-        Q = _pair_matrix(item["Q"], n, f"{loc}.Q")
-        if i == 0:
-            # the Phi stack, sized once a Q of n rows of n pairs backs n;
-            # each item is written straight into its row
-            phis = np.empty((len(measurements), n + 1, n + 1), dtype=complex)
-            y = np.empty(len(measurements), dtype=complex)
-        phi = phis[i]
-        phi[0, 0] = a
-        phi[0, 1:] = b.conj()
-        phi[1:, 0] = c
-        phi[1:, 1:] = Q
-        y[i] = _pair(item["y"], f"{loc}.y")
-    return QuadraticSystem.from_arrays(phis, y)
+        records.append(QuadraticMeasurement(
+            _pair(item["a"], f"{loc}.a"),
+            _pair_list(item["b"], n, f"{loc}.b"),
+            _pair_list(item["c"], n, f"{loc}.c"),
+            _pair_matrix(item["Q"], n, f"{loc}.Q"),
+            _pair(item["y"], f"{loc}.y"),
+        ))
+    return QuadraticSystem(records)
 
 
 def read_json(stream):

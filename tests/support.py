@@ -148,25 +148,19 @@ def unitary_sensing_system(x, kind="dft", rng=None):
     return system_from_phis(phis, x)
 
 
-# Reference instance builders: the generators' draws, assembled one
-# QuadraticMeasurement at a time and evaluated on contiguous stacks of the
-# blocks.  The generators write the stacked Phi array directly and must
-# reproduce these bytes.
+# Reference instance builders: the generators' draws, one record per
+# measurement stacked by QuadraticSystem(records), and evaluated on contiguous
+# copies of the block stacks.  The generators write the stacked Phi array
+# directly and must reproduce these bytes.
 
 def _reference_system(parts, x, real=False):
-    probe = [QuadraticMeasurement(a, b, c, Q, 0.0) for a, b, c, Q in parts]
-    a = np.array([m.a for m in probe])
-    b = np.stack([m.b for m in probe])
-    c = np.stack([m.c for m in probe])
-    q = np.stack([m.Q for m in probe])
+    probe = QuadraticSystem([QuadraticMeasurement(a, b, c, Q, 0.0) for a, b, c, Q in parts])
+    a, b, c, q = map(np.ascontiguousarray, (probe.a, probe.b, probe.c, probe.Q))
     xc = x.conj()
     y = a + b.conj() @ x + c @ xc + np.einsum("i,nij,j->n", xc, q, x)
     if real:
         y = y.real
-    system = QuadraticSystem(
-        [QuadraticMeasurement(m.a, m.b, m.c, m.Q, v) for m, v in zip(probe, y)]
-    )
-    return system, x
+    return probe.with_values(y), x
 
 
 def _reference_magnitude(sensing, x):

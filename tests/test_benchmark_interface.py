@@ -3,9 +3,10 @@
 The harness wraps qbp functions by module, class and attribute name and
 calls the solvers with fixed signatures, so a rename or a signature change in
 qbp breaks it without failing any other test.  Its traced run also reads the
-system's ``phis`` and the x1 step's arrays through ``vars``.  Every check that
-imports the harness runs in a subprocess: the harness's ``import_qbp`` evicts
-``qbp`` from ``sys.modules``.
+system's ``phis`` and the x1 step's arrays through ``vars``, and its
+``relabel`` rebuilds each instance from ``system.measurements`` records.
+Every check that imports the harness runs in a subprocess: the harness's
+``import_qbp`` evicts ``qbp`` from ``sys.modules``.
 """
 
 import json
@@ -39,6 +40,34 @@ print("missing:", missing)
 raise SystemExit(1 if missing else 0)
 """
 
+# perfbench's relabel against the same relabelling done on the stack: Phi's
+# rows and columns permuted by q = [0, p + 1], y by the measurement order and
+# x by p.  This pins the input form of the harness's relabelled instances.
+RELABEL = """
+import numpy as np
+from workloads import import_qbp, relabel
+
+q = import_qbp()
+first = q.montecarlo.trial_seed(0, 0)
+cases = [("phantom", q.generators.phantom_instance(8, 10, 128, 0), 0),
+         ("holes", q.generators.pure_phase(16, 60, 3, "binary", 0), 0),
+         ("table", q.generators.general_quadratic(20, 25, 3, "binary", first), first)]
+mismatched = []
+for name, (system, x), key in cases:
+    for seed in range(4):
+        got, got_x = relabel(q.model, system, x, seed, key)
+        rng = np.random.default_rng([seed, key])
+        p = rng.permutation(system.n)
+        order = rng.permutation(system.num_measurements)
+        idx = np.concatenate(([0], p + 1))
+        if (got.phis.tobytes() != system.phis[order][:, idx][:, :, idx].tobytes()
+                or got.y.tobytes() != system.y[order].tobytes()
+                or got_x.tobytes() != x[p].tobytes()):
+            mismatched.append((name, seed))
+print("mismatched:", mismatched)
+raise SystemExit(1 if mismatched else 0)
+"""
+
 
 def _run(argv):
     env = dict(os.environ)
@@ -50,6 +79,11 @@ def _run(argv):
 
 def test_every_wrapped_name_resolves():
     proc = _run([sys.executable, "-c", RESOLVE])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_relabel_permutes_the_stack_byte_for_byte():
+    proc = _run([sys.executable, "-c", RELABEL])
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

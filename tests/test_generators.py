@@ -15,7 +15,7 @@ from qbp.generators import (
     pure_phase,
     truncate_fourier,
 )
-from qbp.model import evaluate, is_phase_invariant
+from qbp.model import NonFiniteValueError, evaluate, is_phase_invariant
 from qbp.montecarlo import trial_seed
 from qbp.recovery import build_report
 from qbp.serialize import load_system, save_system
@@ -237,6 +237,24 @@ def test_truncate_fourier_validation():
     for image in (np.float64(1.0), np.zeros(4), np.zeros((3, 4)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="image must be square"):
             truncate_fourier(image, 2)
+
+
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+def test_truncate_fourier_refuses_a_non_finite_pixel(pixel):
+    # a NaN pixel returned all-zero coefficients and an inf pixel inf ones
+    image = phantom_image(4)
+    image[1, 2] = pixel
+    with pytest.raises(NonFiniteValueError, match="image: non-finite pixels"):
+        truncate_fourier(image, 3)
+
+
+def test_truncate_fourier_refuses_a_complex_image():
+    # a complex image was cast to its real part with only a ComplexWarning
+    image = phantom_image(4) + 0.5j
+    with pytest.raises(ValueError, match="image must be real"):
+        truncate_fourier(image, 3)
+    with pytest.raises(ValueError, match="image must be real"):
+        truncate_fourier(image.tolist(), 3)
 
 
 def test_phantom_instance_consistency():

@@ -48,29 +48,30 @@ def test_measurement_stores_blocks():
     b = np.array([1.0 + 2j, 3.0])
     c = np.array([0.5j, -1.0])
     Q = np.array([[1.0, 2j], [0.0, 4.0]])
-    m = QuadraticMeasurement(2.0 + 1j, b, c, Q, 7.0)
-    phi = m.phi()
+    system = QuadraticSystem([QuadraticMeasurement(2.0 + 1j, b, c, Q, 7.0)])
+    phi = system.phis[0]
     assert phi.shape == (3, 3)
     assert phi[0, 0] == 2.0 + 1j
     assert np.array_equal(phi[0, 1:], b.conj())
     assert np.array_equal(phi[1:, 0], c)
     assert np.array_equal(phi[1:, 1:], Q)
-    assert m.n == 2
+    assert system.n == 2
 
 
 def test_measurement_rejects_dimension_mismatch():
+    # a record holds what it is given; the system checks it when it stacks it
     with pytest.raises(DimensionMismatchError):
-        QuadraticMeasurement(0.0, [1.0, 2.0], [1.0, 2.0, 3.0], np.eye(2), 0.0)
+        QuadraticSystem([QuadraticMeasurement(0.0, [1.0, 2.0], [1.0, 2.0, 3.0], np.eye(2), 0.0)])
     with pytest.raises(DimensionMismatchError):
-        QuadraticMeasurement(0.0, [1.0, 2.0], [1.0, 2.0], np.zeros((2, 3)), 0.0)
+        QuadraticSystem([QuadraticMeasurement(0.0, [1.0, 2.0], [1.0, 2.0], np.zeros((2, 3)), 0.0)])
 
 
 def test_measurement_rejects_non_finite():
     with pytest.raises(NonFiniteValueError):
-        QuadraticMeasurement(np.nan, [1.0], [1.0], [[1.0]], 0.0)
+        QuadraticSystem([QuadraticMeasurement(np.nan, [1.0], [1.0], [[1.0]], 0.0)])
     Q = np.array([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteValueError):
-        QuadraticMeasurement(0.0, [1.0, 0.0], [1.0, 0.0], Q, 0.0)
+        QuadraticSystem([QuadraticMeasurement(0.0, [1.0, 0.0], [1.0, 0.0], Q, 0.0)])
 
 
 def test_system_requires_shared_dimension():
@@ -128,9 +129,12 @@ def test_measurements_restack_to_the_same_bytes(n, N, seed, kind):
     meas = system.measurements
     assert meas is system.measurements and len(meas) == N
     for i, m in enumerate(meas):
-        # views of the system's arrays, not copies
-        assert np.shares_memory(m.phi(), system.phis)
+        # views of the system's arrays, not copies; b is the conjugate of the
+        # border row, which numpy cannot view, so every b is a row of one copy
+        for block in (m.a, m.c, m.Q):
+            assert np.shares_memory(block, system.phis)
         assert np.shares_memory(m.y, system.y)
+        assert m.b.base is not None and m.b.base is meas[0].b.base
         assert m.a == system.a[i] and m.y == system.y[i]
         assert np.array_equal(m.b, system.b[i]) and np.array_equal(m.Q, system.Q[i])
     rebuilt = [QuadraticMeasurement(m.a, m.b, m.c, m.Q, m.y) for m in meas]

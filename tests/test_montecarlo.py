@@ -401,6 +401,17 @@ def test_spec_holds_one_frozen_solver_config(monkeypatch):
     assert len(seen) == 3 and all(c is config for c in seen)
 
 
+def test_spec_holds_its_methods_as_a_tuple():
+    # a list was kept as given: the spec did not hash, compared unequal to
+    # the same spec made with a tuple, and a later edit of the list reached it
+    names = ["qbp", "iht"]
+    from_list = ExperimentSpec(n=4, N=8, k=1, methods=names)
+    names.append("bp")
+    assert from_list.methods == ("qbp", "iht")
+    assert from_list == ExperimentSpec(n=4, N=8, k=1, methods=("qbp", "iht"))
+    assert hash(from_list) == hash(ExperimentSpec(n=4, N=8, k=1, methods=("qbp", "iht")))
+
+
 @pytest.mark.parametrize("bad", [2.0, 1.5, True])
 def test_run_monte_carlo_jobs_must_be_an_integer(bad):
     # jobs=1.5 and jobs=True ran before
