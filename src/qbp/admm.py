@@ -14,10 +14,10 @@ variable Z carries the l1 shrinkage.  The denoising program
 runs the same loop with the X1 step replaced by the exact Frobenius
 projection onto the residual budget set, one scalar root of a secular
 equation per call.  The equality program is its epsilon = 0 limit, so one
-constructor body builds both X1 steps from an ``eigh`` of the Gram matrix of
-the measurement rows: the budget step (:class:`_PenalizedStep`) reads those of
-:func:`~qbp.model.real_measurement_matrix`, the equality step
-(:class:`AffineProjector`) those of :func:`~qbp.model.constraint_system`.
+step class, :class:`_PenalizedStep`, is the X1 step of both, built from an
+``eigh`` of the Gram matrix of the measurement rows: those of
+:func:`~qbp.model.constraint_system` at epsilon = 0, those of
+:func:`~qbp.model.real_measurement_matrix` above it.
 
 The loop holds every Hermitian matrix as its (n+1)^2 weighted coordinates
 (:func:`~qbp.model.hermitian_coordinates`): the diagonal, then sqrt(2) times
@@ -242,7 +242,9 @@ class SolverResult:
 class _PenalizedStep:
     """Frobenius projection onto {X Hermitian: X[0,0] = 1, ||A(X) - y||^2 <= epsilon}.
 
-    A call takes the weighted coordinates x of a Hermitian matrix
+    At epsilon = 0, the default, the set is {X Hermitian: Tr(Phi_i X) = y_i,
+    X[0,0] = 1}, and this is the X1 step of :func:`solve`.  A call takes the
+    weighted coordinates x of a Hermitian matrix
     (:func:`~qbp.model.hermitian_coordinates`), in which Frobenius geometry is
     plain Euclidean geometry, overwrites them with those of the projection
     and returns x.  The corner coordinate is pinned to 1 and the rest, v,
@@ -268,15 +270,16 @@ class _PenalizedStep:
     v - V (V^T v - h / s) onto the least-squares solutions, which is
     v - A1^+ (A1 v - g) with the rank cutoff above, so duplicated
     measurements (rank-deficient A1) project like the pseudoinverse does.
+    Raises :class:`InfeasibleProjectionError` when the floor exceeds the
+    budget by more than rounding.
     """
 
-    def __init__(self, system: QuadraticSystem, epsilon: float):
-        self._build(system, epsilon, *real_measurement_matrix(system))
-
-    def _build(self, system: QuadraticSystem, epsilon: float, A, b) -> None:
+    def __init__(self, system: QuadraticSystem, epsilon: float = 0.0):
         """Factor the rows (A, b), check the budget against their floor, set up V^T.
 
-        Both tolerances scale with max(||y||, 1), so an all-zero ``y`` keeps them.
+        The rows are :func:`~qbp.model.constraint_system`'s at epsilon = 0,
+        else :func:`~qbp.model.real_measurement_matrix`'s.  Both tolerances
+        scale with max(||y||, 1), so an all-zero ``y`` keeps them.
         V^T is a dense matrix, and the instance's ``_forward`` and ``_back``
         are its products V^T v and k^T V^T.  Above FACTORED_MIN_ENTRIES
         entries, when every measurement is a magnitude
@@ -285,6 +288,10 @@ class _PenalizedStep:
         through the vectors.
         """
         _require_nonnegative("epsilon", epsilon)
+        # epsilon > 0 keeps real data's zero imaginary rows: perfbench traces
+        # real_measurement_matrix on holes-qbpd, and dropping them would
+        # change its rounding
+        A, b = (constraint_system if epsilon == 0.0 else real_measurement_matrix)(system)
         A1 = A[:, 1:]
         g = b - A[:, 0]
         w, U = np.linalg.eigh(A1 @ A1.T)
@@ -394,19 +401,8 @@ class _PenalizedStep:
         return x
 
 
-class AffineProjector(_PenalizedStep):
-    """Frobenius projection onto {X Hermitian: Tr(Phi_i X) = y_i, X[0,0] = 1}.
-
-    The budget step at epsilon = 0, built by the same constructor body from
-    the rows of :func:`~qbp.model.constraint_system`, which leaves out the
-    identically zero imaginary rows of real-valued measurements and so
-    factors a smaller Gram matrix.  Raises
-    :class:`InfeasibleProjectionError` when the measurements admit no
-    Hermitian matrix at all.
-    """
-
-    def __init__(self, system: QuadraticSystem):
-        self._build(system, 0.0, *constraint_system(system))
+# perfbench traces the equality step under this name
+AffineProjector = _PenalizedStep
 
 
 def _magnitude_vectors(system: QuadraticSystem):
@@ -689,12 +685,12 @@ def _admm(m: int, lam: float, config: SolverConfig, x1, setup_s: float,
 
 
 def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
-           make_step, return_x1: bool = False) -> SolverResult:
-    """Build the X1 step from ``system``, run the loop and assemble the result."""
+           epsilon: float, return_x1: bool) -> SolverResult:
+    """Build the X1 step for ``epsilon``, run the loop and assemble the result."""
     _require_nonnegative("lam", lam)
     config = config or SolverConfig()
     start = time.perf_counter()
-    step = make_step(system)
+    step = _PenalizedStep(system, epsilon)
     setup_s = time.perf_counter() - start
     Z, iterations, termination, r_norm, s_norm, rho = _admm(
         system.n + 1, lam, config, step, setup_s, return_x1)
@@ -712,7 +708,7 @@ def solve(system: QuadraticSystem, lam: float = 1.0,
     Raises :class:`InfeasibleProjectionError` when the measurement
     constraints admit no Hermitian matrix at all.
     """
-    return _solve(system, lam, config, AffineProjector)
+    return _solve(system, lam, config, 0.0, False)
 
 
 def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
@@ -721,10 +717,11 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
 
     The X1 step is the exact projection onto {X00 = 1, sum of squared
     residuals <= epsilon} (:class:`_PenalizedStep`).  The returned ``Z`` is
-    the last such projected copy, so ``data_residual <= epsilon``.
+    the last such projected copy, so ``data_residual <= epsilon``.  At
+    epsilon = 0 this runs :func:`solve`'s loop, iterate for iterate, and
+    returns its last X1 in place of its consensus iterate.
 
     Raises :class:`InfeasibleProjectionError` when ``epsilon`` lies below the
     least-squares floor of the measurements by more than rounding.
     """
-    return _solve(system, lam, config,
-                  lambda s: _PenalizedStep(s, epsilon), return_x1=True)
+    return _solve(system, lam, config, epsilon, True)

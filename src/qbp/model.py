@@ -63,7 +63,11 @@ def _as_complex(value, shape, where):
 
 
 def _require_nonnegative(name: str, value: float) -> None:
-    # a NaN fails every comparison, so test for the good range, not the bad one
+    # a bool compares as 0 or 1 and a string or None fails with a TypeError,
+    # so only real numbers are accepted (numpy's too); a NaN fails every
+    # comparison, so test for the good range, not the bad one
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 

@@ -98,16 +98,22 @@ def random_system(n, N, rng, real=False):
     return QuadraticSystem([random_measurement(n, rng, real) for _ in range(N)])
 
 
-def consistent_system(n, N, rng, real=False):
-    """Generic system measured at a planted point, so the lifted set is nonempty."""
+def consistent_system(n, N, rng, real=False, symmetric=False):
+    """Generic system measured at a planted point, so the lifted set is nonempty.
+
+    With ``real`` and ``symmetric`` each Phi_i is real symmetric and y is
+    real, so every imaginary row of the measurement map vanishes identically.
+    """
     x = rng.standard_normal(n) if real else cgauss(rng, n)
     base = QuadraticSystem([random_measurement(n, rng, real) for _ in range(N)])
+    if symmetric:
+        base = QuadraticSystem.from_arrays([hermitianize(p) for p in base.phis], base.y)
     return base.with_values(evaluate(base, x)), x
 
 
-def zero_valued_system(n, N, rng, real=False):
+def zero_valued_system(n, N, rng, real=False, symmetric=False):
     """Generic system whose measurements all vanish at a planted point."""
-    system, x = consistent_system(n, N, rng, real)
+    system, x = consistent_system(n, N, rng, real, symmetric)
     phis = system.phis.copy()
     phis[:, 0, 0] -= system.y
     return QuadraticSystem.from_arrays(phis, np.zeros(N)), x

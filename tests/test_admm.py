@@ -499,14 +499,16 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
 
 
 def test_affine_limit_of_the_budget_step_is_the_equality_step():
-    # with complex data no imaginary row is dropped, so both row builders
-    # give the same rows and the one constructor body the same matrices
+    # at epsilon = 0 the budget step reads the equality rows, also of real
+    # symmetric data, whose identically zero imaginary rows they leave out:
+    # the same rows, so the same matrices
     rng = np.random.default_rng(21)
-    for N in range(1, 21):
-        system, _ = consistent_system(3, N, rng)
-        budget, equality = _PenalizedStep(system, 0.0), AffineProjector(system)
-        for name in ("_Vt", "_target"):
-            assert getattr(budget, name).tobytes() == getattr(equality, name).tobytes()
+    for real in (False, True):
+        for N in range(1, 21):
+            system, _ = consistent_system(3, N, rng, real=real, symmetric=real)
+            budget, equality = _PenalizedStep(system, 0.0), AffineProjector(system)
+            for name in ("_Vt", "_target"):
+                assert getattr(budget, name).tobytes() == getattr(equality, name).tobytes()
 
 
 def _magnitude_phis(sensing, offsets=None):
@@ -840,7 +842,8 @@ def test_small_scale_pure_phase_solve_converges_within_the_rho_budget(caplog):
 
 
 def test_solver_config_validation():
-    for bad in (-1.0, np.nan, np.inf):
+    # a bool would pass as 0 or 1; a string or None must not escape as a TypeError
+    for bad in (-1.0, np.nan, np.inf, True, "1e-3", None):
         with pytest.raises(ValueError):
             SolverConfig(eps_abs=bad)
         with pytest.raises(ValueError):
@@ -858,7 +861,7 @@ def test_solver_config_max_iters_must_be_an_integer():
 
 
 def test_solve_rejects_negative_lambda():
-    for lam in (-1.0, np.nan, np.inf):
+    for lam in (-1.0, np.nan, np.inf, True, "1e-3", None):
         with pytest.raises(ValueError):
             solve(_single_equation(4.0), lam)
 
@@ -953,10 +956,13 @@ def test_nonfinite_iterate_stops_as_diverged(monkeypatch):
 
 def test_iterate_invariants_hold_during_solves(monkeypatch):
     # every X1 and X2 the loop produces is checked as it is made, X1 on the
-    # matrix its coordinates scatter to: both exactly Hermitian, X2 in the PSD cone, X1 exactly affine-feasible or, for the
-    # budget program, within the residual budget with its corner pinned
+    # matrix its coordinates scatter to: both exactly Hermitian, X2 in the PSD
+    # cone, X1 exactly affine-feasible in a solve or, in a denoising solve,
+    # within the residual budget with its corner pinned.  The one X1 step is
+    # wrapped once, and the running solve picks the check.
     epsilon = 1e-3
     seen = {"psd": 0, "affine": 0, "budget": 0}
+    running = {"program": "affine"}
 
     def hermitian(M):
         assert np.array_equal(M, M.conj().T)
@@ -968,36 +974,31 @@ def test_iterate_invariants_hold_during_solves(monkeypatch):
         seen["psd"] += 1
         return X2
 
-    def checked_affine(self, x):
-        x1 = affine_call(self, x)
+    def checked_x1(self, x):
+        x1 = x1_call(self, x)
         X1 = unrealvec(x1)
         hermitian(X1)
-        viol = np.max(np.abs(measure_lifted(system, X1) - system.y))
-        scale = 1.0 + float(np.max(np.abs(system.y)))
-        assert viol <= 1e-6 * scale and abs(X1[0, 0] - 1.0) <= 1e-6
-        seen["affine"] += 1
+        if running["program"] == "affine":
+            viol = np.max(np.abs(measure_lifted(system, X1) - system.y))
+            scale = 1.0 + float(np.max(np.abs(system.y)))
+            assert viol <= 1e-6 * scale and abs(X1[0, 0] - 1.0) <= 1e-6
+        else:
+            assert X1[0, 0] == 1.0
+            assert data_residual(system, X1) <= epsilon
+        seen[running["program"]] += 1
         return x1
 
-    def checked_budget(self, x):
-        x1 = budget_call(self, x)
-        X1 = unrealvec(x1)
-        hermitian(X1)
-        assert X1[0, 0] == 1.0
-        assert data_residual(system, X1) <= epsilon
-        seen["budget"] += 1
-        return x1
-
-    affine_call = AffineProjector.__call__
-    budget_call = _PenalizedStep.__call__
+    x1_call = _PenalizedStep.__call__
     monkeypatch.setattr(qbp.admm, "project_psd", checked_psd)
-    monkeypatch.setattr(AffineProjector, "__call__", checked_affine)
-    monkeypatch.setattr(_PenalizedStep, "__call__", checked_budget)
+    monkeypatch.setattr(_PenalizedStep, "__call__", checked_x1)
     cfg = SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=20000)
     system, _ = pure_phase(5, 20, 2, "gaussian", seed=4)
     result = solve(system, 2.0, cfg)
     assert result.converged
+    running["program"] = "budget"
     budget = solve_denoising(system, 2.0, epsilon, cfg)
     assert budget.converged
+    running["program"] = "affine"
     rng = np.random.default_rng(11)
     system, _ = consistent_system(3, 6, rng)
     result2 = solve(system, 1.0, cfg)
@@ -1164,7 +1165,7 @@ def test_data_residual_zero_at_exact_lift():
 
 def test_denoising_validates_arguments():
     system = _single_equation(4.0)
-    for bad in (-0.1, np.nan, np.inf):
+    for bad in (-0.1, np.nan, np.inf, True, "1e-3", None):
         with pytest.raises(ValueError):
             solve_denoising(system, bad, 0.1)
         with pytest.raises(ValueError):
@@ -1243,27 +1244,30 @@ def test_budget_projection_property(n, N, seed, epsilon, spread):
 
 
 def test_budget_projection_at_zero_budget_is_affine():
+    # the budget step at epsilon = 0 is the equality step, byte for byte, on
+    # complex, real and real symmetric data (whose imaginary rows vanish)
     rng = np.random.default_rng(13)
-    for seed in range(20):
-        system, _ = consistent_system(3, 5 + seed % 7, rng, real=seed % 2 == 0)
+    for seed in range(30):
+        system, _ = consistent_system(3, 5 + seed % 7, rng, real=seed % 3 > 0,
+                                      symmetric=seed % 3 == 2)
         M = random_hermitian(4, rng)
         got = _on_matrices(_PenalizedStep(system, 0.0))(M)
-        assert np.max(np.abs(got - _on_matrices(AffineProjector(system))(M))) <= 1e-8
+        assert got.tobytes() == _on_matrices(AffineProjector(system))(M).tobytes()
     # ||y|| = 0 must not zero the infeasibility tolerance: a consistent
     # all-zero system has a least-squares floor of rounding size only
     rng = np.random.default_rng(14)
-    for seed in range(20):
-        system, _ = zero_valued_system(4, 6, rng, real=seed % 2 == 0)
+    for seed in range(30):
+        system, _ = zero_valued_system(4, 6, rng, real=seed % 3 > 0,
+                                       symmetric=seed % 3 == 2)
         M = 10.0 * random_hermitian(5, rng)
         got = _on_matrices(_PenalizedStep(system, 0.0))(M)
-        assert np.max(np.abs(got - _on_matrices(AffineProjector(system))(M))) <= 1e-8
+        assert got.tobytes() == _on_matrices(AffineProjector(system))(M).tobytes()
 
 
 def test_affine_projector_is_the_budget_step_at_zero_budget():
-    # the equality step only hands its rows to the budget step's constructor
-    # body; the factorization, the call and the infeasibility rule are shared
-    assert issubclass(AffineProjector, _PenalizedStep)
-    assert "__call__" not in vars(AffineProjector)
+    # one step class: the equality step is the budget step at its default
+    # epsilon = 0, the affine limit
+    assert AffineProjector is _PenalizedStep
     rng = np.random.default_rng(15)
     system, _ = consistent_system(3, 6, rng)
     assert AffineProjector(system)._radius is None
@@ -1290,6 +1294,21 @@ def test_denoising_at_zero_budget_solves_zero_valued_systems():
     assert exact.converged and noisy.converged
     assert noisy.data_residual <= 1e-20
     assert np.max(np.abs(exact.Z - noisy.Z)) <= 1e-4
+
+
+def test_denoising_at_zero_budget_runs_the_equality_loop():
+    # epsilon = 0 builds the equality step, so both programs take the same
+    # iterates, on magnitude systems with real y as on general systems;
+    # repr round-trips a float exactly
+    fields = ("iterations", "termination", "primal_residual", "dual_residual",
+              "rho_final")
+    for seed in range(10):
+        for system, lam in ((pure_phase(8, 30, 2, "binary", seed)[0], 1.0),
+                            (pure_phase(6, 24, 2, "gaussian", seed)[0], 5.0),
+                            (general_quadratic(8, 20, 2, "binary", seed)[0], 5.0)):
+            exact, noisy = solve(system, lam), solve_denoising(system, lam, 0.0)
+            assert [repr(getattr(noisy, f)) for f in fields] == [
+                repr(getattr(exact, f)) for f in fields]
 
 
 def test_a_large_lift_solve_starts_no_thread(monkeypatch):

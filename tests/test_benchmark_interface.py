@@ -10,6 +10,7 @@ Every check that imports the harness runs in a subprocess: the harness's
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,23 +105,32 @@ def test_traced_run_passes_its_gates(workload):
 
 
 @pytest.mark.parametrize("step, rows", [
-    (qbp.admm.AffineProjector, "constraint_system"),
+    # the alias names the one step class, whose own name pytest would print
+    pytest.param(qbp.admm.AffineProjector, "constraint_system",
+                 id="AffineProjector-constraint_system"),
     (lambda system: qbp.admm._PenalizedStep(system, 1e-3), "real_measurement_matrix"),
+    (lambda system: qbp.admm._PenalizedStep(system, 0.0), "constraint_system"),
 ])
 def test_factored_steps_still_build_the_traced_rows(monkeypatch, step, rows):
     # the harness traces the row builders on every workload, phantom-s8
-    # included, whose magnitude measurements take the factored X1 step: that
-    # step must still factor its Gram matrix from the rows, through the names
-    # the harness wraps
-    calls = []
-    build = getattr(qbp.admm, rows)
+    # included, whose magnitude measurements take the factored X1 step: every
+    # construction, dense or factored, must build its rows through the one
+    # name the harness traces for its program.  The budget step reads
+    # real_measurement_matrix only because holes-qbpd traces it.
+    calls = {}
+    for name in ("constraint_system", "real_measurement_matrix"):
+        build = getattr(qbp.admm, name)
+        calls[name] = made = []
 
-    def counted(system):
-        calls.append(system)
-        return build(system)
+        def counted(system, build=build, made=made):
+            made.append(system)
+            return build(system)
 
-    monkeypatch.setattr(qbp.admm, rows, counted)
-    monkeypatch.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", 0)
+        monkeypatch.setattr(qbp.admm, name, counted)
     system, _ = pure_phase(5, 12, 2, "binary", 0)
-    assert step(system)._Vt is None
-    assert calls == [system]
+    for entries in (0, math.inf):
+        monkeypatch.setattr(qbp.admm, "FACTORED_MIN_ENTRIES", entries)
+        for made in calls.values():
+            made.clear()
+        assert (step(system)._Vt is None) == (entries == 0)
+        assert calls == {name: [system] if name == rows else [] for name in calls}

@@ -348,6 +348,10 @@ def test_spec_validation():
         for value in (float("nan"), -1.0, float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
                 _tiny_spec(**{name: value})
+        # a bool passed as 0 or 1, and a string or None escaped as a TypeError
+        for value in (True, "1e-3", None):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                _tiny_spec(**{name: value})
     # sizes and the IHT budget fail when the spec is made, not inside a trial
     for name in ("n", "N", "k"):
         with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):

@@ -160,10 +160,12 @@ def test_judge_success_reads_small_phase_invariant_errors(delta):
         assert err == pytest.approx(delta, rel=1e-5)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True, "1e-3", None])
 def test_judge_success_rejects_a_bad_threshold(tol):
+    # True would judge at tol = 1; a string or None must not escape as a TypeError
     x = np.ones(3)
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+    message = "finite and nonnegative" if isinstance(tol, float) else "a real number"
+    with pytest.raises(ValueError, match=f"tol must be {message}"):
         judge_success(x, x, tol, phase_invariant=True)
 
 
