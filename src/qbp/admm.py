@@ -15,9 +15,8 @@ runs the same loop with the X1 step replaced by the exact Frobenius
 projection onto the residual budget set, one scalar root of a secular
 equation per call.  The equality program is its epsilon = 0 limit, so one
 step class, :class:`_PenalizedStep`, is the X1 step of both, built from an
-``eigh`` of the Gram matrix of the measurement rows: those of
-:func:`~qbp.model.constraint_system` at epsilon = 0, those of
-:func:`~qbp.model.real_measurement_matrix` above it.
+``eigh`` of the Gram matrix of one row set, the measurement rows of
+:func:`~qbp.model.constraint_system`.
 
 The loop holds every Hermitian matrix as its (n+1)^2 weighted coordinates
 (:func:`~qbp.model.hermitian_coordinates`): the diagonal, then sqrt(2) times
@@ -102,7 +101,6 @@ __all__ = [
     "InfeasibleProjectionError",
     "SolverConfig",
     "SolverResult",
-    "AffineProjector",
     "project_psd",
     "soft_threshold",
     "update_z",
@@ -253,9 +251,10 @@ class _PenalizedStep:
 
     Off the corner this is the penalized prox argmin ||X - M||^2 + mu *
     ||A(X) - y||^2 with the weight mu solved for in each call.  Split the
-    measurement rows (A, b) at the corner column, A = [a0, A1] and
-    g = b - a0, and factor G = A1 A1^T = U diag(s^2) U^T by ``eigh``,
-    dropping eigenvalues at or below max(A1.shape) * eps times the largest.
+    measurement rows (A, b) of :func:`~qbp.model.constraint_system`, the same
+    at every epsilon, at the corner column, A = [a0, A1] and g = b - a0, and
+    factor G = A1 A1^T = U diag(s^2) U^T by ``eigh``, dropping eigenvalues at
+    or below max(A1.shape) * eps times the largest.
     With V^T = diag(1/s) U^T A1 the squared residual of the prox is the
     secular function
 
@@ -277,9 +276,9 @@ class _PenalizedStep:
     def __init__(self, system: QuadraticSystem, epsilon: float = 0.0):
         """Factor the rows (A, b), check the budget against their floor, set up V^T.
 
-        The rows are :func:`~qbp.model.constraint_system`'s at epsilon = 0,
-        else :func:`~qbp.model.real_measurement_matrix`'s.  Both tolerances
-        scale with max(||y||, 1), so an all-zero ``y`` keeps them.
+        The rows are the same at every epsilon, so a budget step differs
+        from the equality step only in its radius.  Both tolerances scale
+        with max(||y||, 1), so an all-zero ``y`` keeps them.
         V^T is a dense matrix, and the instance's ``_forward`` and ``_back``
         are its products V^T v and k^T V^T.  Above FACTORED_MIN_ENTRIES
         entries, when every measurement is a magnitude
@@ -288,9 +287,9 @@ class _PenalizedStep:
         through the vectors.
         """
         _require_nonnegative("epsilon", epsilon)
-        # epsilon > 0 keeps real data's zero imaginary rows: perfbench traces
-        # real_measurement_matrix on holes-qbpd, and dropping them would
-        # change its rounding
+        # one row builder under two names: each program calls the name
+        # perfbench traces on its workloads (real_measurement_matrix on
+        # holes-qbpd)
         A, b = (constraint_system if epsilon == 0.0 else real_measurement_matrix)(system)
         A1 = A[:, 1:]
         g = b - A[:, 0]
@@ -320,10 +319,9 @@ class _PenalizedStep:
         else:
             self._Vt = None
             self._factor(vectors, U[:system.num_measurements] / s)
+        self._s, self._s2, self._h, self._mu = s, w, h, 0.0
         if self._radius is None:
             self._target = h / s
-        else:
-            self._s, self._s2, self._h, self._mu = s, w, h, 0.0
 
     def _factor(self, vectors: np.ndarray, W: np.ndarray) -> None:
         """Keep V^T as the magnitude vectors and W = U diag(1/s) over the real rows.
@@ -716,10 +714,11 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
     """Solve the residual-budget program with one ADMM run.
 
     The X1 step is the exact projection onto {X00 = 1, sum of squared
-    residuals <= epsilon} (:class:`_PenalizedStep`).  The returned ``Z`` is
-    the last such projected copy, so ``data_residual <= epsilon``.  At
-    epsilon = 0 this runs :func:`solve`'s loop, iterate for iterate, and
-    returns its last X1 in place of its consensus iterate.
+    residuals <= epsilon} (:class:`_PenalizedStep`), factored from the same
+    measurement rows as :func:`solve`'s.  The returned ``Z`` is the last
+    such projected copy, so ``data_residual <= epsilon``.  At epsilon = 0
+    this runs :func:`solve`'s loop, iterate for iterate, and returns its
+    last X1 in place of its consensus iterate.
 
     Raises :class:`InfeasibleProjectionError` when ``epsilon`` lies below the
     least-squares floor of the measurements by more than rounding.

@@ -11,9 +11,9 @@ the N matrices Phi and the values ``y``.  The blocks a, b, c and Q are read
 from the stack.  A single measurement is a plain record (a, b, c, Q, y) that a
 system checks and writes into its stack.  The module also holds the lifting
 map, the real coordinates of a Hermitian matrix (:func:`hermitian_coordinates`,
-read by ``_gather`` and written by ``_scatter``) and the matrix forms of the
-induced linear operator on Hermitian matrices that the solver and the
-diagnostics are built on, whose rows are the gathered Hermitian and
+read by ``_gather`` and written by ``_scatter``) and the one matrix form of
+the induced linear operator on Hermitian matrices that the solver is built
+on (:func:`constraint_system`), whose rows are the gathered Hermitian and
 skew-Hermitian parts of each Phi.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "measure_lifted",
     "is_phase_invariant",
     "hermitian_coordinates",
-    "real_measurement_matrix",
     "constraint_system",
 ]
 
@@ -295,17 +294,21 @@ def _scatter(x: np.ndarray, maps: HermitianMaps, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_rows(system: QuadraticSystem, every_imaginary: bool):
-    """The coordinate rows of the measurements and their right-hand side.
+def constraint_system(system: QuadraticSystem):
+    """Measurement constraints as coordinate rows and their right-hand side.
 
     For Hermitian X, Re Tr(Phi X) is the Frobenius product of X with the
     Hermitian part (Phi + Phi^H) / 2 and Im Tr(Phi X) that with the
-    skew-Hermitian part (Phi - Phi^H) / 2i, so in weighted coordinates each
-    is the dot product with the gathered part.  Row i holds the first for
-    measurement i; the second follows the N real rows, in measurement
-    order, for every measurement when ``every_imaginary`` is set, else for
-    each whose y has an imaginary part or whose skew part is not
-    identically zero.
+    skew-Hermitian part (Phi - Phi^H) / 2i, so in the weighted coordinates
+    of :func:`hermitian_coordinates` each is the dot product with the
+    gathered part.  Row i holds the first for measurement i; the second
+    follows the N real rows, in measurement order, for each measurement
+    whose y has an imaginary part or whose skew part is not identically
+    zero.  The rows left out are zero with a zero right-hand side (those of
+    real-valued measurements with Hermitian coefficients), so A v = b
+    exactly encodes Tr(Phi_i X) = y_i for the Hermitian X with coordinates
+    v.  The unit corner X[0, 0] = 1 is not a row: the solver's X1 step pins
+    it.
     """
     phis, y = system.phis, system.y
     N, m = phis.shape[:2]
@@ -316,30 +319,11 @@ def _operator_rows(system: QuadraticSystem, every_imaginary: bool):
         phi_h = phi.conj().T
         _gather(0.5 * (phi + phi_h), maps, A[i])
         skew = phi - phi_h
-        if every_imaginary or y[i].imag or skew.any():
+        if y[i].imag or skew.any():
             _gather(-0.5j * skew, maps, A[N + len(kept)])
             kept.append(i)
     return A[:N + len(kept)], np.concatenate([y.real, y.imag[kept]])
 
 
-def real_measurement_matrix(system: QuadraticSystem):
-    """Real matrix form of the lifted measurement map.
-
-    Returns ``(B, rhs)`` with B of shape (2N, (n+1)^2) acting on the
-    weighted coordinates v of :func:`hermitian_coordinates`; the first N
-    rows carry the real parts of the measurements and the last N rows the
-    imaginary parts, so B v = rhs exactly encodes Tr(Phi_i X) = y_i for the
-    Hermitian X with coordinates v.
-    """
-    return _operator_rows(system, True)
-
-
-def constraint_system(system: QuadraticSystem):
-    """Measurement constraints in real coordinates.
-
-    The rows of :func:`real_measurement_matrix` without the identically zero
-    imaginary rows with zero right-hand side (those of real-valued
-    measurements with Hermitian coefficients).  The unit corner X[0, 0] = 1
-    is not a row: the solver's X1 step pins it.
-    """
-    return _operator_rows(system, False)
+# perfbench traces the budget step's row builder under this name
+real_measurement_matrix = constraint_system

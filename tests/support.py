@@ -78,6 +78,37 @@ def unrealvec(v) -> np.ndarray:
     return X
 
 
+def reference_operator_rows(system):
+    """The 2N rows of the lifted map, written entry by entry, and which to keep.
+
+    Returns ``(B, rhs, keep)``.  Row i of B holds the Hermitian part
+    (Phi_i + Phi_i^H) / 2 and row N + i the skew-Hermitian part
+    (Phi_i - Phi_i^H) / 2i, each as its diagonal, then sqrt(2) times the real
+    and imaginary parts of each upper-triangle entry, row-major, so
+    B realvec(X) stacks Re Tr(Phi_i X) over Im Tr(Phi_i X); ``rhs`` stacks
+    Re y over Im y.  ``keep`` marks the rows that are not zero on both sides;
+    ``B[keep]`` and ``rhs[keep]`` are the rows qbp.model.constraint_system
+    must return, bit for bit.
+    """
+    phis = system.phis
+    m = system.n + 1
+    iu, ju = np.triu_indices(m, k=1)
+    phis_h = phis.conj().transpose(0, 2, 1)
+    blocks = []
+    for part in (0.5 * (phis + phis_h), -0.5j * (phis - phis_h)):
+        upper = part[:, iu, ju]
+        pairs = np.empty(upper.shape + (2,))
+        pairs[..., 0] = np.sqrt(2.0) * upper.real
+        pairs[..., 1] = np.sqrt(2.0) * upper.imag
+        blocks.append(np.concatenate([
+            part[:, np.arange(m), np.arange(m)].real,
+            pairs.reshape(len(phis), -1),
+        ], axis=1))
+    B = np.concatenate(blocks)
+    rhs = np.concatenate([system.y.real, system.y.imag])
+    return B, rhs, B.any(axis=1) | (rhs != 0.0)
+
+
 def random_measurement(n, rng, real=False):
     """Generic dense measurement with an arbitrary right-hand side."""
     if real:

@@ -34,7 +34,6 @@ from qbp.model import (
     hermitianize,
     lift,
     measure_lifted,
-    real_measurement_matrix,
 )
 from qbp.recovery import extract_phase_signal
 from qbp.generators import (
@@ -50,6 +49,7 @@ from support import (
     consistent_system,
     random_hermitian,
     realvec,
+    reference_operator_rows,
     reference_soft_threshold,
     reference_update_z,
     system_from_phis,
@@ -379,6 +379,12 @@ def test_affine_projector_rejects_contradictions(extra4, extra5):
         AffineProjector(system)
 
 
+def _complex_real_or_symmetric(n, N, rng, seed):
+    """A consistent system drawn by ``seed % 3``: complex, real, or real
+    symmetric (whose imaginary rows vanish and are left out)."""
+    return consistent_system(n, N, rng, real=seed % 3 > 0, symmetric=seed % 3 == 2)
+
+
 def _realvec_affine(system):
     """The affine projection as a pseudoinverse in realvec coordinates: the
     corner is pinned, and the rest is projected onto the constraint rows."""
@@ -395,8 +401,9 @@ def _realvec_affine(system):
 
 
 def _realvec_budget(system, epsilon):
-    """The budget projection in realvec coordinates, one fresh Newton solve per call."""
-    B, y = real_measurement_matrix(system)
+    """The budget projection in realvec coordinates, one fresh Newton solve per
+    call, on the full 2N rows of the reference, zero rows included."""
+    B, y, _ = reference_operator_rows(system)
     g = y - B[:, 0]
     U, s, Vt = np.linalg.svd(B[:, 1:], full_matrices=False)
     rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(B.shape) * np.finfo(float).eps))
@@ -459,7 +466,7 @@ def test_x1_steps_match_the_realvec_formulation(n, N, seed, epsilon, spread):
     # the steps map the weighted coordinates realvec and unrealvec convert,
     # with one orthonormal-row matrix V^T in place of a pseudoinverse
     rng = np.random.default_rng(seed)
-    system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
+    system, _ = _complex_real_or_symmetric(n, N, rng, seed)
     M = spread * random_hermitian(n + 1, rng)
     scale = max(1.0, float(np.max(np.abs(M))))
     got = _on_matrices(AffineProjector(system))(M)
@@ -479,7 +486,7 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
     # repeated measurements make the constraint matrix rank-deficient; the
     # Gram factor's rank cutoff must project like the pseudoinverse does
     rng = np.random.default_rng(seed)
-    system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
+    system, _ = _complex_real_or_symmetric(n, N, rng, seed)
     meas = system.measurements
     system = QuadraticSystem(meas + tuple(meas[i % N] for i in repeats))
     M = random_hermitian(n + 1, rng)
@@ -499,16 +506,20 @@ def test_gram_projector_matches_pinv_with_duplicated_rows(n, N, seed, repeats):
 
 
 def test_affine_limit_of_the_budget_step_is_the_equality_step():
-    # at epsilon = 0 the budget step reads the equality rows, also of real
-    # symmetric data, whose identically zero imaginary rows they leave out:
-    # the same rows, so the same matrices
+    # every budget reads the equality rows, also of real symmetric data,
+    # whose identically zero imaginary rows they leave out: the same rows,
+    # so the same factorization, and the steps differ only in their radius
     rng = np.random.default_rng(21)
-    for real in (False, True):
+    for kind in range(3):
         for N in range(1, 21):
-            system, _ = consistent_system(3, N, rng, real=real, symmetric=real)
-            budget, equality = _PenalizedStep(system, 0.0), AffineProjector(system)
-            for name in ("_Vt", "_target"):
-                assert getattr(budget, name).tobytes() == getattr(equality, name).tobytes()
+            system, _ = _complex_real_or_symmetric(3, N, rng, kind)
+            equality = _PenalizedStep(system, 0.0)
+            for epsilon in (1e-6, 1e-3, 1.0):
+                budget = _PenalizedStep(system, epsilon)
+                assert budget._radius is not None
+                for name in ("_Vt", "_floor", "_h"):
+                    got, want = getattr(budget, name), getattr(equality, name)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _magnitude_phis(sensing, offsets=None):
@@ -1234,7 +1245,7 @@ def test_denoising_meets_the_budget_exactly(make, lam, epsilon):
        st.floats(1e-10, 10.0), st.floats(0.1, 10.0))
 def test_budget_projection_property(n, N, seed, epsilon, spread):
     rng = np.random.default_rng(seed)
-    system, _ = consistent_system(n, N, rng, real=seed % 2 == 0)
+    system, _ = _complex_real_or_symmetric(n, N, rng, seed)
     step = _on_matrices(_PenalizedStep(system, epsilon))
     X = step(spread * random_hermitian(n + 1, rng))
     assert np.array_equal(X, X.conj().T)
@@ -1244,15 +1255,16 @@ def test_budget_projection_property(n, N, seed, epsilon, spread):
 
 
 def test_budget_projection_at_zero_budget_is_affine():
-    # the budget step at epsilon = 0 is the equality step, byte for byte, on
-    # complex, real and real symmetric data (whose imaginary rows vanish)
+    # the budget step at epsilon = 0 is the affine projection, the
+    # pseudoinverse's, on complex, real and real symmetric data (whose
+    # imaginary rows vanish)
     rng = np.random.default_rng(13)
     for seed in range(30):
-        system, _ = consistent_system(3, 5 + seed % 7, rng, real=seed % 3 > 0,
-                                      symmetric=seed % 3 == 2)
+        system, _ = _complex_real_or_symmetric(3, 5 + seed % 7, rng, seed)
         M = random_hermitian(4, rng)
         got = _on_matrices(_PenalizedStep(system, 0.0))(M)
-        assert got.tobytes() == _on_matrices(AffineProjector(system))(M).tobytes()
+        want = _realvec_affine(system)(M)
+        assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-12)
     # ||y|| = 0 must not zero the infeasibility tolerance: a consistent
     # all-zero system has a least-squares floor of rounding size only
     rng = np.random.default_rng(14)
@@ -1261,7 +1273,8 @@ def test_budget_projection_at_zero_budget_is_affine():
                                        symmetric=seed % 3 == 2)
         M = 10.0 * random_hermitian(5, rng)
         got = _on_matrices(_PenalizedStep(system, 0.0))(M)
-        assert got.tobytes() == _on_matrices(AffineProjector(system))(M).tobytes()
+        want = _realvec_affine(system)(M)
+        assert np.max(np.abs(got - want)) <= _gram_tol(system, 1e-12) * 10.0
 
 
 def test_affine_projector_is_the_budget_step_at_zero_budget():
@@ -1279,7 +1292,8 @@ def test_zero_valued_systems_keep_the_budget_margin(epsilon):
     # stays within a tiny budget
     rng = np.random.default_rng(16)
     for seed in range(20):
-        system, _ = zero_valued_system(4, 6, rng, real=seed % 2 == 0)
+        system, _ = zero_valued_system(4, 6, rng, real=seed % 3 > 0,
+                                       symmetric=seed % 3 == 2)
         step = _on_matrices(_PenalizedStep(system, epsilon))
         for _ in range(3):
             X = step(10.0 * random_hermitian(5, rng))

@@ -21,7 +21,6 @@ from qbp.model import (
     is_phase_invariant,
     lift,
     measure_lifted,
-    real_measurement_matrix,
 )
 
 from qbp.admm import SolverConfig, solve
@@ -40,6 +39,7 @@ from support import (
     random_hermitian,
     random_system,
     realvec,
+    reference_operator_rows,
     unrealvec,
 )
 
@@ -346,19 +346,26 @@ def test_unrealvec_rejects_non_square_lengths():
 
 
 def test_real_measurement_matrix_single_identity():
+    # the benchmark's name for the row builder; the reference writes the
+    # full rows, whose imaginary row is zero on both sides and left out
     m = QuadraticMeasurement(1.0, [0.0], [0.0], [[1.0]], 3.0)
-    B, rhs = real_measurement_matrix(QuadraticSystem([m]))
+    system = QuadraticSystem([m])
+    B, rhs, keep = reference_operator_rows(system)
     # realvec layout for 2x2: [X00, X11, sqrt2 Re X01, sqrt2 Im X01]
     assert B.shape == (2, 4)
     assert np.allclose(B[0], [1.0, 1.0, 0.0, 0.0])
     assert np.allclose(B[1], np.zeros(4))
     assert np.allclose(rhs, [3.0, 0.0])
+    assert keep.tolist() == [True, False]
+    A, b = constraint_system(system)
+    assert A.shape == (1, 4)
+    assert np.array_equal(A, B[:1]) and np.array_equal(b, rhs[:1])
 
 
 def test_real_measurement_matrix_reproduces_operator():
     rng = np.random.default_rng(8)
     system = random_system(4, 6, rng)
-    B, rhs = real_measurement_matrix(system)
+    B, rhs = constraint_system(system)
     assert np.allclose(rhs, np.concatenate([system.y.real, system.y.imag]))
     for _ in range(20):
         X = random_hermitian(5, rng)
@@ -370,6 +377,7 @@ def test_real_measurement_matrix_reproduces_operator():
 def test_real_symmetric_system_has_zero_imaginary_rows():
     # real data with b = c and symmetric Q: the measurement functional is
     # real on Hermitian matrices, so the imaginary rows vanish identically
+    # and the constraint rows are the real rows alone
     rng = np.random.default_rng(9)
     n = 3
     meas = []
@@ -381,8 +389,13 @@ def test_real_symmetric_system_has_zero_imaginary_rows():
                 rng.standard_normal(), b, b, Q + Q.T, rng.standard_normal()
             )
         )
-    B, _ = real_measurement_matrix(QuadraticSystem(meas))
+    system = QuadraticSystem(meas)
+    B, rhs, _ = reference_operator_rows(system)
+    assert B.shape == (10, 16)
     assert np.array_equal(B[5:], np.zeros_like(B[5:]))
+    A, b = constraint_system(system)
+    assert A.shape == (5, 16)
+    assert A.tobytes() == B[:5].tobytes() and b.tobytes() == rhs[:5].tobytes()
 
 
 def test_constraint_system_row_counts():
@@ -416,40 +429,8 @@ def test_constraint_system_feasible_at_planted_lift():
     assert np.allclose(A @ realvec(lift(x)), b, atol=1e-9)
 
 
-def _dropping_zero_rows(B, rhs):
-    """(B, rhs) and the same rows without those that are zero on both sides."""
-    keep = ~((np.abs(B).max(axis=1) == 0.0) & (rhs == 0.0))
-    return (B, rhs), (B[keep], rhs[keep])
-
-
-def _complex_row_operator(system):
-    """(B, rhs) and (A, b) written entry by entry from the two Hermitian parts.
-
-    Re Tr(Phi X) reads the Hermitian part (Phi + Phi^H) / 2 and Im Tr(Phi X)
-    the skew-Hermitian part (Phi - Phi^H) / 2i: each row is the part's
-    diagonal, then sqrt(2) times the real and imaginary parts of each
-    upper-triangle entry, row-major.
-    """
-    phis = system.phis
-    m = system.n + 1
-    iu, ju = np.triu_indices(m, k=1)
-    phis_h = phis.conj().transpose(0, 2, 1)
-    blocks = []
-    for part in (0.5 * (phis + phis_h), -0.5j * (phis - phis_h)):
-        upper = part[:, iu, ju]
-        pairs = np.empty(upper.shape + (2,))
-        pairs[..., 0] = np.sqrt(2.0) * upper.real
-        pairs[..., 1] = np.sqrt(2.0) * upper.imag
-        blocks.append(np.concatenate([
-            part[:, np.arange(m), np.arange(m)].real,
-            pairs.reshape(len(phis), -1),
-        ], axis=1))
-    return _dropping_zero_rows(np.concatenate(blocks),
-                               np.concatenate([system.y.real, system.y.imag]))
-
-
 def _pair_row_operator(system):
-    """(B, rhs) and (A, b) from the complex pair formula of earlier versions.
+    """(B, rhs), the 2N rows from the complex pair formula of earlier versions.
 
     The complex row holds the diagonal of Phi, then the pairs
     (Phi[j, k] + Phi[k, j]) / sqrt(2), 1j * (Phi[k, j] - Phi[j, k]) / sqrt(2)
@@ -466,8 +447,8 @@ def _pair_row_operator(system):
         phis[:, np.arange(m), np.arange(m)],
         pairs.reshape(len(phis), -1),
     ], axis=1)
-    return _dropping_zero_rows(np.concatenate([rows.real, rows.imag]),
-                               np.concatenate([system.y.real, system.y.imag]))
+    return (np.concatenate([rows.real, rows.imag]),
+            np.concatenate([system.y.real, system.y.imag]))
 
 
 def _operator_test_systems():
@@ -487,14 +468,15 @@ def _operator_test_systems():
 
 def test_operator_matrices_match_the_complex_row_formula_bit_for_bit():
     # the rows are gathered one measurement at a time and must reproduce
-    # every bit (signed zeros included) of the entrywise formula
+    # every bit (signed zeros included) of the entrywise formula, without
+    # the rows that are zero on both sides
     for system in _operator_test_systems():
-        want_B, want_A = _complex_row_operator(system)
-        for got, want in ((real_measurement_matrix(system), want_B),
-                          (constraint_system(system), want_A)):
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and g.dtype == w.dtype
-                assert g.tobytes() == w.tobytes()
+        B, rhs, keep = reference_operator_rows(system)
+        N = system.num_measurements
+        assert B.shape == (2 * N, (system.n + 1) ** 2) and rhs.shape == (2 * N,)
+        for g, w in zip(constraint_system(system), (B[keep], rhs[keep])):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
 
 
 def test_operator_matrices_stay_within_two_ulps_of_the_pair_formula():
@@ -504,11 +486,16 @@ def test_operator_matrices_stay_within_two_ulps_of_the_pair_formula():
     # units in the last place of the old entry (two is also the largest
     # deviation measured over these systems and 300 random ones)
     for system in _operator_test_systems():
-        for got, want in zip((real_measurement_matrix(system), constraint_system(system)),
-                             _pair_row_operator(system)):
-            assert got[0].shape == want[0].shape
-            assert np.array_equal(got[1], want[1])
-            assert np.all(np.abs(got[0] - want[0]) <= 2.0 * np.spacing(np.abs(want[0])))
+        B, rhs, keep = reference_operator_rows(system)
+        pair_B, pair_rhs = _pair_row_operator(system)
+        assert pair_B.shape == B.shape
+        assert np.array_equal(pair_rhs, rhs)
+        assert np.all(np.abs(B - pair_B) <= 2.0 * np.spacing(np.abs(pair_B)))
+        A, b = constraint_system(system)
+        want_A, want_b = pair_B[keep], pair_rhs[keep]
+        assert A.shape == want_A.shape
+        assert np.array_equal(b, want_b)
+        assert np.all(np.abs(A - want_A) <= 2.0 * np.spacing(np.abs(want_A)))
 
 
 @st.composite
@@ -535,25 +522,30 @@ def _phi_stacks(draw):
 @given(_phi_stacks())
 def test_operator_rows_scatter_to_the_two_hermitian_parts(system):
     # A*(nu) = scatter(A^T nu): the scatter of a real row is the Hermitian
-    # part (Phi + Phi^H) / 2 of its measurement and that of an imaginary row
-    # the skew-Hermitian part (Phi - Phi^H) / 2i, each within one unit in the
-    # last place of its entries (the sqrt(2) weight, there and back)
+    # part (Phi + Phi^H) / 2 of its measurement and that of a kept imaginary
+    # row the skew-Hermitian part (Phi - Phi^H) / 2i, each within one unit in
+    # the last place of its entries (the sqrt(2) weight, there and back)
     phis, y = system.phis, system.y
     N, m = phis.shape[:2]
     maps = hermitian_coordinates(m)
-    B, rhs = real_measurement_matrix(system)
+    B, rhs, keep = reference_operator_rows(system)
     assert B.shape == (2 * N, m * m)
     assert np.array_equal(rhs, np.concatenate([y.real, y.imag]))
+    imaginary = np.flatnonzero(keep[N:])
+    A, b = constraint_system(system)
+    assert A.shape == (N + imaginary.size, m * m)
+    assert np.array_equal(b, np.concatenate([y.real, y.imag[imaginary]]))
+    hermitian_parts = (phis + phis.conj().transpose(0, 2, 1)) / 2
+    skew_parts = (phis - phis.conj().transpose(0, 2, 1)) / 2j
+    wants = np.concatenate([hermitian_parts, skew_parts[imaginary]])
     x = np.zeros(m * m + 1)
     got = np.empty((m, m), dtype=complex)
-    for i, phi in enumerate(phis):
-        parts = ((phi + phi.conj().T) / 2, (phi - phi.conj().T) / 2j)
-        for row, want in zip((B[i], B[N + i]), parts):
-            x[:-1] = row
-            _scatter(x, maps, got.reshape(-1).view(np.float64))
-            assert np.array_equal(got, got.conj().T)
-            wv = want.view(np.float64)
-            assert np.all(np.abs(got.view(np.float64) - wv) <= np.spacing(np.abs(wv)))
+    for row, want in zip(A, wants):
+        x[:-1] = row
+        _scatter(x, maps, got.reshape(-1).view(np.float64))
+        assert np.array_equal(got, got.conj().T)
+        wv = want.view(np.float64)
+        assert np.all(np.abs(got.view(np.float64) - wv) <= np.spacing(np.abs(wv)))
 
 
 _ROW_CASES = ("hermitian, real y", "hermitian, complex y", "not hermitian")
@@ -583,7 +575,7 @@ def test_equality_rows_drop_exactly_the_zero_imaginary_rows(drawn):
     # without those that are zero on both sides: the imaginary rows of the
     # Hermitian Phi with real y
     system, cases = drawn
-    B, rhs = real_measurement_matrix(system)
+    B, rhs, _ = reference_operator_rows(system)
     zero = ~B.any(axis=1) & (rhs == 0.0)
     assert zero.tolist() == [False] * len(cases) + [c == _ROW_CASES[0] for c in cases]
     A, b = constraint_system(system)
