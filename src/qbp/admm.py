@@ -300,7 +300,7 @@ class _PenalizedStep:
         perp = g - U @ h
         floor = float(perp @ perp)
         scale = max(float(np.linalg.norm(system.y)), 1.0)
-        if math.sqrt(floor) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale:
+        if _over_budget(floor, epsilon, scale):
             message = f"inconsistent measurements: least-squares floor {floor:.3e}"
             if epsilon > 0.0:
                 message += f" exceeds the residual budget {epsilon:.3e}"
@@ -507,6 +507,11 @@ def update_rho(rho: float, r_norm: float, s_norm: float, changes: int) -> float:
     return rho
 
 
+def _over_budget(residual: float, epsilon: float, scale: float) -> bool:
+    """Whether a sum of squared residuals exceeds the budget by more than rounding."""
+    return math.sqrt(residual) > math.sqrt(epsilon) + INFEASIBLE_RTOL * scale
+
+
 def data_residual(system: QuadraticSystem, X) -> float:
     """Sum of squared measurement residuals |y_i - Tr(Phi_i X)|^2."""
     diff = system.y - measure_lifted(system, X)
@@ -692,11 +697,18 @@ def _solve(system: QuadraticSystem, lam: float, config: SolverConfig | None,
     setup_s = time.perf_counter() - start
     Z, iterations, termination, r_norm, s_norm, rho = _admm(
         system.n + 1, lam, config, step, setup_s, return_x1)
+    residual = data_residual(system, Z)
+    # the budget copy of a run that found no point of the budget set
+    if epsilon > 0.0 and _over_budget(residual, epsilon,
+                                      max(float(np.linalg.norm(system.y)), 1.0)):
+        raise InfeasibleProjectionError(
+            f"the returned copy's data residual {residual:.3e} exceeds the residual"
+            f" budget {epsilon:.3e} after {iterations} iterations ({termination})")
     return SolverResult(Z=Z, iterations=iterations, termination=termination,
                         lam=lam, rho_final=rho, primal_residual=r_norm,
                         dual_residual=s_norm,
                         objective=float(Z.trace().real + lam * np.abs(Z).sum()),
-                        data_residual=data_residual(system, Z))
+                        data_residual=residual)
 
 
 def solve(system: QuadraticSystem, lam: float = 1.0,
@@ -716,11 +728,15 @@ def solve_denoising(system: QuadraticSystem, lam: float, epsilon: float,
     The X1 step is the exact projection onto {X00 = 1, sum of squared
     residuals <= epsilon} (:class:`_PenalizedStep`), factored from the same
     measurement rows as :func:`solve`'s.  The returned ``Z`` is the last
-    such projected copy, so ``data_residual <= epsilon``.  At epsilon = 0
-    this runs :func:`solve`'s loop, iterate for iterate, and returns its
-    last X1 in place of its consensus iterate.
+    such projected copy, so ``data_residual <= epsilon`` up to rounding.  At
+    epsilon = 0 this runs :func:`solve`'s loop, iterate for iterate, and
+    returns its last X1 in place of its consensus iterate.
 
     Raises :class:`InfeasibleProjectionError` when ``epsilon`` lies below the
-    least-squares floor of the measurements by more than rounding.
+    least-squares floor of the measurements by more than rounding, and, for
+    epsilon > 0, when the last copy's ``data_residual`` exceeds ``epsilon``
+    by more than rounding (a run that found no point of the budget set, as
+    on data that no PSD matrix fits within it); the message names the
+    residual, the budget and the iteration count.
     """
     return _solve(system, lam, config, epsilon, True)

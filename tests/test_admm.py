@@ -1225,6 +1225,29 @@ def test_denoising_reports_unattained_budget():
     assert result.data_residual <= 0.6
 
 
+def _pushed_below_the_cone(seed):
+    """``pure_phase(8, 30, 2, "binary", seed)`` with values y - 2|g|, g standard
+    normal from ``seed``; seed 1 is budget-infeasible over the PSD cone at
+    epsilon = 1e-3, though its least-squares floor is zero."""
+    system, _ = pure_phase(8, 30, 2, "binary", seed)
+    g = np.random.default_rng(seed).standard_normal(30)
+    return QuadraticSystem.from_arrays(system.phis.copy(), system.y - 2.0 * np.abs(g))
+
+
+def test_denoising_never_returns_a_copy_outside_its_budget():
+    # seed 1's run ends with its last budget copy at a data residual of 7.27
+    # after 3000 iterations (0.0011 after 2000); it raises rather than return
+    # that copy, and seeds 0 and 2 return within the budget
+    cfg = SolverConfig(max_iters=3000)
+    with pytest.raises(InfeasibleProjectionError,
+                       match=r"residual 7\.\d+e\+00 exceeds the residual budget"
+                             r" 1\.000e-03 after 3000 iterations"):
+        solve_denoising(_pushed_below_the_cone(1), 1.0, 1e-3, cfg)
+    for seed in (0, 2):
+        assert solve_denoising(_pushed_below_the_cone(seed), 1.0, 1e-3,
+                               cfg).data_residual <= 1e-3
+
+
 @pytest.mark.parametrize("make, lam", [
     (lambda: pure_phase(16, 60, 3, "binary", 0), 100.0),
     (lambda: pure_phase(6, 24, 2, "gaussian", 1), 5.0),

@@ -1,6 +1,6 @@
-"""The performance-record tool records two trees seed by seed and refuses
-one tree named twice, a stale tree and a bad run; the comparison tool reads
-the two halves of a pair."""
+"""The performance-record tool records two trees seed by seed, refuses one
+tree named twice, a stale tree and a bad run, and compares the two halves of
+the pair it wrote."""
 
 import importlib.util
 import json
@@ -11,7 +11,6 @@ from types import SimpleNamespace
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
-COMPARE = TOOL.parent / "bench_compare.py"
 
 
 BENCH = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -148,7 +147,7 @@ def _drifting_harness(calls):
 def test_a_paired_record_recovers_a_change_under_drift(tool, tmp_path, monkeypatch):
     # the machine slows by 21% over the record, four times the change, and
     # each seed's two runs, back to back, still read the change
-    compare = _load(COMPARE).compare
+    compare = _load(TOOL).compare
     trees = _pair(tmp_path)
     seeds = len(tool.DEFAULT_SEEDS)
     calls = []
@@ -166,6 +165,32 @@ def test_a_paired_record_recovers_a_change_under_drift(tool, tmp_path, monkeypat
     seed_ratio, better, compared = row[4:7]
     assert seed_ratio == pytest.approx(GAIN, rel=1e-3)
     assert better == compared == seeds
+
+
+def test_the_recorder_prints_the_claim_columns(tool, tmp_path, monkeypatch, capsys):
+    # after writing both trees' records it prints one row per workload and
+    # end-to-end metric, the comparison of the two records it wrote
+    trees = _pair(tmp_path)
+    monkeypatch.setattr(subprocess, "run", _drifting_harness([]))
+    assert tool.main(trees) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "metric", "before", "after", "ratio",
+                                "seed-ratio", "seeds-better", "verdict"]
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
+    workloads = [w["name"] for w in BENCH["workloads"]]
+    assert len(lines) - 1 == len(rows) == len(workloads) * len(BENCH["end_to_end"])
+    for workload in workloads:
+        paired = [json.loads((Path(t) / f"BENCH_{workload}.json").read_text())
+                  for t in trees]
+        for name, old, new, ratio, seed_ratio, better, seeds, verdict in tool.compare(
+                BENCH, *paired):
+            assert rows[workload, name] == [f"{old:.5g}", f"{new:.5g}", f"{ratio:.4f}",
+                                            f"{seed_ratio:.4f}", f"{better}/{seeds}",
+                                            verdict]
+            # each seed's after run reads 5% below its before run, give or take
+            # the drift between the two
+            assert float(rows[workload, name][3]) == pytest.approx(GAIN, rel=1e-3)
+            assert seeds == len(tool.SEEDS.get(workload, tool.DEFAULT_SEEDS))
 
 
 def test_a_record_keeps_the_harness_cpu_count(tool, tmp_path, monkeypatch):
@@ -193,57 +218,8 @@ def _synthetic_record(bench, medians, seeds=3):
     return {"stamp": {}, "seeds": list(range(1, seeds + 1)), "end_to_end": end_to_end}
 
 
-def _write_records(directory, records):
-    directory.mkdir()
-    for workload, record in records.items():
-        (directory / f"BENCH_{workload}.json").write_text(json.dumps(record))
-
-
-def test_the_comparison_prints_the_claim_columns(tmp_path, capsys):
-    module = _load(COMPARE)
-    workloads = [w["name"] for w in BENCH["workloads"]]
-    before, after = tmp_path / "before", tmp_path / "after"
-    for directory, medians in ((before, {"trials_per_s": 10.0, "solve_s_p50": 4.0}),
-                               (after, {"trials_per_s": 12.0, "solve_s_p50": 4.5})):
-        _write_records(directory, {w: _synthetic_record(BENCH, medians) for w in workloads})
-    assert module.main([str(before), str(after)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["workload", "metric", "before", "after", "ratio",
-                                "seed-ratio", "seeds-better", "verdict"]
-    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
-    assert len(rows) == len(workloads) * len(BENCH["end_to_end"])
-    for workload in workloads:
-        # higher is better; seed by seed, 11/9, 12/10 and 13/11, all better;
-        # a 2 gain equals the before quartiles' spread, so it is no verdict
-        assert rows[workload, "trials_per_s"] == ["10", "12", "1.2000", "1.2000", "3/3", "-"]
-        # lower is better; 3.5/3, 4.5/4 and 5.5/5: 12.5% worse, within the
-        # 0.25 bound
-        assert rows[workload, "solve_s_p50"] == ["4", "4.5", "1.1250", "1.1250", "0/3", "-"]
-        # the seed whose before value is 0 has no ratio
-        assert rows[workload, "peak_rss_mb"] == ["1", "1", "1.0000", "1.0000", "0/3", "-"]
-    (after / f"BENCH_{workloads[0]}.json").unlink()
-    assert module.main([str(before), str(after)]) == 2
-    assert module.main([str(before)]) == 2
-
-
-@pytest.mark.parametrize("seeds", [[1, 2, 4], [3, 2, 1], [1, 2]])
-def test_the_comparison_refuses_records_of_different_seeds(tmp_path, capsys, seeds):
-    # the halves of one pair hold the same seeds in the same order, and the
-    # per-seed columns pair their values by position
-    module = _load(COMPARE)
-    workloads = [w["name"] for w in BENCH["workloads"]]
-    _write_records(tmp_path / "before",
-                   {w: _synthetic_record(BENCH, {}) for w in workloads})
-    _write_records(tmp_path / "after", {w: {**_synthetic_record(BENCH, {}), "seeds": seeds}
-                                        for w in workloads})
-    assert module.main([str(tmp_path / "before"), str(tmp_path / "after")]) == 2
-    out = capsys.readouterr()
-    assert "not one pair" in out.err
-    assert len(out.out.splitlines()) == 1
-
-
 def test_the_comparison_gives_a_verdict_per_metric():
-    compare = _load(COMPARE).compare
+    compare = _load(TOOL).compare
     bounds = {m["name"]: m["bound"] for m in BENCH["end_to_end"]}
     before = _synthetic_record(BENCH, {"solve_s_p50": 10.0, "trials_per_s": 10.0,
                                        "peak_rss_mb": 10.0, "setup_s": 10.0})
@@ -277,7 +253,7 @@ def test_an_rss_drop_within_a_layout_shift_is_no_gain(drop, verdict):
     # every seed's peak RSS falls by more than the before quartiles' spread
     # of 2 MB; only a drop beyond phantom-s8's 70-74 MB layout flip, about
     # 6% of the median, reads as a gain
-    compare = _load(COMPARE).compare
+    compare = _load(TOOL).compare
     before = _synthetic_record(BENCH, {"peak_rss_mb": 70.0}, seeds=10)
     after = _synthetic_record(BENCH, {"peak_rss_mb": 70.0 * (1.0 - drop)}, seeds=10)
     row = {row[0]: row for row in compare(BENCH, before, after)}["peak_rss_mb"]

@@ -1,4 +1,4 @@
-"""Record the benchmark's metrics for two trees as their root ``BENCH_<workload>.json`` files.
+"""Record two trees' benchmark metrics in their ``BENCH_<workload>.json`` and compare them.
 
     python3 tools/bench_record.py BEFORE_TREE AFTER_TREE [WORKLOAD ...]
 
@@ -12,6 +12,20 @@ goes to its root: the harness's environment stamp, every end-to-end metric
 per seed with its median and quartiles, each run's ``order`` (``first`` or
 ``second``), and the traced run's per-layer metrics and exact counts.  The
 harness's own files are left as it writes them.
+
+Once both trees' records are written, one line per workload and end-to-end
+metric goes to standard output: the before and after medians, their ratio,
+the median of the per-seed after / before ratios (over the seeds with a
+nonzero before value), the seeds that moved in the metric's ``better``
+direction out of those compared, and the verdict: ``gain`` when at least
+nine seeds in ten moved the better way and the medians differ by more than
+the before quartiles' spread, ``regression`` when the after median is worse
+than the before by more than the metric's ``BENCHMARK.json`` bound (a
+fraction of the before median), else ``-``.  A ``peak_rss_mb`` move is a
+``gain`` only when it also exceeds RSS_LAYOUT_SHIFT of the before median:
+code layout alone moves the peak RSS further than its quartile spread, and
+the largest layout-only shift on record is phantom-s8's pymalloc arenas
+flipping it between 70 and 74 MB, about 6%.
 
 Two paths that resolve to one tree are refused, since its after record would
 overwrite its before record: an A/A pair is two fresh clones of one commit.
@@ -34,6 +48,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+RSS_LAYOUT_SHIFT = 0.06
 
 # Seeds of the untraced runs; holes-qbpd, the noisiest solve time, gets twice
 # as many.
@@ -113,6 +129,35 @@ def _document(bench: dict, workload: str, seeds: list[int], runs: list[tuple]) -
     }
 
 
+def compare(bench: dict, before: dict, after: dict) -> list[tuple]:
+    """Rows ``(metric, before median, after median, ratio, per-seed median
+    ratio, seeds better, seeds compared, verdict)`` of two records of the
+    same seeds."""
+    rows = []
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        sign = -1.0 if metric["better"] == "lower" else 1.0
+        old, new = before["end_to_end"][name], after["end_to_end"][name]
+        ratio = new["median"] / old["median"] if old["median"] else float("nan")
+        gain = sign * (new["median"] - old["median"])
+        pairs = list(zip(old["values"], new["values"]))
+        ratios = [b / a for a, b in pairs if a]
+        seed_ratio = statistics.median(ratios) if ratios else float("nan")
+        better = sum(sign * (b - a) > 0 for a, b in pairs)
+        floor = old["q3"] - old["q1"]
+        if name == "peak_rss_mb":
+            floor = max(floor, RSS_LAYOUT_SHIFT * abs(old["median"]))
+        if pairs and 10 * better >= 9 * len(pairs) and gain > floor:
+            verdict = "gain"
+        elif -gain > metric["bound"] * abs(old["median"]):
+            verdict = "regression"
+        else:
+            verdict = "-"
+        rows.append((name, old["median"], new["median"], ratio, seed_ratio, better,
+                     len(pairs), verdict))
+    return rows
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=Path, metavar="BEFORE_TREE")
@@ -142,6 +187,13 @@ def main(argv: list[str]) -> int:
             path = tree / f"BENCH_{workload}.json"
             path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
             print(f"wrote {path}", file=sys.stderr)
+    print(f"{'workload':<12} {'metric':<14} {'before':>11} {'after':>11} {'ratio':>7}"
+          "  seed-ratio  seeds-better  verdict")
+    for workload, (before, after) in zip(workloads, docs):
+        for name, old, new, ratio, seed_ratio, better, seeds, verdict in compare(
+                bench, before, after):
+            print(f"{workload:<12} {name:<14} {old:>11.5g} {new:>11.5g} {ratio:>7.4f}"
+                  f"  {seed_ratio:>10.4f}  {f'{better}/{seeds}':<12}  {verdict}")
     return 0
 
 
