@@ -170,10 +170,9 @@ def phantom_image(side: int) -> np.ndarray:
 def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
     """Best k-term DFT approximation that keeps conjugate symmetry.
 
-    Coefficients are grouped with their reflection (q -> -q mod side); groups
-    are taken in decreasing energy while they fit the remaining budget, so a
-    real image stays real after truncation.  Returns the vectorized k-sparse
-    coefficient array.  The image must be real, square and finite.
+    Groups of a coefficient and its reflection (q -> -q mod side) are taken in
+    decreasing energy while they fit the budget, so a real image stays real.
+    The image must be real, square and finite; returns the vectorized coefficients.
     """
     if np.iscomplexobj(image):
         raise ValueError("image must be real")
@@ -187,22 +186,23 @@ def truncate_fourier(image: np.ndarray, k: int) -> np.ndarray:
     if k > side * side:
         raise ValueError(f"k must be in [1, {side * side}]")
     C = np.fft.fft2(image).ravel()
-    groups = []
-    for i in range(side * side):
-        # the row-major index of the reflection of i's (row, column)
-        mate = ((-(i // side)) % side) * side + (-i) % side
-        if mate >= i:  # a group is led by its smaller index
-            members = (i,) if mate == i else (i, mate)
-            groups.append((sum(abs(C[j]) ** 2 for j in members), members))
-    groups.sort(key=lambda g: -g[0])
-    out = np.zeros(side * side, dtype=complex)
-    budget = k
-    for energy, members in groups:
-        if len(members) <= budget and energy > 0.0:
-            out[list(members)] = C[list(members)]
-            budget -= len(members)
+    index = np.arange(side * side)
+    # groups in row-major order of their smaller index, each summing the scalar
+    # abs(c) ** 2 lead then mate: np.abs(C) ** 2 rounds exact-energy ties apart
+    mate = ((-(index // side)) % side) * side + (-index) % side
+    lead = index[mate >= index]
+    pair = mate[lead]
+    power = np.float_power(np.hypot(C.real, C.imag), 2)
+    energy = np.where(pair == lead, power[lead], power[lead] + power[pair])
+    out, kept, budget = np.zeros_like(C), [], k
+    for g in np.argsort(-energy, kind="stable").tolist():
+        size = 1 if pair[g] == lead[g] else 2
+        if size <= budget and energy[g] > 0.0:
+            kept += (lead[g], pair[g])
+            budget -= size
         if budget == 0:
             break
+    out[kept] = C[kept]
     return out
 
 

@@ -1277,6 +1277,24 @@ def test_budget_projection_property(n, N, seed, epsilon, spread):
     assert np.max(np.abs(step(X) - X)) <= 1e-10
 
 
+def test_budget_step_after_its_newton_cap_stays_outside_the_radius(monkeypatch):
+    # a cap of 1, 2 or 3 steps ends the secular loop without converging; the
+    # step then projects with its last mu, which Newton on phi^(-1/2) reaches
+    # from the left: the copy's residual stays at or above the radius and
+    # falls toward it as the cap grows
+    holes, _ = pure_phase(16, 60, 3, "binary", 0)
+    M = random_hermitian(17, np.random.default_rng(0))
+    assert math.sqrt(data_residual(holes, M)) > 1e3 * math.sqrt(1.2e-3)
+    residuals = []
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(qbp.admm, "SECULAR_MAX_STEPS", cap)
+        step = _PenalizedStep(holes, 1.2e-3)
+        residual = math.sqrt(data_residual(holes, _on_matrices(step)(M)))
+        assert residual >= step._radius * (1.0 - 1e-12)
+        residuals.append(residual)
+    assert residuals[0] >= residuals[1] >= residuals[2]
+
+
 def test_budget_projection_at_zero_budget_is_affine():
     # the budget step at epsilon = 0 is the affine projection, the
     # pseudoinverse's, on complex, real and real symmetric data (whose

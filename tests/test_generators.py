@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qbp.admm import SolverConfig, solve, solve_denoising
 from qbp.generators import (
@@ -225,6 +227,36 @@ def test_truncate_fourier_matches_the_visited_set_walk():
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (side, k)
                 cases += 1
     assert cases == 10465
+
+
+@st.composite
+def _image_and_budget(draw):
+    """A real square image of side 2-16, its pixels drawn from [-1, 1] or from
+    a few exact values that tie energies, and a budget k in [1, side^2]."""
+    side = draw(st.integers(2, 16))
+    pixels = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.5, 1.0, -1.0]))
+    image = draw(arrays(np.float64, (side, side), elements=pixels))
+    return image, draw(st.integers(1, side * side))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_image_and_budget())
+# the DFT of this image rounds one coefficient of a conjugate pair to 0 and
+# its mate to about 1e-21: the group is kept, and only the mate is nonzero
+@example((np.diag([1e-5, 1e-5, 0.0, 0.0, 0.0, 0.0]), 34))
+def test_truncate_fourier_keeps_whole_conjugate_groups_of_the_dft(case):
+    image, k = case
+    side = image.shape[0]
+    C = np.fft.fft2(image)
+    out = truncate_fourier(image, k).reshape(side, side)
+    kept = out != 0
+    assert np.count_nonzero(kept) <= k
+    assert np.array_equal(out[kept], C[kept])
+    # the reflection (-p, -q) mod side of a nonzero is kept too: nonzero, or
+    # the DFT's own zero there
+    mirror = np.roll(kept[::-1, ::-1], 1, axis=(0, 1))
+    assert np.array_equal(out[mirror], C[mirror])
+    assert np.max(np.abs(np.fft.ifft2(out).imag)) <= 1e-12
 
 
 def test_truncate_fourier_validation():

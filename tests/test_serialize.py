@@ -123,6 +123,17 @@ def _valid_doc():
     }
 
 
+def test_a_q_short_of_a_row_names_its_measurement():
+    # n - 1 rows, in the second measurement
+    doc = _valid_doc()
+    doc["measurements"].append(_valid_doc()["measurements"][0])
+    doc["measurements"][1]["Q"].pop()
+    with pytest.raises(InstanceFormatError,
+                       match=r"^measurements\[1\]\.Q: expected 2 rows$") as exc:
+        system_from_dict(doc)
+    assert exc.value.location == "measurements[1].Q"
+
+
 def test_field_shape_errors_have_deep_locations():
     doc = _valid_doc()
     doc["measurements"][0]["b"] = [[1.0, 0.0]]

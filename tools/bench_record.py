@@ -78,17 +78,40 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def alternate(rounds):
+    """``(round, order, tree index)`` for each round run in both trees of a pair
+    back to back, the tree that goes first alternating from round to round
+    (tree 0, BEFORE, at the first); ``order`` is ``first`` or ``second``."""
+    for i, item in enumerate(rounds):
+        for order, t in zip(("first", "second"), (i % 2, 1 - i % 2)):
+            yield item, order, t
+
+
+def pair_error(trees: list[Path], caches: tuple = ("src/qbp/__pycache__",)) -> str | None:
+    """Why two trees cannot be recorded as a pair, or None: they resolve to one
+    tree, or one holds bytecode in one of ``caches``, which a fresh import
+    would not find."""
+    if trees[0].resolve() == trees[1].resolve():
+        return f"{trees[0]} and {trees[1]} are one tree; record two clones"
+    for tree in trees:
+        for cache in caches:
+            if (tree / cache).exists():
+                return (f"{tree}/{cache} exists and would lower the timings;"
+                        " record in a fresh clone")
+    return None
+
+
 def record(bench: dict, workload: str, trees: list[Path]) -> list[dict]:
     """The records of the two trees, which run each seed back to back, the
     first of them alternating from seed to seed, the traced run last."""
     seeds = list(SEEDS.get(workload, DEFAULT_SEEDS))
     runs = ([], [])
-    for i, (seed, trace) in enumerate([*((seed, 0) for seed in seeds), (TRACE_SEED, 1)]):
-        for order, t in zip(("first", "second"), (i % 2, 1 - i % 2)):
-            detail, result = run(bench, trees[t], workload, seed, trace)
-            runs[t].append((detail, result, order))
-            print(f"{workload} seed {seed} trace {trace} in {trees[t]}: correct",
-                  file=sys.stderr)
+    for (seed, trace), order, t in alternate([*((seed, 0) for seed in seeds),
+                                              (TRACE_SEED, 1)]):
+        detail, result = run(bench, trees[t], workload, seed, trace)
+        runs[t].append((detail, result, order))
+        print(f"{workload} seed {seed} trace {trace} in {trees[t]}: correct",
+              file=sys.stderr)
     return [_document(bench, workload, seeds, tree_runs) for tree_runs in runs]
 
 
@@ -172,15 +195,10 @@ def main(argv: list[str]) -> int:
         print(f"unknown workloads {unknown}; BENCHMARK.json has {known}", file=sys.stderr)
         return 2
     trees = [args.before, args.after]
-    if trees[0].resolve() == trees[1].resolve():
-        print(f"{trees[0]} and {trees[1]} are one tree; record two clones",
-              file=sys.stderr)
+    error = pair_error(trees)
+    if error:
+        print(error, file=sys.stderr)
         return 2
-    for tree in trees:
-        if (tree / "src" / "qbp" / "__pycache__").exists():
-            print(f"{tree}/src/qbp/__pycache__ exists and would lower setup_s;"
-                  " record in a fresh clone", file=sys.stderr)
-            return 2
     docs = [record(bench, workload, trees) for workload in workloads]
     for workload, tree_docs in zip(workloads, docs):
         for tree, doc in zip(trees, tree_docs):
