@@ -12,7 +12,7 @@ import numpy as np
 
 from qbp.model import (DimensionMismatchError, QuadraticSystem, _as_complex,
                        _require_integer)
-from qbp.admm import INFEASIBLE_RTOL, RHO0, soft_threshold, update_rho
+from qbp.admm import RHO0, _over_budget, soft_threshold, update_rho
 
 __all__ = [
     "InfeasibleLinearSystemError",
@@ -74,7 +74,7 @@ def basis_pursuit(A, y):
     y = _as_complex(y, A.shape[:1], "y")
     pinv = np.linalg.pinv(A)
     gap = np.linalg.norm(A @ (pinv @ y) - y)
-    if gap > INFEASIBLE_RTOL * max(1.0, np.linalg.norm(y)):
+    if _over_budget(gap * gap, 0.0, max(np.linalg.norm(y), 1.0)):
         raise InfeasibleLinearSystemError(
             f"linearized constraints are inconsistent: least-squares gap {gap:.3e}"
         )

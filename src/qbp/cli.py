@@ -43,12 +43,12 @@ from qbp.recovery import (
 )
 from qbp.serialize import (
     InstanceFormatError,
+    _pairs,
     load_system,
     read_json,
     report_to_dict,
     result_to_dict,
     save_system,
-    vector_from_pairs,
     vector_to_pairs,
     write_json,
 )
@@ -144,10 +144,7 @@ def _read_truth(path, n: int) -> np.ndarray:
         doc = read_json(stream)
     if not isinstance(doc, dict):
         raise InstanceFormatError("$", "expected a JSON object")
-    x = vector_from_pairs(doc.get("x"), "x")
-    if x.size != n:
-        raise InstanceFormatError("x", f"expected a list of {n} pairs")
-    return x
+    return _pairs(doc.get("x"), (n,), "x")
 
 
 def _timed_solve(args, system):

@@ -108,6 +108,9 @@ class ExperimentSpec:
             _require_integer(name, getattr(self, name), 1)
         for name in ("lam", "epsilon", "tol"):
             _require_nonnegative(name, getattr(self, name))
+        if self.epsilon > 0.0 and "qbpd" not in self.methods:
+            raise ValueError(f"epsilon {self.epsilon!r} is read only by qbpd,"
+                             f" which methods {self.methods} do not name")
         if not isinstance(self.solver, SolverConfig):
             object.__setattr__(self, "solver", SolverConfig(**self.solver))
 

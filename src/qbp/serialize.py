@@ -53,22 +53,17 @@ def _real(value, location: str) -> float:
     return value
 
 
-def _pair(value, location: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InstanceFormatError(location, "expected a [real, imag] pair")
-    return complex(_real(value[0], f"{location}[0]"), _real(value[1], f"{location}[1]"))
-
-
-def _pair_list(value, n: int, location: str) -> np.ndarray:
+def _pairs(value, shape: tuple, location: str):
+    """The complex scalar, or array of ``shape``, that nested pairs encode."""
+    if not shape:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise InstanceFormatError(location, "expected a [real, imag] pair")
+        return complex(_real(value[0], f"{location}[0]"), _real(value[1], f"{location}[1]"))
+    n = shape[0]
     if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise InstanceFormatError(location, f"expected a list of {n} pairs")
-    return np.array([_pair(v, f"{location}[{i}]") for i, v in enumerate(value)])
-
-
-def _pair_matrix(value, n: int, location: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise InstanceFormatError(location, f"expected {n} rows")
-    return np.stack([_pair_list(row, n, f"{location}[{i}]") for i, row in enumerate(value)])
+        raise InstanceFormatError(
+            location, f"expected {n} rows" if shape[1:] else f"expected a list of {n} pairs")
+    return np.array([_pairs(v, shape[1:], f"{location}[{i}]") for i, v in enumerate(value)])
 
 
 def vector_to_pairs(x) -> list:
@@ -80,12 +75,12 @@ def vector_to_pairs(x) -> list:
 def vector_from_pairs(value, location: str = "x") -> np.ndarray:
     if not isinstance(value, (list, tuple)) or not value:
         raise InstanceFormatError(location, "expected a non-empty list of pairs")
-    return np.array([_pair(v, f"{location}[{i}]") for i, v in enumerate(value)])
+    return _pairs(value, (len(value),), location)
 
 
 def system_to_dict(system: QuadraticSystem) -> dict:
     blocks = {name: vector_to_pairs(getattr(system, name))
-              for name in ("a", "b", "c", "Q", "y")}
+              for name in QuadraticMeasurement._fields}
     return {
         "n": system.n,
         "measurements": [dict(zip(blocks, row)) for row in zip(*blocks.values())],
@@ -101,21 +96,18 @@ def system_from_dict(obj) -> QuadraticSystem:
     measurements = obj.get("measurements")
     if not isinstance(measurements, list) or not measurements:
         raise InstanceFormatError("measurements", "expected a non-empty list")
+    shapes = QuadraticMeasurement((), (n,), (n,), (n, n), ())
     records = []
     for i, item in enumerate(measurements):
         loc = f"measurements[{i}]"
         if not isinstance(item, dict):
             raise InstanceFormatError(loc, "expected an object")
-        missing = {"a", "b", "c", "Q", "y"} - set(item)
+        missing = set(shapes._fields) - set(item)
         if missing:
             raise InstanceFormatError(loc, f"missing fields {sorted(missing)}")
-        records.append(QuadraticMeasurement(
-            _pair(item["a"], f"{loc}.a"),
-            _pair_list(item["b"], n, f"{loc}.b"),
-            _pair_list(item["c"], n, f"{loc}.c"),
-            _pair_matrix(item["Q"], n, f"{loc}.Q"),
-            _pair(item["y"], f"{loc}.y"),
-        ))
+        records.append(QuadraticMeasurement._make(
+            _pairs(item[name], shape, f"{loc}.{name}")
+            for name, shape in shapes._asdict().items()))
     return QuadraticSystem(records)
 
 

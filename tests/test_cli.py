@@ -542,6 +542,16 @@ def test_montecarlo_refuses_a_method_named_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_montecarlo_refuses_a_budget_without_qbpd(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main([
+        "montecarlo", "-n", "4", "-N", "10", "-k", "1", "--trials", "2",
+        "--methods", "qbp", "--epsilon", "1e-3", "-o", str(out),
+    ]) == 1
+    assert "qbp: error: epsilon 0.001 is read only by qbpd" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_montecarlo_help_lists_every_method(capsys, monkeypatch):
     # wide enough that argparse keeps the help on one line
     monkeypatch.setenv("COLUMNS", "200")

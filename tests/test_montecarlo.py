@@ -236,6 +236,25 @@ def test_a_process_pinned_to_one_cpu_starts_no_pool(monkeypatch):
     assert [r.trial for r in records] == [0, 1]
 
 
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without an affinity call counts the host's CPUs, and one
+    # when even that count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert qbp.montecarlo._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert qbp.montecarlo._usable_cpus() == 1
+
+
+def test_a_budget_no_method_reads_is_refused():
+    # only qbpd reads epsilon; elsewhere a budget would be silently ignored
+    for methods in (("qbp",), ("qbp", "qbp0", "bp", "iht")):
+        with pytest.raises(ValueError, match="epsilon 0.001 is read only by qbpd"):
+            _tiny_spec(methods=methods, epsilon=1e-3)
+        assert _tiny_spec(methods=methods, epsilon=0.0).epsilon == 0.0
+    assert _tiny_spec(methods=("qbp", "qbpd"), epsilon=1e-3).epsilon == 1e-3
+
+
 def test_importing_qbp_loads_no_process_pool():
     # the pool's modules load only when a run starts worker processes
     code = ("import sys, qbp; print(sorted(m for m in ('multiprocessing',"

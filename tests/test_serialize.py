@@ -3,9 +3,11 @@
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbp.admm import SolverResult, solve
 from qbp.generators import (
@@ -17,6 +19,7 @@ from qbp.generators import (
 from qbp.recovery import RecoveryReport, build_report
 from qbp.serialize import (
     InstanceFormatError,
+    _pairs,
     load_system,
     report_to_dict,
     save_system,
@@ -189,6 +192,60 @@ def test_vector_from_pairs_validation():
         vector_from_pairs([])
     with pytest.raises(InstanceFormatError, match=r"x\[1\]"):
         vector_from_pairs([[1.0, 0.0], [2.0]])
+
+
+@st.composite
+def _encoded(draw):
+    """A shape (), (k,) or (k, k) with k in 1..4, and finite complex entries
+    of that shape, signed zeros included."""
+    k = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (k,), (k, k)]))
+    size = 2 * math.prod(shape)
+    parts = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=size, max_size=size))
+    return shape, np.array(parts).view(complex).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_encoded())
+# a negative zero beside a nonzero part, which re + 1j * im would lose
+@example(((2,), np.array([-0.0, 1.0, 0.0, -0.0]).view(complex)))
+def test_pairs_decodes_the_bytes_vector_to_pairs_encodes(case):
+    shape, a = case
+    got = np.asarray(_pairs(vector_to_pairs(a), shape, "v"))
+    assert got.shape == shape
+    assert got.tobytes() == a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_encoded(), st.sampled_from([True, "1", math.nan, "drop"]), st.data())
+def test_pairs_locates_a_bad_leaf_or_a_dropped_element(case, change, data):
+    shape, a = case
+    doc = vector_to_pairs(a)
+    # one leaf's index path: an entry of each list level, then real or imag
+    path = [data.draw(st.integers(0, size - 1)) for size in shape + (2,)]
+    depth = len(path) - 1 if change != "drop" else data.draw(st.integers(0, len(path) - 1))
+    parent = doc
+    for i in path[:depth]:
+        parent = parent[i]
+    if change == "drop":
+        del parent[path[depth]]
+        location = "v" + "".join(f"[{i}]" for i in path[:depth])
+        if depth == len(shape):
+            problem = "expected a [real, imag] pair"
+        elif depth == len(shape) - 1:
+            problem = f"expected a list of {shape[depth]} pairs"
+        else:
+            problem = f"expected {shape[depth]} rows"
+    else:
+        parent[path[depth]] = change
+        location = "v" + "".join(f"[{i}]" for i in path)
+        problem = ("non-finite value" if isinstance(change, float)
+                   else f"expected a number, got {change!r}")
+    with pytest.raises(InstanceFormatError) as exc:
+        _pairs(doc, shape, "v")
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {problem}"
 
 
 def _result(**fields):
