@@ -68,9 +68,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _solver_options(parser):
+def _solver_options(parser, lam, budget=None):
+    """--lambda (default ``lam``), --epsilon (help ``budget``) if given, the stopping rule."""
     defaults = SolverConfig()
     group = parser.add_argument_group("solver options")
+    group.add_argument("--lambda", dest="lam", type=float, default=lam, help="l1 weight")
+    if budget is not None:
+        group.add_argument("--epsilon", type=float, default=None, help=budget)
     group.add_argument("--eps-abs", type=float, default=defaults.eps_abs,
                        help="absolute stopping tolerance")
     group.add_argument("--eps-rel", type=float, default=defaults.eps_rel,
@@ -79,12 +83,14 @@ def _solver_options(parser):
                        help="iteration cap")
 
 
+def _from_args(cls, args, **named):
+    """``cls`` built from its fields' same-named options, bar those in ``named``."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in named}, **named)
+
+
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        eps_abs=args.eps_abs,
-        eps_rel=args.eps_rel,
-        max_iters=args.max_iters,
-    )
+    return _from_args(SolverConfig, args)
 
 
 def _keep_apart(inputs: dict, outputs: dict) -> None:
@@ -198,21 +204,9 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _cmd_montecarlo(args) -> int:
-    spec = ExperimentSpec(
-        n=args.n,
-        N=args.N,
-        k=args.k,
-        ensemble=args.ensemble,
-        signal=args.signal,
-        methods=_parse_methods(args.methods),
-        lam=args.lam,
-        epsilon=args.epsilon if args.epsilon is not None else 0.0,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        iht_max_iters=args.iht_max_iters,
-        solver=_config_from(args),
-    )
+    spec = _from_args(ExperimentSpec, args, methods=_parse_methods(args.methods),
+                      epsilon=args.epsilon if args.epsilon is not None else 0.0,
+                      solver=_config_from(args))
     records = run_monte_carlo(spec, jobs=args.jobs)
     with _writing(args.out) as (stream,):
         write_csv(records, stream)
@@ -297,41 +291,33 @@ def _build_parser() -> _Parser:
 
     slv = sub.add_parser("solve", help="solve one instance and report the recovery")
     slv.add_argument("instance", nargs="?", default="-", help="instance path (default stdin)")
-    slv.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                     help="l1 weight")
-    slv.add_argument("--epsilon", type=float, default=None,
-                     help="residual budget; solves the qbpd program")
     slv.add_argument("--truth", help="planted-signal JSON to score against (- for stdin)")
     slv.add_argument("--tol", type=float, default=SUCCESS_TOL, help="success threshold")
     slv.add_argument("-o", "--output", default="-", help="report path (default stdout)")
-    _solver_options(slv)
+    _solver_options(slv, 1.0, "residual budget; solves the qbpd program")
     slv.set_defaults(func=_cmd_solve)
 
     mc = sub.add_parser("montecarlo", help="run repeated trials and write CSV records")
     _instance_options(mc)
     mc.add_argument("--methods", default="qbp,qbp0,bp,iht",
                     help="comma list from " + ",".join(_METHODS))
-    mc.add_argument("--lambda", dest="lam", type=float, default=50.0)
-    mc.add_argument("--epsilon", type=float, default=None,
-                    help="residual budget for the qbpd method")
     mc.add_argument("--trials", type=int, default=100)
     mc.add_argument("--tol", type=float, default=SUCCESS_TOL)
     mc.add_argument("--iht-max-iters", type=int, default=1000,
                     help="iteration budget for the iht method")
     mc.add_argument("--jobs", type=int, default=1)
     mc.add_argument("-o", "--out", default="-", help="CSV path (default stdout)")
-    _solver_options(mc)
+    _solver_options(mc, 50.0, "residual budget for the qbpd method")
     mc.set_defaults(func=_cmd_montecarlo)
 
     diag = sub.add_parser("diagnose", help="recoverability diagnostics for an instance")
     diag.add_argument("instance", nargs="?", default="-", help="instance path (default stdin)")
-    diag.add_argument("--lambda", dest="lam", type=float, default=1.0)
     diag.add_argument("--rip-k", type=int, default=None,
                       help="sparsity level for isometry sampling (default min(4, (n+1)^2))")
     diag.add_argument("--rip-samples", type=int, default=200)
     diag.add_argument("--seed", type=int, default=0)
     diag.add_argument("-o", "--output", default="-", help="report path (default stdout)")
-    _solver_options(diag)
+    _solver_options(diag, 1.0)
     diag.set_defaults(func=_cmd_diagnose)
 
     ph = sub.add_parser("phantom", help="recover a piecewise-constant test image")
@@ -340,13 +326,9 @@ def _build_parser() -> _Parser:
                     help="kept Fourier coefficients")
     ph.add_argument("-N", "--N", type=int, default=None,
                     help="measurements (default 2 * side^2)")
-    ph.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                    help="l1 weight")
-    ph.add_argument("--epsilon", type=float, default=None,
-                    help="residual budget; switches to the denoising solver")
     ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("-o", "--out", default="-", help="per-pixel CSV path (default stdout)")
-    _solver_options(ph)
+    _solver_options(ph, 1.0, "residual budget; switches to the denoising solver")
     ph.set_defaults(func=_cmd_phantom, eps_abs=1e-5, eps_rel=1e-5, max_iters=40000)
 
     return parser

@@ -187,7 +187,9 @@ class CoherenceCertificate:
     skipped), the matrix is numerically rank one, and its support size stays
     strictly below ``bound = (1 + 1/mu) / 2``, with ``rank_ratio`` read as
     :func:`build_report` reads it.  A matrix with no usable rank-one
-    component, the zero matrix say, has ``rank_ratio`` inf.
+    component, the zero matrix say, has ``rank_ratio`` inf.  An operator with
+    fewer than two informative columns has no coherence: ``mu`` and ``bound``
+    are then NaN, and the certificate is refused.
     """
 
     mu: float
@@ -212,7 +214,12 @@ def certify_coherence(system: QuadraticSystem, Z) -> CoherenceCertificate:
     # flattened stack's columns in another order, and coherence reads only
     # the set of columns, so the stack is read in place
     phis = system.phis
-    mu, skipped = mutual_coherence(phis.reshape(phis.shape[0], -1))
+    cols = phis.reshape(phis.shape[0], -1)
+    try:
+        mu, skipped = mutual_coherence(cols)
+    except ValueError:  # under two nonzero columns, so at least one skipped
+        mu = np.nan
+        skipped = int(np.count_nonzero(np.linalg.norm(cols, axis=0) == 0.0))
     bound = np.inf if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
     cardinality = _support_size(Z)
     try:

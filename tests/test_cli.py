@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: pipelines, exit codes, file formats."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -11,7 +12,7 @@ import pytest
 
 import qbp.cli
 import qbp.montecarlo
-from qbp.admm import SolverResult
+from qbp.admm import SolverConfig, SolverResult
 from qbp.cli import main
 from qbp.model import (
     DimensionMismatchError,
@@ -580,6 +581,60 @@ def test_diagnose_flags_orthonormal_sensing(tmp_path):
     assert doc["rip"]["epsilon"] < 1e-6
     assert doc["solve"]["termination"] == "converged"
     assert doc["solve"]["lambda"] == 0.5
+
+
+def test_diagnose_accepts_an_instance_with_one_informative_column(tmp_path, capsys):
+    # magnitudes of a scalar see only X11: three of the four lifted columns
+    # are zero, so the coherence is undefined and the certificate refused
+    inst = tmp_path / "instance.json"
+    assert main(["generate", "--ensemble", "purephase", "-n", "1", "-N", "3", "-k", "1",
+                 "-o", str(inst)]) == 0
+    assert main(["diagnose", str(inst)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: set(value) for key, value in doc.items()} == DIAGNOSE_KEYS
+    assert doc["coherence"]["mu"] is None and doc["coherence"]["bound"] is None
+    assert doc["coherence"]["skipped_columns"] == 3
+    assert doc["coherence"]["certified"] is False
+    assert doc["solve"]["termination"] == "converged"
+
+
+def _solver_group(command):
+    parser = qbp.cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    group = next(g for g in sub.choices[command]._action_groups
+                 if g.title == "solver options")
+    return {a.option_strings[0]: a for a in group._group_actions}
+
+
+@pytest.mark.parametrize("command, lam, budget", [
+    ("solve", 1.0, True), ("montecarlo", 50.0, True), ("diagnose", 1.0, False),
+    ("phantom", 1.0, True),
+])
+def test_each_lifted_command_declares_lambda_among_its_solver_options(command, lam, budget):
+    options = _solver_group(command)
+    stops = ["--eps-abs", "--eps-rel", "--max-iters"]
+    assert list(options) == ["--lambda"] + ["--epsilon"] * budget + stops
+    assert options["--lambda"].dest == "lam" and options["--lambda"].default == lam
+    if budget:
+        assert options["--epsilon"].default is None
+
+
+def test_montecarlo_builds_its_spec_from_every_option(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(qbp.cli, "run_monte_carlo",
+                        lambda spec, jobs: seen.append((spec, jobs)) or [])
+    assert main([
+        "montecarlo", "--ensemble", "purephase", "-n", "6", "-N", "14", "-k", "2",
+        "--signal", "gaussian", "--seed", "4", "--methods", "qbpd, iht",
+        "--lambda", "3", "--epsilon", "0.01", "--trials", "7", "--tol", "0.02",
+        "--iht-max-iters", "30", "--jobs", "2", "--eps-abs", "1e-4",
+        "--eps-rel", "2e-4", "--max-iters", "500", "-o", str(tmp_path / "r.csv"),
+    ]) == 0
+    assert seen == [(qbp.montecarlo.ExperimentSpec(
+        n=6, N=14, k=2, ensemble="purephase", signal="gaussian", methods=("qbpd", "iht"),
+        lam=3.0, epsilon=0.01, trials=7, seed=4, tol=0.02, iht_max_iters=30,
+        solver=SolverConfig(eps_abs=1e-4, eps_rel=2e-4, max_iters=500),
+    ), 2)]
 
 
 def test_every_solver_result_field_reaches_both_reports(tmp_path, capsys):

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import qbp
+from qbp.admm import SolverConfig, solve_denoising
 from qbp.cli import _build_parser, main
+from qbp.generators import pure_phase
+from qbp.recovery import build_report
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -166,3 +169,21 @@ def test_bench_record_matches_the_readme(workload):
     if workload == "table-n20":
         rate = re.search(r"([\d.]+) trials per second", re.sub(r"\s+", " ", paragraph))
         assert rate.group(1) == f"{record['end_to_end']['trials_per_s']['median']:.3g}"
+
+
+def test_holes_preset_figures_match_the_solver():
+    # the preset's two stops: (iterations, recovery error) at the default
+    # tolerances and at 1e-5, as the README quotes them
+    text = re.sub(r"\s+", " ", README)
+    match = re.search(r"at the defaults the run stops after (\d+) iterations with recovery"
+                      r" error ([\d.e-]+) .*? after (\d+) iterations with ([\d.e-]+) at 1e-5",
+                      text)
+    quoted = [(int(match.group(1)), match.group(2)), (int(match.group(3)), match.group(4))]
+    system, x = pure_phase(16, 60, 3, "binary", 0)
+    configs = [SolverConfig(), SolverConfig(eps_abs=1e-5, eps_rel=1e-5, max_iters=30000)]
+    for (iterations, error), config in zip(quoted, configs):
+        result = solve_denoising(system, 100.0, 0.0012, config)
+        report = build_report(system, result, x, 1e-2)
+        digits = len(error.split("e")[0].partition(".")[2])
+        assert result.iterations == iterations
+        assert float(f"{report.error:.{digits}e}") == float(error)

@@ -80,6 +80,32 @@ def test_a_pair_alternates_and_writes_both_halves_to_the_after_tree(tool, tmp_pa
     assert "test_truncate_fourier_matches_the_visited_set_walk: before 4.01 4.01 4.01" in out
 
 
+def test_a_run_records_the_ids_that_failed_or_errored(tool, tmp_path, monkeypatch, capsys):
+    # ids with spaces in their parameters, a failure without a message and an
+    # error at collection; the passing test named in the durations is no failure
+    output = OUTPUT.replace("1 failed, 584 passed", "\n".join([
+        "FAILED tests/test_readme.py::test_readme_command_parses[phantom --side 8] - a - b",
+        "FAILED tests/test_cli.py::test_x[solve -o x]",
+        "ERROR tests/test_model.py - ImportError: no module",
+        "3 failed, 582 passed, 1 error",
+    ]))
+    trees = _pair(tmp_path)
+    seen = []
+    monkeypatch.setattr(subprocess, "run", _suite(seen, output))
+    assert tool.main([str(t) for t in trees]) == 0
+    failed = ["tests/test_acceptance.py::test_criterion_2_unique_recovery_regime",
+              "tests/test_readme.py::test_readme_command_parses[phantom --side 8]",
+              "tests/test_cli.py::test_x[solve -o x]", "tests/test_model.py"]
+    doc = json.loads((trees[1] / "BENCH_tier1.json").read_text())
+    for name in ("before", "after"):
+        assert all(run["failed"] == failed for run in doc[name]["runs"])
+        assert doc[name]["runs"][0]["counts"] == {"failed": 3, "passed": 582, "error": 1}
+    out = capsys.readouterr().out
+    for name in ("before", "after"):
+        for test in failed:
+            assert f"{name:<6} failed in 3 of 3 runs: {test}\n" in out
+
+
 def test_a_run_without_a_summary_writes_no_record(tool, tmp_path, monkeypatch):
     trees = _pair(tmp_path)
     seen = []

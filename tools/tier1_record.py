@@ -10,8 +10,9 @@ time is the command's, from its start to its exit.
 
 The record goes to AFTER_TREE's root and holds both trees: for each, the
 SHA-256 of its sources, its runs (order, wall time, the outcome counts of
-pytest's summary line and its ten slowest durations) and the wall times'
-median and quartiles.  One line per tree, then one per test among the
+pytest's summary line, the ids its ``FAILED`` and ``ERROR`` lines name and
+its ten slowest durations) and the wall times' median and quartiles.  One
+line per tree, one per test that failed in it, then one per test among the
 slowest, with its per-run durations in either tree, go to standard output.
 
 The trees must be fresh clones: two paths that resolve to one tree, or a tree
@@ -39,10 +40,14 @@ ENV = {"PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECOD
 
 SUMMARY = re.compile(r"^=*\s*((?:\d+ \w+, )*\d+ \w+) in [\d.]+s")
 DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(.+)$")
+# a test id has no space before its parameters, which may hold spaces; the
+# message after " - " is optional
+FAILURE = re.compile(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[.*?\])?)(?: - .*)?$")
 
 
 def run(tree: Path) -> dict:
-    """One Tier-1 run in ``tree``: its wall time, outcome counts and slowest durations."""
+    """One Tier-1 run in ``tree``: its wall time, outcome counts, failed ids and
+    slowest durations."""
     start = time.perf_counter()
     out = subprocess.run([sys.executable, *COMMAND], cwd=tree, capture_output=True,
                          text=True, env={**os.environ, **ENV}).stdout
@@ -56,7 +61,8 @@ def run(tree: Path) -> dict:
     # "phase test id": seconds, slowest first
     slowest = {f"{m.group(2)} {m.group(3)}": float(m.group(1))
                for m in map(DURATION.match, lines) if m}
-    return {"wall_s": wall, "counts": counts, "slowest": slowest}
+    failed = [m.group(1) for m in map(FAILURE.match, lines) if m]
+    return {"wall_s": wall, "counts": counts, "failed": failed, "slowest": slowest}
 
 
 def sources(tree: Path) -> str:
@@ -95,6 +101,9 @@ def main(argv: list[str]) -> int:
         wall = half["wall_s"]
         print(f"{name:<6} wall {wall['median']:.2f} s (q1 {wall['q1']:.2f},"
               f" q3 {wall['q3']:.2f})  counts {half['runs'][0]['counts']}")
+        for test in dict.fromkeys(t for r in half["runs"] for t in r["failed"]):
+            times = sum(test in r["failed"] for r in half["runs"])
+            print(f"{name:<6} failed in {times} of {len(half['runs'])} runs: {test}")
     for test in dict.fromkeys(t for r in runs[1] + runs[0] for t in r["slowest"]):
         cells = [" ".join(f"{r['slowest'][test]:.2f}" if test in r["slowest"] else "-"
                           for r in tree_runs) for tree_runs in runs]
