@@ -35,7 +35,6 @@ from qbp.montecarlo import (
 )
 from qbp.recovery import (
     SUCCESS_TOL,
-    _check_rip_sampling,
     align_phase,
     build_report,
     certify_coherence,
@@ -87,10 +86,6 @@ def _from_args(cls, args, **named):
     """``cls`` built from its fields' same-named options, bar those in ``named``."""
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
                   if f.name not in named}, **named)
-
-
-def _config_from(args) -> SolverConfig:
-    return _from_args(SolverConfig, args)
 
 
 def _keep_apart(inputs: dict, outputs: dict) -> None:
@@ -158,7 +153,7 @@ def _timed_solve(args, system):
 
     ``--epsilon`` selects the residual-budget program.
     """
-    config = _config_from(args)
+    config = _from_args(SolverConfig, args)
     start = time.perf_counter()
     if args.epsilon is not None:
         result = solve_denoising(system, args.lam, args.epsilon, config)
@@ -206,7 +201,7 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 def _cmd_montecarlo(args) -> int:
     spec = _from_args(ExperimentSpec, args, methods=_parse_methods(args.methods),
                       epsilon=args.epsilon if args.epsilon is not None else 0.0,
-                      solver=_config_from(args))
+                      solver=_from_args(SolverConfig, args))
     records = run_monte_carlo(spec, jobs=args.jobs)
     with _writing(args.out) as (stream,):
         write_csv(records, stream)
@@ -225,11 +220,10 @@ def _cmd_diagnose(args) -> int:
     _keep_apart({"instance": args.instance}, {"--output": args.output})
     with _reading(args.instance) as stream:
         system = load_system(stream)
-    rip_k = min(4, (system.n + 1) ** 2) if args.rip_k is None else args.rip_k
-    _check_rip_sampling(system.n, rip_k, args.rip_samples, args.seed)
-    result = solve(system, args.lam, _config_from(args))
+    # sampling first: a bad --rip-k, --rip-samples or --seed fails before the solve
+    rip = sample_rip(system, args.rip_k, args.rip_samples, args.seed)
+    result = solve(system, args.lam, _from_args(SolverConfig, args))
     cert = certify_coherence(system, result.Z)
-    rip = sample_rip(system, rip_k, args.rip_samples, args.seed)
     with _writing(args.output) as (stream,):
         write_json({
             "coherence": dataclasses.asdict(cert),
@@ -312,8 +306,8 @@ def _build_parser() -> _Parser:
 
     diag = sub.add_parser("diagnose", help="recoverability diagnostics for an instance")
     diag.add_argument("instance", nargs="?", default="-", help="instance path (default stdin)")
-    diag.add_argument("--rip-k", type=int, default=None,
-                      help="sparsity level for isometry sampling (default min(4, (n+1)^2))")
+    diag.add_argument("--rip-k", type=int, default=4,
+                      help="sparsity level for isometry sampling")
     diag.add_argument("--rip-samples", type=int, default=200)
     diag.add_argument("--seed", type=int, default=0)
     diag.add_argument("-o", "--output", default="-", help="report path (default stdout)")

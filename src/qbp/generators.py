@@ -38,7 +38,7 @@ def _measured(phis: np.ndarray, x, real: bool = False):
     # induced constraints real
     probe = QuadraticSystem.from_arrays(phis, np.zeros(phis.shape[0]))
     y = evaluate(probe, x)
-    return probe.with_values(y.real if real else y), x
+    return QuadraticSystem.from_arrays(probe.phis, y.real if real else y), x
 
 
 def _circular_normal(rng, shape=None):

@@ -132,7 +132,8 @@ class QuadraticSystem:
     def from_arrays(cls, phis, y) -> QuadraticSystem:
         """System over N >= 1 lifted matrices and their values.
 
-        Complex arrays are taken over, not copied, and made read-only.
+        Complex arrays are taken over, not copied, and made read-only, so
+        ``from_arrays(system.phis, y)`` re-values a system on its own stack.
         """
         phis = np.asarray(phis, dtype=complex)
         if phis.ndim != 3 or not phis.shape[0] or phis.shape[1] != phis.shape[2]:
@@ -141,12 +142,6 @@ class QuadraticSystem:
             )
         out = object.__new__(cls)
         out._hold(_as_complex(phis, phis.shape, "phis"), y)
-        return out
-
-    def with_values(self, y) -> QuadraticSystem:
-        """The same lifted matrices, shared and not copied, with values y."""
-        out = object.__new__(type(self))
-        out._hold(self.phis, y)
         return out
 
     def _hold(self, phis, y):

@@ -210,6 +210,9 @@ def _support_size(v: np.ndarray) -> int:
 def certify_coherence(system: QuadraticSystem, Z) -> CoherenceCertificate:
     """Coherence certificate for a solved matrix against its system."""
     Z = np.asarray(Z, dtype=complex)
+    m = system.n + 1
+    if Z.shape != (m, m):
+        raise DimensionMismatchError(f"Z has shape {Z.shape}, the system's lift is {(m, m)}")
     # the columns of the matricized operator (one per entry of X) are the
     # flattened stack's columns in another order, and coherence reads only
     # the set of columns, so the stack is read in place
@@ -277,15 +280,6 @@ def _random_sparse_hermitian(m: int, k: int, rng) -> np.ndarray:
     return X
 
 
-def _check_rip_sampling(n: int, k: int, samples: int, seed: int) -> None:
-    """The rule for :func:`sample_rip`'s arguments on a system of dimension
-    n, which ``qbp diagnose`` also checks before it solves."""
-    for name, value, minimum in (("k", k, 1), ("samples", samples, 1), ("seed", seed, 0)):
-        _require_integer(name, value, minimum)
-    if k > (n + 1) ** 2:
-        raise ValueError(f"k must be in [1, {(n + 1) ** 2}]")
-
-
 def sample_rip(system: QuadraticSystem, k: int, samples: int = 200,
                seed: int = 0) -> RipEstimate:
     """Sample the restricted-isometry defect of the lifted measurement map.
@@ -293,8 +287,11 @@ def sample_rip(system: QuadraticSystem, k: int, samples: int = 200,
     Draws random Hermitian matrices with at most ``k`` nonzero entries and
     records the worst squared-norm ratio defect and its l1 analogue.
     """
-    _check_rip_sampling(system.n, k, samples, seed)
     m = system.n + 1
+    for name, value, minimum in (("k", k, 1), ("samples", samples, 1), ("seed", seed, 0)):
+        _require_integer(name, value, minimum)
+    if k > m * m:
+        raise ValueError(f"k must be in [1, {m * m}]")
     eps2 = 0.0
     eps1 = 0.0
     for child in np.random.SeedSequence(seed).spawn(samples):

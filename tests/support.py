@@ -139,7 +139,7 @@ def consistent_system(n, N, rng, real=False, symmetric=False):
     base = QuadraticSystem([random_measurement(n, rng, real) for _ in range(N)])
     if symmetric:
         base = QuadraticSystem.from_arrays([hermitianize(p) for p in base.phis], base.y)
-    return base.with_values(evaluate(base, x)), x
+    return QuadraticSystem.from_arrays(base.phis, evaluate(base, x)), x
 
 
 def zero_valued_system(n, N, rng, real=False, symmetric=False):
@@ -150,17 +150,10 @@ def zero_valued_system(n, N, rng, real=False, symmetric=False):
     return QuadraticSystem.from_arrays(phis, np.zeros(N)), x
 
 
-def measurement_from_phi(phi, y=0.0):
-    """Measurement whose lifted coefficient matrix is exactly ``phi``."""
-    return QuadraticMeasurement(
-        phi[0, 0], phi[0, 1:].conj(), phi[1:, 0], phi[1:, 1:], y
-    )
-
-
 def system_from_phis(phis, x):
     """System with the given coefficient matrices, measured at lift(x)."""
-    probe = QuadraticSystem([measurement_from_phi(p, 0.0) for p in phis])
-    return probe.with_values(measure_lifted(probe, lift(x)))
+    probe = QuadraticSystem.from_arrays(phis, np.zeros(len(phis)))
+    return QuadraticSystem.from_arrays(probe.phis, measure_lifted(probe, lift(x)))
 
 
 def unitary_sensing_system(x, kind="dft", rng=None):
@@ -197,7 +190,7 @@ def _reference_system(parts, x, real=False):
     y = a + b.conj() @ x + c @ xc + np.einsum("i,nij,j->n", xc, q, x)
     if real:
         y = y.real
-    return probe.with_values(y), x
+    return QuadraticSystem.from_arrays(probe.phis, y), x
 
 
 def _reference_magnitude(sensing, x):

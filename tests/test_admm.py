@@ -843,7 +843,7 @@ def test_small_scale_pure_phase_solve_converges_within_the_rho_budget(caplog):
     # 28 changes in all, and this solve took 4511 iterations to reach an
     # error of 0.11; with the budget it converges in about 130
     system, _ = pure_phase(20, 60, 2, "gaussian", 5)
-    system = system.with_values(1e-2 * system.y)
+    system = QuadraticSystem.from_arrays(system.phis, 1e-2 * system.y)
     caplog.set_level(logging.DEBUG, logger="qbp.admm")
     result = solve(system, 1.0, SolverConfig(eps_abs=1e-5, eps_rel=1e-5))
     assert result.converged

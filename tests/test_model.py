@@ -95,7 +95,7 @@ def test_system_from_arrays_validates_and_holds_read_only_data():
     assert system.y.dtype == complex and not system.y.flags.writeable
     assert (system.n, system.num_measurements) == (2, 2)
     assert set(vars(system)) == {"phis", "y"}
-    again = system.with_values([3.0, 4.0])
+    again = QuadraticSystem.from_arrays(system.phis, [3.0, 4.0])
     assert again.phis is phis and np.array_equal(again.y, [3.0, 4.0])
     with pytest.raises(DimensionMismatchError):
         QuadraticSystem.from_arrays(np.zeros((2, 3, 4)), [1.0, 2.0])
@@ -108,7 +108,7 @@ def test_system_from_arrays_validates_and_holds_read_only_data():
     with pytest.raises(NonFiniteValueError):
         QuadraticSystem.from_arrays(bad, [0.0])
     with pytest.raises(NonFiniteValueError):
-        system.with_values([np.nan, 0.0])
+        QuadraticSystem.from_arrays(system.phis, [np.nan, 0.0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -293,6 +293,16 @@ def test_certificate_refuses_the_zero_matrix():
     assert not cert.certified
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (9, 9), (2, 3)])
+def test_certificate_refuses_a_matrix_of_another_size(shape):
+    # a square Z of any size used to be certified against any system, with
+    # that system's mu and the cardinality of the wrong matrix
+    system, _ = general_quadratic(4, 10, 1, "binary", 0)
+    with pytest.raises(DimensionMismatchError) as exc:
+        certify_coherence(system, np.ones(shape))
+    assert str(exc.value) == f"Z has shape {shape}, the system's lift is (5, 5)"
+
+
 def test_certificate_reads_the_rank_ratio_of_the_report():
     # a recovered magnitude solve: the report reads the signal block, whose
     # rank ratio is tiny, and the certificate must read the same number, not

@@ -106,6 +106,44 @@ def test_a_run_records_the_ids_that_failed_or_errored(tool, tmp_path, monkeypatc
             assert f"{name:<6} failed in 3 of 3 runs: {test}\n" in out
 
 
+def test_a_run_records_the_criterion_lines_of_a_failed_acceptance_test(tool, tmp_path,
+                                                                       monkeypatch, capsys):
+    line = ("CRITERION 2 (unique-recovery regime): FAIL - trace-only recovery rate 0.54"
+            " over 50 trials at n=20, N=40 (need >= 0.90)")
+    output = OUTPUT.replace("=" * 27 + " short test summary", "\n".join([
+        "E   AssertionError: trace-only recovery rate 0.54 over 50 trials",
+        "-" * 29 + " Captured stdout call " + "-" * 29,
+        line,
+        "=" * 27 + " short test summary",
+    ]))
+    trees = _pair(tmp_path)
+    monkeypatch.setattr(subprocess, "run", _suite([], output))
+    assert tool.main([str(t) for t in trees]) == 0
+    doc = json.loads((trees[1] / "BENCH_tier1.json").read_text())
+    for name in ("before", "after"):
+        assert all(run["criteria"] == [line] for run in doc[name]["runs"])
+    out = capsys.readouterr().out
+    for name in ("before", "after"):
+        assert f"{name:<6} printed in 3 of 3 runs: {line}\n" in out
+
+
+@pytest.mark.parametrize("path", [
+    "src/qbp/model.py", "tests/test_x.py", "tools/bench_record.py", "perfbench/NOTES.md",
+    "README.md", "pyproject.toml", "BENCHMARK.json", "BENCH_holes-qbpd.json",
+    "BENCH_tier1.json",
+])
+def test_the_stamp_covers_every_file_the_suite_reads(tool, tmp_path, path):
+    # two trees alike but for one file; only the tool's own record is not read
+    trees = [tmp_path / "before", tmp_path / "after"]
+    for tree in trees:
+        for name in ("README.md", "BENCH_tier1.json", path):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text("same\n")
+    (trees[1] / path).write_text("changed\n")
+    stamps = [tool.sources(tree) for tree in trees]
+    assert (stamps[0] == stamps[1]) == (path == "BENCH_tier1.json")
+
+
 def test_a_run_without_a_summary_writes_no_record(tool, tmp_path, monkeypatch):
     trees = _pair(tmp_path)
     seen = []

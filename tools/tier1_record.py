@@ -9,11 +9,13 @@ alternating from round to round (BEFORE_TREE at the first).  A run's wall
 time is the command's, from its start to its exit.
 
 The record goes to AFTER_TREE's root and holds both trees: for each, the
-SHA-256 of its sources, its runs (order, wall time, the outcome counts of
-pytest's summary line, the ids its ``FAILED`` and ``ERROR`` lines name and
-its ten slowest durations) and the wall times' median and quartiles.  One
-line per tree, one per test that failed in it, then one per test among the
-slowest, with its per-run durations in either tree, go to standard output.
+SHA-256 of the files its suite reads (SOURCES), its runs (order, wall time,
+the outcome counts of pytest's summary line, the ids its ``FAILED`` and
+``ERROR`` lines name, the ``CRITERION`` lines that pytest shows for a failed
+acceptance test, and its ten slowest durations) and the wall times' median
+and quartiles.  One line per tree, one per test that failed in it and one
+per criterion line, then one per test among the slowest, with its per-run
+durations in either tree, go to standard output.
 
 The trees must be fresh clones: two paths that resolve to one tree, or a tree
 that holds bytecode under ``src/qbp`` or ``tests``, are refused.  A run whose
@@ -43,11 +45,17 @@ DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(.+)$")
 # a test id has no space before its parameters, which may hold spaces; the
 # message after " - " is optional
 FAILURE = re.compile(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[.*?\])?)(?: - .*)?$")
+# an acceptance test's verdict line, printed in its captured output
+CRITERION = re.compile(r"^CRITERION \d+ \(.*?\): (?:PASS|FAIL) - ")
+# every file the suite reads, by glob from the tree's root; the record itself,
+# BENCH_tier1.json, is the tool's output and not hashed
+SOURCES = ("src/qbp/*.py", "tests/*.py", "tools/*.py", "perfbench/*", "README.md",
+           "pyproject.toml", "BENCHMARK.json", "BENCH_*.json")
 
 
 def run(tree: Path) -> dict:
-    """One Tier-1 run in ``tree``: its wall time, outcome counts, failed ids and
-    slowest durations."""
+    """One Tier-1 run in ``tree``: its wall time, outcome counts, failed ids,
+    criterion lines and slowest durations."""
     start = time.perf_counter()
     out = subprocess.run([sys.executable, *COMMAND], cwd=tree, capture_output=True,
                          text=True, env={**os.environ, **ENV}).stdout
@@ -62,13 +70,16 @@ def run(tree: Path) -> dict:
     slowest = {f"{m.group(2)} {m.group(3)}": float(m.group(1))
                for m in map(DURATION.match, lines) if m}
     failed = [m.group(1) for m in map(FAILURE.match, lines) if m]
-    return {"wall_s": wall, "counts": counts, "failed": failed, "slowest": slowest}
+    criteria = [line for line in lines if CRITERION.match(line)]
+    return {"wall_s": wall, "counts": counts, "failed": failed, "criteria": criteria,
+            "slowest": slowest}
 
 
 def sources(tree: Path) -> str:
-    """SHA-256 of the suite's sources: each .py file of src/qbp and tests, by path."""
+    """SHA-256 of the files that SOURCES names in ``tree``, each by its path."""
     digest = hashlib.sha256()
-    for path in sorted([*tree.glob("src/qbp/*.py"), *tree.glob("tests/*.py")]):
+    paths = {p for pattern in SOURCES for p in tree.glob(pattern) if p.is_file()}
+    for path in sorted(paths - {tree / "BENCH_tier1.json"}):
         name = path.relative_to(tree).as_posix().encode()
         digest.update(name + b"\0" + path.read_bytes())
     return digest.hexdigest()
@@ -101,9 +112,10 @@ def main(argv: list[str]) -> int:
         wall = half["wall_s"]
         print(f"{name:<6} wall {wall['median']:.2f} s (q1 {wall['q1']:.2f},"
               f" q3 {wall['q3']:.2f})  counts {half['runs'][0]['counts']}")
-        for test in dict.fromkeys(t for r in half["runs"] for t in r["failed"]):
-            times = sum(test in r["failed"] for r in half["runs"])
-            print(f"{name:<6} failed in {times} of {len(half['runs'])} runs: {test}")
+        for key, label in (("failed", "failed"), ("criteria", "printed")):
+            for item in dict.fromkeys(t for r in half["runs"] for t in r[key]):
+                times = sum(item in r[key] for r in half["runs"])
+                print(f"{name:<6} {label} in {times} of {len(half['runs'])} runs: {item}")
     for test in dict.fromkeys(t for r in runs[1] + runs[0] for t in r["slowest"]):
         cells = [" ".join(f"{r['slowest'][test]:.2f}" if test in r["slowest"] else "-"
                           for r in tree_runs) for tree_runs in runs]
